@@ -168,7 +168,7 @@ pub fn flow_demos(seed: u64) -> Vec<FlowDemo> {
             for dst in 0..ranks {
                 let src = (dst + ranks - 1) % ranks;
                 for k in 0..4u32 {
-                    node.recv_blocking(dst, RecvRequest::exact(src, 100 + k, 0), 4096)
+                    node.recv_blocking(dst, RecvRequest::exact(src, 100 + k, 0))
                         .unwrap_or_else(|e| panic!("{label} demo recv failed: {e}"));
                 }
             }

@@ -17,10 +17,9 @@
 //! cargo run --release -p bench-harness --bin all    # everything + CSVs
 //! ```
 //!
-//! Criterion benches (`cargo bench -p bench-harness`) measure the
-//! *native* performance of the engines and of the simulator itself;
-//! the paper's matches/s figures come from simulated device time and are
-//! printed by the binaries above.
+//! The paper's matches/s figures come from simulated device time and are
+//! printed by the binaries above; the *native* cost of the engines and of
+//! the simulator itself is measured by the standalone `bench/` package.
 
 #![warn(missing_docs)]
 

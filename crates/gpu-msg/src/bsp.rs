@@ -10,8 +10,6 @@
 //! precisely the property that makes tag reuse sound under the
 //! no-ordering relaxation.
 
-use crossbeam::thread;
-
 use crate::domain::Domain;
 
 /// Runs rank closures in supersteps over a shared [`Domain`].
@@ -26,33 +24,31 @@ impl<'d> BspProgram<'d> {
     }
 
     /// Execute one superstep: `body(rank, domain)` runs concurrently for
-    /// every rank; the call returns when all ranks finish. Verifies the
-    /// BSP contract that no unmatched traffic crosses the barrier.
+    /// every rank ([`Domain::run_ranks`]); the call returns when all
+    /// ranks finish. Verifies the BSP contract that no unmatched traffic
+    /// crosses the barrier.
     ///
     /// # Errors
-    /// Returns an error if a rank body fails or traffic is left in
-    /// flight at the barrier.
+    /// Returns an error naming every rank whose body failed, or if
+    /// traffic is left in flight at the barrier.
+    ///
+    /// # Panics
+    /// Resumes a rank body's panic.
     pub fn superstep<F>(&self, body: F) -> Result<(), String>
     where
         F: Fn(u32, &Domain) -> Result<(), String> + Sync,
     {
-        let n = self.domain.ranks();
-        let results: Vec<Result<(), String>> = thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|r| {
-                    let body = &body;
-                    let d = self.domain;
-                    s.spawn(move |_| body(r, d))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|_| Err("rank panicked".into())))
-                .collect()
-        })
-        .map_err(|_| "superstep thread pool failed".to_string())?;
-        for (r, res) in results.into_iter().enumerate() {
-            res.map_err(|e| format!("rank {r}: {e}"))?;
+        // A failed rank makes its waiting peers fail too: report them all,
+        // so the root cause is not hidden behind a peer's deadlock.
+        let failures: Vec<String> = self
+            .domain
+            .run_ranks(body)
+            .into_iter()
+            .enumerate()
+            .filter_map(|(r, res)| res.err().map(|e| format!("rank {r}: {e}")))
+            .collect();
+        if !failures.is_empty() {
+            return Err(failures.join("; "));
         }
         if !self.domain.quiescent() {
             return Err("superstep barrier reached with traffic still in flight".into());
@@ -86,7 +82,7 @@ mod tests {
                 let next = (rank + 1) % n;
                 let prev = (rank + n - 1) % n;
                 d.send(rank, next, rank, 0, Bytes::from(vec![step, rank as u8]));
-                let m = d.recv_blocking(rank, RecvRequest::exact(prev, prev, 0), 64)?;
+                let m = d.recv_blocking(rank, RecvRequest::exact(prev, prev, 0))?;
                 if m.payload[0] != step || m.payload[1] != prev as u8 {
                     return Err("wrong payload".into());
                 }
@@ -94,6 +90,24 @@ mod tests {
             })
             .unwrap_or_else(|e| panic!("step {step}: {e}"));
         }
+    }
+
+    #[test]
+    fn failed_rank_fails_its_waiting_peers_at_once() {
+        let d = Domain::full_mpi(3, GpuGeneration::PascalGtx1080);
+        let err = BspProgram::new(&d)
+            .superstep(|rank, d| {
+                if rank == 0 {
+                    return Err("gives up before sending".into());
+                }
+                d.recv_blocking(rank, RecvRequest::exact(0, 1, 0)).map(drop)
+            })
+            .unwrap_err();
+        assert!(err.contains("rank 0: gives up before sending"), "{err}");
+        for waiting in ["rank 1: rank 1: receive", "rank 2: rank 2: receive"] {
+            assert!(err.contains(waiting), "{err}");
+        }
+        assert_eq!(err.matches("deadlock").count(), 2, "{err}");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::domain::Domain;
 /// Costs `ranks − 1` steps of one send + one receive per rank.
 ///
 /// # Errors
-/// Propagates runtime errors (tag-space violations, stuck receives).
+/// Propagates runtime errors (tag-space violations, deadlocked receives).
 pub fn ring_allreduce_sum(
     domain: &Domain,
     rank: u32,
@@ -48,11 +48,7 @@ pub fn ring_allreduce_sum(
             0,
             Bytes::from(carry.to_le_bytes().to_vec()),
         );
-        let m = domain.recv_blocking(
-            rank,
-            RecvRequest::exact(prev, tag, 0),
-            domain.progress_bound(),
-        )?;
+        let m = domain.recv_blocking(rank, RecvRequest::exact(prev, tag, 0))?;
         carry = f64::from_le_bytes(m.payload[..8].try_into().expect("8 bytes"));
         acc += carry;
     }
@@ -82,11 +78,7 @@ pub fn broadcast(
         let parent_v = vrank & (vrank - 1);
         let parent = (parent_v + root) % n;
         // The tag encodes the receiver's virtual rank: unique tuples.
-        let m = domain.recv_blocking(
-            rank,
-            RecvRequest::exact(parent, tag_base + vrank, 0),
-            domain.progress_bound(),
-        )?;
+        let m = domain.recv_blocking(rank, RecvRequest::exact(parent, tag_base + vrank, 0))?;
         m.payload
     };
     // Forward to children: set bits above the lowest set bit of vrank.
@@ -123,11 +115,7 @@ pub fn barrier(domain: &Domain, rank: u32, tag_base: Tag) -> Result<(), String> 
         let to = (rank + dist) % n;
         let from = (rank + n - dist) % n;
         domain.send(rank, to, tag_base + round, 0, Bytes::new());
-        domain.recv_blocking(
-            rank,
-            RecvRequest::exact(from, tag_base + round, 0),
-            domain.progress_bound(),
-        )?;
+        domain.recv_blocking(rank, RecvRequest::exact(from, tag_base + round, 0))?;
         dist <<= 1;
         round += 1;
     }
@@ -164,11 +152,7 @@ pub fn ring_allgather_u64(
             0,
             Bytes::from(carry.to_le_bytes().to_vec()),
         );
-        let m = domain.recv_blocking(
-            rank,
-            RecvRequest::exact(prev, tag, 0),
-            domain.progress_bound(),
-        )?;
+        let m = domain.recv_blocking(rank, RecvRequest::exact(prev, tag, 0))?;
         carry_idx = (carry_idx + n - 1) % n;
         out[carry_idx as usize] = u64::from_le_bytes(m.payload[..8].try_into().expect("8 bytes"));
     }
@@ -178,22 +162,10 @@ pub fn ring_allgather_u64(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::MatcherKind;
+    use crate::domain::{DomainConfig, MatcherKind};
+    use crate::transport::TransportConfig;
     use msg_match::RelaxationConfig;
     use simt_sim::GpuGeneration;
-
-    fn run_all<F>(domain: &Domain, f: F)
-    where
-        F: Fn(u32, &Domain) + Sync,
-    {
-        crossbeam::scope(|s| {
-            for r in 0..domain.ranks() {
-                let f = &f;
-                s.spawn(move |_| f(r, domain));
-            }
-        })
-        .expect("join");
-    }
 
     #[test]
     fn allreduce_sums_across_matchers() {
@@ -202,7 +174,7 @@ mod tests {
             (MatcherKind::Hash, RelaxationConfig::UNORDERED),
         ] {
             let d = Domain::new(5, GpuGeneration::PascalGtx1080, kind, relax);
-            run_all(&d, |rank, d| {
+            d.run_ranks(|rank, d| {
                 let got = ring_allreduce_sum(d, rank, (rank + 1) as f64, 1000).unwrap();
                 assert_eq!(got, 15.0, "{kind:?} rank {rank}");
             });
@@ -214,7 +186,7 @@ mod tests {
     fn broadcast_from_every_root() {
         let d = Domain::full_mpi(6, GpuGeneration::PascalGtx1080);
         for root in [0u32, 2, 5] {
-            run_all(&d, |rank, d| {
+            d.run_ranks(|rank, d| {
                 let payload = if rank == root {
                     Some(Bytes::from(vec![root as u8; 9]))
                 } else {
@@ -234,7 +206,7 @@ mod tests {
     #[test]
     fn barrier_completes_on_non_power_of_two() {
         let d = Domain::full_mpi(7, GpuGeneration::MaxwellM40);
-        run_all(&d, |rank, d| {
+        d.run_ranks(|rank, d| {
             for round in 0..3u32 {
                 barrier(d, rank, 3000 + round * 16).unwrap();
             }
@@ -245,10 +217,40 @@ mod tests {
     #[test]
     fn allgather_collects_everyone() {
         let d = Domain::full_mpi(4, GpuGeneration::PascalGtx1080);
-        run_all(&d, |rank, d| {
+        d.run_ranks(|rank, d| {
             let got = ring_allgather_u64(d, rank, 100 + rank as u64, 4000).unwrap();
             assert_eq!(got, vec![100, 101, 102, 103], "rank {rank}");
         });
+    }
+
+    #[test]
+    fn collectives_complete_over_a_lossy_reordering_fabric() {
+        for seed in 0..8u64 {
+            let mut cfg = DomainConfig::new(
+                5,
+                GpuGeneration::PascalGtx1080,
+                MatcherKind::Matrix,
+                RelaxationConfig::FULL_MPI,
+            );
+            cfg.transport = TransportConfig::Fabric(fabric::FabricConfig {
+                seed,
+                fault: fabric::FaultConfig {
+                    drop_prob: 0.10,
+                    reorder_prob: 0.30,
+                    reorder_skew_ns: 20_000,
+                    ..fabric::FaultConfig::NONE
+                },
+                ..Default::default()
+            });
+            let d = Domain::with_config(cfg);
+            d.run_ranks(|rank, d| {
+                let got = ring_allreduce_sum(d, rank, (rank + 1) as f64, 5000).unwrap();
+                assert_eq!(got, 15.0, "seed {seed} rank {rank}");
+                barrier(d, rank, 6000).unwrap();
+            });
+            let fs = d.fabric_stats().expect("fabric wire");
+            assert!(fs.drops_injected > 0, "seed {seed}: the wire must lose");
+        }
     }
 
     #[test]

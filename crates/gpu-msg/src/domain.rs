@@ -15,11 +15,28 @@
 //!
 //! The domain is `Sync`: per-endpoint state sits behind `parking_lot`
 //! mutexes, so application ranks can be driven from one thread per rank
-//! (as the examples do with scoped threads) while sends lock only the
-//! destination endpoint — the moral equivalent of the NVLink remote
-//! write.
+//! ([`Domain::run_ranks`]) while sends lock only the destination
+//! endpoint — the moral equivalent of the NVLink remote write.
+//!
+//! # Progress contract
+//!
+//! [`Domain::recv_blocking`] never gives up on a count. The calling rank
+//! pumps the wire itself for as long as the transport has work in
+//! flight — every pump advances *simulated* time, so that is finite
+//! whatever the host scheduler does — and otherwise parks on one
+//! domain-wide monitor that every [`Domain::send`] and every deposit of
+//! arrivals wakes. A parked receive fails only when nothing can ever
+//! wake it: every rank is parked or has left its [`Domain::run_ranks`]
+//! body while the wire is quiescent. That deadlock is reported to every
+//! parked rank at once, naming the stuck request.
+//!
+//! [`Domain::post_recv`] + [`Domain::progress`] +
+//! [`Domain::take_completions`] are the non-blocking form: they never
+//! park and never report deadlock, so a single thread driving several
+//! ranks polls with them.
 
 use std::collections::HashMap;
+use std::sync::Condvar;
 
 use bytes::Bytes;
 use obs::SpanRecorder;
@@ -255,9 +272,6 @@ pub struct DomainConfig {
     /// [`ReorderBuffer`] keyed on the transport's message sequence —
     /// real wire disorder exercising the user-level machinery.
     pub restore_order: bool,
-    /// Progress-round bound for blocking receives and collectives.
-    /// `None` derives one from the rank count.
-    pub progress_bound: Option<u32>,
     /// Record per-endpoint causal flow trace points
     /// (send → deposit → matched) for Perfetto export.
     pub trace: bool,
@@ -290,11 +304,41 @@ impl DomainConfig {
             prefilter: true,
             transport: TransportConfig::Direct,
             restore_order: false,
-            progress_bound: None,
             trace: false,
             trace_capacity: 4096,
             flow_sample_every: 1,
             trace_track_base: 0,
+        }
+    }
+}
+
+/// Why a parked receive fails.
+const DEADLOCK: &str =
+    "deadlock: the wire is quiescent and every rank is parked in a receive or has exited";
+
+/// What the domain knows about who can still make progress (see the
+/// module docs' progress contract).
+#[derive(Default)]
+struct Liveness {
+    /// Bumped by every send, every deposit of arrivals, every rank exit
+    /// and every deadlock report.
+    epoch: u64,
+    /// Ranks waiting on `wake` for `epoch` to move; every bump wakes
+    /// them all and resets this.
+    parked: u32,
+    /// Ranks whose [`Domain::run_ranks`] body has returned or panicked.
+    idle: u32,
+    /// The epoch the latest deadlock was reported at.
+    deadlocked: Option<u64>,
+}
+
+impl Liveness {
+    /// Move the epoch on and wake every parked rank. With nobody parked
+    /// this is two stores: no `notify`, hence no syscall.
+    fn bump(&mut self, wake: &Condvar) {
+        self.epoch += 1;
+        if std::mem::take(&mut self.parked) > 0 {
+            wake.notify_all();
         }
     }
 }
@@ -306,7 +350,10 @@ pub struct Domain {
     relax: RelaxationConfig,
     transport: Mutex<Box<dyn Transport>>,
     restore_order: bool,
-    progress_bound: u32,
+    liveness: Mutex<Liveness>,
+    /// Signalled, with `liveness` held, by every epoch bump that finds
+    /// ranks parked.
+    wake: Condvar,
     /// Flow sampling, present when the domain traces.
     sampler: Option<obs::FlowSampler>,
     /// Per-`(src, dst)` send counters feeding flow-id construction
@@ -363,9 +410,6 @@ impl Domain {
                 Box::new(FabricTransport::new(cfg.ranks, fc))
             }
         };
-        let progress_bound = cfg
-            .progress_bound
-            .unwrap_or_else(|| 4096u32.max(cfg.ranks.saturating_mul(64)));
         Domain {
             endpoints: (0..cfg.ranks)
                 .map(|rank| {
@@ -396,7 +440,8 @@ impl Domain {
             relax,
             transport: Mutex::new(transport),
             restore_order: cfg.restore_order,
-            progress_bound,
+            liveness: Mutex::new(Liveness::default()),
+            wake: Condvar::new(),
             sampler: cfg
                 .trace
                 .then(|| obs::FlowSampler::new(cfg.flow_sample_every, 0)),
@@ -427,12 +472,6 @@ impl Domain {
     /// Whether arrivals pass through the user-level reorder stage.
     pub fn restores_order(&self) -> bool {
         self.restore_order
-    }
-
-    /// The progress-round bound blocking receives and collectives use by
-    /// default (configurable via [`DomainConfig::progress_bound`]).
-    pub fn progress_bound(&self) -> u32 {
-        self.progress_bound
     }
 
     /// Short label of the wire between endpoints.
@@ -561,6 +600,9 @@ impl Domain {
             (wire.pump(false), wire.now_ns())
         };
         self.deposit(deliveries, now_ns);
+        // Even a send that landed nothing wakes parked ranks: the wire
+        // now has work in flight that one of them must pump.
+        self.liveness.lock().bump(&self.wake);
     }
 
     /// Post a receive on `rank`. Returns a handle reported back in the
@@ -596,7 +638,10 @@ impl Domain {
             let d = wire.pump(true);
             (d, wire.check(), wire.now_ns())
         };
-        self.deposit(deliveries, now_ns);
+        if !deliveries.is_empty() {
+            self.deposit(deliveries, now_ns);
+            self.liveness.lock().bump(&self.wake);
+        }
         health?;
         let mut ep = self.endpoints[rank as usize].lock();
         ep.run_comm_kernel(self.matcher, self.relax, now_ns)
@@ -620,40 +665,108 @@ impl Domain {
         std::mem::take(&mut self.endpoints[rank as usize].lock().completed)
     }
 
-    /// Post, then progress until the receive completes. Bounded by
-    /// `max_rounds` progress calls (a send may still be in flight from
-    /// another thread).
+    /// Post, then make progress until the receive completes (see the
+    /// module docs' progress contract). Call it from the one thread that
+    /// drives `rank`.
     ///
     /// # Errors
-    /// Fails if the receive has not completed within the bound or on a
-    /// relaxation violation.
-    pub fn recv_blocking(
-        &self,
-        rank: u32,
-        request: RecvRequest,
-        max_rounds: u32,
-    ) -> Result<Message, String> {
+    /// Fails on a relaxation violation, on an unrecoverable transport
+    /// failure, or when the receive is deadlocked: the wire is quiescent
+    /// and every rank is parked in a blocking receive or has left its
+    /// [`Self::run_ranks`] body. The last two name the rank, the handle
+    /// and the request, and leave the receive posted.
+    pub fn recv_blocking(&self, rank: u32, request: RecvRequest) -> Result<Message, String> {
         let handle = self.post_recv(rank, request)?;
         let mut collected: Vec<Completion> = Vec::new();
-        for _ in 0..max_rounds {
-            self.progress(rank)?;
+        let outcome = loop {
+            // Read the epoch before looking, so that `park` can tell
+            // whether anything was sent or landed after the look.
+            let seen = self.liveness.lock().epoch;
+            if let Err(e) = self.progress(rank) {
+                break Err(e);
+            }
             collected.extend(self.take_completions(rank));
             if let Some(pos) = collected.iter().position(|c| c.handle == handle) {
-                let hit = collected.swap_remove(pos);
-                // Put the others back for later collectors.
-                let mut ep = self.endpoints[rank as usize].lock();
-                ep.completed.extend(collected);
-                return Ok(hit.message);
+                break Ok(collected.swap_remove(pos).message);
             }
-            std::thread::yield_now();
+            // Work in flight lands after finitely many more pumps.
+            if self.transport.lock().quiescent() && !self.park(seen) {
+                break Err(DEADLOCK.to_string());
+            }
+        };
+        // Put the others back for later collectors.
+        self.endpoints[rank as usize]
+            .lock()
+            .completed
+            .extend(collected);
+        outcome.map_err(|e| format!("rank {rank}: receive {handle:?} ({request:?}) failed: {e}"))
+    }
+
+    /// Wait until the epoch moves past `seen`. Returns false when that
+    /// can never happen — every other rank is parked too or has exited —
+    /// and tells the ranks already parked the same.
+    fn park(&self, seen: u64) -> bool {
+        let mut live = self.liveness.lock();
+        if live.epoch != seen {
+            return true;
         }
-        // Return uncollected completions before failing.
-        let mut ep = self.endpoints[rank as usize].lock();
-        ep.completed.extend(collected);
-        Err(format!(
-            "rank {rank}: receive {handle:?} ({request:?}) did not complete within \
-             {max_rounds} progress rounds"
-        ))
+        if live.parked + live.idle + 1 >= self.ranks() {
+            // The report consumes its epoch: receives that park later
+            // wait on a fresh one and cannot mistake it for theirs.
+            live.deadlocked = Some(seen);
+            live.bump(&self.wake);
+            return false;
+        }
+        live.parked += 1;
+        while live.epoch == seen {
+            live = self
+                .wake
+                .wait(live)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        live.deadlocked != Some(seen)
+    }
+
+    /// Run `body(rank, domain)` on one scoped thread per rank and return
+    /// the results indexed by rank. A rank whose body returns or panics
+    /// counts as gone for good: receives of the remaining ranks that
+    /// only it could have satisfied fail at once instead of hanging.
+    /// (Rank threads spawned any other way have no such guard — if one
+    /// dies, its peers stay blocked, as in MPI.) A domain runs one
+    /// `run_ranks` at a time.
+    ///
+    /// # Panics
+    /// Resumes the first rank panic once every rank has finished.
+    pub fn run_ranks<T, F>(&self, body: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(u32, &Domain) -> T + Sync,
+    {
+        struct RankExit<'d>(&'d Domain);
+        impl Drop for RankExit<'_> {
+            fn drop(&mut self) {
+                let mut live = self.0.liveness.lock();
+                live.idle += 1;
+                live.bump(&self.0.wake);
+            }
+        }
+        let joined: Vec<std::thread::Result<T>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..self.ranks())
+                .map(|rank| {
+                    let body = &body;
+                    s.spawn(move || {
+                        let _exit = RankExit(self);
+                        body(rank, self)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        self.liveness.lock().idle = 0;
+        joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     }
 
     /// Endpoint statistics snapshot.
@@ -699,7 +812,7 @@ mod tests {
         let d = Domain::full_mpi(2, GpuGeneration::PascalGtx1080);
         d.send(0, 1, 7, 0, payload("ping"));
         let m = d
-            .recv_blocking(1, RecvRequest::exact(0, 7, 0), 4)
+            .recv_blocking(1, RecvRequest::exact(0, 7, 0))
             .expect("must deliver");
         assert_eq!(&m.payload[..], b"ping");
         assert_eq!(m.envelope.src, 0);
@@ -728,7 +841,7 @@ mod tests {
             d.send(0, 1, 5, 0, Bytes::from(vec![i as u8]));
         }
         for i in 0..10u32 {
-            let m = d.recv_blocking(1, RecvRequest::exact(0, 5, 0), 4).unwrap();
+            let m = d.recv_blocking(1, RecvRequest::exact(0, 5, 0)).unwrap();
             assert_eq!(m.payload[0], i as u8, "per-pair FIFO violated");
         }
     }
@@ -770,7 +883,7 @@ mod tests {
         // Tags uniquely identify messages, so out-of-order matching is
         // invisible to the application.
         for i in (0..16u32).rev() {
-            let m = d.recv_blocking(1, RecvRequest::exact(0, i, 0), 4).unwrap();
+            let m = d.recv_blocking(1, RecvRequest::exact(0, i, 0)).unwrap();
             assert_eq!(m.payload[0], i as u8);
         }
     }
@@ -779,21 +892,13 @@ mod tests {
     fn many_ranks_threaded_exchange() {
         let n = 8u32;
         let d = Domain::full_mpi(n, GpuGeneration::PascalGtx1080);
-        crossbeam::scope(|s| {
-            for r in 0..n {
-                let d = &d;
-                s.spawn(move |_| {
-                    let right = (r + 1) % n;
-                    let left = (r + n - 1) % n;
-                    d.send(r, right, 1, 0, Bytes::from(vec![r as u8]));
-                    let m = d
-                        .recv_blocking(r, RecvRequest::exact(left, 1, 0), 64)
-                        .unwrap();
-                    assert_eq!(m.payload[0], left as u8);
-                });
-            }
-        })
-        .expect("threads join");
+        d.run_ranks(|r, d| {
+            let right = (r + 1) % n;
+            let left = (r + n - 1) % n;
+            d.send(r, right, 1, 0, Bytes::from(vec![r as u8]));
+            let m = d.recv_blocking(r, RecvRequest::exact(left, 1, 0)).unwrap();
+            assert_eq!(m.payload[0], left as u8);
+        });
         assert!(d.quiescent());
     }
 
@@ -818,7 +923,7 @@ mod tests {
         assert_eq!(d.transport_name(), "fabric");
         d.send(0, 1, 7, 0, payload("over the fabric"));
         let m = d
-            .recv_blocking(1, RecvRequest::exact(0, 7, 0), d.progress_bound())
+            .recv_blocking(1, RecvRequest::exact(0, 7, 0))
             .expect("must deliver");
         assert_eq!(&m.payload[..], b"over the fabric");
         assert!(d.fabric_stats().unwrap().packets_sent > 0);
@@ -848,9 +953,7 @@ mod tests {
             d.send(0, 1, 5, 0, Bytes::from(vec![i as u8]));
         }
         for i in 0..12u32 {
-            let m = d
-                .recv_blocking(1, RecvRequest::exact(0, 5, 0), d.progress_bound())
-                .unwrap();
+            let m = d.recv_blocking(1, RecvRequest::exact(0, 5, 0)).unwrap();
             assert_eq!(m.payload[0], i as u8, "per-pair FIFO over a lossy wire");
         }
         let fs = d.fabric_stats().unwrap();
@@ -885,9 +988,7 @@ mod tests {
         // The reorder stage re-sequences arrivals, so inbox order is
         // send order even though the wire delivered out of order.
         for i in 0..24u32 {
-            let m = d
-                .recv_blocking(1, RecvRequest::exact(0, i, 0), d.progress_bound())
-                .unwrap();
+            let m = d.recv_blocking(1, RecvRequest::exact(0, i, 0)).unwrap();
             assert_eq!(m.payload[0], i as u8);
         }
         let st = d.stats(1);
@@ -922,9 +1023,7 @@ mod tests {
             d.send(0, 1, i, 0, Bytes::from(vec![i as u8]));
         }
         for i in 0..20u32 {
-            let m = d
-                .recv_blocking(1, RecvRequest::exact(0, i, 0), d.progress_bound())
-                .unwrap();
+            let m = d.recv_blocking(1, RecvRequest::exact(0, i, 0)).unwrap();
             assert_eq!(m.payload[0], i as u8);
         }
         let st = d.stats(1);
@@ -936,15 +1035,100 @@ mod tests {
         assert!(d.quiescent());
     }
 
+    /// Block the calling thread until `n` ranks of `d` are parked. Polls:
+    /// parking notifies nobody.
+    fn wait_parked(d: &Domain, n: u32) {
+        while d.liveness.lock().parked < n {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// One rank's part of an exchange in which every receiver parks
+    /// before rank 0, the only sender, moves.
+    fn receivers_park_then_rank0_sends(rank: u32, d: &Domain) {
+        let n = d.ranks();
+        if rank == 0 {
+            wait_parked(d, n - 1);
+            for dst in 1..n {
+                d.send(0, dst, 2, 0, Bytes::from(vec![dst as u8]));
+            }
+        } else {
+            let m = d.recv_blocking(rank, RecvRequest::exact(0, 2, 0)).unwrap();
+            assert_eq!(m.payload[0], rank as u8);
+        }
+    }
+
     #[test]
-    fn recv_timeout_names_the_stuck_request() {
-        let d = Domain::full_mpi(2, GpuGeneration::PascalGtx1080);
-        let err = d
-            .recv_blocking(1, RecvRequest::exact(0, 99, 0), 2)
-            .unwrap_err();
-        assert!(err.contains("99"), "error must name the stuck tag: {err}");
-        assert!(err.contains("rank 1"), "error must name the rank: {err}");
-        d.take_completions(1);
+    fn deadlock_is_reported_to_every_rank_and_consumes_its_epoch() {
+        let n = 3u32;
+        let d = Domain::full_mpi(n, GpuGeneration::PascalGtx1080);
+        d.run_ranks(|rank, d| {
+            // Nobody sends tag 99: every rank parks and the last reports.
+            let err = d
+                .recv_blocking(rank, RecvRequest::exact((rank + 1) % n, 99, 0))
+                .unwrap_err();
+            assert!(err.contains("deadlock"), "{err}");
+            assert!(err.contains("Tag(99)"), "must name the request: {err}");
+            assert!(err.contains("RecvHandle(0)"), "must name the handle: {err}");
+            assert!(err.contains(&format!("rank {rank}")), "{err}");
+
+            // Same threads, so no rank exit moves the epoch in between:
+            // receivers that park before the sender moves must be woken
+            // by its sends, not by the stale report.
+            receivers_park_then_rank0_sends(rank, d);
+        });
+    }
+
+    #[test]
+    fn in_flight_send_wakes_a_parked_rank_to_pump_the_wire() {
+        let mut cfg = DomainConfig::new(
+            2,
+            GpuGeneration::PascalGtx1080,
+            MatcherKind::Matrix,
+            RelaxationConfig::FULL_MPI,
+        );
+        cfg.transport = fabric_cfg(fabric::FaultConfig::NONE, 3);
+        let d = Domain::with_config(cfg);
+        // Hand-rolled threads: no rank-exit wake-up can stand in for the
+        // send's. The sender never touches the domain again, so the
+        // parked receiver has to take over pumping.
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| d.recv_blocking(1, RecvRequest::exact(0, 7, 0)));
+            wait_parked(&d, 1);
+            d.send(0, 1, 7, 0, payload("lands nothing yet"));
+            let m = receiver.join().expect("receiver thread").expect("delivery");
+            assert_eq!(&m.payload[..], b"lands nothing yet");
+        });
+        assert!(d.quiescent());
+    }
+
+    #[test]
+    fn panicked_rank_fails_its_peers_and_leaves_the_domain_usable() {
+        let d = Domain::full_mpi(4, GpuGeneration::PascalGtx1080);
+        let peer_errs = Mutex::new(Vec::new());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            d.run_ranks(|rank, d| {
+                if rank == 0 {
+                    panic!("rank 0 dies before sending");
+                }
+                let err = d
+                    .recv_blocking(rank, RecvRequest::exact(0, 1, 0))
+                    .unwrap_err();
+                peer_errs.lock().push(err);
+            })
+        }));
+        assert!(panicked.is_err(), "the rank panic must resurface");
+        let peer_errs = peer_errs.into_inner();
+        assert_eq!(
+            peer_errs.len(),
+            3,
+            "every waiting peer fails: {peer_errs:?}"
+        );
+        assert!(peer_errs.iter().all(|e| e.contains("deadlock")));
+
+        // The exits are forgotten: in the next run, receivers that park
+        // before the sender moves wait for it.
+        d.run_ranks(receivers_park_then_rank0_sends);
     }
 
     #[test]
@@ -956,7 +1140,7 @@ mod tests {
         assert_eq!(d.stats(0).sent, 5);
         assert_eq!(d.stats(1).umq_high_water, 5);
         for _ in 0..5 {
-            d.recv_blocking(1, RecvRequest::exact(0, 0, 0), 4).unwrap();
+            d.recv_blocking(1, RecvRequest::exact(0, 0, 0)).unwrap();
         }
         assert_eq!(d.stats(1).matches, 5);
     }

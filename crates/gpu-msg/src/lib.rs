@@ -22,6 +22,11 @@
 //! protocols, credit-based flow control and fault injection — lossy yet,
 //! thanks to selective-repeat recovery, observationally equivalent.
 //!
+//! Blocking receives take no round count or timeout: a rank pumps the
+//! wire while it has work in flight, parks otherwise, and fails only on
+//! a real deadlock (see the [`domain`] module's progress contract).
+//! [`Domain::run_ranks`] drives one thread per rank.
+//!
 //! ```
 //! use bytes::Bytes;
 //! use gpu_msg::{Domain, MatcherKind};
@@ -30,8 +35,15 @@
 //!
 //! let node = Domain::full_mpi(2, GpuGeneration::PascalGtx1080);
 //! node.send(0, 1, 42, 0, Bytes::from_static(b"hello GPU"));
-//! let msg = node.recv_blocking(1, RecvRequest::exact(0, 42, 0), 8).unwrap();
+//! let msg = node.recv_blocking(1, RecvRequest::exact(0, 42, 0)).unwrap();
 //! assert_eq!(&msg.payload[..], b"hello GPU");
+//!
+//! // One thread per rank: a ring shift.
+//! let from_left = node.run_ranks(|rank, node| {
+//!     node.send(rank, 1 - rank, 7, 0, Bytes::from(vec![rank as u8]));
+//!     node.recv_blocking(rank, RecvRequest::exact(1 - rank, 7, 0)).unwrap().payload[0]
+//! });
+//! assert_eq!(from_left, [1, 0]);
 //! ```
 
 #![warn(missing_docs)]

@@ -4,8 +4,8 @@
 //! Section II-C of the paper measures host MPI implementations at about
 //! 30 M matches/s for short queues, collapsing below 5 M matches/s once
 //! queues exceed 512 entries — the linear-search cost of list traversal.
-//! This module is that design, implemented natively so the Criterion
-//! benches can reproduce the collapse on real silicon: an intrusive-style
+//! This module is that design, implemented natively so the CPU-baseline
+//! experiment can reproduce the collapse on real silicon: an intrusive-style
 //! singly linked list over a slab, so removal does not shift elements
 //! (the property the paper cites for why MPI libraries use lists).
 

@@ -17,8 +17,15 @@
 //!   PostRecv: ts u64, rank u32, src u32 (0xFFFF_FFFF = ANY),
 //!             tag u32 (0xFFFF_FFFF = ANY), comm u16
 //! ```
+//!
+//! The reader is the trust boundary: it rejects a rank count above
+//! [`MAX_RANKS`], rank fields the rank count does not cover, and tags or
+//! communicators wider than the matching header, so whatever it returns
+//! the analyzer can replay.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+use msg_match::envelope::{MAX_COMM, MAX_TAG};
 
 use crate::events::{Trace, TraceEvent};
 
@@ -28,6 +35,14 @@ pub const MAGIC: &[u8; 4] = b"SDTF";
 pub const VERSION: u16 = 1;
 
 const ANY: u32 = u32::MAX;
+
+/// Largest rank count the reader accepts: the analyzer allocates per
+/// rank, so the header's word alone must not size that. Three hundred
+/// times the largest proxy application.
+pub const MAX_RANKS: u32 = 1 << 16;
+
+/// Encoded size of the smallest record (a `PostRecv` with its kind byte).
+const MIN_RECORD_BYTES: usize = 1 + 8 + 4 + 4 + 4 + 2;
 
 /// Serialisation/deserialisation errors.
 #[derive(Debug, PartialEq, Eq)]
@@ -42,6 +57,17 @@ pub enum FormatError {
     BadRecordKind(u8),
     /// Trace name was not valid UTF-8.
     BadName,
+    /// A field holds a value the analyzer cannot replay: more than
+    /// [`MAX_RANKS`] ranks, a rank the header's rank count does not
+    /// cover, or a tag or communicator wider than the matching header.
+    OutOfRange {
+        /// Which field.
+        field: &'static str,
+        /// What it held.
+        value: u32,
+        /// The smallest value that is too large.
+        limit: u32,
+    },
 }
 
 impl std::fmt::Display for FormatError {
@@ -52,6 +78,11 @@ impl std::fmt::Display for FormatError {
             FormatError::Truncated => write!(f, "trace file truncated"),
             FormatError::BadRecordKind(k) => write!(f, "unknown record kind {k}"),
             FormatError::BadName => write!(f, "trace name is not UTF-8"),
+            FormatError::OutOfRange {
+                field,
+                value,
+                limit,
+            } => write!(f, "{field} {value} out of range (must be below {limit})"),
         }
     }
 }
@@ -104,6 +135,22 @@ pub fn write_trace(trace: &Trace) -> Bytes {
     buf.freeze()
 }
 
+fn below(field: &'static str, value: u32, limit: u32) -> Result<u32, FormatError> {
+    if value < limit {
+        Ok(value)
+    } else {
+        Err(FormatError::OutOfRange {
+            field,
+            value,
+            limit,
+        })
+    }
+}
+
+fn comm_below_limit(comm: u16) -> Result<u16, FormatError> {
+    below("communicator", u32::from(comm), u32::from(MAX_COMM) + 1).map(|_| comm)
+}
+
 fn need(buf: &impl Buf, n: usize) -> Result<(), FormatError> {
     if buf.remaining() < n {
         Err(FormatError::Truncated)
@@ -126,13 +173,16 @@ pub fn read_trace(mut buf: impl Buf) -> Result<Trace, FormatError> {
         return Err(FormatError::BadVersion(version));
     }
     let ranks = buf.get_u32_le();
+    below("rank count", ranks, MAX_RANKS + 1)?;
     let name_len = buf.get_u16_le() as usize;
     need(&buf, name_len + 8)?;
     let mut name = vec![0u8; name_len];
     buf.copy_to_slice(&mut name);
     let app = String::from_utf8(name).map_err(|_| FormatError::BadName)?;
     let count = buf.get_u64_le() as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 24));
+    // Reserve for what the remaining bytes can hold, not for what the
+    // header claims.
+    let mut events = Vec::with_capacity(count.min(buf.remaining() / MIN_RECORD_BYTES));
     for _ in 0..count {
         need(&buf, 1)?;
         let kind = buf.get_u8();
@@ -141,25 +191,33 @@ pub fn read_trace(mut buf: impl Buf) -> Result<Trace, FormatError> {
                 need(&buf, 8 + 4 + 4 + 4 + 2 + 4)?;
                 events.push(TraceEvent::Send {
                     ts: buf.get_u64_le(),
-                    src: buf.get_u32_le(),
-                    dst: buf.get_u32_le(),
-                    tag: buf.get_u32_le(),
-                    comm: buf.get_u16_le(),
+                    src: below("send source", buf.get_u32_le(), ranks)?,
+                    dst: below("send destination", buf.get_u32_le(), ranks)?,
+                    tag: below("send tag", buf.get_u32_le(), MAX_TAG + 1)?,
+                    comm: comm_below_limit(buf.get_u16_le())?,
                     bytes: buf.get_u32_le(),
                 });
             }
             1 => {
                 need(&buf, 8 + 4 + 4 + 4 + 2)?;
                 let ts = buf.get_u64_le();
-                let rank = buf.get_u32_le();
+                let rank = below("posting rank", buf.get_u32_le(), ranks)?;
                 let src = buf.get_u32_le();
                 let tag = buf.get_u32_le();
-                let comm = buf.get_u16_le();
+                let comm = comm_below_limit(buf.get_u16_le())?;
                 events.push(TraceEvent::PostRecv {
                     ts,
                     rank,
-                    src: if src == ANY { None } else { Some(src) },
-                    tag: if tag == ANY { None } else { Some(tag) },
+                    src: if src == ANY {
+                        None
+                    } else {
+                        Some(below("receive source", src, ranks)?)
+                    },
+                    tag: if tag == ANY {
+                        None
+                    } else {
+                        Some(below("receive tag", tag, MAX_TAG + 1)?)
+                    },
                     comm,
                 });
             }
@@ -298,11 +356,27 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Fuzz: arbitrary bytes never panic the reader — they parse or
-        /// they error.
+        /// Fuzz: arbitrary bytes, bit-flipped valid traces and valid
+        /// prefixes continued by garbage never panic the reader, and
+        /// whatever it accepts never panics the analyzer.
         #[test]
-        fn reader_never_panics_on_garbage(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4096)) {
-            let _ = read_trace(&bytes[..]);
+        fn reader_and_analyzer_never_panic_on_hostile_input(
+            garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+            flips in proptest::collection::vec((proptest::prelude::any::<usize>(), 0u8..8), 1..4),
+            splice_at in proptest::prelude::any::<usize>(),
+        ) {
+            let valid = write_trace(&two_rank_exchange()).to_vec();
+            let mut flipped = valid.clone();
+            for (at, bit) in flips {
+                flipped[at % valid.len()] ^= 1 << bit;
+            }
+            let mut spliced = valid[..splice_at % valid.len()].to_vec();
+            spliced.extend_from_slice(&garbage);
+            for input in [garbage, flipped, spliced] {
+                if let Ok(trace) = read_trace(&input[..]) {
+                    let _ = crate::analyze::analyze(&trace);
+                }
+            }
         }
 
         /// Fuzz: truncating a valid trace at any point errors cleanly.
@@ -315,6 +389,69 @@ mod tests {
             let r = read_trace(&bytes[..cut]);
             proptest::prop_assert!(r.is_err());
         }
+    }
+
+    /// A small valid trace: rank 0 and rank 1 swap two messages each.
+    fn two_rank_exchange() -> Trace {
+        let mut events = Vec::new();
+        for ts in 0..4u64 {
+            let (src, dst) = ((ts % 2) as u32, ((ts + 1) % 2) as u32);
+            events.push(TraceEvent::Send {
+                ts: 2 * ts,
+                src,
+                dst,
+                tag: ts as u32,
+                comm: 0,
+                bytes: 64,
+            });
+            events.push(TraceEvent::PostRecv {
+                ts: 2 * ts + 1,
+                rank: dst,
+                src: (ts < 2).then_some(src),
+                tag: Some(ts as u32),
+                comm: 0,
+            });
+        }
+        Trace {
+            app: "swap".into(),
+            ranks: 2,
+            events,
+        }
+    }
+
+    #[test]
+    fn rejects_ranks_the_header_does_not_cover() {
+        let send_to = |dst| Trace {
+            app: "t".into(),
+            ranks: 1,
+            events: vec![TraceEvent::Send {
+                ts: 0,
+                src: 0,
+                dst,
+                tag: 0,
+                comm: 0,
+                bytes: 0,
+            }],
+        };
+        assert!(read_trace(write_trace(&send_to(0))).is_ok());
+        assert_eq!(
+            read_trace(write_trace(&send_to(7))),
+            Err(FormatError::OutOfRange {
+                field: "send destination",
+                value: 7,
+                limit: 1
+            })
+        );
+        let mut huge = send_to(0);
+        huge.ranks = MAX_RANKS + 1;
+        assert_eq!(
+            read_trace(write_trace(&huge)),
+            Err(FormatError::OutOfRange {
+                field: "rank count",
+                value: MAX_RANKS + 1,
+                limit: MAX_RANKS + 1
+            })
+        );
     }
 
     #[test]

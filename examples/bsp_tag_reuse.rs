@@ -54,7 +54,7 @@ fn main() {
                 let src = (rank + n - hop) % n;
                 for seq in (0..MSGS_PER_PEER).rev() {
                     let tag = hop * 100 + seq;
-                    let m = node.recv_blocking(rank, RecvRequest::exact(src, tag, 0), 256)?;
+                    let m = node.recv_blocking(rank, RecvRequest::exact(src, tag, 0))?;
                     let val = u64::from_le_bytes(m.payload[..8].try_into().expect("8 bytes"));
                     let want = (step * 1000 + src * 10 + seq) as u64;
                     if val != want {

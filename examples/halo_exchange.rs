@@ -101,7 +101,7 @@ fn main() {
             // 2. Receive the halos.
             let mut tile = tiles[rank as usize].lock();
             for (peer, tag) in expected {
-                let msg = node.recv_blocking(rank, RecvRequest::exact(peer, tag, 0), 128)?;
+                let msg = node.recv_blocking(rank, RecvRequest::exact(peer, tag, 0))?;
                 let cells = unpack_f64(&msg.payload);
                 match tag {
                     1 => (1..=TILE).for_each(|x| tile[idx(x, 0)] = cells[x - 1]),

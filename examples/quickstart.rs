@@ -27,7 +27,7 @@ fn main() {
     // GPU 1 receives: posting a matching request and progressing the
     // communication kernel until it completes.
     let msg = node
-        .recv_blocking(1, RecvRequest::exact(/*src*/ 0, /*tag*/ 7, /*comm*/ 0), 8)
+        .recv_blocking(1, RecvRequest::exact(/*src*/ 0, /*tag*/ 7, /*comm*/ 0))
         .expect("delivery");
 
     println!(

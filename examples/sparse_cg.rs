@@ -17,7 +17,6 @@ use bytes::Bytes;
 use gpu_msg::collectives::ring_allreduce_sum;
 use gpu_msg::{Domain, MatcherKind};
 use msg_match::{RecvRequest, RelaxationConfig};
-use parking_lot::Mutex;
 use simt_sim::GpuGeneration;
 
 const RANKS: u32 = 4;
@@ -52,11 +51,11 @@ fn exchange(node: &Domain, rank: u32, v: &[f64]) -> Result<(f64, f64), String> {
     let mut left = 0.0;
     let mut right = 0.0;
     if rank > 0 {
-        let m = node.recv_blocking(rank, RecvRequest::exact(rank - 1, 0, 0), 256)?;
+        let m = node.recv_blocking(rank, RecvRequest::exact(rank - 1, 0, 0))?;
         left = f64::from_le_bytes(m.payload[..8].try_into().expect("8 bytes"));
     }
     if rank + 1 < n {
-        let m = node.recv_blocking(rank, RecvRequest::exact(rank + 1, 1, 0), 256)?;
+        let m = node.recv_blocking(rank, RecvRequest::exact(rank + 1, 1, 0))?;
         right = f64::from_le_bytes(m.payload[..8].try_into().expect("8 bytes"));
     }
     Ok((left, right))
@@ -93,78 +92,56 @@ fn main() {
         b_global[i] = 2.0 * x_true[i] - vm - vp;
     }
 
-    let xs: Vec<Mutex<Vec<f64>>> = (0..RANKS).map(|_| Mutex::new(vec![0.0; LOCAL])).collect();
-    let final_res = Mutex::new(0.0f64);
-    let iters_used = Mutex::new(0usize);
+    // The CG scalars are reduced over the *same* messaging runtime: a
+    // ring all-reduce whose every hop is a matched message. Tag
+    // namespaces per reduction site keep the collective traffic away
+    // from the halo tags; per-pair ordering makes reuse across
+    // iterations sound.
+    let allreduce = |rank: u32, value: f64, site: u32| -> f64 {
+        ring_allreduce_sum(&node, rank, value, 900 + site * 16).expect("allreduce over the runtime")
+    };
 
-    crossbeam::scope(|s| {
-        // The CG scalars are reduced over the *same* messaging runtime:
-        // a ring all-reduce whose every hop is a matched message. Tag
-        // namespaces per reduction site keep the collective traffic away
-        // from the halo tags; per-pair ordering makes reuse across
-        // iterations sound.
-        let node_ref = &node;
-        let allreduce = move |rank: u32, value: f64, site: u32| -> f64 {
-            ring_allreduce_sum(node_ref, rank, value, 900 + site * 16)
-                .expect("allreduce over the runtime")
+    // Per rank: (solution slice, iterations used, final residual). The
+    // reduced scalars agree on every rank, so all ranks stop together.
+    let solved: Vec<(Vec<f64>, usize, f64)> = node.run_ranks(|rank, node| {
+        let b = &b_global[rank as usize * LOCAL..(rank as usize + 1) * LOCAL];
+        let mut x = vec![0.0f64; LOCAL];
+        let mut r = b.to_vec();
+        let mut p = r.clone();
+        let mut rs_old = allreduce(rank, r.iter().map(|v| v * v).sum(), 0);
+        let mut iters = 0;
+        let residual = loop {
+            iters += 1;
+            let ap = matvec(node, rank, &p).expect("matvec exchange");
+            let p_ap = allreduce(rank, p.iter().zip(&ap).map(|(a, c)| a * c).sum(), 1);
+            let alpha = rs_old / p_ap;
+            for i in 0..LOCAL {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * ap[i];
+            }
+            let rs_new = allreduce(rank, r.iter().map(|v| v * v).sum(), 2);
+            if rs_new.sqrt() < TOL || iters == MAX_ITERS {
+                break rs_new.sqrt();
+            }
+            let beta = rs_new / rs_old;
+            for i in 0..LOCAL {
+                p[i] = r[i] + beta * p[i];
+            }
+            rs_old = rs_new;
         };
-
-        for rank in 0..RANKS {
-            let node = &node;
-            let xs = &xs;
-            let b = b_global[rank as usize * LOCAL..(rank as usize + 1) * LOCAL].to_vec();
-            let final_res = &final_res;
-            let iters_used = &iters_used;
-            s.spawn(move |_| {
-                let mut x = vec![0.0f64; LOCAL];
-                let mut r = b.clone();
-                let mut p = r.clone();
-                let mut rs_old = allreduce(rank, r.iter().map(|v| v * v).sum(), 0);
-                for it in 0..MAX_ITERS {
-                    let ap = matvec(node, rank, &p).expect("matvec exchange");
-                    let p_ap = allreduce(rank, p.iter().zip(&ap).map(|(a, c)| a * c).sum(), 1);
-                    let alpha = rs_old / p_ap;
-                    for i in 0..LOCAL {
-                        x[i] += alpha * p[i];
-                        r[i] -= alpha * ap[i];
-                    }
-                    let rs_new = allreduce(rank, r.iter().map(|v| v * v).sum(), 2);
-                    if rs_new.sqrt() < TOL {
-                        if rank == 0 {
-                            *final_res.lock() = rs_new.sqrt();
-                            *iters_used.lock() = it + 1;
-                        }
-                        break;
-                    }
-                    let beta = rs_new / rs_old;
-                    for i in 0..LOCAL {
-                        p[i] = r[i] + beta * p[i];
-                    }
-                    rs_old = rs_new;
-                    if it + 1 == MAX_ITERS && rank == 0 {
-                        *final_res.lock() = rs_new.sqrt();
-                        *iters_used.lock() = MAX_ITERS;
-                    }
-                }
-                *xs[rank as usize].lock() = x;
-            });
-        }
-    })
-    .expect("ranks join");
+        (x, iters, residual)
+    });
 
     // Verify against the known solution.
     let mut max_err = 0.0f64;
-    for rank in 0..RANKS {
-        let x = xs[rank as usize].lock();
+    for (rank, (x, _, _)) in solved.iter().enumerate() {
         for i in 0..LOCAL {
-            let want = x_true[rank as usize * LOCAL + i];
-            max_err = max_err.max((x[i] - want).abs());
+            max_err = max_err.max((x[i] - x_true[rank * LOCAL + i]).abs());
         }
     }
+    let (_, iters_used, final_res) = &solved[0];
     println!(
-        "CG converged in {} iterations, residual {:.2e}, max error {max_err:.2e}",
-        *iters_used.lock(),
-        *final_res.lock()
+        "CG converged in {iters_used} iterations, residual {final_res:.2e}, max error {max_err:.2e}"
     );
     assert!(max_err < 1e-6, "CG must recover the manufactured solution");
 

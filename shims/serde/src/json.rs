@@ -37,7 +37,7 @@ pub fn parse_value(s: &str) -> Result<Value, Error> {
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(Error::custom(format!(
@@ -122,6 +122,12 @@ fn render(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// A value may sit inside this many containers. The parser recurses
+/// once per level, so without a cap a few hundred kilobytes of `[`
+/// overflow the stack; no artefact this workspace reads nests beyond a
+/// dozen levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -171,7 +177,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    /// Parse the value at `pos`, which sits inside `depth` containers.
+    fn value(&mut self, depth: usize) -> Result<Value, Error> {
+        if depth > MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
         match self.peek()? {
             b'n' => self.literal("null", Value::Null),
             b't' => self.literal("true", Value::Bool(true)),
@@ -187,7 +200,7 @@ impl<'a> Parser<'a> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek()? {
                         b',' => self.pos += 1,
@@ -218,7 +231,7 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.expect(b':')?;
                     self.skip_ws();
-                    let v = self.value()?;
+                    let v = self.value(depth + 1)?;
                     pairs.push((key, v));
                     self.skip_ws();
                     match self.peek()? {
@@ -370,5 +383,14 @@ mod tests {
         assert!(parse_value("[1,]").is_err());
         assert!(parse_value("nul").is_err());
         assert!(parse_value("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse_value(&"[".repeat(200_000)).is_err());
+        assert!(parse_value(&"{\"k\":".repeat(200_000)).is_err());
     }
 }

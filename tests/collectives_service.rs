@@ -8,19 +8,6 @@ use gpu_msg::{simulate_service, Domain, MatcherKind, ReorderBuffer, ServiceConfi
 use msg_match::prelude::*;
 use simt_sim::GpuGeneration;
 
-fn run_all<F>(domain: &Domain, f: F)
-where
-    F: Fn(u32, &Domain) + Sync,
-{
-    crossbeam::scope(|s| {
-        for r in 0..domain.ranks() {
-            let f = &f;
-            s.spawn(move |_| f(r, domain));
-        }
-    })
-    .expect("join");
-}
-
 #[test]
 fn collectives_compose_over_every_matcher() {
     for (kind, relax) in [
@@ -29,7 +16,7 @@ fn collectives_compose_over_every_matcher() {
         (MatcherKind::Hash, RelaxationConfig::UNORDERED),
     ] {
         let d = Domain::new(5, GpuGeneration::PascalGtx1080, kind, relax);
-        run_all(&d, |rank, d| {
+        d.run_ranks(|rank, d| {
             barrier(d, rank, 100).unwrap();
             let sum = ring_allreduce_sum(d, rank, rank as f64, 200).unwrap();
             assert_eq!(sum, 10.0, "{kind:?}");
@@ -69,7 +56,7 @@ fn reorder_buffer_restores_order_over_unordered_domain() {
     let mut delivered: Vec<u8> = Vec::new();
     for seq in order {
         let m = d
-            .recv_blocking(1, RecvRequest::exact(0, seq, 0), 64)
+            .recv_blocking(1, RecvRequest::exact(0, seq, 0))
             .expect("delivery");
         for ready in rb.push(seq as u64, m) {
             delivered.push(ready.payload[0]);

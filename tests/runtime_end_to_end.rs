@@ -13,28 +13,23 @@ fn payload(step: u32, src: u32, seq: u32) -> Bytes {
 /// All-to-all burst with per-pair sequence numbers, verified per matcher.
 fn all_to_all(domain: &Domain, msgs_per_pair: u32) {
     let n = domain.ranks();
-    crossbeam::scope(|s| {
-        for rank in 0..n {
-            s.spawn(move |_| {
-                for dst in (0..n).filter(|&d| d != rank) {
-                    for seq in 0..msgs_per_pair {
-                        // Tag disambiguates (src implicit in envelope).
-                        domain.send(rank, dst, seq, 0, payload(0, rank, seq));
-                    }
-                }
-                for src in (0..n).filter(|&d| d != rank) {
-                    for seq in 0..msgs_per_pair {
-                        let m = domain
-                            .recv_blocking(rank, RecvRequest::exact(src, seq, 0), 512)
-                            .expect("delivery");
-                        assert_eq!(m.payload[1], src as u8);
-                        assert_eq!(m.payload[2], seq as u8);
-                    }
-                }
-            });
+    domain.run_ranks(|rank, domain| {
+        for dst in (0..n).filter(|&d| d != rank) {
+            for seq in 0..msgs_per_pair {
+                // Tag disambiguates (src implicit in envelope).
+                domain.send(rank, dst, seq, 0, payload(0, rank, seq));
+            }
         }
-    })
-    .expect("join");
+        for src in (0..n).filter(|&d| d != rank) {
+            for seq in 0..msgs_per_pair {
+                let m = domain
+                    .recv_blocking(rank, RecvRequest::exact(src, seq, 0))
+                    .expect("delivery");
+                assert_eq!(m.payload[1], src as u8);
+                assert_eq!(m.payload[2], seq as u8);
+            }
+        }
+    });
     assert!(domain.quiescent());
 }
 
@@ -78,9 +73,7 @@ fn wildcard_receives_preserve_pair_order() {
         d.send(0, 2, 5, 0, Bytes::from(vec![seq]));
     }
     for seq in 0..20u8 {
-        let m = d
-            .recv_blocking(2, RecvRequest::any_source(5, 0), 16)
-            .unwrap();
+        let m = d.recv_blocking(2, RecvRequest::any_source(5, 0)).unwrap();
         assert_eq!(m.payload[0], seq, "ANY_SOURCE must still be FIFO per pair");
     }
 }
@@ -101,9 +94,7 @@ fn mixed_expected_unexpected_traffic() {
     let first = d.take_completions(1);
     assert_eq!(first.len(), 8, "pre-posted half completes first");
     for seq in 8..16u32 {
-        let m = d
-            .recv_blocking(1, RecvRequest::exact(0, seq, 0), 8)
-            .unwrap();
+        let m = d.recv_blocking(1, RecvRequest::exact(0, seq, 0)).unwrap();
         assert_eq!(m.payload[0], seq as u8);
     }
     assert!(d.quiescent());
@@ -125,7 +116,7 @@ fn bsp_supersteps_across_matchers() {
                 let next = (rank + 1) % n;
                 d.send(rank, next, 3, 0, Bytes::from(vec![step as u8, rank as u8]));
                 let prev = (rank + n - 1) % n;
-                let m = d.recv_blocking(rank, RecvRequest::exact(prev, 3, 0), 128)?;
+                let m = d.recv_blocking(rank, RecvRequest::exact(prev, 3, 0))?;
                 if m.payload != vec![step as u8, prev as u8] {
                     return Err("payload mismatch".into());
                 }
@@ -148,8 +139,7 @@ fn kernel_time_scales_with_generation() {
             d.send(0, 1, seq, 0, Bytes::new());
         }
         for seq in 0..64u32 {
-            d.recv_blocking(1, RecvRequest::exact(0, seq, 0), 8)
-                .unwrap();
+            d.recv_blocking(1, RecvRequest::exact(0, seq, 0)).unwrap();
         }
         seconds.push(d.stats(1).kernel_seconds);
     }
