@@ -2,7 +2,7 @@
 //! packetized interconnect.
 //!
 //! One [`Fabric`] models the node's full mesh of directed links. All
-//! state advances through a single event heap ordered by `(time, event
+//! state advances through a single event queue ordered by `(time, event
 //! id)`, and all randomness comes from one seeded generator, so a run is
 //! a pure function of `(config, call sequence)` — the determinism tests
 //! and the bench JSON rely on that.
@@ -27,7 +27,7 @@
 //! (or on packet death, so a lossy run cannot deadlock the channel).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 use msg_match::Envelope;
@@ -104,33 +104,102 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// A retransmission timer: fires for `seq` on the `key.0 → key.1`
+/// channel (a no-op when the packet was acknowledged in the meantime).
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    key: (u32, u32),
+    seq: u64,
+}
+
 #[derive(Debug)]
 enum Event {
     Arrival(Packet),
-    Timeout { src: u32, dst: u32, seq: u64 },
+    Timeout(Timer),
 }
 
-#[derive(Debug)]
-struct Scheduled {
-    at_ns: u64,
-    eid: u64,
-    event: Event,
+/// The pending events, released in `(at_ns, eid)` order — `eid` being
+/// the order of the [`EventQueue::push`] calls, so simultaneous events
+/// fire in the order they were scheduled.
+///
+/// Two queues feed that one order. The heap holds 24-byte
+/// `(at_ns, eid, slot)` keys; the events themselves (a whole [`Packet`]
+/// for an arrival) sit still in a slab while the keys sift. Retransmit
+/// timers, most of which fire after their packet was acknowledged and
+/// do nothing, skip the heap: with a flat timeout their deadlines are
+/// scheduled in non-decreasing order, so a FIFO already is sorted. A
+/// timer whose deadline precedes the FIFO's back (backoff, a re-armed
+/// parked packet) goes to the heap like any other event, and
+/// [`EventQueue::pop_due`] merges the two heads by `(at_ns, eid)`.
+#[derive(Debug, Default)]
+struct EventQueue {
+    next_eid: u64,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Events of the heap's keys, by slot; `None` slots are in `free`.
+    slab: Vec<Option<Event>>,
+    free: Vec<u32>,
+    /// `(at_ns, eid, timer)`, sorted by construction.
+    timers: VecDeque<(u64, u64, Timer)>,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_ns == other.at_ns && self.eid == other.eid
+impl EventQueue {
+    fn push(&mut self, at_ns: u64, event: Event) {
+        let eid = self.next_eid;
+        self.next_eid += 1;
+        if let Event::Timeout(timer) = event {
+            if self.timers.back().is_none_or(|&(back, ..)| back <= at_ns) {
+                self.timers.push_back((at_ns, eid, timer));
+                return;
+            }
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse((at_ns, eid, slot)));
     }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// When the earliest pending event is due.
+    fn next_at(&self) -> Option<u64> {
+        let heap = self.heap.peek().map(|&Reverse((at, ..))| at);
+        let timer = self.timers.front().map(|&(at, ..)| at);
+        heap.into_iter().chain(timer).min()
     }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_ns, self.eid).cmp(&(other.at_ns, other.eid))
+
+    /// Remove and return the earliest pending event with its time, if
+    /// it is due at or before `limit_ns`.
+    fn pop_due(&mut self, limit_ns: u64) -> Option<(u64, Event)> {
+        let heap = self.heap.peek().map(|&Reverse((at, eid, _))| (at, eid));
+        let timer = self.timers.front().map(|&(at, eid, _)| (at, eid));
+        let from_timers = match (heap, timer) {
+            (Some(h), Some(t)) => t < h,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        if from_timers {
+            let &(at, _, timer) = self.timers.front()?;
+            if at > limit_ns {
+                return None;
+            }
+            self.timers.pop_front();
+            return Some((at, Event::Timeout(timer)));
+        }
+        let &Reverse((at, _, slot)) = self.heap.peek()?;
+        if at > limit_ns {
+            return None;
+        }
+        self.heap.pop();
+        self.free.push(slot);
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("a heap key owns its slot");
+        Some((at, event))
     }
 }
 
@@ -234,12 +303,15 @@ pub struct Fabric {
     cfg: FabricConfig,
     ranks: u32,
     now_ns: u64,
-    next_eid: u64,
-    heap: BinaryHeap<Reverse<Scheduled>>,
-    senders: HashMap<(u32, u32), SenderChannel>,
-    receivers: HashMap<(u32, u32), ReceiverChannel>,
-    /// Per directed link: when the serializer frees up.
-    link_busy: HashMap<(u32, u32), u64>,
+    events: EventQueue,
+    /// Per directed link `src → dst`, at index `src * ranks + dst` (the
+    /// topology is fixed at construction): the sending half of the
+    /// channel, …
+    senders: Vec<SenderChannel>,
+    /// … its receiving half, …
+    receivers: Vec<ReceiverChannel>,
+    /// … and when the link's serializer frees up.
+    link_busy: Vec<u64>,
     inboxes: Vec<Vec<Delivery>>,
     rng: StdRng,
     stats: FabricStats,
@@ -263,6 +335,12 @@ pub struct Fabric {
 impl Fabric {
     /// A fabric connecting `ranks` endpoints pairwise.
     ///
+    /// The per-link tables are dense and built here, `ranks`² entries
+    /// of about 200 bytes whether or not a link ever carries traffic
+    /// (unused self-links included), and [`Self::in_flight_idle`] walks
+    /// them. That suits the node-sized meshes this models (the repo's
+    /// callers stay at or below 8 ranks); it is not meant for thousands.
+    ///
     /// # Panics
     /// Panics on an invalid configuration (see
     /// [`FabricConfig::validate`]) or zero ranks.
@@ -279,15 +357,17 @@ impl Fabric {
             rec.record_instant(SpanCategory::Config, "fabric_config", args);
             rec
         });
+        let links = ranks as usize * ranks as usize;
         Fabric {
             cfg,
             ranks,
             now_ns: 0,
-            next_eid: 0,
-            heap: BinaryHeap::new(),
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
-            link_busy: HashMap::new(),
+            events: EventQueue::default(),
+            senders: (0..links)
+                .map(|_| SenderChannel::new(cfg.credits))
+                .collect(),
+            receivers: (0..links).map(|_| ReceiverChannel::default()).collect(),
+            link_busy: vec![0; links],
             inboxes: (0..ranks).map(|_| Vec::new()).collect(),
             rng: StdRng::seed_from_u64(cfg.seed),
             stats: FabricStats::default(),
@@ -319,6 +399,11 @@ impl Fabric {
     /// The active configuration.
     pub fn config(&self) -> &FabricConfig {
         &self.cfg
+    }
+
+    /// Index of the directed link `key.0 → key.1` in the per-link tables.
+    fn link(&self, key: (u32, u32)) -> usize {
+        key.0 as usize * self.ranks as usize + key.1 as usize
     }
 
     /// Packets that exhausted their retransmission budget (empty on a
@@ -492,11 +577,8 @@ impl Fabric {
         assert_ne!(src, dst, "the fabric links distinct endpoints");
         self.stats.messages_sent += 1;
         let key = (src, dst);
-        let credits = self.cfg.credits;
-        let ch = self
-            .senders
-            .entry(key)
-            .or_insert_with(|| SenderChannel::new(credits));
+        let link = self.link(key);
+        let ch = &mut self.senders[link];
         let msg_seq = ch.next_msg_seq;
         ch.next_msg_seq += 1;
         if payload.len() <= self.cfg.eager_threshold {
@@ -534,15 +616,16 @@ impl Fabric {
         payload: Bytes,
         flow: Option<u64>,
     ) {
-        let bytes = payload.to_vec();
-        let frags = bytes.len().div_ceil(self.cfg.mtu).max(1) as u32;
-        let ch = self.senders.get_mut(&key).expect("channel exists");
+        let frags = payload.len().div_ceil(self.cfg.mtu).max(1) as u32;
+        let link = self.link(key);
+        let ch = &mut self.senders[link];
         let base_seq = ch.next_seq;
         ch.next_seq += frags as u64;
         for frag in 0..frags {
+            // Fragments are views into the message's buffer, not copies.
             let lo = frag as usize * self.cfg.mtu;
-            let hi = (lo + self.cfg.mtu).min(bytes.len());
-            let chunk = Bytes::from(bytes[lo.min(bytes.len())..hi].to_vec());
+            let hi = (lo + self.cfg.mtu).min(payload.len());
+            let chunk = payload.slice(lo..hi);
             let crc = crc32(&chunk);
             let pkt = Packet {
                 src: key.0,
@@ -553,13 +636,13 @@ impl Fabric {
                     msg_seq,
                     frag,
                     frags,
-                    total_len: bytes.len(),
+                    total_len: payload.len(),
                     envelope,
                     crc,
                     chunk,
                 },
             };
-            let ch = self.senders.get_mut(&key).expect("channel exists");
+            let ch = &mut self.senders[link];
             if ch.credits == 0 || !ch.stalled.is_empty() {
                 self.stats.credit_stalls += 1;
                 let now = self.now_ns;
@@ -574,9 +657,10 @@ impl Fabric {
 
     /// Release stalled data packets while credits allow.
     fn release_stalled(&mut self, key: (u32, u32)) {
+        let link = self.link(key);
         loop {
             let (waited_since, pkt) = {
-                let ch = self.senders.get_mut(&key).expect("channel exists");
+                let ch = &mut self.senders[link];
                 if ch.credits == 0 || ch.stalled.is_empty() {
                     return;
                 }
@@ -605,8 +689,8 @@ impl Fabric {
         debug_assert!(packet.is_sequenced());
         let rto = self.cfg.retransmit_timeout_ns;
         let seq = packet.seq;
-        let ch = self.senders.get_mut(&key).expect("channel exists");
-        ch.unacked.insert(
+        let link = self.link(key);
+        self.senders[link].unacked.insert(
             seq,
             Outstanding {
                 packet,
@@ -616,20 +700,8 @@ impl Fabric {
                 credited,
             },
         );
-        self.schedule(
-            self.now_ns + rto,
-            Event::Timeout {
-                src: key.0,
-                dst: key.1,
-                seq,
-            },
-        );
-    }
-
-    fn schedule(&mut self, at_ns: u64, event: Event) {
-        let eid = self.next_eid;
-        self.next_eid += 1;
-        self.heap.push(Reverse(Scheduled { at_ns, eid, event }));
+        self.events
+            .push(self.now_ns + rto, Event::Timeout(Timer { key, seq }));
     }
 
     /// Per-link trace recorder, clock pinned to the fabric's `now`.
@@ -653,10 +725,10 @@ impl Fabric {
     fn transmit(&mut self, pkt: Packet, retransmit: bool) {
         let key = (pkt.src, pkt.dst);
         let wire = pkt.wire_bytes() as u64;
-        let busy = self.link_busy.entry(key).or_insert(0);
-        let start = self.now_ns.max(*busy);
+        let link = self.link(key);
+        let start = self.now_ns.max(self.link_busy[link]);
         let ser = (wire as f64 / self.cfg.bandwidth_bytes_per_ns).ceil() as u64;
-        *busy = start + ser;
+        self.link_busy[link] = start + ser;
         self.stats.wire_bytes += wire;
         if retransmit {
             self.stats.retransmits += 1;
@@ -717,7 +789,9 @@ impl Fabric {
             return;
         }
         let fault = self.cfg.fault;
-        let mut arrivals: Vec<u64> = Vec::new();
+        // At most two copies land: the traversal itself unless dropped,
+        // then its duplicate.
+        let mut original = None;
         if fault.drop_prob > 0.0 && self.rng.gen_bool(fault.drop_prob) {
             self.stats.drops_injected += 1;
             if let Some(rec) = self.rec(key) {
@@ -748,15 +822,16 @@ impl Fabric {
                     );
                 }
             }
-            arrivals.push(at);
+            original = Some(at);
         }
+        let mut duplicate = None;
         if fault.duplicate_prob > 0.0 && self.rng.gen_bool(fault.duplicate_prob) {
             let extra = if fault.reorder_skew_ns == 0 {
                 self.cfg.link_latency_ns.max(1)
             } else {
                 self.rng.gen_range(1..=fault.reorder_skew_ns)
             };
-            arrivals.push(base + extra);
+            duplicate = Some(base + extra);
             self.stats.duplicates_injected += 1;
             if let Some(rec) = self.rec(key) {
                 rec.record_instant(
@@ -766,48 +841,61 @@ impl Fabric {
                 );
             }
         }
-        for at in arrivals {
-            let name = pkt.kind_label();
-            let seq = pkt.seq;
-            if let Some(rec) = self.rec(key) {
-                rec.record_complete(
-                    SpanCategory::PacketFlight,
-                    name,
-                    start,
-                    at - start,
-                    vec![("seq", ArgValue::U64(seq)), ("bytes", ArgValue::U64(wire))],
-                );
+        match (original, duplicate) {
+            (Some(at), Some(dup_at)) => {
+                self.land(pkt.clone(), start, at, wire);
+                self.land(pkt, start, dup_at, wire);
             }
-            let mut arriving = pkt.clone();
-            if fault.corrupt_prob > 0.0 {
-                if let PacketBody::Data { chunk, .. } = &mut arriving.body {
-                    if !chunk.is_empty() && self.rng.gen_bool(fault.corrupt_prob) {
-                        // Flip one payload bit in the arriving copy only
-                        // — the sender's unacked copy stays clean, so
-                        // the repair retransmission carries good bytes.
-                        let bit = self.rng.gen_range(0..chunk.len() * 8);
-                        let mut bytes = chunk.to_vec();
-                        bytes[bit / 8] ^= 1 << (bit % 8);
-                        *chunk = Bytes::from(bytes);
-                        self.stats.corruptions_injected += 1;
-                        if let Some(rec) = self.rec(key) {
-                            rec.record_instant(
-                                SpanCategory::Corruption,
-                                "bit_flip",
-                                vec![("seq", ArgValue::U64(seq))],
-                            );
-                        }
-                    }
-                }
-            }
-            self.schedule(at, Event::Arrival(arriving));
+            (Some(at), None) | (None, Some(at)) => self.land(pkt, start, at, wire),
+            (None, None) => {}
         }
     }
 
-    fn handle(&mut self, event: Event) {
+    /// Schedule one copy of `pkt` (departed at `start`) to arrive at
+    /// `at`, possibly with a flipped payload bit.
+    fn land(&mut self, mut pkt: Packet, start: u64, at: u64, wire: u64) {
+        let key = (pkt.src, pkt.dst);
+        let seq = pkt.seq;
+        let name = pkt.kind_label();
+        if let Some(rec) = self.rec(key) {
+            rec.record_complete(
+                SpanCategory::PacketFlight,
+                name,
+                start,
+                at - start,
+                vec![("seq", ArgValue::U64(seq)), ("bytes", ArgValue::U64(wire))],
+            );
+        }
+        if self.cfg.fault.corrupt_prob > 0.0 {
+            if let PacketBody::Data { chunk, .. } = &mut pkt.body {
+                if !chunk.is_empty() && self.rng.gen_bool(self.cfg.fault.corrupt_prob) {
+                    // Flip one payload bit in the arriving copy only
+                    // — the sender's unacked copy stays clean, so
+                    // the repair retransmission carries good bytes.
+                    let bit = self.rng.gen_range(0..chunk.len() * 8);
+                    let mut bytes = chunk.to_vec();
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                    *chunk = Bytes::from(bytes);
+                    self.stats.corruptions_injected += 1;
+                    if let Some(rec) = self.rec(key) {
+                        rec.record_instant(
+                            SpanCategory::Corruption,
+                            "bit_flip",
+                            vec![("seq", ArgValue::U64(seq))],
+                        );
+                    }
+                }
+            }
+        }
+        self.events.push(at, Event::Arrival(pkt));
+    }
+
+    /// Move the clock to `at_ns` and run the event due then.
+    fn handle(&mut self, at_ns: u64, event: Event) {
+        self.now_ns = at_ns;
         match event {
             Event::Arrival(pkt) => self.arrive(pkt),
-            Event::Timeout { src, dst, seq } => self.fire_timeout((src, dst), seq),
+            Event::Timeout(Timer { key, seq }) => self.fire_timeout(key, seq),
         }
     }
 
@@ -829,10 +917,10 @@ impl Fabric {
                 rec.record_instant(SpanCategory::LinkDown, "link_heal", vec![]);
             }
         }
-        let Some((retries, burn_start)) = self
-            .senders
-            .get(&key)
-            .and_then(|ch| ch.unacked.get(&seq))
+        let link = self.link(key);
+        let Some((retries, burn_start)) = self.senders[link]
+            .unacked
+            .get(&seq)
             .map(|o| (o.retries, o.burn_start_ns))
         else {
             return; // acknowledged in the meantime — stale timer
@@ -851,8 +939,7 @@ impl Fabric {
                 // window with a fresh budget and re-arm its timer for
                 // the heal. A structured notice (one per link per down
                 // episode) replaces the dead-packet error.
-                let ch = self.senders.get_mut(&key).expect("channel exists");
-                let out = ch.unacked.get_mut(&seq).expect("present");
+                let out = self.senders[link].unacked.get_mut(&seq).expect("present");
                 out.retries = 0;
                 out.rto_ns = self.cfg.retransmit_timeout_ns;
                 out.burn_start_ns = self.now_ns;
@@ -863,14 +950,7 @@ impl Fabric {
                     self.now_ns + self.cfg.retransmit_timeout_ns
                 };
                 let at = resume_at.max(self.now_ns + 1);
-                self.schedule(
-                    at,
-                    Event::Timeout {
-                        src: key.0,
-                        dst: key.1,
-                        seq,
-                    },
-                );
+                self.events.push(at, Event::Timeout(Timer { key, seq }));
                 if down_now && self.down_notified.insert(key) {
                     self.stats.link_down_events += 1;
                     let now = self.now_ns;
@@ -892,7 +972,7 @@ impl Fabric {
                 }
                 return;
             }
-            let ch = self.senders.get_mut(&key).expect("channel exists");
+            let ch = &mut self.senders[link];
             let out = ch.unacked.remove(&seq).expect("present");
             if out.credited {
                 ch.credits += 1;
@@ -921,70 +1001,61 @@ impl Fabric {
             return;
         }
         let backoff = self.cfg.backoff as u64;
-        let ch = self.senders.get_mut(&key).expect("channel exists");
-        let out = ch.unacked.get_mut(&seq).expect("present");
+        let out = self.senders[link].unacked.get_mut(&seq).expect("present");
         out.retries += 1;
         out.rto_ns = out.rto_ns.saturating_mul(backoff);
         let pkt = out.packet.clone();
         let next_deadline = self.now_ns + out.rto_ns;
-        self.schedule(
-            next_deadline,
-            Event::Timeout {
-                src: key.0,
-                dst: key.1,
-                seq,
-            },
-        );
+        self.events
+            .push(next_deadline, Event::Timeout(Timer { key, seq }));
         self.transmit(pkt, true);
     }
 
     fn arrive(&mut self, pkt: Packet) {
-        match pkt.body.clone() {
+        let Packet {
+            src,
+            dst,
+            seq,
+            flow,
+            body,
+        } = pkt;
+        match body {
             PacketBody::Ack { data_seq } => {
-                let key = (pkt.dst, pkt.src);
-                let mut freed_credit = false;
-                if let Some(ch) = self.senders.get_mut(&key) {
-                    if let Some(out) = ch.unacked.remove(&data_seq) {
-                        if out.credited {
-                            ch.credits += 1;
-                            freed_credit = true;
-                        }
+                let key = (dst, src);
+                let link = self.link(key);
+                let ch = &mut self.senders[link];
+                if let Some(out) = ch.unacked.remove(&data_seq) {
+                    if out.credited {
+                        ch.credits += 1;
+                        self.release_stalled(key);
                     }
-                }
-                if freed_credit {
-                    self.release_stalled(key);
                 }
             }
             PacketBody::Cts { msg_seq, rts_seq } => {
-                let key = (pkt.dst, pkt.src);
-                let granted = {
-                    let Some(ch) = self.senders.get_mut(&key) else {
-                        return;
-                    };
-                    ch.unacked.remove(&rts_seq);
-                    ch.pending_rendezvous.remove(&msg_seq)
-                };
-                if let Some((envelope, payload, flow)) = granted {
+                let key = (dst, src);
+                let link = self.link(key);
+                let ch = &mut self.senders[link];
+                ch.unacked.remove(&rts_seq);
+                if let Some((envelope, payload, flow)) = ch.pending_rendezvous.remove(&msg_seq) {
                     self.queue_message_data(key, msg_seq, envelope, payload, flow);
                 }
             }
             PacketBody::Rts { msg_seq, .. } => {
-                let key = (pkt.src, pkt.dst);
-                let fresh = self.receivers.entry(key).or_default().mark_seen(pkt.seq);
-                if !fresh {
+                let link = self.link((src, dst));
+                if !self.receivers[link].mark_seen(seq) {
                     self.stats.duplicate_packets_dropped += 1;
                 }
                 // Grant (or re-grant) unconditionally: CTS is the RTS
                 // ack, and a duplicate RTS means the first CTS was lost.
                 self.stats.acks_sent += 1;
                 let cts = Packet {
-                    src: pkt.dst,
-                    dst: pkt.src,
-                    seq: pkt.seq,
+                    src: dst,
+                    dst: src,
+                    seq,
                     flow: None,
                     body: PacketBody::Cts {
                         msg_seq,
-                        rts_seq: pkt.seq,
+                        rts_seq: seq,
                     },
                 };
                 self.transmit(cts, false);
@@ -998,7 +1069,7 @@ impl Fabric {
                 crc,
                 chunk,
             } => {
-                let key = (pkt.src, pkt.dst);
+                let key = (src, dst);
                 // Integrity gate *before* the ack: a corrupted fragment
                 // is dropped silently (nack-as-loss), so the sender's
                 // retransmission — whose unacked copy is clean —
@@ -1010,7 +1081,7 @@ impl Fabric {
                         rec.record_instant(
                             SpanCategory::Corruption,
                             "crc_reject",
-                            vec![("seq", ArgValue::U64(pkt.seq))],
+                            vec![("seq", ArgValue::U64(seq))],
                         );
                     }
                     return;
@@ -1019,16 +1090,17 @@ impl Fabric {
                 // included (the original ack may have been lost).
                 self.stats.acks_sent += 1;
                 let ack = Packet {
-                    src: pkt.dst,
-                    dst: pkt.src,
-                    seq: pkt.seq,
+                    src: dst,
+                    dst: src,
+                    seq,
                     flow: None,
-                    body: PacketBody::Ack { data_seq: pkt.seq },
+                    body: PacketBody::Ack { data_seq: seq },
                 };
                 self.transmit(ack, false);
 
-                let fresh = self.receivers.entry(key).or_default().mark_seen(pkt.seq);
-                if !fresh {
+                let link = self.link(key);
+                let rch = &mut self.receivers[link];
+                if !rch.mark_seen(seq) {
                     self.stats.duplicate_packets_dropped += 1;
                     if !self.cfg.dedup && frags == 1 {
                         // At-least-once modelling: hand the duplicate up
@@ -1036,19 +1108,18 @@ impl Fabric {
                         // not wait its turn twice) for the layer above to
                         // suppress.
                         self.stats.duplicate_deliveries += 1;
-                        self.inboxes[key.1 as usize].push(Delivery {
-                            src: key.0,
-                            dst: key.1,
+                        self.inboxes[dst as usize].push(Delivery {
+                            src,
+                            dst,
                             msg_seq,
                             envelope,
                             payload: chunk,
                             duplicate: true,
-                            flow: pkt.flow,
+                            flow,
                         });
                     }
                     return;
                 }
-                let rch = self.receivers.get_mut(&key).expect("channel exists");
                 let entry = rch.reassembly.entry(msg_seq).or_insert_with(|| Reassembly {
                     envelope,
                     frags: vec![None; frags as usize],
@@ -1056,7 +1127,7 @@ impl Fabric {
                     flow: None,
                 });
                 if entry.flow.is_none() {
-                    entry.flow = pkt.flow;
+                    entry.flow = flow;
                 }
                 if entry.frags[frag as usize].is_none() {
                     entry.frags[frag as usize] = Some(chunk);
@@ -1086,7 +1157,8 @@ impl Fabric {
         match self.cfg.order {
             DeliveryOrder::Unordered => self.deliver(key, msg_seq, envelope, payload, flow),
             DeliveryOrder::PerPairFifo => {
-                let rch = self.receivers.get_mut(&key).expect("channel exists");
+                let link = self.link(key);
+                let rch = &mut self.receivers[link];
                 if msg_seq != rch.next_deliver {
                     rch.stash.insert(msg_seq, (envelope, payload, flow));
                     return;
@@ -1094,7 +1166,7 @@ impl Fabric {
                 rch.next_deliver += 1;
                 self.deliver(key, msg_seq, envelope, payload, flow);
                 loop {
-                    let rch = self.receivers.get_mut(&key).expect("channel exists");
+                    let rch = &mut self.receivers[link];
                     let next = rch.next_deliver;
                     let Some((env, pay, fl)) = rch.stash.remove(&next) else {
                         return;
@@ -1147,13 +1219,8 @@ impl Fabric {
     /// advance the clock to `now + dt_ns`.
     pub fn advance(&mut self, dt_ns: u64) {
         let target = self.now_ns + dt_ns;
-        while let Some(Reverse(top)) = self.heap.peek() {
-            if top.at_ns > target {
-                break;
-            }
-            let Reverse(ev) = self.heap.pop().expect("peeked");
-            self.now_ns = ev.at_ns;
-            self.handle(ev.event);
+        while let Some((at_ns, event)) = self.events.pop_due(target) {
+            self.handle(at_ns, event);
         }
         self.now_ns = target;
     }
@@ -1163,8 +1230,8 @@ impl Fabric {
     /// reassemblies, no stashed-for-order messages. Undrained inboxes
     /// do not count — the consumer owns those.
     pub fn in_flight_idle(&self) -> bool {
-        self.senders.values().all(SenderChannel::idle)
-            && self.receivers.values().all(ReceiverChannel::idle)
+        self.senders.iter().all(SenderChannel::idle)
+            && self.receivers.iter().all(ReceiverChannel::idle)
     }
 
     /// [`Self::in_flight_idle`] plus every inbox drained.
@@ -1181,18 +1248,15 @@ impl Fabric {
     pub fn run_until_quiescent(&mut self, budget_ns: u64) -> Result<(), String> {
         let deadline = self.now_ns.saturating_add(budget_ns);
         while !self.in_flight_idle() {
-            let Some(Reverse(top)) = self.heap.peek() else {
-                return Err("fabric stuck: transfers outstanding but no events scheduled".into());
+            let Some((at_ns, event)) = self.events.pop_due(deadline) else {
+                return Err(match self.events.next_at() {
+                    None => "fabric stuck: transfers outstanding but no events scheduled".into(),
+                    Some(at_ns) => format!(
+                        "fabric did not quiesce within {budget_ns} ns (next event at {at_ns} ns)"
+                    ),
+                });
             };
-            if top.at_ns > deadline {
-                return Err(format!(
-                    "fabric did not quiesce within {budget_ns} ns (next event at {} ns)",
-                    top.at_ns
-                ));
-            }
-            let Reverse(ev) = self.heap.pop().expect("peeked");
-            self.now_ns = ev.at_ns;
-            self.handle(ev.event);
+            self.handle(at_ns, event);
         }
         if self.dead.is_empty() {
             Ok(())

@@ -17,6 +17,43 @@ use msg_match::Envelope;
 /// moral equivalent of an NVLink flit header plus transport header).
 pub const HEADER_BYTES: usize = 32;
 
+/// Reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic bytewise
+/// table, and `CRC_TABLES[k][b]` is the CRC state after byte `b`
+/// followed by `k` zero bytes — so eight input bytes fold into the
+/// state with eight independent lookups instead of a serial chain.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                CRC_POLY ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+};
+
 /// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `data`.
 ///
 /// This is the integrity check carried in every data packet header and
@@ -26,28 +63,23 @@ pub const HEADER_BYTES: usize = 32;
 /// silently replayed.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -192,6 +224,8 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn data_packet(chunk: &[u8]) -> Packet {
         Packet {
@@ -262,5 +296,36 @@ mod tests {
         let mut corrupted = b"123456789".to_vec();
         corrupted[4] ^= 0x10;
         assert_ne!(crc32(&corrupted), crc32(b"123456789"));
+    }
+
+    /// The textbook one-table, one-byte-at-a-time CRC32: the oracle the
+    /// sliced implementation must agree with bit for bit.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    CRC_POLY ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn crc32_equals_the_bytewise_reference(
+            buf in collection::vec(any::<u8>(), 0..=307),
+            start in 0usize..8,
+        ) {
+            // Slicing off 0..8 leading bytes moves the data across every
+            // alignment of the eight-byte fold.
+            let data = &buf[start.min(buf.len())..];
+            prop_assert_eq!(crc32(data), crc32_bytewise(data));
+        }
     }
 }

@@ -143,6 +143,10 @@ impl EndpointInner {
             return Ok(0);
         }
 
+        // Every launch uploads fresh queue images: return the previous
+        // launch's buffers first, or a long-lived endpoint's device
+        // arena grows by a dozen buffers per call.
+        self.gpu.reset_memory();
         let report: GpuMatchReport = match matcher {
             MatcherKind::Matrix => {
                 // The SoA mirrors hold maintained packed-word columns:
@@ -1129,6 +1133,34 @@ mod tests {
         // The exits are forgotten: in the next run, receivers that park
         // before the sender moves wait for it.
         d.run_ranks(receivers_park_then_rank0_sends);
+    }
+
+    #[test]
+    fn long_lived_endpoints_reclaim_their_device_arena() {
+        for matcher in [
+            MatcherKind::Matrix,
+            MatcherKind::Partitioned(4),
+            MatcherKind::Hash,
+        ] {
+            let d = Domain::new(
+                2,
+                GpuGeneration::PascalGtx1080,
+                matcher,
+                matcher.required_relaxation(),
+            );
+            let mut after_first = 0;
+            for i in 0..100u32 {
+                d.send(0, 1, i, 0, Bytes::new());
+                d.post_recv(1, RecvRequest::exact(0, i, 0)).unwrap();
+                assert_eq!(d.progress(1).unwrap(), 1, "{matcher:?}: a launch per call");
+                if i == 0 {
+                    after_first = d.endpoints[1].lock().gpu.mem.allocated_buffers();
+                    assert!(after_first > 0);
+                }
+            }
+            let after_100 = d.endpoints[1].lock().gpu.mem.allocated_buffers();
+            assert_eq!(after_100, after_first, "{matcher:?}");
+        }
     }
 
     #[test]

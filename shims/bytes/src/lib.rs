@@ -1,17 +1,21 @@
 //! Offline stand-in for the `bytes` crate (API subset).
 //!
-//! `Bytes` is an `Arc<Vec<u8>>` — clones are cheap and the buffer is
-//! immutable, which is the only contract the workspace relies on.
+//! `Bytes` is a `start..end` view into an `Arc<Vec<u8>>` — clones and
+//! [`Bytes::slice`]s are cheap and the buffer is immutable, which is the
+//! only contract the workspace relies on.
 
-use std::ops::Deref;
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// Cheaply cloneable immutable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
-    /// Bytes consumed from the front via the [`Buf`] cursor.
-    offset: usize,
+    /// First byte of the view; the [`Buf`] cursor consumes by advancing
+    /// it.
+    start: usize,
+    /// One past the last byte of the view.
+    end: usize,
 }
 
 impl PartialEq for Bytes {
@@ -60,23 +64,46 @@ impl Bytes {
 
     /// Buffer over a static byte string.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes {
-            data: Arc::new(bytes.to_vec()),
-            offset: 0,
-        }
+        Bytes::copy_from_slice(bytes)
     }
 
     /// Buffer copied from a slice.
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Bytes {
-            data: Arc::new(bytes.to_vec()),
-            offset: 0,
-        }
+        Bytes::from(bytes.to_vec())
     }
 
     /// Remaining (unconsumed) length in bytes.
     pub fn len(&self) -> usize {
-        self.data.len() - self.offset
+        self.end - self.start
+    }
+
+    /// A view of `range` within the remaining bytes, sharing this
+    /// buffer's storage (no copy).
+    ///
+    /// # Panics
+    /// Panics when the range is inverted or reaches past [`Self::len`].
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
+        let len = self.len();
+        let lo = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n.checked_add(1).expect("out of range"),
+            Bound::Unbounded => 0,
+        };
+        let hi = match range.end_bound() {
+            Bound::Included(&n) => n.checked_add(1).expect("out of range"),
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => len,
+        };
+        assert!(
+            lo <= hi,
+            "range start must not be greater than end: {lo:?} <= {hi:?}"
+        );
+        assert!(hi <= len, "range end out of bounds: {hi:?} <= {len:?}");
+        Bytes {
+            data: Arc::clone(&self.data),
+            start: self.start + lo,
+            end: self.start + hi,
+        }
     }
 
     /// True when empty.
@@ -86,13 +113,12 @@ impl Bytes {
 
     /// Copy the remaining bytes into a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data[self.offset..].to_vec()
+        self[..].to_vec()
     }
 
     /// Make this handle empty; other clones keep the original bytes.
     pub fn clear(&mut self) {
-        self.data = Arc::new(Vec::new());
-        self.offset = 0;
+        *self = Bytes::new();
     }
 }
 
@@ -100,21 +126,22 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data[self.offset..]
+        &self.data[self.start..self.end]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data[self.offset..]
+        self
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes {
+            start: 0,
+            end: v.len(),
             data: Arc::new(v),
-            offset: 0,
         }
     }
 }
@@ -125,14 +152,14 @@ impl Buf for Bytes {
     }
 
     fn get_u8(&mut self) -> u8 {
-        let v = self.data[self.offset];
-        self.offset += 1;
+        let v = self[0];
+        self.start += 1;
         v
     }
 
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        dst.copy_from_slice(&self.data[self.offset..self.offset + dst.len()]);
-        self.offset += dst.len();
+        dst.copy_from_slice(&self[..dst.len()]);
+        self.start += dst.len();
     }
 }
 
@@ -145,7 +172,7 @@ impl From<&[u8]> for Bytes {
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.data[self.offset..].iter() {
+        for &b in self.iter() {
             for esc in std::ascii::escape_default(b) {
                 write!(f, "{}", esc as char)?;
             }
@@ -185,10 +212,7 @@ impl BytesMut {
 
     /// Freeze into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: Arc::new(self.data),
-            offset: 0,
-        }
+        Bytes::from(self.data)
     }
 }
 
@@ -331,5 +355,77 @@ mod tests {
         assert_eq!(&b[..], &c[..]);
         assert_eq!(b.len(), 3);
         assert_eq!(&b[..], &[1, 2, 3]);
+    }
+
+    #[test]
+    fn slice_is_a_view_into_the_same_storage() {
+        let b = Bytes::from((0u8..10).collect::<Vec<_>>());
+        let mid = b.slice(2..8);
+        assert_eq!(&mid[..], &[2, 3, 4, 5, 6, 7]);
+        assert_eq!(mid.as_ptr(), b[2..].as_ptr(), "no copy");
+        // Nested ranges are relative to the slice, not the buffer.
+        let inner = mid.slice(1..=3);
+        assert_eq!(&inner[..], &[3, 4, 5]);
+        assert_eq!(inner.as_ptr(), b[3..].as_ptr());
+        assert_eq!(mid.slice(..2), [2u8, 3][..]);
+        assert_eq!(mid.slice(4..), [6u8, 7][..]);
+        assert_eq!(b.slice(..), b);
+        // Empty slices are legal anywhere up to and including the end.
+        assert!(b.slice(10..10).is_empty());
+        assert!(mid.slice(3..3).is_empty());
+        // The original is untouched, and outlives nothing: a slice keeps
+        // the storage alive on its own.
+        drop(b);
+        assert_eq!(inner.to_vec(), vec![3, 4, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "range end out of bounds")]
+    fn slice_past_the_end_panics() {
+        // 8 is inside the underlying buffer but outside the view.
+        let _ = Bytes::from(vec![0u8; 10]).slice(2..6).slice(0..8);
+    }
+
+    #[test]
+    #[should_panic(expected = "range start must not be greater than end")]
+    fn inverted_slice_panics() {
+        let (lo, hi) = (3, 2);
+        let _ = Bytes::from(vec![0u8; 10]).slice(lo..hi);
+    }
+
+    #[test]
+    fn cursor_and_value_traits_stop_at_the_slice_end() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        let b = Bytes::from(b"..abcd..".to_vec());
+        let mut s = b.slice(2..6);
+        assert_eq!(format!("{s:?}"), "b\"abcd\"");
+        assert_eq!(s, Bytes::from_static(b"abcd"));
+        assert_ne!(s, b);
+        let hash = |x: &Bytes| {
+            let mut h = DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&s), hash(&Bytes::from_static(b"abcd")));
+
+        assert_eq!(s.remaining(), 4);
+        assert_eq!(s.get_u8(), b'a');
+        assert_eq!(s.get_u16_le(), u16::from_le_bytes(*b"bc"));
+        assert_eq!(s.remaining(), 1);
+        assert_eq!(s.slice(..), Bytes::from_static(b"d"));
+        assert_eq!(s.get_u8(), b'd');
+        assert_eq!(s.remaining(), 0);
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn cursor_cannot_read_past_the_slice_end() {
+        let mut s = Bytes::from(vec![1, 2, 3, 4]).slice(..2);
+        let mut two = [0u8; 2];
+        s.copy_to_slice(&mut two);
+        s.get_u8(); // byte 3 exists in the storage, not in the view
     }
 }
