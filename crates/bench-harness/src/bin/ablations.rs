@@ -19,14 +19,4 @@ fn main() {
     );
     println!();
     print!("{}", ablations::hash_design(1024, 3).to_text());
-    println!();
-    print!(
-        "{}",
-        bench_harness::experiments::saturation::threshold_ablation(
-            2.0e6,
-            &[32, 128, 256, 512, 1024],
-            5
-        )
-        .to_text()
-    );
 }

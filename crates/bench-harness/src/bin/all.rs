@@ -16,7 +16,10 @@ fn emit(dir: &Path, name: &str, report: &Report) {
 
 fn main() {
     let dir = Path::new("results");
-    fs::create_dir_all(dir).expect("create results dir");
+    if let Err(e) = fs::create_dir_all(dir) {
+        eprintln!("could not create {}: {e}", dir.display());
+        std::process::exit(1);
+    }
 
     let analyses = traces::analyze_all(1.0, 0xD0E);
     emit(dir, "table1", &traces::table1(&analyses));
@@ -86,9 +89,6 @@ fn main() {
         "ablation_hash_design",
         &ablations::hash_design(1024, 3),
     );
-
-    let sat = saturation::run(&saturation::DEFAULT_LOADS, 5);
-    emit(dir, "saturation", &saturation::report(&sat));
 
     let sc = scaling::run(&scaling::DEFAULT_RANKS, 8, 7);
     emit(dir, "scaling", &scaling::report(&sc));

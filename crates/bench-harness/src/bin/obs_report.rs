@@ -1,151 +1,69 @@
-//! Observability report driver, three modes:
-//!
-//! * `obs_report [duration_seconds]` — traced service run plus five
-//!   per-engine flow demos, exported as one merged Chrome trace
-//!   (`OBS_trace.json`), the deterministic Prometheus exposition
-//!   (`OBS_metrics.prom`), the wall-clock scheduler exposition
-//!   (`OBS_wall.prom`) and a stall-attribution table on stdout.
-//! * `obs_report --check [baseline_path]` — bench-regression gate:
-//!   diffs `BENCH_service.json` / `BENCH_recovery.json` /
-//!   `BENCH_tenancy.json` / `BENCH_chaos.json` in the current
-//!   directory against the committed baseline
-//!   (`docs/bench_baseline.json` by default); exits 1 on a >10%
-//!   goodput or >20% barrier-stall regression, or on any violated
-//!   invariant (guaranteed-tenant loss, live/static resharding
-//!   divergence, scheduler divergence, chaos-sweep violations or a
-//!   chaos sweep that stopped landing a fault class — no tolerance).
-//! * `obs_report --overhead [duration_seconds]` — asserts flow tracing
-//!   at the default 1-in-64 sampling costs under 5% of wall-clock
-//!   matches/s against an untraced run (median of five interleaved
-//!   pairs).
+//! Observability report driver: `obs_report [duration_seconds]` runs a
+//! traced service plus five per-engine flow demos and exports one merged
+//! Chrome trace (`OBS_trace.json`), the deterministic Prometheus
+//! exposition (`OBS_metrics.prom`), the wall-clock scheduler exposition
+//! (`OBS_wall.prom`) and a stall-attribution table on stdout.
 use bench_harness::experiments::obs_report;
-
-/// Tolerated wall-clock slowdown for `--overhead`.
-const OVERHEAD_TOLERANCE: f64 = 0.05;
 
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(1);
 }
 
-fn read_json(path: &str) -> serde::Value {
-    let body = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("could not read {path}: {e}")));
-    serde::json::parse_value(&body)
-        .unwrap_or_else(|e| fail(&format!("{path} is not valid JSON: {e}")))
-}
-
-fn run_check(baseline_path: &str) {
-    let baseline = read_json(baseline_path);
-    let service = read_json("BENCH_service.json");
-    let recovery = read_json("BENCH_recovery.json");
-    let tenancy = read_json("BENCH_tenancy.json");
-    let chaos = read_json("BENCH_chaos.json");
-    match obs_report::check_regressions(&baseline, &service, &recovery, &tenancy, &chaos) {
-        Ok(regressions) if regressions.is_empty() => {
-            println!("bench regression gate: OK (baseline {baseline_path})");
-        }
-        Ok(regressions) => {
-            for r in &regressions {
-                eprintln!("REGRESSION: {r}");
-            }
-            fail(&format!(
-                "bench regression gate: {} regression(s) against {baseline_path}",
-                regressions.len()
-            ));
-        }
-        Err(e) => fail(&format!("bench regression gate could not run: {e}")),
-    }
-}
-
-fn run_overhead(duration: f64) {
-    let (traced, untraced) = obs_report::tracing_overhead(5, duration);
-    let ratio = traced / untraced;
-    println!(
-        "tracing overhead: traced {traced:.0} matches/s, untraced {untraced:.0} matches/s \
-         (ratio {ratio:.3})"
-    );
-    if traced < untraced * (1.0 - OVERHEAD_TOLERANCE) {
-        fail(&format!(
-            "flow tracing at 1-in-64 costs more than {:.0}% wall-clock matches/s",
-            OVERHEAD_TOLERANCE * 100.0
-        ));
-    }
-}
-
-fn parse_duration(arg: Option<String>, default: f64) -> f64 {
-    match arg {
-        None => default,
-        Some(s) => match s.parse::<f64>() {
-            Ok(d) if d > 0.0 => d,
+fn main() {
+    let mut cfg = obs_report::default_config();
+    if let Some(arg) = std::env::args().nth(1) {
+        match arg.parse::<f64>() {
+            Ok(d) if d > 0.0 => cfg.duration = d,
             _ => {
-                eprintln!("usage: obs_report [duration_seconds | --check [baseline] | --overhead [duration_seconds]]");
+                eprintln!("usage: obs_report [duration_seconds]");
                 std::process::exit(2);
             }
-        },
-    }
-}
-
-fn main() {
-    let mut args = std::env::args().skip(1);
-    match args.next() {
-        Some(a) if a == "--check" => {
-            let baseline = args
-                .next()
-                .unwrap_or_else(|| "docs/bench_baseline.json".to_string());
-            run_check(&baseline);
-        }
-        Some(a) if a == "--overhead" => {
-            run_overhead(parse_duration(args.next(), 0.002));
-        }
-        first => {
-            let mut cfg = obs_report::default_config();
-            cfg.duration = parse_duration(first, cfg.duration);
-
-            let artefacts = obs_report::run(cfg);
-            let demos = obs_report::flow_demos(cfg.seed);
-            let merged = obs_report::merged_trace(&artefacts, &demos);
-            let events = match obs_report::trace_event_count(&merged) {
-                Ok(0) => fail("exported trace holds no events"),
-                Ok(n) => n,
-                Err(e) => fail(&format!("exported trace failed validation: {e}")),
-            };
-
-            print!(
-                "{}",
-                obs_report::stall_table(&artefacts.report.metrics).to_text()
-            );
-            println!();
-            let m = &artefacts.report.metrics;
-            println!(
-                "service: {} matched, {} spilled, sustained {:.2} M msgs/s over {} shards",
-                m.total_matched,
-                m.total_spilled,
-                m.sustained_rate / 1e6,
-                m.shards.len()
-            );
-            let prof = &artefacts.report.scheduler_profile;
-            println!(
-                "wall clock ({}): {:.1} ms, barrier-wait fraction {:.2}",
-                prof.scheduler,
-                prof.wall_seconds * 1e3,
-                prof.barrier_wait_fraction()
-            );
-            for d in &demos {
-                println!("flow demo: {}", d.label);
-            }
-
-            for (path, body) in [
-                ("OBS_trace.json", &merged),
-                ("OBS_metrics.prom", &artefacts.exposition),
-                ("OBS_wall.prom", &artefacts.wall_prom),
-            ] {
-                match std::fs::write(path, body) {
-                    Ok(()) => println!("wrote {path}"),
-                    Err(e) => fail(&format!("could not write {path}: {e}")),
-                }
-            }
-            println!("trace events: {events}");
         }
     }
+
+    let artefacts = obs_report::run(cfg);
+    let demos = obs_report::flow_demos(cfg.seed);
+    let merged = obs_report::merged_trace(&artefacts, &demos);
+    let events = match obs_report::trace_event_count(&merged) {
+        Ok(0) => fail("exported trace holds no events"),
+        Ok(n) => n,
+        Err(e) => fail(&format!("exported trace failed validation: {e}")),
+    };
+
+    print!(
+        "{}",
+        obs_report::stall_table(&artefacts.report.metrics).to_text()
+    );
+    println!();
+    let m = &artefacts.report.metrics;
+    println!(
+        "service: {} matched, {} spilled, sustained {:.2} M msgs/s over {} shards",
+        m.total_matched,
+        m.total_spilled,
+        m.sustained_rate / 1e6,
+        m.shards.len()
+    );
+    let prof = &artefacts.report.scheduler_profile;
+    println!(
+        "wall clock ({}): {:.1} ms, barrier-wait fraction {:.2}",
+        prof.scheduler,
+        prof.wall_seconds * 1e3,
+        prof.barrier_wait_fraction()
+    );
+    for d in &demos {
+        println!("flow demo: {}", d.label);
+    }
+
+    for (path, body) in [
+        ("OBS_trace.json", &merged),
+        ("OBS_metrics.prom", &artefacts.exposition),
+        ("OBS_wall.prom", &artefacts.wall_prom),
+    ] {
+        match std::fs::write(path, body) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => fail(&format!("could not write {path}: {e}")),
+        }
+    }
+    println!("trace events: {events}");
 }

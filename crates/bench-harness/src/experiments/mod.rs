@@ -1,4 +1,5 @@
-//! Experiment drivers — one module per table/figure of the paper.
+//! Experiment drivers — one module per table/figure of the paper, plus
+//! the observability exporter.
 //!
 //! | module | paper artefact |
 //! |---|---|
@@ -11,31 +12,17 @@
 //! | [`unexpected`] | Section VI-B (compaction, match fraction) |
 //! | [`ablations`] | pipelining, window size, long-queue order, hash design |
 //! | [`profile`] | Section VII-C architectural profile |
-//! | [`saturation`] | sustained message-rate ceilings (service model) |
 //! | [`scaling`] | rank-0 hotspot depth scaling (related-work check) |
-//! | [`shard_scaling`] | sharded service: sustained rate vs shards × engine |
-//! | [`recovery_scaling`] | fault tolerance: crash rate × checkpoint interval |
 //! | [`obs_report`] | traced service run: span timeline, exposition, stalls |
-//! | [`prefilter`] | pre-filter screen: unexpected ratio × depth, on vs off |
-//! | [`fabric_scaling`] | simulated interconnect: eager threshold × loss × skew |
-//! | [`tenancy_scaling`] | multi-tenant QoS: Zipf tenants × shards, isolation, resharding |
-//! | [`chaos`] | cross-layer chaos: composed faults, end-to-end invariant checker |
 
 pub mod ablations;
-pub mod chaos;
 pub mod cpu_baseline;
-pub mod fabric_scaling;
 pub mod figure4;
 pub mod figure5;
 pub mod figure6b;
 pub mod obs_report;
-pub mod prefilter;
 pub mod profile;
-pub mod recovery_scaling;
-pub mod saturation;
 pub mod scaling;
-pub mod shard_scaling;
 pub mod table2;
-pub mod tenancy_scaling;
 pub mod traces;
 pub mod unexpected;

@@ -13,7 +13,7 @@
 //! cargo run --release -p bench-harness --bin table2
 //! cargo run --release -p bench-harness --bin cpu_baseline
 //! cargo run --release -p bench-harness --bin unexpected
-//! cargo run --release -p bench-harness --bin fabric_scaling   # BENCH_fabric.json
+//! cargo run --release -p bench-harness --bin obs_report   # OBS_trace.json + expositions
 //! cargo run --release -p bench-harness --bin all    # everything + CSVs
 //! ```
 //!

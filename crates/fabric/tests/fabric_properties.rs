@@ -184,3 +184,29 @@ fn unordered_mode_under_skew_feeds_a_reorder_buffer_correctly() {
     assert_eq!(seqs, (0..64).collect::<Vec<u64>>(), "dense, exactly-once");
     assert_ne!(arrival, seqs, "skew must actually disorder arrivals");
 }
+
+#[test]
+fn rendezvous_pays_handshake_packets_and_time_on_a_lossless_wire() {
+    // Eager threshold 0 forces RTS/CTS for every message, 4096 sends
+    // the same mix eagerly: the handshake costs packets and a round trip.
+    let run = |eager_threshold| {
+        let cfg = FabricConfig {
+            eager_threshold,
+            order: DeliveryOrder::PerPairFifo,
+            ..Default::default()
+        };
+        let mut net = Fabric::new(3, cfg);
+        drive_all_to_all(&mut net, 6);
+        net.run_until_quiescent(10_000_000_000).unwrap();
+        (net.stats(), net.now_ns())
+    };
+    let (rndv, rndv_finish) = run(0);
+    let (eager, eager_finish) = run(4096);
+    assert_eq!(rndv.eager_messages, 0, "threshold 0 forces rendezvous");
+    assert_eq!(eager.rendezvous_messages, 0, "threshold 4096 forces eager");
+    assert!(rndv.packets_sent > eager.packets_sent, "RTS/CTS packets");
+    assert!(rndv_finish > eager_finish, "the handshake costs time");
+    let payload_bytes = 6 * 3 * (32 + 2048);
+    assert!(eager.wire_bytes > payload_bytes, "headers cost wire bytes");
+    assert!(rndv.wire_bytes > eager.wire_bytes, "so do RTS/CTS packets");
+}

@@ -75,9 +75,8 @@ pub use recovery::{RecoveryConfig, Snapshot, StreamState};
 pub use reorder::ReorderBuffer;
 pub use sched::Scheduler;
 pub use service::{
-    engine_label, simulate_service, simulate_sharded_service, FaultTolerance, ServiceConfig,
-    ServiceEngine, ServiceReport, ShardEnginePolicy, ShardedMatchService, ShardedServiceConfig,
-    ShardedServiceReport,
+    engine_label, FaultTolerance, ServiceEngine, ServiceReport, ShardEnginePolicy,
+    ShardedMatchService, ShardedServiceConfig, ShardedServiceReport,
 };
 pub use supervisor::{Supervisor, SupervisorConfig};
 pub use tenancy::{

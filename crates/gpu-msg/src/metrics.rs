@@ -1,6 +1,6 @@
 //! Observability for the streaming match service: per-shard counters and
-//! histograms, serializable to JSON so the bench harness can persist a
-//! run (`BENCH_service.json`) and tooling can diff runs.
+//! histograms, serializable to JSON so a run can be persisted and
+//! tooling can diff runs.
 //!
 //! Histograms use power-of-two buckets over an integer unit chosen per
 //! histogram (messages for sizes/depths, nanoseconds for times), so

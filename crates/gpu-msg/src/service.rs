@@ -7,28 +7,25 @@
 //! into an operational statement: a communication kernel servicing a
 //! continuous arrival stream, with the queue dynamics that implies.
 //!
-//! Two tiers:
+//! [`ShardedMatchService`] is the one model: N shards, each owning a
+//! persistent [`Gpu`] (one communication SM's worth of matching
+//! capacity) and a bounded pending queue; `shards: 1` is the single
+//! resident kernel with one queue. Traffic is keyed to shards by
+//! [`msg_match::ShardPlacement`] (communicator + source-rank range),
+//! each shard's engine is pinned at placement time via
+//! [`msg_match::MatchEngine`], and admission control spills arrivals
+//! that find the shard's queue full. Per-shard counters and histograms
+//! land in a [`crate::metrics::ServiceMetrics`] snapshot.
 //!
-//! * [`simulate_service`] — the original single-queue batch-service
-//!   model: one resident kernel, one bounded pending queue, one engine.
-//! * [`ShardedMatchService`] — N shards, each owning a persistent
-//!   [`Gpu`] (one communication SM's worth of matching capacity) and a
-//!   bounded pending queue. Traffic is keyed to shards by
-//!   [`msg_match::ShardPlacement`] (communicator + source-rank range),
-//!   each shard's engine is pinned at placement time via
-//!   [`msg_match::MatchEngine`], and admission control spills arrivals
-//!   that find the shard's queue full. Per-shard counters and
-//!   histograms land in a [`crate::metrics::ServiceMetrics`] snapshot.
-//!
-//! Both models run in *simulated device time*: messages (with matching
+//! The model runs in *simulated device time*: messages (with matching
 //! pre-posted receives) arrive at a configured rate; whenever enough
 //! work is pending the kernel matches a batch of up to `max_batch`
 //! entries, which occupies the device for the simulated duration the
 //! matcher reports; arrivals accumulate meanwhile. Below saturation the
 //! queue stays bounded; past the matcher's rate ceiling it grows (or
-//! spills) without bound — the reports flag it.
+//! spills) without bound — the report flags it.
 //!
-//! The sharded tier additionally survives *shard failures*. With a
+//! The service additionally survives *shard failures*. With a
 //! [`FaultTolerance`] attached, a [`FaultPlan`] injects crashes, hangs
 //! and slow windows at simulated-time points; each shard periodically
 //! checkpoints its stream watermarks and journals admitted arrivals
@@ -91,30 +88,7 @@ pub(crate) fn strictness(choice: EngineChoice) -> u8 {
     }
 }
 
-/// Service simulation parameters (single-queue model).
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceConfig {
-    /// Offered load in messages per second of device time.
-    pub arrival_rate: f64,
-    /// Largest batch the kernel matches at once.
-    pub max_batch: usize,
-    /// The kernel aggregates at least this many pending messages before
-    /// launching a matching pass (or fewer if no more traffic is due) —
-    /// the batching any real communication kernel applies to amortise
-    /// launch overhead.
-    pub batch_threshold: usize,
-    /// Bounded pending queue: arrivals beyond this backlog spill to the
-    /// (unmodelled) slow host path and are only counted.
-    pub queue_capacity: usize,
-    /// Simulated duration in seconds.
-    pub duration: f64,
-    /// Engine to run.
-    pub engine: ServiceEngine,
-    /// Workload seed.
-    pub seed: u64,
-}
-
-/// Outcome of a service simulation.
+/// Aggregate outcome of a service run, summed over its shards.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceReport {
     /// Messages matched per second of simulated time.
@@ -135,115 +109,6 @@ pub struct ServiceReport {
     pub overflow: OverflowStats,
     /// Batches executed.
     pub batches: u64,
-}
-
-/// Run the single-queue service model.
-pub fn simulate_service(generation: GpuGeneration, cfg: ServiceConfig) -> ServiceReport {
-    // A large pool of workload tuples reused batch by batch.
-    let pool = WorkloadSpec {
-        len: cfg.max_batch,
-        peers: 64,
-        tags: 1 << 12,
-        seed: cfg.seed,
-        ..Default::default()
-    }
-    .generate();
-
-    let capacity = cfg.queue_capacity.max(cfg.max_batch);
-    let mut now = 0.0f64; // simulated seconds
-    let mut seen = 0u64; // arrivals walked through admission by `now`
-    let mut admitted = 0u64;
-    let mut matched = 0u64;
-    let mut overflow = OverflowStats::default();
-    let mut last_spill = f64::NEG_INFINITY;
-    let mut busy = 0.0f64;
-    let mut depth_samples: Vec<f64> = Vec::new();
-    let mut max_depth = 0usize;
-    let mut batches = 0u64;
-
-    // One resident device for the whole run — the communication kernel
-    // owns its SM and its allocation pool; per-batch reclaim keeps the
-    // arena bounded without paying a fresh device per launch.
-    let mut gpu = Gpu::new(generation);
-    let engine = MatchEngine::default();
-    let choice = cfg.engine.choice();
-
-    while now < cfg.duration {
-        // Admission: walk every arrival due by `now` through the
-        // bounded queue; overflow spills (counted, not queued).
-        let due = (cfg.arrival_rate * now) as u64;
-        while seen < due {
-            if ((admitted - matched) as usize) < capacity {
-                admitted += 1;
-            } else {
-                overflow.spilled += 1;
-                last_spill = (seen + 1) as f64 / cfg.arrival_rate;
-            }
-            seen += 1;
-        }
-        let pending = (admitted - matched) as usize;
-        depth_samples.push(pending as f64);
-        max_depth = max_depth.max(pending);
-
-        let threshold = cfg.batch_threshold.clamp(1, cfg.max_batch);
-        if pending < threshold {
-            // Aggregate: idle until enough arrivals are due (or give the
-            // stragglers a final pass at end of time).
-            let need = (threshold - pending) as u64;
-            // Half-an-arrival epsilon: landing exactly on the N-th
-            // arrival time can truncate back to N-1 in float and stall
-            // the clock.
-            let next = ((seen + need) as f64 + 0.5) / cfg.arrival_rate;
-            if next > cfg.duration {
-                if pending == 0 {
-                    break;
-                }
-                // Drain the tail.
-            } else {
-                now = next;
-                continue;
-            }
-        }
-
-        let batch = pending.min(cfg.max_batch);
-        if batch == 0 {
-            break;
-        }
-        // Slice a batch out of the pool (wrapping).
-        let start = (matched as usize) % pool.msgs.len();
-        let mut msgs: Vec<Envelope> = Vec::with_capacity(batch);
-        for k in 0..batch {
-            msgs.push(pool.msgs[(start + k) % pool.msgs.len()]);
-        }
-        let reqs: Vec<RecvRequest> = msgs
-            .iter()
-            .map(|m| RecvRequest::exact(m.src, m.tag, m.comm))
-            .collect();
-
-        gpu.reset_memory();
-        let report = engine
-            .match_with(&mut gpu, choice, &msgs, &reqs)
-            .expect("no wildcards in service traffic");
-        debug_assert_eq!(report.matches as usize, batch);
-        matched += report.matches;
-        busy += report.seconds;
-        now += report.seconds;
-        batches += 1;
-    }
-
-    let elapsed = now.max(f64::MIN_POSITIVE);
-    let final_backlog = admitted.saturating_sub(matched) as usize;
-    ServiceReport {
-        sustained_rate: matched as f64 / elapsed,
-        offered_rate: cfg.arrival_rate,
-        mean_depth: depth_samples.iter().sum::<f64>() / depth_samples.len().max(1) as f64,
-        max_depth,
-        utilisation: (busy / elapsed).min(1.0),
-        saturated: (final_backlog > 2 * cfg.max_batch && final_backlog as f64 > 0.05 * seen as f64)
-            || last_spill >= 0.9 * cfg.duration,
-        overflow,
-        batches,
-    }
 }
 
 /// How a sharded service picks each shard's engine.
@@ -361,7 +226,7 @@ pub struct FaultTolerance {
 /// Outcome of a sharded service run.
 #[derive(Debug, Clone)]
 pub struct ShardedServiceReport {
-    /// Aggregate service-level view (comparable to [`simulate_service`]).
+    /// Aggregate service-level view.
     pub aggregate: ServiceReport,
     /// Per-shard observability snapshot.
     pub metrics: ServiceMetrics,
@@ -990,38 +855,33 @@ impl ShardedMatchService {
     }
 }
 
-/// Build and run a sharded service in one call.
-pub fn simulate_sharded_service(
-    generation: GpuGeneration,
-    cfg: ShardedServiceConfig,
-) -> ShardedServiceReport {
-    ShardedMatchService::new(generation, cfg).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultEvent, FaultKind, FaultRates};
 
-    fn cfg(rate: f64, engine: ServiceEngine) -> ServiceConfig {
-        ServiceConfig {
+    const GEN: GpuGeneration = GpuGeneration::PascalGtx1080;
+
+    fn run(cfg: ShardedServiceConfig) -> ShardedServiceReport {
+        ShardedMatchService::new(GEN, cfg).run()
+    }
+
+    /// One shard, one queue: the single resident communication kernel.
+    fn single(rate: f64, engine: ServiceEngine) -> ServiceReport {
+        run(ShardedServiceConfig {
+            shards: 1,
             arrival_rate: rate,
-            max_batch: 1024,
-            batch_threshold: 256,
-            queue_capacity: 1 << 14,
             duration: 0.004,
-            engine,
-            seed: 5,
-        }
+            policy: ShardEnginePolicy::Fixed(engine),
+            ..Default::default()
+        })
+        .aggregate
     }
 
     #[test]
     fn below_saturation_the_queue_stays_bounded() {
         // 1 M msgs/s against a ~4.7 M/s matrix matcher: comfortable.
-        let r = simulate_service(
-            GpuGeneration::PascalGtx1080,
-            cfg(1.0e6, ServiceEngine::Matrix),
-        );
+        let r = single(1.0e6, ServiceEngine::Matrix);
         assert!(!r.saturated, "{r:?}");
         assert!(r.utilisation < 0.75, "utilisation {}", r.utilisation);
         assert!((r.sustained_rate - 1.0e6).abs() / 1.0e6 < 0.15, "{r:?}");
@@ -1031,10 +891,7 @@ mod tests {
     #[test]
     fn past_saturation_the_backlog_grows() {
         // 20 M msgs/s against the compliant matcher: hopeless.
-        let r = simulate_service(
-            GpuGeneration::PascalGtx1080,
-            cfg(20.0e6, ServiceEngine::Matrix),
-        );
+        let r = single(20.0e6, ServiceEngine::Matrix);
         assert!(r.saturated, "{r:?}");
         assert!(r.utilisation > 0.95, "the kernel must be pegged: {r:?}");
         // The sustained rate caps at the matcher's ceiling.
@@ -1049,34 +906,41 @@ mod tests {
     fn relaxed_engines_raise_the_ceiling() {
         // The same 20 M msgs/s the matrix matcher drowned under is easy
         // for the hash engine.
-        let r = simulate_service(
-            GpuGeneration::PascalGtx1080,
-            cfg(20.0e6, ServiceEngine::Hash),
-        );
+        let r = single(20.0e6, ServiceEngine::Hash);
         assert!(!r.saturated, "{r:?}");
         // And partitioning lands in between.
-        let p = simulate_service(
-            GpuGeneration::PascalGtx1080,
-            cfg(20.0e6, ServiceEngine::Partitioned(16)),
-        );
+        let p = single(20.0e6, ServiceEngine::Partitioned(16));
         assert!(!p.saturated, "{p:?}");
     }
 
     #[test]
     fn utilisation_tracks_offered_load() {
-        let lo = simulate_service(
-            GpuGeneration::PascalGtx1080,
-            cfg(0.5e6, ServiceEngine::Matrix),
-        );
-        let hi = simulate_service(
-            GpuGeneration::PascalGtx1080,
-            cfg(3.0e6, ServiceEngine::Matrix),
-        );
+        let lo = single(0.5e6, ServiceEngine::Matrix);
+        let hi = single(3.0e6, ServiceEngine::Matrix);
         assert!(
             hi.utilisation > lo.utilisation * 2.0,
             "lo {} hi {}",
             lo.utilisation,
             hi.utilisation
+        );
+    }
+
+    #[test]
+    fn batches_fall_as_the_batch_threshold_rises() {
+        // The aggregation threshold trades queueing delay against
+        // per-launch efficiency: waiting for more work means fewer,
+        // fuller launches for the same traffic.
+        let batches = |batch_threshold| {
+            run(ShardedServiceConfig {
+                batch_threshold,
+                ..sharded_cfg(1, 2.0e6)
+            })
+            .aggregate
+            .batches
+        };
+        assert!(
+            batches(32) > batches(512),
+            "bigger threshold, fewer batches"
         );
     }
 
@@ -1093,8 +957,8 @@ mod tests {
     fn sharding_raises_the_matrix_ceiling() {
         // 10 M msgs/s drowns one matrix kernel; four shards split the
         // stream into sustainable quarters.
-        let one = simulate_sharded_service(GpuGeneration::PascalGtx1080, sharded_cfg(1, 10.0e6));
-        let four = simulate_sharded_service(GpuGeneration::PascalGtx1080, sharded_cfg(4, 10.0e6));
+        let one = run(sharded_cfg(1, 10.0e6));
+        let four = run(sharded_cfg(4, 10.0e6));
         assert!(one.aggregate.saturated, "{:?}", one.aggregate);
         assert!(!four.aggregate.saturated, "{:?}", four.aggregate);
         assert!(
@@ -1107,13 +971,10 @@ mod tests {
 
     #[test]
     fn admission_control_spills_rather_than_growing_without_bound() {
-        let r = simulate_sharded_service(
-            GpuGeneration::PascalGtx1080,
-            ShardedServiceConfig {
-                queue_capacity: 2048,
-                ..sharded_cfg(1, 30.0e6)
-            },
-        );
+        let r = run(ShardedServiceConfig {
+            queue_capacity: 2048,
+            ..sharded_cfg(1, 30.0e6)
+        });
         let shard = &r.metrics.shards[0];
         assert!(shard.overflow.spilled > 0, "overload must spill: {shard:?}");
         assert!(shard.ever_spilled);
@@ -1204,13 +1065,10 @@ mod tests {
 
     #[test]
     fn shard_metrics_balance_their_counters() {
-        let r = simulate_sharded_service(
-            GpuGeneration::PascalGtx1080,
-            ShardedServiceConfig {
-                comms: 3,
-                ..sharded_cfg(3, 3.0e6)
-            },
-        );
+        let r = run(ShardedServiceConfig {
+            comms: 3,
+            ..sharded_cfg(3, 3.0e6)
+        });
         for s in &r.metrics.shards {
             assert!(s.matched <= s.admitted, "{s:?}");
             assert_eq!(s.batches, s.batch_size.count, "{s:?}");
@@ -1568,7 +1426,7 @@ mod tests {
     #[test]
     fn slow_shards_lose_throughput_but_nothing_else() {
         let base = sharded_cfg(1, 4.0e6);
-        let clean = simulate_sharded_service(GpuGeneration::PascalGtx1080, base);
+        let clean = run(base);
         let mut svc = ShardedMatchService::new(GpuGeneration::PascalGtx1080, base);
         svc.set_fault_tolerance(Some(FaultTolerance {
             plan: FaultPlan::new(vec![FaultEvent {

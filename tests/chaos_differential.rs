@@ -21,8 +21,9 @@ use fabric::{FabricConfig, FaultConfig, LinkFaultConfig};
 use gpu_msg::{
     Domain, DomainConfig, FaultPlan, FaultRates, FaultTolerance, MatcherKind, RecoveryConfig,
     Scheduler, ServiceEngine, ServiceMetrics, ShardEnginePolicy, ShardedMatchService,
-    ShardedServiceConfig, SupervisorConfig, TransportConfig,
+    ShardedServiceConfig, SupervisorConfig, TenancyConfig, TransportConfig,
 };
+use integration_support::hot_cold_tenancy;
 use msg_match::{RecvRequest, RelaxationConfig};
 use simt_sim::GpuGeneration;
 
@@ -79,9 +80,13 @@ fn chaos_soup(plan_seed: u64) -> FaultTolerance {
 
 fn completions_with(
     base: ShardedServiceConfig,
+    tenancy: Option<TenancyConfig>,
     ft: Option<FaultTolerance>,
 ) -> (Vec<Vec<u64>>, ServiceMetrics) {
-    let mut svc = ShardedMatchService::new(GEN, base);
+    let mut svc = match tenancy {
+        Some(t) => ShardedMatchService::with_tenancy(GEN, base, t),
+        None => ShardedMatchService::new(GEN, base),
+    };
     svc.set_record_completions(true);
     svc.set_fault_tolerance(ft);
     let r = svc.run();
@@ -89,40 +94,50 @@ fn completions_with(
 }
 
 /// The composed fault soup is invisible: for every engine of the
-/// lattice, under both schedulers, the chaotic run commits exactly the
+/// lattice, and for a tenanted hash service resharding live underneath
+/// it, under both schedulers, the chaotic run commits exactly the
 /// fault-free per-stream sequences — nothing lost, nothing doubled,
 /// order preserved.
 #[test]
 fn composed_faults_are_invisible_for_every_engine_under_both_schedulers() {
-    for engine in ENGINES {
-        let (want, _) = completions_with(cfg(engine, 5, Scheduler::GlobalClock), None);
+    let cases = ENGINES
+        .map(|engine| (engine, 6.0e6, None))
+        .into_iter()
+        .chain([(ServiceEngine::Hash, 8.0e6, Some(hot_cold_tenancy()))]);
+    for (engine, arrival_rate, tenancy) in cases {
+        let resharding = tenancy.is_some();
+        let case = |scheduler| ShardedServiceConfig {
+            arrival_rate,
+            ..cfg(engine, 5, scheduler)
+        };
+        let (want, _) = completions_with(case(Scheduler::GlobalClock), tenancy.clone(), None);
         for scheduler in SCHEDULERS {
-            let (got, m) = completions_with(cfg(engine, 5, scheduler), Some(chaos_soup(41)));
-            assert_eq!(
-                got, want,
-                "{engine:?}/{scheduler:?}: chaotic commits must equal fault-free"
-            );
+            let (got, m) = completions_with(case(scheduler), tenancy.clone(), Some(chaos_soup(41)));
+            let ctx = format!("{engine:?}/{scheduler:?}/resharding={resharding}");
+            assert_eq!(got, want, "{ctx}: chaotic commits must equal fault-free");
             for stream in &got {
                 for (i, &seq) in stream.iter().enumerate() {
-                    assert_eq!(
-                        seq, i as u64,
-                        "{engine:?}/{scheduler:?}: commit order must be FIFO"
-                    );
+                    assert_eq!(seq, i as u64, "{ctx}: commit order must be FIFO");
                 }
             }
             // The soup must actually have landed, or the equality above
             // is vacuous.
-            assert!(m.total_crashes > 0, "{engine:?}/{scheduler:?}: no crash");
+            assert!(m.total_crashes > 0, "{ctx}: no crash");
             assert_eq!(
                 m.total_recoveries, m.total_crashes,
-                "{engine:?}/{scheduler:?}: every crash must recover"
+                "{ctx}: every crash must recover"
             );
-            let hangs: u64 = m.shards.iter().map(|s| s.hangs).sum();
-            let partitions: u64 = m.shards.iter().map(|s| s.partitions).sum();
-            assert!(hangs > 0, "{engine:?}/{scheduler:?}: no hang landed");
+            let landed = |f: fn(&gpu_msg::ShardMetrics) -> u64| m.shards.iter().map(f).sum::<u64>();
+            assert!(landed(|s| s.hangs) > 0, "{ctx}: no hang landed");
+            assert!(landed(|s| s.partitions) > 0, "{ctx}: no partition landed");
             assert!(
-                partitions > 0,
-                "{engine:?}/{scheduler:?}: no partition landed"
+                landed(|s| s.corrupt_checkpoints) > 0,
+                "{ctx}: no checkpoint corruption landed"
+            );
+            assert_eq!(
+                m.total_migrations > 0,
+                resharding,
+                "{ctx}: the hot/cold skew, and only it, must migrate"
             );
         }
     }
@@ -136,6 +151,7 @@ fn chaotic_runs_reproduce_bit_for_bit_across_schedulers() {
     let run = |scheduler| {
         completions_with(
             cfg(ServiceEngine::Partitioned(8), 11, scheduler),
+            None,
             Some(chaos_soup(43)),
         )
     };

@@ -4,7 +4,10 @@
 
 use bytes::Bytes;
 use gpu_msg::collectives::{barrier, broadcast, ring_allgather_u64, ring_allreduce_sum};
-use gpu_msg::{simulate_service, Domain, MatcherKind, ReorderBuffer, ServiceConfig, ServiceEngine};
+use gpu_msg::{
+    Domain, MatcherKind, ReorderBuffer, ServiceEngine, ShardEnginePolicy, ShardedMatchService,
+    ShardedServiceConfig,
+};
 use msg_match::prelude::*;
 use simt_sim::GpuGeneration;
 
@@ -105,18 +108,17 @@ fn service_ceiling_matches_batch_rate() {
     let w = WorkloadSpec::fully_matching(1024, 5).generate();
     let mut gpu = simt_sim::Gpu::new(GpuGeneration::PascalGtx1080);
     let batch = MatrixMatcher::default().match_batch(&mut gpu, &w.msgs, &w.reqs);
-    let svc = simulate_service(
+    let svc = ShardedMatchService::new(
         GpuGeneration::PascalGtx1080,
-        ServiceConfig {
+        ShardedServiceConfig {
+            shards: 1,
             arrival_rate: batch.matches_per_sec * 4.0, // far past saturation
-            max_batch: 1024,
-            batch_threshold: 256,
-            queue_capacity: 1 << 14,
-            duration: 0.002,
-            engine: ServiceEngine::Matrix,
-            seed: 5,
+            policy: ShardEnginePolicy::Fixed(ServiceEngine::Matrix),
+            ..Default::default()
         },
-    );
+    )
+    .run()
+    .aggregate;
     assert!(svc.saturated);
     let ratio = svc.sustained_rate / batch.matches_per_sec;
     assert!(

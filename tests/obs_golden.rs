@@ -79,6 +79,10 @@ fn stall_classes_partition_cycles_for_every_engine() {
             .match_with(&mut gpu, choice, &w.msgs, &w.reqs)
             .unwrap_or_else(|e| panic!("{name} rejected the workload: {e}"));
         check_partition(name, &report);
+        assert!(
+            report.stall_cycles[2] > 0,
+            "{name}: scan/reduce kernels always wait at CTA barriers"
+        );
     }
 
     for (name, matcher) in [

@@ -2,12 +2,16 @@
 //! monotonicity, and the JSON metrics interchange used by bench-harness.
 
 use gpu_msg::{
-    simulate_service, simulate_sharded_service, ServiceConfig, ServiceEngine, ServiceMetrics,
-    ShardEnginePolicy, ShardedServiceConfig,
+    ServiceEngine, ServiceMetrics, ShardEnginePolicy, ShardedMatchService, ShardedServiceConfig,
+    ShardedServiceReport,
 };
 use simt_sim::GpuGeneration;
 
 const GEN: GpuGeneration = GpuGeneration::PascalGtx1080;
+
+fn run(cfg: ShardedServiceConfig) -> ShardedServiceReport {
+    ShardedMatchService::new(GEN, cfg).run()
+}
 
 fn sharded_cfg(shards: usize, rate: f64) -> ShardedServiceConfig {
     ShardedServiceConfig {
@@ -25,8 +29,8 @@ fn sharded_cfg(shards: usize, rate: f64) -> ShardedServiceConfig {
 /// snapshot included.
 #[test]
 fn sharded_service_is_deterministic() {
-    let a = simulate_sharded_service(GEN, sharded_cfg(4, 8.0e6));
-    let b = simulate_sharded_service(GEN, sharded_cfg(4, 8.0e6));
+    let a = run(sharded_cfg(4, 8.0e6));
+    let b = run(sharded_cfg(4, 8.0e6));
     assert_eq!(a.aggregate.sustained_rate, b.aggregate.sustained_rate);
     assert_eq!(a.aggregate.mean_depth, b.aggregate.mean_depth);
     assert_eq!(a.aggregate.max_depth, b.aggregate.max_depth);
@@ -41,21 +45,16 @@ fn sharded_service_is_deterministic() {
     );
 }
 
-/// The single-queue model is deterministic too (it feeds the figure
-/// pipelines, which must be reproducible across runs).
+/// One shard is one resident kernel with one queue, deterministic too on
+/// a relaxed engine at its own seed.
 #[test]
 fn single_queue_service_is_deterministic() {
-    let cfg = ServiceConfig {
-        arrival_rate: 3.0e6,
-        max_batch: 1024,
-        batch_threshold: 256,
-        queue_capacity: 1 << 14,
-        duration: 0.001,
-        engine: ServiceEngine::Partitioned(8),
+    let cfg = ShardedServiceConfig {
+        policy: ShardEnginePolicy::Fixed(ServiceEngine::Partitioned(8)),
         seed: 3,
+        ..sharded_cfg(1, 3.0e6)
     };
-    let a = simulate_service(GEN, cfg);
-    let b = simulate_service(GEN, cfg);
+    let (a, b) = (run(cfg).aggregate, run(cfg).aggregate);
     assert_eq!(a.sustained_rate, b.sustained_rate);
     assert_eq!(a.batches, b.batches);
     assert_eq!(a.saturated, b.saturated);
@@ -69,7 +68,7 @@ fn sustained_rate_is_monotone_in_offered_rate() {
     let rates = [1.0e6, 2.0e6, 4.0e6, 8.0e6, 16.0e6];
     let mut last = 0.0f64;
     for &rate in &rates {
-        let r = simulate_sharded_service(GEN, sharded_cfg(2, rate));
+        let r = run(sharded_cfg(2, rate));
         assert!(
             r.aggregate.sustained_rate >= last * 0.98,
             "sustained rate dropped from {last:.0} to {:.0} at offered {rate:.0}",
@@ -90,7 +89,7 @@ fn saturation_flag_is_monotone_in_offered_rate() {
     let mut seen_saturated = false;
     let mut seen_spilled = false;
     for &rate in &rates {
-        let r = simulate_sharded_service(GEN, sharded_cfg(1, rate));
+        let r = run(sharded_cfg(1, rate));
         if seen_saturated {
             assert!(
                 r.aggregate.saturated,
@@ -129,7 +128,7 @@ fn saturation_flag_is_monotone_in_offered_rate() {
 fn sustained_rate_is_monotone_in_shard_count() {
     let mut last = 0.0f64;
     for shards in [1usize, 2, 4] {
-        let r = simulate_sharded_service(GEN, sharded_cfg(shards, 10.0e6));
+        let r = run(sharded_cfg(shards, 10.0e6));
         assert!(
             r.aggregate.sustained_rate >= last * 0.98,
             "sustained rate dropped when going to {shards} shards"
@@ -142,7 +141,7 @@ fn sustained_rate_is_monotone_in_shard_count() {
 /// counters, histogram buckets and float fields alike.
 #[test]
 fn metrics_round_trip_through_json() {
-    let r = simulate_sharded_service(GEN, sharded_cfg(3, 6.0e6));
+    let r = run(sharded_cfg(3, 6.0e6));
     let json = r.metrics.to_json();
     let back = ServiceMetrics::from_json(&json).expect("snapshot must parse back");
     assert_eq!(back, r.metrics);

@@ -1,5 +1,6 @@
 //! Shared helpers for the cross-crate integration tests.
 
+use gpu_msg::{QosClass, ReshardPolicy, TenancyConfig, TenantSpec};
 use msg_match::{Envelope, RecvRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,4 +32,29 @@ pub fn random_batch(
 /// Convert a device assignment to the reference `Option<usize>` form.
 pub fn as_usize(assignment: &[Option<u32>]) -> Vec<Option<usize>> {
     assignment.iter().map(|a| a.map(|v| v as usize)).collect()
+}
+
+/// A two-shard skew with live resharding armed: a hot guaranteed tenant
+/// confined to shard 0 overloads it while a cold one idles on shard 1,
+/// and the planner may move slots. Both tenants are guaranteed-class,
+/// so any loss at all is a guaranteed-class loss.
+pub fn hot_cold_tenancy() -> TenancyConfig {
+    TenancyConfig {
+        reshard: Some(ReshardPolicy {
+            tick: 5.0e-5,
+            min_imbalance: 32,
+            max_migrations: 2,
+        }),
+        ..TenancyConfig::new(vec![
+            TenantSpec {
+                streams: 2,
+                shard_set: vec![0],
+                ..TenantSpec::new("hot", QosClass::Guaranteed, 0.875)
+            },
+            TenantSpec {
+                shard_set: vec![1],
+                ..TenantSpec::new("cold", QosClass::Guaranteed, 0.125)
+            },
+        ])
+    }
 }

@@ -12,9 +12,10 @@
 
 use gpu_msg::{
     ArrivalPattern, FaultEvent, FaultKind, FaultPlan, FaultTolerance, QosClass, RecoveryConfig,
-    ReshardPolicy, Scheduler, ServiceEngine, ServiceMetrics, ShardEnginePolicy,
-    ShardedMatchService, ShardedServiceConfig, TenancyConfig, TenantSpec,
+    Scheduler, ServiceEngine, ServiceMetrics, ShardEnginePolicy, ShardedMatchService,
+    ShardedServiceConfig, TenancyConfig, TenantSpec,
 };
+use integration_support::hot_cold_tenancy;
 use simt_sim::GpuGeneration;
 
 const GEN: GpuGeneration = GpuGeneration::PascalGtx1080;
@@ -139,25 +140,7 @@ fn reshard_setup(scheduler: Scheduler) -> (ShardedServiceConfig, TenancyConfig) 
         scheduler,
         ..Default::default()
     };
-    let tenancy = TenancyConfig {
-        reshard: Some(ReshardPolicy {
-            tick: 5.0e-5,
-            min_imbalance: 32,
-            max_migrations: 2,
-        }),
-        ..TenancyConfig::new(vec![
-            TenantSpec {
-                streams: 2,
-                shard_set: vec![0],
-                ..TenantSpec::new("hot", QosClass::Guaranteed, 0.875)
-            },
-            TenantSpec {
-                shard_set: vec![1],
-                ..TenantSpec::new("cold", QosClass::Guaranteed, 0.125)
-            },
-        ])
-    };
-    (cfg, tenancy)
+    (cfg, hot_cold_tenancy())
 }
 
 /// Live resharding must be invisible in the committed sequences: the
