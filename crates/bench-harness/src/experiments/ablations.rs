@@ -67,7 +67,7 @@ pub fn window_sweep(len: usize, windows: &[usize], seed: u64) -> Report {
 
 /// Receive-queue order for iterative long-queue matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueOrder {
+pub(crate) enum QueueOrder {
     /// Receives posted in message arrival order.
     Ordered,
     /// Receives posted in reverse arrival order (the paper's worst case).

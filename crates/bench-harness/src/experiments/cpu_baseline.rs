@@ -25,14 +25,14 @@ use crate::table::{fmt_mps, Report};
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
     /// Queue length.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Matches per second, random post order (worst-ish case).
-    pub random_mps: f64,
+    pub(crate) random_mps: f64,
     /// Matches per second, FIFO post order (best case).
-    pub fifo_mps: f64,
+    pub(crate) fifo_mps: f64,
     /// Matches per second, random posts on the Flajslik-style hashed
     /// matcher with 64 buckets (the cited 3.5×-class improvement).
-    pub hashed_mps: f64,
+    pub(crate) hashed_mps: f64,
 }
 
 /// Queue lengths swept.

@@ -17,13 +17,11 @@ use crate::table::{fmt_mps, Report};
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
     /// Device generation.
-    pub generation: GpuGeneration,
+    pub(crate) generation: GpuGeneration,
     /// Queue length (messages = receives).
-    pub len: usize,
+    pub(crate) len: usize,
     /// Matching rate in matches/s.
-    pub matches_per_sec: f64,
-    /// Simulated kernel cycles.
-    pub cycles: u64,
+    pub(crate) matches_per_sec: f64,
 }
 
 /// Queue lengths the paper's figure sweeps.
@@ -45,7 +43,6 @@ pub fn run(lens: &[usize], seed: u64) -> Vec<Point> {
                 generation,
                 len,
                 matches_per_sec: r.matches_per_sec,
-                cycles: r.cycles,
             });
         }
     }

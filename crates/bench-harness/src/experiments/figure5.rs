@@ -12,18 +12,14 @@ use crate::table::{fmt_mps, Report};
 /// One measured point.
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
-    /// Device generation.
-    pub generation: GpuGeneration,
     /// Number of queues.
-    pub queues: usize,
+    pub(crate) queues: usize,
     /// Total queue length across all queues.
-    pub total_len: usize,
+    pub(crate) total_len: usize,
     /// Matching rate.
-    pub matches_per_sec: f64,
+    pub(crate) matches_per_sec: f64,
     /// CTAs the launch plan needs.
-    pub ctas: u32,
-    /// Kernel launches (iterations) used.
-    pub launches: u32,
+    pub(crate) ctas: u32,
 }
 
 /// Queue counts the paper's figure plots.
@@ -79,12 +75,10 @@ pub fn run_generation(
                 .expect("workload has no wildcards");
             assert_eq!(r.matches as usize, total_len, "must fully match");
             out.push(Point {
-                generation,
                 queues: q,
                 total_len,
                 matches_per_sec: r.matches_per_sec,
                 ctas: cta_plan(&queue_sizes(&w, q)),
-                launches: r.launches,
             });
         }
     }

@@ -16,15 +16,13 @@ use crate::table::{fmt_mps, Report};
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
     /// Device generation.
-    pub generation: GpuGeneration,
+    pub(crate) generation: GpuGeneration,
     /// Elements matched (messages = requests).
-    pub len: usize,
+    pub(crate) len: usize,
     /// CTAs launched.
-    pub ctas: u32,
+    pub(crate) ctas: u32,
     /// Matching rate.
-    pub matches_per_sec: f64,
-    /// Refinement iterations the batch needed.
-    pub launches: u32,
+    pub(crate) matches_per_sec: f64,
 }
 
 /// Element counts swept.
@@ -49,7 +47,6 @@ pub fn run(lens: &[usize], ctas: &[u32], seed: u64) -> Vec<Point> {
                     len,
                     ctas: c,
                     matches_per_sec: r.matches_per_sec,
-                    launches: r.launches,
                 });
             }
         }

@@ -36,13 +36,13 @@ pub struct ObsArtifacts {
     pub report: ShardedServiceReport,
     /// Chrome `trace_event` JSON timeline (virtual clock only —
     /// byte-deterministic).
-    pub trace_json: String,
+    pub(crate) trace_json: String,
     /// Prometheus text exposition of the metrics snapshot (virtual
     /// clock only — byte-deterministic).
     pub exposition: String,
     /// Wall-clock scheduler tracks as a trace document of their own
     /// (empty when the run was untraced). Measured, NOT deterministic.
-    pub wall_trace_json: String,
+    pub(crate) wall_trace_json: String,
     /// Prometheus text exposition of the dual-clock scheduler profile.
     /// Measured, NOT deterministic.
     pub wall_prom: String,

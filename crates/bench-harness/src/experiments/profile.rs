@@ -20,22 +20,22 @@ use crate::table::Report;
 #[derive(Debug, Clone)]
 pub struct EngineProfile {
     /// Engine label.
-    pub name: String,
+    pub(crate) name: String,
     /// Total simulated cycles.
     pub cycles: u64,
     /// Instructions issued.
     pub instructions: u64,
     /// Achieved instructions per cycle.
-    pub ipc: f64,
+    pub(crate) ipc: f64,
     /// Cycles warps spent stalled on operand dependencies (summed over
     /// warps, so it can exceed `cycles`).
-    pub dependency_stall_cycles: u64,
+    pub(crate) dependency_stall_cycles: u64,
     /// Cycles warps spent waiting at barriers (summed over warps).
-    pub barrier_wait_cycles: u64,
+    pub(crate) barrier_wait_cycles: u64,
     /// Global-memory transactions.
-    pub global_transactions: u64,
+    pub(crate) global_transactions: u64,
     /// Matches per second.
-    pub matches_per_sec: f64,
+    pub(crate) matches_per_sec: f64,
 }
 
 impl EngineProfile {

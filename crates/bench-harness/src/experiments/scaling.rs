@@ -16,11 +16,11 @@ use crate::table::Report;
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
     /// Rank count.
-    pub ranks: u32,
+    pub(crate) ranks: u32,
     /// Rank 0's maximum UMQ depth.
-    pub rank0_umq: f64,
+    pub(crate) rank0_umq: f64,
     /// Median (over the other ranks) maximum UMQ depth.
-    pub others_umq: f64,
+    pub(crate) others_umq: f64,
 }
 
 /// Rank counts swept.

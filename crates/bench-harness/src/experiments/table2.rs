@@ -12,15 +12,15 @@ use crate::table::{fmt_mps, Report};
 #[derive(Debug, Clone)]
 pub struct Row {
     /// The semantics configuration.
-    pub config: RelaxationConfig,
+    pub(crate) config: RelaxationConfig,
     /// Engine used.
-    pub structure: DataStructure,
+    pub(crate) structure: DataStructure,
     /// Partitioning possible?
-    pub partitionable: bool,
+    pub(crate) partitionable: bool,
     /// Measured matches/s at 1024 entries on the GTX 1080.
-    pub matches_per_sec: f64,
+    pub(crate) matches_per_sec: f64,
     /// User implication class.
-    pub user: UserImplication,
+    pub(crate) user: UserImplication,
 }
 
 /// Measure all six rows at `len` entries.

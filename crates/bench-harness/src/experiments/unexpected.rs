@@ -20,22 +20,22 @@ use crate::table::{fmt_mps, Report};
 #[derive(Debug, Clone, Copy)]
 pub struct CompactionPoint {
     /// Queue length.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Matching-only rate.
-    pub match_mps: f64,
+    pub(crate) match_mps: f64,
     /// Rate including queue compaction.
-    pub with_compaction_mps: f64,
+    pub(crate) with_compaction_mps: f64,
     /// Overhead percentage.
-    pub overhead_pct: f64,
+    pub(crate) overhead_pct: f64,
 }
 
 /// Match-fraction sweep point.
 #[derive(Debug, Clone, Copy)]
 pub struct FractionPoint {
     /// Percent of messages with a matching receive.
-    pub match_pct: u32,
+    pub(crate) match_pct: u32,
     /// Effective matching rate (matches per second of kernel time).
-    pub matches_per_sec: f64,
+    pub(crate) matches_per_sec: f64,
 }
 
 /// Measure compaction overhead at several queue lengths (GTX 1080).

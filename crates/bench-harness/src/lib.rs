@@ -21,9 +21,9 @@
 //! printed by the binaries above; the *native* cost of the engines and of
 //! the simulator itself is measured by the standalone `bench/` package.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod experiments;
-pub mod table;
+mod table;
 
 pub use table::Report;

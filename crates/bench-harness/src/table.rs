@@ -5,11 +5,11 @@
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Table title.
-    pub title: String,
+    pub(crate) title: String,
     /// Column headers.
-    pub header: Vec<String>,
+    pub(crate) header: Vec<String>,
     /// Data rows (already formatted).
-    pub rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
 }
 
 impl Report {
@@ -23,7 +23,7 @@ impl Report {
     }
 
     /// Append a row (must match the header width).
-    pub fn push(&mut self, row: Vec<String>) {
+    pub(crate) fn push(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.header.len(), "row width mismatch");
         self.rows.push(row);
     }
@@ -78,7 +78,7 @@ impl Report {
 }
 
 /// Format a matches/s rate in the figure's unit (millions).
-pub fn fmt_mps(rate: f64) -> String {
+pub(crate) fn fmt_mps(rate: f64) -> String {
     format!("{:.2}", rate / 1e6)
 }
 

@@ -35,14 +35,6 @@ impl FaultConfig {
         reorder_skew_ns: 0,
         corrupt_prob: 0.0,
     };
-
-    /// True when no fault can ever fire.
-    pub fn is_lossless(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.duplicate_prob == 0.0
-            && self.reorder_prob == 0.0
-            && self.corrupt_prob == 0.0
-    }
 }
 
 impl Default for FaultConfig {
@@ -101,7 +93,7 @@ impl LinkFaultConfig {
     };
 
     /// True when no link can ever go down.
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self.flap_prob == 0.0 && self.partition_prob == 0.0
     }
 }
@@ -204,7 +196,7 @@ impl FabricConfig {
     /// # Errors
     /// Zero MTU, zero credits, non-positive bandwidth, a zero timeout or
     /// an out-of-range probability.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.mtu == 0 {
             return Err("mtu must be at least 1 byte".into());
         }
@@ -263,7 +255,7 @@ impl FabricConfig {
     /// stable order — recorded into traces (as the `fabric_config`
     /// instant's args) so an exported timeline carries the exact wire it
     /// was produced under, link-lifecycle and corruption knobs included.
-    pub fn params(&self) -> Vec<(&'static str, String)> {
+    pub(crate) fn params(&self) -> Vec<(&'static str, String)> {
         vec![
             ("mtu", self.mtu.to_string()),
             ("eager_threshold", self.eager_threshold.to_string()),
@@ -361,17 +353,6 @@ mod tests {
 
     #[test]
     fn lossless_predicate() {
-        assert!(FaultConfig::NONE.is_lossless());
-        assert!(!FaultConfig {
-            duplicate_prob: 0.1,
-            ..FaultConfig::NONE
-        }
-        .is_lossless());
-        assert!(!FaultConfig {
-            corrupt_prob: 0.1,
-            ..FaultConfig::NONE
-        }
-        .is_lossless());
         assert_eq!(FaultConfig::default(), FaultConfig::NONE);
         assert!(LinkFaultConfig::NONE.is_quiet());
         assert_eq!(LinkFaultConfig::default(), LinkFaultConfig::NONE);

@@ -60,16 +60,16 @@
 //! assert_eq!(&got[0].payload[..], b"over the wire");
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod config;
-pub mod net;
-pub mod packet;
-pub mod stats;
-pub mod vtime;
+mod config;
+mod net;
+mod packet;
+mod stats;
+mod vtime;
 
 pub use config::{DeliveryOrder, FabricConfig, FaultConfig, LinkFaultConfig};
 pub use net::{Delivery, Fabric, LinkEvent};
-pub use packet::{crc32, DeadKind, DeadPacket, Packet, PacketBody, HEADER_BYTES};
+pub use packet::{crc32, DeadKind, DeadPacket};
 pub use stats::FabricStats;
-pub use vtime::{VirtualClock, WatermarkExchange};
+pub use vtime::WatermarkExchange;

@@ -62,8 +62,7 @@ pub struct Delivery {
 }
 
 /// A structured link lifecycle notice, surfaced through
-/// [`Fabric::take_link_events`] (and the `Transport` seam above)
-/// instead of a hard error. Retransmit exhaustion against a down link
+/// [`Fabric::take_link_events`] instead of a hard error. Retransmit exhaustion against a down link
 /// parks the packet and emits `Down` once per episode; the first
 /// timeout processed after the window closes emits `Healed` and
 /// selective repeat resumes from the surviving unacked window.
@@ -337,13 +336,13 @@ impl Fabric {
     ///
     /// The per-link tables are dense and built here, `ranks`² entries
     /// of about 200 bytes whether or not a link ever carries traffic
-    /// (unused self-links included), and [`Self::in_flight_idle`] walks
+    /// (unused self-links included), and `Self::in_flight_idle` walks
     /// them. That suits the node-sized meshes this models (the repo's
     /// callers stay at or below 8 ranks); it is not meant for thousands.
     ///
     /// # Panics
     /// Panics on an invalid configuration (see
-    /// [`FabricConfig::validate`]) or zero ranks.
+    /// `FabricConfig::validate`) or zero ranks.
     pub fn new(ranks: u32, cfg: FabricConfig) -> Self {
         assert!(ranks > 0, "a fabric needs at least one endpoint");
         cfg.validate().expect("invalid fabric config");
@@ -476,7 +475,7 @@ impl Fabric {
     /// cut separates the two ranks. A pure function of `(config, link,
     /// time)`: no RNG is consumed, so the answer is identical across
     /// runs and schedulers.
-    pub fn link_down_at(&self, src: u32, dst: u32, t_ns: u64) -> bool {
+    pub(crate) fn link_down_at(&self, src: u32, dst: u32, t_ns: u64) -> bool {
         if let Some((s, e)) = self.flap_window((src, dst), t_ns) {
             if (s..e).contains(&t_ns) {
                 return true;
@@ -1229,12 +1228,12 @@ impl Fabric {
     /// or stalled packets, no pending rendezvous, no partial
     /// reassemblies, no stashed-for-order messages. Undrained inboxes
     /// do not count — the consumer owns those.
-    pub fn in_flight_idle(&self) -> bool {
+    pub(crate) fn in_flight_idle(&self) -> bool {
         self.senders.iter().all(SenderChannel::idle)
             && self.receivers.iter().all(ReceiverChannel::idle)
     }
 
-    /// [`Self::in_flight_idle`] plus every inbox drained.
+    /// `Self::in_flight_idle` plus every inbox drained.
     pub fn quiescent(&self) -> bool {
         self.in_flight_idle() && self.inboxes.iter().all(Vec::is_empty)
     }
@@ -1838,7 +1837,7 @@ mod tests {
         assert_eq!(dead.len(), f.errors().len(), "typed list mirrors strings");
         assert!(!dead.is_empty());
         assert!(dead.iter().all(|d| d.src == 0 && d.dst == 1));
-        assert_eq!(dead[0].kind.label(), "data");
+        assert_eq!(dead[0].kind, DeadKind::Data);
         let prom = f.to_prometheus();
         assert!(
             prom.contains("fabric_exhausted_retries_total{src=\"0\",dst=\"1\"}"),

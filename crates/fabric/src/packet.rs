@@ -15,7 +15,7 @@ use msg_match::Envelope;
 
 /// Wire overhead charged per packet (routing, sequencing, CRC — the
 /// moral equivalent of an NVLink flit header plus transport header).
-pub const HEADER_BYTES: usize = 32;
+pub(crate) const HEADER_BYTES: usize = 32;
 
 /// Reflected IEEE 802.3 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
@@ -93,16 +93,6 @@ pub enum DeadKind {
     Rts,
 }
 
-impl DeadKind {
-    /// Stable lowercase label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DeadKind::Data => "data",
-            DeadKind::Rts => "rts",
-        }
-    }
-}
-
 /// A structured record of one permanently lost packet — the typed
 /// counterpart of the human-readable strings in the fabric's dead list,
 /// so supervisors can react to *which* transfer died instead of parsing
@@ -110,18 +100,18 @@ impl DeadKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadPacket {
     /// Sending endpoint.
-    pub src: u32,
+    pub(crate) src: u32,
     /// Receiving endpoint.
-    pub dst: u32,
+    pub(crate) dst: u32,
     /// Reliability sequence that exhausted its budget.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Body class of the dead packet.
-    pub kind: DeadKind,
+    pub(crate) kind: DeadKind,
 }
 
 /// What a packet carries.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PacketBody {
+pub(crate) enum PacketBody {
     /// One fragment of a message payload (eager data or post-CTS
     /// rendezvous data — the wire does not distinguish them).
     Data {
@@ -171,27 +161,27 @@ pub enum PacketBody {
 
 /// A packet in flight between two endpoints.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Packet {
+pub(crate) struct Packet {
     /// Sending endpoint.
-    pub src: u32,
+    pub(crate) src: u32,
     /// Receiving endpoint.
-    pub dst: u32,
+    pub(crate) dst: u32,
     /// Reliability sequence on the `(src, dst)` channel. Meaningful for
     /// sequenced bodies (`Data`, `Rts`); echoes the answered sequence
     /// for `Cts`/`Ack`.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Causal flow id of the message this packet carries, when the
     /// sender sampled it for flow tracing. Control answers (`Cts`,
     /// `Ack`) do not carry one; delivery and retransmission never
     /// depend on it.
-    pub flow: Option<u64>,
+    pub(crate) flow: Option<u64>,
     /// Payload or control content.
-    pub body: PacketBody,
+    pub(crate) body: PacketBody,
 }
 
 impl Packet {
     /// Bytes this packet occupies on the wire (header + fragment).
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         HEADER_BYTES
             + match &self.body {
                 PacketBody::Data { chunk, .. } => chunk.len(),
@@ -201,17 +191,17 @@ impl Packet {
 
     /// True for bodies that consume a reliability sequence and are
     /// retransmitted until acknowledged.
-    pub fn is_sequenced(&self) -> bool {
+    pub(crate) fn is_sequenced(&self) -> bool {
         matches!(self.body, PacketBody::Data { .. } | PacketBody::Rts { .. })
     }
 
     /// True for bodies that consume a flow-control credit.
-    pub fn needs_credit(&self) -> bool {
+    pub(crate) fn needs_credit(&self) -> bool {
         matches!(self.body, PacketBody::Data { .. })
     }
 
     /// Stable label for traces and tables.
-    pub fn kind_label(&self) -> &'static str {
+    pub(crate) fn kind_label(&self) -> &'static str {
         match self.body {
             PacketBody::Data { .. } => "data",
             PacketBody::Rts { .. } => "rts",

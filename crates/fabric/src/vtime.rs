@@ -13,46 +13,11 @@
 //! null-message/lookahead rule from conservative parallel
 //! discrete-event simulation.
 
-/// One domain's simulated clock, in seconds.
-///
-/// A thin wrapper rather than a bare `f64` so handoffs between domains
-/// are explicitly time-stamped in the type system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VirtualClock {
-    now: f64,
-}
-
-impl VirtualClock {
-    /// A clock at simulated time zero.
-    pub fn new() -> Self {
-        VirtualClock { now: 0.0 }
-    }
-
-    /// Current simulated time in seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advance to `t`; clocks never move backwards, so an earlier `t`
-    /// is a no-op.
-    pub fn advance_to(&mut self, t: f64) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-}
-
-impl Default for VirtualClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Conservative lower-bound watermark exchange across `n` virtual-time
 /// domains.
 ///
 /// Each domain reports its clock via [`advance`](Self::advance); the
-/// coordinator reads [`lower_bound`](Self::lower_bound) (the slowest
+/// coordinator reads `lower_bound` (the slowest
 /// domain) and [`safe_until`](Self::safe_until) (lower bound plus
 /// lookahead — the horizon every domain may run to independently,
 /// because no cross-domain event can take effect sooner than one
@@ -70,11 +35,6 @@ impl WatermarkExchange {
         }
     }
 
-    /// Number of participating domains.
-    pub fn domains(&self) -> usize {
-        self.watermarks.len()
-    }
-
     /// Domain `domain` reports its clock has reached `t`. Watermarks
     /// are monotone: a stale (earlier) report is ignored.
     pub fn advance(&mut self, domain: usize, t: f64) {
@@ -86,7 +46,7 @@ impl WatermarkExchange {
 
     /// The slowest domain's clock — no cross-domain event earlier than
     /// this can still be generated.
-    pub fn lower_bound(&self) -> f64 {
+    pub(crate) fn lower_bound(&self) -> f64 {
         self.watermarks
             .iter()
             .copied()
@@ -106,16 +66,6 @@ impl WatermarkExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut c = VirtualClock::new();
-        c.advance_to(5.0);
-        c.advance_to(3.0);
-        assert_eq!(c.now(), 5.0);
-        c.advance_to(7.5);
-        assert_eq!(c.now(), 7.5);
-    }
 
     #[test]
     fn lower_bound_tracks_the_slowest_domain() {

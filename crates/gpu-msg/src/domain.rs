@@ -66,7 +66,7 @@ pub enum MatcherKind {
 
 impl MatcherKind {
     /// The least-relaxed configuration this matcher supports.
-    pub fn required_relaxation(self) -> RelaxationConfig {
+    pub(crate) fn required_relaxation(self) -> RelaxationConfig {
         match self {
             MatcherKind::Matrix => RelaxationConfig::FULL_MPI,
             MatcherKind::Partitioned(_) => RelaxationConfig::NO_WILDCARDS,
@@ -353,7 +353,6 @@ pub struct Domain {
     matcher: MatcherKind,
     relax: RelaxationConfig,
     transport: Mutex<Box<dyn Transport>>,
-    restore_order: bool,
     liveness: Mutex<Liveness>,
     /// Signalled, with `liveness` held, by every epoch bump that finds
     /// ranks parked.
@@ -443,7 +442,6 @@ impl Domain {
             matcher: cfg.matcher,
             relax,
             transport: Mutex::new(transport),
-            restore_order: cfg.restore_order,
             liveness: Mutex::new(Liveness::default()),
             wake: Condvar::new(),
             sampler: cfg
@@ -466,21 +464,6 @@ impl Domain {
     /// Number of endpoints.
     pub fn ranks(&self) -> u32 {
         self.endpoints.len() as u32
-    }
-
-    /// Semantics this domain guarantees.
-    pub fn relaxation(&self) -> RelaxationConfig {
-        self.relax
-    }
-
-    /// Whether arrivals pass through the user-level reorder stage.
-    pub fn restores_order(&self) -> bool {
-        self.restore_order
-    }
-
-    /// Short label of the wire between endpoints.
-    pub fn transport_name(&self) -> &'static str {
-        self.transport.lock().name()
     }
 
     /// Fabric counters, when the wire is a fabric.
@@ -778,17 +761,6 @@ impl Domain {
         self.endpoints[rank as usize].lock().stats
     }
 
-    /// Transport-level sequence duplicates dropped by the endpoints'
-    /// reorder buffers, summed across ranks — the domain-side number a
-    /// [`crate::metrics::ServiceMetrics`] snapshot surfaces as
-    /// `reorder_duplicates`.
-    pub fn reorder_duplicates(&self) -> u64 {
-        self.endpoints
-            .iter()
-            .map(|e| e.lock().stats.reorder_duplicates)
-            .sum()
-    }
-
     /// Are all queues of every endpoint empty, nothing in flight on the
     /// wire, and no arrivals held back for reordering (BSP phase
     /// boundary)?
@@ -924,7 +896,6 @@ mod tests {
         );
         cfg.transport = fabric_cfg(fabric::FaultConfig::NONE, 0);
         let d = Domain::with_config(cfg);
-        assert_eq!(d.transport_name(), "fabric");
         d.send(0, 1, 7, 0, payload("over the fabric"));
         let m = d
             .recv_blocking(1, RecvRequest::exact(0, 7, 0))

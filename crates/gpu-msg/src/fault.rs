@@ -107,8 +107,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    #[cfg(test)]
     /// The empty plan (no faults).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FaultPlan::default()
     }
 
@@ -166,16 +167,18 @@ impl FaultPlan {
         &self.events
     }
 
+    #[cfg(test)]
     /// Number of crash events in the plan.
-    pub fn crash_count(&self) -> usize {
+    pub(crate) fn crash_count(&self) -> usize {
         self.events
             .iter()
             .filter(|e| e.kind == FaultKind::Crash)
             .count()
     }
 
+    #[cfg(test)]
     /// True when the plan holds no events.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 }

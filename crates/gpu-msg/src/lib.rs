@@ -16,15 +16,15 @@
 //! * [`MatcherKind::Hash`] — unordered, tags disambiguate.
 //!
 //! The wire between endpoints is pluggable ([`TransportConfig`]): the
-//! default [`DirectTransport`] is the ideal instantaneous GAS write,
-//! while [`FabricTransport`] routes sends through a simulated
+//! default [`TransportConfig::Direct`] is the ideal instantaneous GAS
+//! write, while [`TransportConfig::Fabric`] routes sends through a simulated
 //! interconnect ([`fabric::Fabric`]) with packetization, eager/rendezvous
 //! protocols, credit-based flow control and fault injection — lossy yet,
 //! thanks to selective-repeat recovery, observationally equivalent.
 //!
 //! Blocking receives take no round count or timeout: a rank pumps the
 //! wire while it has work in flight, parks otherwise, and fails only on
-//! a real deadlock (see the [`domain`] module's progress contract).
+//! a real deadlock (the progress contract of DESIGN.md §3a).
 //! [`Domain::run_ranks`] drives one thread per rank.
 //!
 //! ```
@@ -46,43 +46,35 @@
 //! assert_eq!(from_left, [1, 0]);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod bsp;
+mod bsp;
 pub mod collectives;
-pub mod domain;
-pub mod fault;
-pub mod message;
-pub mod metrics;
-pub mod recovery;
-pub mod reorder;
-pub mod sched;
-pub mod service;
-pub mod supervisor;
-pub mod tenancy;
-pub mod transport;
+mod domain;
+mod fault;
+mod message;
+mod metrics;
+mod recovery;
+mod reorder;
+mod sched;
+mod service;
+mod supervisor;
+mod tenancy;
+mod transport;
 
 pub use bsp::BspProgram;
 pub use collectives::{barrier, broadcast, ring_allgather_u64, ring_allreduce_sum};
 pub use domain::{Domain, DomainConfig, MatcherKind};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRates};
-pub use message::{Completion, EndpointStats, Message, RecvHandle};
-pub use metrics::{
-    EngineProfile, Histogram, OverflowStats, SchedulerProfile, ServiceMetrics, ShardMetrics,
-    ShardWallProfile, TenantMetrics,
-};
-pub use recovery::{RecoveryConfig, Snapshot, StreamState};
+pub use message::{Completion, EndpointStats, RecvHandle};
+pub use metrics::{EngineProfile, Histogram, ServiceMetrics, ShardMetrics};
+pub use recovery::RecoveryConfig;
 pub use reorder::ReorderBuffer;
 pub use sched::Scheduler;
 pub use service::{
-    engine_label, FaultTolerance, ServiceEngine, ServiceReport, ShardEnginePolicy,
-    ShardedMatchService, ShardedServiceConfig, ShardedServiceReport,
+    FaultTolerance, ServiceEngine, ShardEnginePolicy, ShardedMatchService, ShardedServiceConfig,
+    ShardedServiceReport,
 };
-pub use supervisor::{Supervisor, SupervisorConfig};
-pub use tenancy::{
-    ArrivalPattern, FillLimits, QosClass, ReshardPlanner, ReshardPolicy, TenancyConfig, TenantSpec,
-    TokenBucket,
-};
-pub use transport::{
-    DirectTransport, FabricTransport, Transport, TransportConfig, TransportDelivery,
-};
+pub use supervisor::SupervisorConfig;
+pub use tenancy::{ArrivalPattern, QosClass, ReshardPolicy, TenancyConfig, TenantSpec};
+pub use transport::TransportConfig;

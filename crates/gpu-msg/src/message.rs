@@ -18,7 +18,7 @@ pub struct Message {
     /// Causal flow id assigned at admission when flow tracing sampled
     /// this message (`None` otherwise). Travels with the message across
     /// the transport so delivery-side trace points chain to the sender's.
-    pub flow: Option<u64>,
+    pub(crate) flow: Option<u64>,
 }
 
 /// A completed receive: which post matched which message.
@@ -42,17 +42,17 @@ pub struct EndpointStats {
     /// Matching kernel launches performed.
     pub launches: u64,
     /// Messages sent from this endpoint.
-    pub sent: u64,
+    pub(crate) sent: u64,
     /// Payload bytes written to remote queues (GAS traffic out).
-    pub bytes_sent: u64,
+    pub(crate) bytes_sent: u64,
     /// Payload bytes landed in this endpoint's queues (GAS traffic in).
-    pub bytes_received: u64,
+    pub(crate) bytes_received: u64,
     /// High-water mark of the unexpected (inbox) queue.
     pub umq_high_water: usize,
     /// High-water mark of the posted-receive queue.
     pub prq_high_water: usize,
     /// Queue entries the kernel-launch pre-filter screened out of match
-    /// batches (see [`msg_match::prefilter`]); 0 when the domain runs
+    /// batches (see [`msg_match::screen_batch`]); 0 when the domain runs
     /// with the pre-filter disabled.
     pub prefilter_rejections: u64,
     /// Entries probed against the pre-filter digests (messages plus

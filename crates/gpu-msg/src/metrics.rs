@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// Number of power-of-two buckets: bucket `k` holds values `v` with
 /// `floor(log2(v)) == k - 1` (bucket 0 holds `v == 0`), covering the
 /// full `u64` range.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Fixed-size log₂ histogram with exact count/sum/min/max sidecars.
 ///
@@ -25,17 +25,17 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     /// Caller-unit → bucketed-integer-unit multiplier.
-    pub scale: f64,
+    pub(crate) scale: f64,
     /// Per-bucket counts; index is `1 + floor(log2(units))`, 0 for zero.
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// Total recorded samples.
     pub count: u64,
     /// Sum of recorded values (caller units).
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Smallest recorded value (caller units; 0 when empty).
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest recorded value (caller units; 0 when empty).
-    pub max: f64,
+    pub(crate) max: f64,
 }
 
 impl Histogram {
@@ -52,7 +52,7 @@ impl Histogram {
     }
 
     /// Record one value (caller units; negative values clamp to 0).
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         let v = value.max(0.0);
         let units = (v * self.scale).round() as u64;
         let bucket = if units == 0 {
@@ -101,8 +101,9 @@ impl Histogram {
         self.sum += other.sum;
     }
 
+    #[cfg(test)]
     /// Mean of recorded values (caller units; 0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -116,7 +117,7 @@ impl Histogram {
     /// reports the minimum, `q >= 1` the maximum, and a single sample is
     /// returned as recorded. Interior quantiles interpolate inside their
     /// bucket (clamped to the observed range).
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -164,7 +165,7 @@ impl Histogram {
     /// inclusive upper bound is `(2^k - 1) / scale`; the zero bucket's
     /// bound is 0. The `+Inf` bucket is implied by
     /// [`count`](Self::count).
-    pub fn prom_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn prom_buckets(&self) -> Vec<(f64, u64)> {
         let Some(hi) = self.counts.iter().rposition(|&c| c != 0) else {
             return Vec::new();
         };
@@ -241,26 +242,26 @@ pub struct EngineProfile {
     /// Cycles lost to execution-pipe contention.
     pub stall_pipe_contention: u64,
     /// ALU instructions.
-    pub instr_alu: u64,
+    pub(crate) instr_alu: u64,
     /// Warp vote/shuffle instructions.
-    pub instr_warp_op: u64,
+    pub(crate) instr_warp_op: u64,
     /// Global-memory instructions.
-    pub instr_global_mem: u64,
+    pub(crate) instr_global_mem: u64,
     /// Shared-memory instructions.
-    pub instr_shared_mem: u64,
+    pub(crate) instr_shared_mem: u64,
     /// Atomic instructions.
-    pub instr_atomic: u64,
+    pub(crate) instr_atomic: u64,
     /// Barrier instructions.
-    pub instr_barrier: u64,
+    pub(crate) instr_barrier: u64,
     /// Duplicate wildcard probes served by scan-ballot reuse instead of
     /// a fresh queue pass (matrix engine; see
     /// `msg_match::GpuMatchReport::probe_dedups`).
-    pub probe_dedups: u64,
+    pub(crate) probe_dedups: u64,
 }
 
 impl EngineProfile {
     /// Fold one batch report into the rollup.
-    pub fn absorb(&mut self, r: &msg_match::GpuMatchReport) {
+    pub(crate) fn absorb(&mut self, r: &msg_match::GpuMatchReport) {
         self.launches += r.launches as u64;
         self.cycles += r.cycles;
         self.instructions += r.instructions;
@@ -280,9 +281,9 @@ impl EngineProfile {
         self.probe_dedups += r.probe_dedups;
     }
 
-    /// `(stall class label, cycles)` pairs in [`simt_sim::StallClass`]
+    /// `(stall class label, cycles)` pairs in simt-sim's stall-class
     /// order.
-    pub fn stall_breakdown(&self) -> [(&'static str, u64); 5] {
+    pub(crate) fn stall_breakdown(&self) -> [(&'static str, u64); 5] {
         [
             ("issue", self.stall_issue),
             ("mem_dependency", self.stall_mem_dependency),
@@ -294,7 +295,7 @@ impl EngineProfile {
 
     /// `(op class label, instructions)` pairs in
     /// [`simt_sim::OpClass`] order.
-    pub fn instruction_mix(&self) -> [(&'static str, u64); 6] {
+    pub(crate) fn instruction_mix(&self) -> [(&'static str, u64); 6] {
         [
             ("alu", self.instr_alu),
             ("warp_op", self.instr_warp_op),
@@ -334,11 +335,11 @@ pub struct ShardMetrics {
     /// Messages matched.
     pub matched: u64,
     /// Matching passes launched.
-    pub batches: u64,
+    pub(crate) batches: u64,
     /// Simulated seconds the shard's device spent matching.
-    pub busy_seconds: f64,
+    pub(crate) busy_seconds: f64,
     /// `busy_seconds` over the run duration.
-    pub utilisation: f64,
+    pub(crate) utilisation: f64,
     /// Steady-state overload: the backlog was still growing — or the
     /// shard was still spilling — when time ran out. A transient spill
     /// burst (e.g. during a crash's downtime) that the shard later
@@ -356,14 +357,14 @@ pub struct ShardMetrics {
     /// supervisor and its peers (state intact, path down).
     pub partitions: u64,
     /// Completed checkpoint/journal recoveries after crashes.
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// In-flight batches destroyed by a crash before their matches
     /// committed (their entries are re-matched from the journal).
     pub lost_batches: u64,
     /// Periodic state snapshots taken.
     pub checkpoints: u64,
     /// Entries restored from the checkpoint snapshot during recoveries.
-    pub snapshot_restored: u64,
+    pub(crate) snapshot_restored: u64,
     /// Journal entries replayed (admitted after the last checkpoint)
     /// during recoveries.
     pub journal_replayed: u64,
@@ -387,21 +388,21 @@ pub struct ShardMetrics {
     /// self-matching, so this stays 0 in healthy runs — a nonzero value
     /// means the shard is being fed traffic its posted side never
     /// requested.
-    pub prefilter_rejections: u64,
+    pub(crate) prefilter_rejections: u64,
     /// Times this shard took over a down peer's keys.
-    pub failovers_in: u64,
+    pub(crate) failovers_in: u64,
     /// Times this shard's keys were routed away to a failover peer.
-    pub failovers_out: u64,
+    pub(crate) failovers_out: u64,
     /// Planned migrations that moved a slot onto this shard.
-    pub migrations_in: u64,
+    pub(crate) migrations_in: u64,
     /// Planned migrations that drained a slot off this shard.
-    pub migrations_out: u64,
+    pub(crate) migrations_out: u64,
     /// Outstanding journaled entries this shard inherited through
     /// failover transfers (admitted elsewhere, matched here).
     pub transferred_in: u64,
     /// Times this shard's engine was swapped for a stricter one because
     /// an inherited stream required ordering its own engine relaxes.
-    pub engine_fallbacks: u64,
+    pub(crate) engine_fallbacks: u64,
     /// Trace events overwritten by the shard's bounded span recorder
     /// (0 when tracing is off or the ring never filled). Deterministic:
     /// the recorder sees the same virtual-time event stream in every
@@ -415,7 +416,7 @@ pub struct ShardMetrics {
     /// batch is popped.
     pub queue_depth: Histogram,
     /// Per-batch device service time (seconds).
-    pub service_time: Histogram,
+    pub(crate) service_time: Histogram,
     /// Per-message latency from arrival to match completion (seconds).
     pub match_latency: Histogram,
     /// Kernel-profile rollup over every launch the shard performed.
@@ -478,19 +479,19 @@ impl ShardMetrics {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantMetrics {
     /// Tenant id (index into the run's `TenancyConfig` tenant list).
-    pub tenant: u32,
+    pub(crate) tenant: u32,
     /// Human-readable tenant name from the config.
     pub name: String,
     /// QoS class label: `guaranteed` / `burstable` / `best_effort`.
     pub class: String,
     /// Streams (slots) the tenant owns.
-    pub streams: u64,
+    pub(crate) streams: u64,
     /// Messages that arrived for the tenant's streams.
     pub arrivals: u64,
     /// Arrivals admitted (journaled) across the tenant's streams.
     pub admitted: u64,
     /// Messages matched across the tenant's streams.
-    pub matched: u64,
+    pub(crate) matched: u64,
     /// The tenant's own spilled/shed accounting: `shed` counts quota
     /// rejections (and deadline sheds) of this tenant's traffic only.
     pub overflow: OverflowStats,
@@ -500,9 +501,9 @@ pub struct TenantMetrics {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceMetrics {
     /// Simulated run duration (seconds).
-    pub duration: f64,
+    pub(crate) duration: f64,
     /// Aggregate offered load (messages/s).
-    pub offered_rate: f64,
+    pub(crate) offered_rate: f64,
     /// Aggregate messages matched per second of simulated time.
     pub sustained_rate: f64,
     /// Messages matched across all shards.
@@ -520,7 +521,7 @@ pub struct ServiceMetrics {
     /// Transport-level sequence duplicates dropped by the endpoints'
     /// reorder buffers ([`crate::ReorderBuffer`]); zero for service
     /// models that run without a transport underneath.
-    pub reorder_duplicates: u64,
+    pub(crate) reorder_duplicates: u64,
     /// Planned migrations the reshard planner completed.
     pub total_migrations: u64,
     /// Planned migrations aborted (endpoint down or redirected).
@@ -541,7 +542,7 @@ impl ServiceMetrics {
     /// on. `elapsed` is the simulated time the sustained rate is
     /// normalised by (the latest shard activity, not the nominal
     /// duration).
-    pub fn from_shards(
+    pub(crate) fn from_shards(
         duration: f64,
         offered_rate: f64,
         elapsed: f64,
@@ -582,11 +583,6 @@ impl ServiceMetrics {
     /// Malformed JSON or a shape mismatch.
     pub fn from_json(s: &str) -> Result<Self, serde::Error> {
         serde::json::from_str(s)
-    }
-
-    /// True if any shard saturated.
-    pub fn any_saturated(&self) -> bool {
-        self.shards.iter().any(|s| s.saturated)
     }
 
     /// Render the snapshot in the Prometheus text exposition format.
@@ -1049,15 +1045,16 @@ pub struct ShardWallProfile {
 }
 
 impl ShardWallProfile {
+    #[cfg(test)]
     /// Sum of the four buckets (equals [`total_ns`](Self::total_ns) by
     /// residual construction; the sum-identity test pins the gap ≤1%).
-    pub fn bucket_sum_ns(&self) -> u64 {
+    pub(crate) fn bucket_sum_ns(&self) -> u64 {
         self.compute_ns + self.barrier_wait_ns + self.backpressure_ns + self.supervisor_sync_ns
     }
 
     /// `(bucket label, ns)` pairs in [`obs::wallprof::WallBucket::ALL`]
     /// order.
-    pub fn buckets(&self) -> [(&'static str, u64); 4] {
+    pub(crate) fn buckets(&self) -> [(&'static str, u64); 4] {
         [
             ("compute", self.compute_ns),
             ("barrier_wait", self.barrier_wait_ns),

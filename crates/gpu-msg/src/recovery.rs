@@ -34,17 +34,17 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Interval between durable snapshots of a shard's stream state.
-    pub checkpoint_interval: f64,
+    pub(crate) checkpoint_interval: f64,
     /// Device time a snapshot occupies the shard (it pauses matching).
-    pub checkpoint_cost: f64,
+    pub(crate) checkpoint_cost: f64,
     /// Time to boot a fresh device after a crash, before replay starts.
-    pub restart_latency: f64,
+    pub(crate) restart_latency: f64,
     /// Replay cost per journaled entry re-admitted to the queue.
-    pub replay_cost_per_entry: f64,
+    pub(crate) replay_cost_per_entry: f64,
     /// Durable snapshots retained per stream. Restore prefers the
     /// newest whose checksum verifies; each corrupted snapshot falls
     /// back one generation (and replays a longer journal window).
-    pub snapshot_retention: usize,
+    pub(crate) snapshot_retention: usize,
 }
 
 impl Default for RecoveryConfig {
@@ -61,15 +61,15 @@ impl Default for RecoveryConfig {
 
 /// One durable, integrity-checked snapshot of a stream's watermarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// `admitted` at snapshot time.
-    pub admitted: u64,
+    pub(crate) admitted: u64,
     /// `committed` at snapshot time.
-    pub committed: u64,
+    pub(crate) committed: u64,
     /// CRC32 over the two watermarks, written with the snapshot and
     /// verified at restore. Corruption (an injected bit flip, a torn
     /// write) makes verification fail and restore fall back.
-    pub crc: u32,
+    pub(crate) crc: u32,
 }
 
 impl Snapshot {
@@ -82,7 +82,7 @@ impl Snapshot {
 
     /// A snapshot of the given watermarks with a freshly computed
     /// checksum.
-    pub fn new(admitted: u64, committed: u64) -> Self {
+    pub(crate) fn new(admitted: u64, committed: u64) -> Self {
         Snapshot {
             admitted,
             committed,
@@ -91,7 +91,7 @@ impl Snapshot {
     }
 
     /// True when the stored checksum matches the watermarks.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.crc == Self::digest(self.admitted, self.committed)
     }
 }
@@ -100,27 +100,27 @@ impl Snapshot {
 /// checkpoint's watermarks, and the replay journal covering everything
 /// admitted since that checkpoint.
 #[derive(Debug, Clone, Default)]
-pub struct StreamState {
+pub(crate) struct StreamState {
     /// Arrivals admitted (journaled) so far; the next seq to admit.
-    pub admitted: u64,
+    pub(crate) admitted: u64,
     /// Matches delivered so far; seqs below this are never re-reported.
-    pub committed: u64,
+    pub(crate) committed: u64,
     /// `admitted` at the last checkpoint.
-    pub ckpt_admitted: u64,
+    pub(crate) ckpt_admitted: u64,
     /// `committed` at the last checkpoint.
-    pub ckpt_committed: u64,
+    pub(crate) ckpt_committed: u64,
     /// Retained snapshots, oldest first (the last mirrors
     /// `ckpt_admitted`/`ckpt_committed`).
-    pub snapshots: VecDeque<Snapshot>,
+    pub(crate) snapshots: VecDeque<Snapshot>,
     /// `(seq, arrival time)` for every seq the *oldest retained*
     /// snapshot could need to replay, in seq order — everything a crash
     /// (plus checkpoint corruption) could force us to re-match.
-    pub journal: VecDeque<(u64, f64)>,
+    pub(crate) journal: VecDeque<(u64, f64)>,
 }
 
 impl StreamState {
     /// Admit (and journal) the next arrival at time `t`; returns its seq.
-    pub fn admit(&mut self, t: f64) -> u64 {
+    pub(crate) fn admit(&mut self, t: f64) -> u64 {
         let seq = self.admitted;
         self.journal.push_back((seq, t));
         self.admitted += 1;
@@ -133,7 +133,7 @@ impl StreamState {
     /// any retained snapshot still finds every entry it needs to
     /// replay. (Truncating at the newest watermark, as this used to,
     /// strands older snapshots without their replay window.)
-    pub fn checkpoint(&mut self, retention: usize) {
+    pub(crate) fn checkpoint(&mut self, retention: usize) {
         self.ckpt_admitted = self.admitted;
         self.ckpt_committed = self.committed;
         self.snapshots
@@ -152,7 +152,7 @@ impl StreamState {
 
     /// Flip a bit in the newest snapshot's stored checksum (corruption
     /// injection). Returns false when no snapshot exists to corrupt.
-    pub fn corrupt_latest_snapshot(&mut self) -> bool {
+    pub(crate) fn corrupt_latest_snapshot(&mut self) -> bool {
         match self.snapshots.back_mut() {
             Some(s) => {
                 s.crc ^= 1;
@@ -167,7 +167,7 @@ impl StreamState {
     /// snapshots skipped on the way. With no (valid) snapshot at all,
     /// restore starts from the zero state — only reachable before the
     /// first checkpoint, when the journal still covers everything.
-    pub fn restore_snapshot(&self) -> (Snapshot, u64) {
+    pub(crate) fn restore_snapshot(&self) -> (Snapshot, u64) {
         let mut fallbacks = 0;
         for s in self.snapshots.iter().rev() {
             if s.is_valid() {
@@ -178,9 +178,10 @@ impl StreamState {
         (Snapshot::new(0, 0), fallbacks)
     }
 
+    #[cfg(test)]
     /// Admitted arrivals not yet committed (the queue a recovery must
     /// reconstruct).
-    pub fn outstanding(&self) -> u64 {
+    pub(crate) fn outstanding(&self) -> u64 {
         self.admitted - self.committed
     }
 }

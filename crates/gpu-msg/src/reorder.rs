@@ -21,7 +21,7 @@ pub struct ReorderBuffer {
     /// High-water mark of the stash (how far ahead delivery ran).
     pub max_buffered: usize,
     /// Duplicate or replayed sequences dropped instead of delivered.
-    pub duplicates: u64,
+    pub(crate) duplicates: u64,
 }
 
 impl ReorderBuffer {
@@ -37,7 +37,7 @@ impl ReorderBuffer {
     /// A duplicate or replayed sequence — one already released or
     /// already stashed, as an at-least-once transport can legitimately
     /// present — is dropped (never delivered twice, never corrupting the
-    /// stash accounting) and counted in [`Self::duplicates`].
+    /// stash accounting) and counted in `Self::duplicates`.
     pub fn push(&mut self, seq: u64, message: Message) -> Vec<Message> {
         let src = message.envelope.src;
         let (next, stash) = self.streams.entry(src).or_insert((0, BTreeMap::new()));
@@ -58,8 +58,9 @@ impl ReorderBuffer {
         ready
     }
 
+    #[cfg(test)]
     /// Messages currently held out of order.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.buffered
     }
 

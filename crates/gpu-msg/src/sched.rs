@@ -1,26 +1,26 @@
 //! Execution scheduling for the sharded service: per-shard virtual-time
-//! domains advanced either on one OS thread or on one thread per
+//! epoch groups advanced either on one OS thread or on one thread per
 //! conflict group, synchronized PDES-style at supervisor barriers.
 //!
 //! The legacy service advanced every shard on one global simulated
-//! clock. This module splits that clock into per-shard *domains*
-//! ([`fabric::vtime`]): each domain owns the complete state a group of
+//! clock. This module splits that clock into per-shard *epoch groups*
+//! ([`fabric::WatermarkExchange`]): each epoch group owns the complete state a group of
 //! shards needs (device, queue, stream watermarks, fault schedule) and
-//! advances through its own local events. Domains only interact at
+//! advances through its own local events. Epoch groups only interact at
 //! *barriers* — supervisor health-check times, where failover rewires
 //! placement — so between barriers they can run on separate OS threads.
 //! The conservative horizon for each epoch comes from a
-//! [`fabric::WatermarkExchange`]: no domain may run past the slowest
-//! domain's clock plus the supervisor's lookahead.
+//! [`fabric::WatermarkExchange`]: no epoch group may run past the slowest
+//! epoch group's clock plus the supervisor's lookahead.
 //!
 //! Determinism is the contract: both schedulers produce byte-identical
 //! artefacts because every side effect is keyed to *local* events
 //! (activations), never to whichever boundary times a particular
-//! domain partition happens to visit:
+//! epoch group partition happens to visit:
 //!
 //! * a shard sheds, samples queue depth and dispatches only when it was
 //!   *activated* at the current instant — by its own commit, fault,
-//!   wake, checkpoint edge or a barrier tick — so a merged domain's
+//!   wake, checkpoint edge or a barrier tick — so a merged epoch group's
 //!   extra foreign-time boundaries change nothing;
 //! * admission interleaves arrivals across streams in (arrival-time,
 //!   stream) order, so a redirect target's queue content is a pure
@@ -48,10 +48,10 @@ use crate::tenancy::{
     StreamQos,
 };
 
-/// How the sharded service executes its shard domains.
+/// How the sharded service executes its shard epoch groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// All shards in one merged virtual-time domain on the calling
+    /// All shards in one merged virtual-time epoch group on the calling
     /// thread — the legacy single-threaded execution order.
     #[default]
     GlobalClock,
@@ -155,7 +155,7 @@ impl Phase {
 
 /// Everything one shard's execution owns: the device, the pending
 /// queue, the fault schedule and the counters. Moved wholesale between
-/// the coordinator and whichever domain runs the shard this epoch.
+/// the coordinator and whichever epoch group runs the shard this epoch.
 pub(crate) struct ShardCell<'a> {
     idx: usize,
     gpu: &'a mut Gpu,
@@ -218,7 +218,7 @@ pub(crate) struct StreamCell<'a> {
     matched_n: u64,
 }
 
-/// Epoch-constant context shared (immutably) by every domain.
+/// Epoch-constant context shared (immutably) by every epoch group.
 struct EpochEnv<'a> {
     cfg: ShardedServiceConfig,
     capacity: usize,
@@ -235,9 +235,9 @@ struct EpochEnv<'a> {
     sampler: obs::FlowSampler,
 }
 
-/// A virtual-time domain: one conflict group's shards and streams plus
+/// A virtual-time epoch group: one conflict group's shards and streams plus
 /// its own simulated clock.
-struct Domain<'a> {
+struct EpochGroup<'a> {
     now: f64,
     shards: Vec<ShardCell<'a>>,
     streams: Vec<StreamCell<'a>>,
@@ -246,13 +246,13 @@ struct Domain<'a> {
 fn xpos(cells: &[ShardCell], idx: usize) -> usize {
     cells
         .binary_search_by_key(&idx, |c| c.idx)
-        .expect("target shard is in this domain")
+        .expect("target shard is in this epoch group")
 }
 
 fn spos(cells: &[StreamCell], idx: usize) -> usize {
     cells
         .binary_search_by_key(&idx, |c| c.idx)
-        .expect("stream is in this domain")
+        .expect("stream is in this epoch group")
 }
 
 fn flush_spills(cell: &mut ShardCell) {
@@ -402,14 +402,14 @@ fn fill_wake(
     Some(wake)
 }
 
-impl<'a> Domain<'a> {
+impl<'a> EpochGroup<'a> {
     /// Process everything due at `self.now`: admission up to the
     /// horizon, fault injections, then phase transitions — the same
     /// intra-instant order the legacy loop used. Cells whose own state
     /// changed (or whose armed wake / checkpoint edge is exactly now)
     /// are marked active for the following [`post`](Self::post).
     fn boundary(&mut self, env: &EpochEnv) {
-        let Domain {
+        let EpochGroup {
             now,
             shards,
             streams,
@@ -509,7 +509,7 @@ impl<'a> Domain<'a> {
 
         // In drain mode `duration` is a universal local event: every
         // cell re-evaluates dispatch exactly there, so partial tails
-        // drain no matter how the domains were partitioned (the time is
+        // drain no matter how the epoch groups were partitioned (the time is
         // absolute, hence scheduler-invariant).
         if env.cfg.drain && now == env.cfg.duration {
             for cell in shards.iter_mut() {
@@ -761,8 +761,8 @@ impl<'a> Domain<'a> {
         }
 
         // ---- Wake and checkpoint-edge activations. Both are exact
-        // event times the domain itself scheduled, so the comparisons
-        // fire identically no matter how the domains are partitioned.
+        // event times the epoch group itself scheduled, so the comparisons
+        // fire identically no matter how the epoch groups are partitioned.
         for cell in shards.iter_mut() {
             if cell.wake == Some(now) {
                 cell.active = true;
@@ -781,7 +781,7 @@ impl<'a> Domain<'a> {
     /// Checkpoint starts, deadline shedding and batch dispatch for every
     /// cell activated at the current instant.
     fn post(&mut self, env: &EpochEnv) {
-        let Domain {
+        let EpochGroup {
             now,
             shards,
             streams,
@@ -984,7 +984,7 @@ impl<'a> Domain<'a> {
     }
 
     /// Earliest pending local event strictly after which nothing can
-    /// happen in this domain without outside input.
+    /// happen in this epoch group without outside input.
     fn next_event(&self, env: &EpochEnv) -> f64 {
         let mut next = f64::INFINITY;
         for cell in &self.shards {
@@ -1007,7 +1007,7 @@ impl<'a> Domain<'a> {
             }
         }
         if env.cfg.drain && env.cfg.duration > self.now {
-            // Drain mode: every domain visits `duration` — the final
+            // Drain mode: every epoch group visits `duration` — the final
             // admission sweep and the universal tail-dispatch event.
             next = next.min(env.cfg.duration);
         }
@@ -1015,7 +1015,7 @@ impl<'a> Domain<'a> {
     }
 
     /// Advance through local events up to (and including, via the final
-    /// boundary) `until`. With `until = ∞` the domain runs to local
+    /// boundary) `until`. With `until = ∞` the epoch group runs to local
     /// completion.
     fn advance(&mut self, env: &EpochEnv, until: f64) {
         loop {
@@ -1058,7 +1058,7 @@ fn uf_union(parent: &mut [usize], a: usize, b: usize) {
 /// commits, checkpoints, shedding) and read by its home shard (recovery
 /// scans), and queued or in-flight entries tie their stream to the
 /// holding shard. Shards in different groups share nothing until the
-/// next barrier, so their domains may run on different threads.
+/// next barrier, so their epoch groups may run on different threads.
 ///
 /// Nodes `0..n` are shards, `n..n + m` are stream slots; each returned
 /// group is `(shards, streams)`, both ascending, groups ordered by
@@ -1575,9 +1575,9 @@ pub(crate) struct SchedOutcome {
 ///
 /// The coordinator owns every shard/stream cell between epochs. Each
 /// epoch it picks a conservative horizon (the next supervisor barrier,
-/// bounded by the [`fabric::WatermarkExchange`] over all domain
+/// bounded by the [`fabric::WatermarkExchange`] over all epoch group
 /// clocks), partitions the cells into conflict groups, and advances
-/// each group's domain to the horizon — inline under
+/// each epoch group to the horizon — inline under
 /// [`Scheduler::GlobalClock`], on one scoped OS thread per group under
 /// [`Scheduler::ThreadPerShard`]. At the barrier it applies supervisor
 /// work (crash notifications, health ticks, failover/handback) with
@@ -1743,7 +1743,7 @@ pub(crate) fn run_scheduled(
             _ => f64::INFINITY,
         };
 
-        // ---- Partition into conflict groups and advance each domain.
+        // ---- Partition into conflict groups and advance each epoch group.
         let shedding: Vec<bool> = (0..n)
             .map(|x| supervisor.as_ref().is_some_and(|s| s.is_shedding(x)))
             .collect();
@@ -1767,9 +1767,9 @@ pub(crate) fn run_scheduled(
             }
             Scheduler::ThreadPerShard => conflict_groups(n, m, env.placement, &shard_cells),
         };
-        let mut domains: Vec<Domain> = groups
+        let mut epoch_groups: Vec<EpochGroup> = groups
             .iter()
-            .map(|(gs, gt)| Domain {
+            .map(|(gs, gt)| EpochGroup {
                 now: t_now,
                 shards: gs
                     .iter()
@@ -1782,23 +1782,23 @@ pub(crate) fn run_scheduled(
             })
             .collect();
 
-        let threaded = matches!(cfg.scheduler, Scheduler::ThreadPerShard) && domains.len() > 1;
+        let threaded = matches!(cfg.scheduler, Scheduler::ThreadPerShard) && epoch_groups.len() > 1;
         if threaded {
             let env = &env;
             let done = crossbeam::scope(|scope| {
-                let (tx, rx) = crossbeam::channel::bounded(domains.len());
-                for (gi, mut dom) in domains.drain(..).enumerate() {
+                let (tx, rx) = crossbeam::channel::bounded(epoch_groups.len());
+                for (gi, mut group) in epoch_groups.drain(..).enumerate() {
                     let tx = tx.clone();
                     scope.spawn(move |_| {
                         let t0 = std::time::Instant::now();
                         if first {
-                            dom.boundary(env);
+                            group.boundary(env);
                         }
-                        dom.advance(env, horizon);
-                        // Wall attribution: the domain's compute time is
+                        group.advance(env, horizon);
+                        // Wall attribution: the epoch group's compute time is
                         // split evenly over its shards (relaxed adds —
                         // no effect on the simulated state).
-                        let shard_ids: Vec<usize> = dom.shards.iter().map(|c| c.idx).collect();
+                        let shard_ids: Vec<usize> = group.shards.iter().map(|c| c.idx).collect();
                         if let Some(wp) = wallprof {
                             let per = t0.elapsed().as_nanos() as u64 / shard_ids.len() as u64;
                             for &i in &shard_ids {
@@ -1806,7 +1806,7 @@ pub(crate) fn run_scheduled(
                             }
                         }
                         let s0 = std::time::Instant::now();
-                        if tx.send((gi, dom)).is_err() {
+                        if tx.send((gi, group)).is_err() {
                             unreachable!("coordinator holds the receiver until all sends land");
                         }
                         if let Some(wp) = wallprof {
@@ -1818,22 +1818,22 @@ pub(crate) fn run_scheduled(
                     });
                 }
                 drop(tx);
-                let mut done: Vec<(usize, Domain)> = rx.iter().collect();
+                let mut done: Vec<(usize, EpochGroup)> = rx.iter().collect();
                 done.sort_by_key(|&(gi, _)| gi);
                 done
             })
-            .expect("no panics in shard domains");
-            domains = done.into_iter().map(|(_, d)| d).collect();
+            .expect("no panics in shard epoch groups");
+            epoch_groups = done.into_iter().map(|(_, d)| d).collect();
         } else {
-            for dom in domains.iter_mut() {
+            for group in epoch_groups.iter_mut() {
                 let t0 = std::time::Instant::now();
                 if first {
-                    dom.boundary(&env);
+                    group.boundary(&env);
                 }
-                dom.advance(&env, horizon);
+                group.advance(&env, horizon);
                 if let Some(wp) = wallprof {
-                    let per = t0.elapsed().as_nanos() as u64 / dom.shards.len().max(1) as u64;
-                    for c in &dom.shards {
+                    let per = t0.elapsed().as_nanos() as u64 / group.shards.len().max(1) as u64;
+                    for c in &group.shards {
                         wp.add(c.idx, obs::wallprof::WallBucket::Compute, per);
                     }
                 }
@@ -1841,16 +1841,16 @@ pub(crate) fn run_scheduled(
         }
         first = false;
 
-        // ---- Reassemble and report each domain's clock to the
+        // ---- Reassemble and report each epoch group's clock to the
         // watermark exchange.
         let mut t_end = t_now;
-        for dom in domains {
-            let Domain {
+        for group in epoch_groups {
+            let EpochGroup {
                 now,
                 shards,
                 streams,
                 ..
-            } = dom;
+            } = group;
             t_end = t_end.max(now);
             for c in shards {
                 wx.advance(c.idx, now);

@@ -11,7 +11,7 @@
 //! persistent [`Gpu`] (one communication SM's worth of matching
 //! capacity) and a bounded pending queue; `shards: 1` is the single
 //! resident kernel with one queue. Traffic is keyed to shards by
-//! [`msg_match::ShardPlacement`] (communicator + source-rank range),
+//! [`msg_match::ShardPlacement`] (a hash of communicator and source rank),
 //! each shard's engine is pinned at placement time via
 //! [`msg_match::MatchEngine`], and admission control spills arrivals
 //! that find the shard's queue full. Per-shard counters and histograms
@@ -32,7 +32,7 @@
 //! ([`crate::recovery`]), so a crashed shard restarts a fresh device,
 //! restores the snapshot and replays the journal with duplicate
 //! suppression — the committed match set is byte-identical to a
-//! fault-free run (exactly-once delivery). A [`Supervisor`] drives
+//! fault-free run (exactly-once delivery). A [`Supervisor`](crate::supervisor::Supervisor) drives
 //! health checks on the same clock, failing a down shard's streams over
 //! to the healthiest peer via [`ShardPlacement::redirect`] and shedding
 //! deadline-expired work under sustained overload.
@@ -68,7 +68,7 @@ impl ServiceEngine {
 }
 
 /// Display form of an engine choice, used in metrics snapshots.
-pub fn engine_label(choice: EngineChoice) -> String {
+pub(crate) fn engine_label(choice: EngineChoice) -> String {
     match choice {
         EngineChoice::Matrix => "matrix".to_string(),
         EngineChoice::Partitioned { queues } => format!("partitioned({queues})"),
@@ -93,8 +93,6 @@ pub(crate) fn strictness(choice: EngineChoice) -> u8 {
 pub struct ServiceReport {
     /// Messages matched per second of simulated time.
     pub sustained_rate: f64,
-    /// Offered arrivals per second (echoed from the config).
-    pub offered_rate: f64,
     /// Mean pending-queue depth sampled at batch boundaries.
     pub mean_depth: f64,
     /// Maximum pending-queue depth observed.
@@ -172,7 +170,7 @@ pub struct ShardedServiceConfig {
     /// time differs.
     pub scheduler: Scheduler,
     /// Screen each dispatch batch through counting-digest pre-filters
-    /// before launching (see [`msg_match::prefilter`]). Service streams
+    /// before launching (see [`msg_match::screen_batch`]). Service streams
     /// are self-matching, so in this path the screen never rejects —
     /// artefacts are byte-identical on or off — but the rejection
     /// counter it feeds (`shard_prefilter_rejections_total`) is the
@@ -213,7 +211,7 @@ impl Default for ShardedServiceConfig {
 /// beyond watermark counters, no supervisor ticks.
 #[derive(Debug, Clone, Default)]
 pub struct FaultTolerance {
-    /// The deterministic fault schedule ([`FaultPlan::none`] for a
+    /// The deterministic fault schedule (an empty [`FaultPlan`] for a
     /// fault-free run that still exercises checkpoints).
     pub plan: FaultPlan,
     /// Checkpoint cadence and recovery costs.
@@ -304,25 +302,11 @@ pub struct ShardedMatchService {
 
 impl ShardedMatchService {
     /// Build a service with hash placement over `cfg.shards` shards.
-    pub fn new(generation: GpuGeneration, cfg: ShardedServiceConfig) -> Self {
-        Self::with_placement(generation, cfg, ShardPlacement::hashed(cfg.shards))
-    }
-
-    /// Build a service with an explicit placement (rule-keyed by
-    /// communicator and rank range; see [`ShardPlacement`]).
     ///
     /// # Panics
-    /// Panics if `placement.shards != cfg.shards` or `cfg.shards == 0`.
-    pub fn with_placement(
-        generation: GpuGeneration,
-        cfg: ShardedServiceConfig,
-        placement: ShardPlacement,
-    ) -> Self {
-        assert!(cfg.shards > 0, "a service needs at least one shard");
-        assert_eq!(
-            placement.shards, cfg.shards,
-            "placement shard count must match the config"
-        );
+    /// Panics if `cfg.shards == 0`.
+    pub fn new(generation: GpuGeneration, cfg: ShardedServiceConfig) -> Self {
+        let placement = ShardPlacement::hashed(cfg.shards);
 
         // Traffic sample: per-communicator workloads, interleaved so
         // every batch window sees the full communicator mix.
@@ -403,7 +387,7 @@ impl ShardedMatchService {
     }
 
     /// Build a multi-tenant service: tenant stream slots homed by
-    /// [`crate::tenancy::TenancyConfig::assignments`], per-stream QoS
+    /// `crate::tenancy::TenancyConfig::assignments`, per-stream QoS
     /// admission, and (optionally) live resharding.
     ///
     /// Each slot carries `1 / streams` of its tenant's share of the
@@ -533,26 +517,23 @@ impl ShardedMatchService {
         self.fault_tolerance = ft;
     }
 
-    /// The currently attached fault-tolerance stack.
-    pub fn fault_tolerance(&self) -> Option<&FaultTolerance> {
-        self.fault_tolerance.as_ref()
-    }
-
     /// Record per-stream committed seqs during runs (differential-test
     /// support; costs one `Vec` push per delivery).
     pub fn set_record_completions(&mut self, on: bool) {
         self.record_completions = on;
     }
 
+    #[cfg(test)]
     /// Re-pin one shard's engine after construction (test/bench hook
     /// for heterogeneous shard fleets, e.g. to exercise the
     /// supervisor's engine fallback).
-    pub fn repin_engine(&mut self, shard: usize, engine: ServiceEngine) {
+    pub(crate) fn repin_engine(&mut self, shard: usize, engine: ServiceEngine) {
         self.shards[shard].choice = engine.choice();
     }
 
+    #[cfg(test)]
     /// The engine pinned on each shard, in shard order.
-    pub fn engine_choices(&self) -> Vec<EngineChoice> {
+    pub(crate) fn engine_choices(&self) -> Vec<EngineChoice> {
         self.shards.iter().map(|s| s.choice).collect()
     }
 
@@ -669,7 +650,7 @@ impl ShardedMatchService {
     /// Simulate `cfg.duration` seconds of service (longer in
     /// [`drain`](ShardedServiceConfig::drain) mode).
     ///
-    /// Execution is delegated to [`crate::sched`]: shards advance in
+    /// Execution is delegated to `crate::sched`: shards advance in
     /// per-shard virtual-time domains — merged on one thread under
     /// [`Scheduler::GlobalClock`], one OS thread per conflict group
     /// under [`Scheduler::ThreadPerShard`] — synchronized at supervisor
@@ -797,7 +778,6 @@ impl ShardedMatchService {
         }
         let aggregate = ServiceReport {
             sustained_rate: total_matched as f64 / elapsed,
-            offered_rate: cfg.arrival_rate,
             mean_depth: {
                 let (sum, count) = metrics.iter().fold((0.0, 0u64), |(s, c), m| {
                     (s + m.queue_depth.sum, c + m.queue_depth.count)

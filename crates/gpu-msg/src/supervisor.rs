@@ -17,21 +17,21 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
     /// Cadence of health/overload observations.
-    pub health_check_interval: f64,
+    pub(crate) health_check_interval: f64,
     /// Unresponsive this long → fail the shard's keys over to a peer.
-    pub failover_after: f64,
+    pub(crate) failover_after: f64,
     /// This many crashes observed on one shard → treat it as
     /// crash-looping and fail over immediately at the next check.
-    pub crash_loop_threshold: u64,
+    pub(crate) crash_loop_threshold: u64,
     /// In shedding mode, queued arrivals older than this are dropped
     /// oldest-first at the next dispatch opportunity.
-    pub shed_deadline: f64,
+    pub(crate) shed_deadline: f64,
     /// Queue depth (as a fraction of capacity) that counts as an
     /// overload observation.
-    pub overload_depth: f64,
+    pub(crate) overload_depth: f64,
     /// Consecutive overload observations before shedding engages (and
     /// below which it disengages).
-    pub overload_checks: u32,
+    pub(crate) overload_checks: u32,
 }
 
 impl Default for SupervisorConfig {
@@ -49,7 +49,7 @@ impl Default for SupervisorConfig {
 
 /// Per-shard supervisor bookkeeping between health checks.
 #[derive(Debug, Clone)]
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     cfg: SupervisorConfig,
     /// When each shard was first observed unresponsive (None = up).
     down_since: Vec<Option<f64>>,
@@ -60,8 +60,6 @@ pub struct Supervisor {
     unreachable_since: Vec<Option<f64>>,
     /// Crashes observed per shard over the run.
     crash_counts: Vec<u64>,
-    /// Partition episodes observed per shard over the run.
-    partition_counts: Vec<u64>,
     /// Consecutive overload observations per shard.
     overload_streak: Vec<u32>,
     /// Whether deadline shedding is engaged per shard.
@@ -70,38 +68,37 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// A supervisor over `shards` shards with policy `cfg`.
-    pub fn new(shards: usize, cfg: SupervisorConfig) -> Self {
+    pub(crate) fn new(shards: usize, cfg: SupervisorConfig) -> Self {
         Supervisor {
             cfg,
             down_since: vec![None; shards],
             unreachable_since: vec![None; shards],
             crash_counts: vec![0; shards],
-            partition_counts: vec![0; shards],
             overload_streak: vec![0; shards],
             shedding: vec![false; shards],
         }
     }
 
     /// The policy this supervisor enforces.
-    pub fn config(&self) -> &SupervisorConfig {
+    pub(crate) fn config(&self) -> &SupervisorConfig {
         &self.cfg
     }
 
     /// Record an injected crash on `shard` (feeds crash-loop detection).
-    pub fn note_crash(&mut self, shard: usize) {
+    pub(crate) fn note_crash(&mut self, shard: usize) {
         self.crash_counts[shard] += 1;
     }
 
     /// Health check: `shard` observed unresponsive at `now`. Returns
     /// true when the outage has lasted long enough — or the shard is
     /// crash-looping — that its keys should fail over.
-    pub fn note_down(&mut self, shard: usize, now: f64) -> bool {
+    pub(crate) fn note_down(&mut self, shard: usize, now: f64) -> bool {
         let since = *self.down_since[shard].get_or_insert(now);
         now - since >= self.cfg.failover_after || self.crash_looping(shard)
     }
 
     /// Health check: `shard` observed responsive again.
-    pub fn note_up(&mut self, shard: usize) {
+    pub(crate) fn note_up(&mut self, shard: usize) {
         self.down_since[shard] = None;
     }
 
@@ -110,38 +107,26 @@ impl Supervisor {
     /// state — the shard is fine, the path is cut — but the same grace
     /// period applies before its keys fail over. Returns true when the
     /// partition has lasted long enough to fail over.
-    pub fn note_unreachable(&mut self, shard: usize, now: f64) -> bool {
-        if self.unreachable_since[shard].is_none() {
-            self.partition_counts[shard] += 1;
-        }
+    pub(crate) fn note_unreachable(&mut self, shard: usize, now: f64) -> bool {
         let since = *self.unreachable_since[shard].get_or_insert(now);
         now - since >= self.cfg.failover_after
     }
 
     /// Health check: `shard` observed reachable again (partition
     /// healed).
-    pub fn note_reachable(&mut self, shard: usize) {
+    pub(crate) fn note_reachable(&mut self, shard: usize) {
         self.unreachable_since[shard] = None;
     }
 
+    #[cfg(test)]
     /// Is `shard` currently marked unreachable?
-    pub fn is_unreachable(&self, shard: usize) -> bool {
+    pub(crate) fn is_unreachable(&self, shard: usize) -> bool {
         self.unreachable_since[shard].is_some()
     }
 
-    /// Partition episodes observed on `shard` so far.
-    pub fn partition_count(&self, shard: usize) -> u64 {
-        self.partition_counts[shard]
-    }
-
     /// Has `shard` crashed often enough to count as crash-looping?
-    pub fn crash_looping(&self, shard: usize) -> bool {
+    pub(crate) fn crash_looping(&self, shard: usize) -> bool {
         self.crash_counts[shard] >= self.cfg.crash_loop_threshold
-    }
-
-    /// Crashes observed on `shard` so far.
-    pub fn crash_count(&self, shard: usize) -> u64 {
-        self.crash_counts[shard]
     }
 
     /// Overload check: `shard`'s queue holds `depth` of `capacity`
@@ -149,7 +134,7 @@ impl Supervisor {
     /// [`overload_checks`](SupervisorConfig::overload_checks)
     /// consecutive overloaded observations; one healthy observation
     /// disengages it. Returns the shedding state.
-    pub fn observe_depth(&mut self, shard: usize, depth: usize, capacity: usize) -> bool {
+    pub(crate) fn observe_depth(&mut self, shard: usize, depth: usize, capacity: usize) -> bool {
         let overloaded = depth as f64 >= self.cfg.overload_depth * capacity.max(1) as f64;
         if overloaded {
             self.overload_streak[shard] = self.overload_streak[shard].saturating_add(1);
@@ -164,7 +149,7 @@ impl Supervisor {
     }
 
     /// Is deadline shedding currently engaged on `shard`?
-    pub fn is_shedding(&self, shard: usize) -> bool {
+    pub(crate) fn is_shedding(&self, shard: usize) -> bool {
         self.shedding[shard]
     }
 }
@@ -205,17 +190,14 @@ mod tests {
         }
         assert!(!s.note_unreachable(0, 1e-6), "grace period still applies");
         assert!(s.is_unreachable(0));
-        assert_eq!(s.partition_count(0), 1);
         assert!(
             s.note_unreachable(0, 1e-6 + cfg.failover_after),
             "sustained partition fails over"
         );
-        assert_eq!(s.partition_count(0), 1, "one episode, not per check");
         s.note_reachable(0);
         assert!(!s.is_unreachable(0));
         assert!(!s.note_unreachable(0, 1.0), "heal resets the clock");
-        assert_eq!(s.partition_count(0), 2, "a new episode counts again");
-        assert_eq!(s.partition_count(1), 0);
+        assert!(!s.is_unreachable(1));
     }
 
     #[test]

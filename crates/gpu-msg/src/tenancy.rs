@@ -54,7 +54,7 @@ pub enum QosClass {
 impl QosClass {
     /// Stable lowercase label (Prometheus `class` label value).
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             QosClass::Guaranteed => "guaranteed",
             QosClass::Burstable => "burstable",
@@ -95,7 +95,7 @@ impl ArrivalPattern {
     /// Arrival time of the `k`-th arrival (1-based) at `rate` msgs/s.
     /// Strictly increasing in `k` for any valid pattern.
     #[must_use]
-    pub fn arrival_time(&self, k: u64, rate: f64) -> f64 {
+    pub(crate) fn arrival_time(&self, k: u64, rate: f64) -> f64 {
         match *self {
             ArrivalPattern::Uniform => k as f64 / rate,
             ArrivalPattern::Bursty { period, duty } => {
@@ -106,7 +106,7 @@ impl ArrivalPattern {
 
     /// How many arrivals are due at or before `horizon`.
     #[must_use]
-    pub fn due(&self, rate: f64, horizon: f64) -> u64 {
+    pub(crate) fn due(&self, rate: f64, horizon: f64) -> u64 {
         match *self {
             ArrivalPattern::Uniform => (rate * horizon) as u64,
             ArrivalPattern::Bursty { period, duty } => {
@@ -126,7 +126,7 @@ impl ArrivalPattern {
     /// Wake time for the arrival after `seen` arrivals (the half-step
     /// offset matches the scheduler's historical wake arithmetic).
     #[must_use]
-    pub fn wake_after(&self, seen: u64, rate: f64) -> f64 {
+    pub(crate) fn wake_after(&self, seen: u64, rate: f64) -> f64 {
         match *self {
             ArrivalPattern::Uniform => (seen as f64 + 0.5) / rate,
             ArrivalPattern::Bursty { period, duty } => {
@@ -136,7 +136,7 @@ impl ArrivalPattern {
     }
 
     /// Panics unless the pattern's parameters are usable.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let ArrivalPattern::Bursty { period, duty } = *self {
             assert!(period > 0.0, "bursty period must be positive");
             assert!(
@@ -153,7 +153,7 @@ impl ArrivalPattern {
 /// simulated time — a pure function of the arrival sequence, so quota
 /// decisions are identical across schedulers and runs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate: f64,
     burst: f64,
     tokens: f64,
@@ -164,7 +164,7 @@ impl TokenBucket {
     /// Full bucket refilled at `rate` tokens/s, holding at most
     /// `burst` tokens.
     #[must_use]
-    pub fn new(rate: f64, burst: f64) -> Self {
+    pub(crate) fn new(rate: f64, burst: f64) -> Self {
         TokenBucket {
             rate,
             burst,
@@ -174,7 +174,7 @@ impl TokenBucket {
     }
 
     /// Refill to simulated time `t` and try to take one token.
-    pub fn take(&mut self, t: f64) -> bool {
+    pub(crate) fn take(&mut self, t: f64) -> bool {
         if t > self.last {
             self.tokens = (self.tokens + (t - self.last) * self.rate).min(self.burst);
             self.last = t;
@@ -190,7 +190,7 @@ impl TokenBucket {
 
 /// Admission decision for one arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitVerdict {
+pub(crate) enum AdmitVerdict {
     /// Enqueue the arrival.
     Admit,
     /// Reject for lack of physical queue space (counts as a spill).
@@ -204,9 +204,9 @@ pub enum AdmitVerdict {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FillLimits {
     /// Over-quota burstable traffic may fill the queue up to here.
-    pub burstable: f64,
+    pub(crate) burstable: f64,
     /// Best-effort traffic may fill the queue up to here.
-    pub best_effort: f64,
+    pub(crate) best_effort: f64,
 }
 
 impl Default for FillLimits {
@@ -221,17 +221,17 @@ impl Default for FillLimits {
 /// Per-stream admission state: the tenant's class plus this stream's
 /// slice of the tenant's token-bucket quota.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamQos {
+pub(crate) struct StreamQos {
     /// The owning tenant's service class.
-    pub class: QosClass,
+    pub(crate) class: QosClass,
     /// This stream's token bucket (`None` = unmetered).
-    pub bucket: Option<TokenBucket>,
+    pub(crate) bucket: Option<TokenBucket>,
 }
 
 impl StreamQos {
     /// Decide one arrival at simulated time `t`, given the target
     /// shard's current backlog and physical queue capacity.
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         t: f64,
         backlog: usize,
@@ -365,7 +365,7 @@ impl TenancyConfig {
     }
 
     /// Panics unless the config is usable over `shards` shards.
-    pub fn validate(&self, shards: usize) {
+    pub(crate) fn validate(&self, shards: usize) {
         assert!(
             !self.tenants.is_empty(),
             "tenancy needs at least one tenant"
@@ -392,13 +392,13 @@ impl TenancyConfig {
 
     /// Total declared share (the normalisation denominator).
     #[must_use]
-    pub fn total_share(&self) -> f64 {
+    pub(crate) fn total_share(&self) -> f64 {
         self.tenants.iter().map(|t| t.share).sum()
     }
 
     /// Total stream slots over all tenants.
     #[must_use]
-    pub fn total_streams(&self) -> usize {
+    pub(crate) fn total_streams(&self) -> usize {
         self.tenants.iter().map(|t| t.streams).sum()
     }
 
@@ -406,7 +406,7 @@ impl TenancyConfig {
     /// round-robin over its shard set (all shards when unset), slots
     /// ordered tenant-major.
     #[must_use]
-    pub fn assignments(&self, shards: usize) -> Vec<usize> {
+    pub(crate) fn assignments(&self, shards: usize) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.total_streams());
         for t in &self.tenants {
             let all: Vec<usize>;
@@ -426,7 +426,7 @@ impl TenancyConfig {
     /// Tenant id of each slot, tenant-major like
     /// [`TenancyConfig::assignments`].
     #[must_use]
-    pub fn slot_tenants(&self) -> Vec<u32> {
+    pub(crate) fn slot_tenants(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.total_streams());
         for (id, t) in self.tenants.iter().enumerate() {
             out.extend(std::iter::repeat_n(id as u32, t.streams));
@@ -435,30 +435,17 @@ impl TenancyConfig {
     }
 }
 
-/// Zipf popularity shares: tenant `i` gets weight `1 / (i + 1)^s`,
-/// normalised to sum to one. `s = 0` is uniform; larger `s` is more
-/// skewed.
-#[must_use]
-pub fn zipf_shares(n: usize, exponent: f64) -> Vec<f64> {
-    assert!(n > 0, "zipf needs at least one tenant");
-    let raw: Vec<f64> = (0..n)
-        .map(|i| 1.0 / ((i + 1) as f64).powf(exponent))
-        .collect();
-    let total: f64 = raw.iter().sum();
-    raw.into_iter().map(|w| w / total).collect()
-}
-
 /// A migration the planner has committed to but not yet executed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlannedMigration {
+pub(crate) struct PlannedMigration {
     /// Stream slot being moved.
-    pub slot: usize,
+    pub(crate) slot: usize,
     /// Current home shard.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Destination home shard.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Barrier time the plan was made at.
-    pub planned_at: f64,
+    pub(crate) planned_at: f64,
 }
 
 /// Detects hot/cold shard imbalance at epoch barriers and plans one
@@ -466,25 +453,25 @@ pub struct PlannedMigration {
 /// the decision, which is a pure function of barrier-visible backlogs —
 /// hence identical under `GlobalClock` and `ThreadPerShard`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReshardPlanner {
+pub(crate) struct ReshardPlanner {
     /// The policy this planner runs.
-    pub policy: ReshardPolicy,
+    pub(crate) policy: ReshardPolicy,
     /// The in-flight plan, if any (at most one at a time: migrations
     /// serialise, which keeps the drain-transfer-handback windows
     /// disjoint).
-    pub pending: Option<PlannedMigration>,
+    pub(crate) pending: Option<PlannedMigration>,
     /// Migrations completed so far.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Plans abandoned because an endpoint died before execution.
-    pub aborted: u64,
+    pub(crate) aborted: u64,
     /// Next planner barrier, in simulated seconds.
-    pub next_tick: f64,
+    pub(crate) next_tick: f64,
 }
 
 impl ReshardPlanner {
     /// Planner with its first tick one cadence in.
     #[must_use]
-    pub fn new(policy: ReshardPolicy) -> Self {
+    pub(crate) fn new(policy: ReshardPolicy) -> Self {
         ReshardPlanner {
             policy,
             pending: None,
@@ -496,7 +483,7 @@ impl ReshardPlanner {
 
     /// May this planner still start new migrations?
     #[must_use]
-    pub fn may_plan(&self) -> bool {
+    pub(crate) fn may_plan(&self) -> bool {
         self.pending.is_none() && self.completed < self.policy.max_migrations as u64
     }
 
@@ -505,7 +492,7 @@ impl ReshardPlanner {
     /// Ties break toward the lowest shard index, so the choice is
     /// deterministic.
     #[must_use]
-    pub fn pick(&self, backlogs: &[Option<usize>]) -> Option<(usize, usize)> {
+    pub(crate) fn pick(&self, backlogs: &[Option<usize>]) -> Option<(usize, usize)> {
         let mut hot: Option<(usize, usize)> = None;
         let mut cold: Option<(usize, usize)> = None;
         for (x, b) in backlogs.iter().enumerate() {
@@ -637,15 +624,6 @@ mod tests {
             AdmitVerdict::Shed,
             "but only up to the burstable fill limit"
         );
-    }
-
-    #[test]
-    fn zipf_shares_are_normalised_and_skewed() {
-        let s = zipf_shares(4, 1.0);
-        assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(s.windows(2).all(|w| w[0] > w[1]));
-        let u = zipf_shares(3, 0.0);
-        assert!(u.iter().all(|&w| (w - 1.0 / 3.0).abs() < 1e-12));
     }
 
     #[test]

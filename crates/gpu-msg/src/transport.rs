@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use fabric::{Fabric, FabricConfig, FabricStats, LinkEvent};
+use fabric::{Fabric, FabricConfig, FabricStats};
 use msg_match::Envelope;
 
 use crate::message::Message;
@@ -37,25 +37,25 @@ pub enum TransportConfig {
 
 /// A message the transport has carried to its destination.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TransportDelivery {
+pub(crate) struct TransportDelivery {
     /// Destination endpoint.
-    pub dst: u32,
+    pub(crate) dst: u32,
     /// Dense per-`(src, dst)` message index (the source is in the
     /// envelope).
-    pub msg_seq: u64,
+    pub(crate) msg_seq: u64,
     /// True when an at-least-once wire re-delivered an already-delivered
     /// message.
-    pub duplicate: bool,
+    pub(crate) duplicate: bool,
     /// Causal flow id echoed back from [`Transport::submit_flow`], when
     /// the sender sampled this message for flow tracing.
-    pub flow: Option<u64>,
+    pub(crate) flow: Option<u64>,
     /// The message itself.
-    pub message: Message,
+    pub(crate) message: Message,
 }
 
 /// The wire between endpoints. Implementations own all in-flight state;
 /// the domain submits on send and pumps during progress.
-pub trait Transport: Send {
+pub(crate) trait Transport: Send {
     /// Accept a message for delivery. `src == dst` is a local write and
     /// must always succeed without touching the wire.
     fn submit(&mut self, src: u32, dst: u32, envelope: Envelope, payload: Bytes);
@@ -92,9 +92,6 @@ pub trait Transport: Send {
     /// A description of the failed transfers.
     fn check(&self) -> Result<(), String>;
 
-    /// Short label for reports.
-    fn name(&self) -> &'static str;
-
     /// Simulated wire time in nanoseconds, used to timestamp flow trace
     /// points. The instantaneous direct wire has no clock (always 0).
     fn now_ns(&self) -> u64 {
@@ -106,15 +103,6 @@ pub trait Transport: Send {
         None
     }
 
-    /// Drain structured link lifecycle notices (down episodes that
-    /// stranded traffic, and their heals) raised since the last call.
-    /// Wires without link faults return nothing. These are
-    /// *notifications*, not errors: the transport keeps repairing
-    /// parked traffic across a heal on its own.
-    fn take_link_events(&mut self) -> Vec<LinkEvent> {
-        Vec::new()
-    }
-
     /// Per-link trace JSON, when the wire is a traced fabric.
     fn trace_json(&self) -> Option<String> {
         None
@@ -124,14 +112,14 @@ pub trait Transport: Send {
 /// Instantaneous, in-order, lossless delivery — the ideal GAS remote
 /// write the runtime originally modelled.
 #[derive(Debug, Default)]
-pub struct DirectTransport {
+pub(crate) struct DirectTransport {
     seqs: HashMap<(u32, u32), u64>,
     ready: Vec<TransportDelivery>,
 }
 
 impl DirectTransport {
     /// A fresh direct wire.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -176,14 +164,10 @@ impl Transport for DirectTransport {
     fn check(&self) -> Result<(), String> {
         Ok(())
     }
-
-    fn name(&self) -> &'static str {
-        "direct"
-    }
 }
 
 /// A wire that routes every remote send through a simulated fabric.
-pub struct FabricTransport {
+pub(crate) struct FabricTransport {
     net: Fabric,
     /// Simulated nanoseconds the fabric advances per progress pump.
     quantum_ns: u64,
@@ -199,7 +183,7 @@ impl FabricTransport {
     /// derived from the configuration: long enough that a retransmission
     /// cycle completes within a few pumps, never shorter than one link
     /// traversal.
-    pub fn new(ranks: u32, cfg: FabricConfig) -> Self {
+    pub(crate) fn new(ranks: u32, cfg: FabricConfig) -> Self {
         let quantum_ns = cfg
             .link_latency_ns
             .max(cfg.retransmit_timeout_ns / 2)
@@ -210,11 +194,6 @@ impl FabricTransport {
             local_seqs: HashMap::new(),
             local_ready: Vec::new(),
         }
-    }
-
-    /// The wrapped fabric (e.g. for inspecting link traces).
-    pub fn fabric(&self) -> &Fabric {
-        &self.net
     }
 }
 
@@ -291,20 +270,12 @@ impl Transport for FabricTransport {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "fabric"
-    }
-
     fn now_ns(&self) -> u64 {
         self.net.now_ns()
     }
 
     fn fabric_stats(&self) -> Option<FabricStats> {
         Some(self.net.stats())
-    }
-
-    fn take_link_events(&mut self) -> Vec<LinkEvent> {
-        self.net.take_link_events()
     }
 
     fn trace_json(&self) -> Option<String> {

@@ -11,9 +11,8 @@
 //! must exist for the apps that do.
 //!
 //! [`CommRouter`] splits a batch by communicator, runs one engine per
-//! communicator, and merges results. Engines may run *concurrently* on
-//! separate SMs (the default: wall time is the maximum over engines) or
-//! time-share one SM (wall time is the sum).
+//! communicator, and merges results. Engines run *concurrently* on
+//! separate SMs, so wall time is the maximum over engines.
 
 use simt_sim::Gpu;
 
@@ -22,27 +21,16 @@ use crate::envelope::{Envelope, RecvRequest};
 use crate::gpu_common::GpuMatchReport;
 use crate::relax::RelaxationConfig;
 
-/// How the per-communicator engines share the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnginePlacement {
-    /// One SM per communicator: engines run concurrently, total time is
-    /// the slowest engine (the deployment the paper's Section II-C
-    /// on-loading model implies when SMs are available).
-    DedicatedSms,
-    /// All engines time-share a single communication SM: total time is
-    /// the sum.
-    SharedSm,
-}
-
-/// Routes batches to one matching engine per communicator.
+/// Routes batches to one matching engine per communicator, one SM per
+/// communicator: the engines run concurrently and total time is the
+/// slowest engine (the deployment the paper's Section II-C on-loading
+/// model implies when SMs are available).
 #[derive(Debug, Clone)]
 pub struct CommRouter {
     /// The engine template used for every communicator.
-    pub engine: MatchEngine,
+    pub(crate) engine: MatchEngine,
     /// Semantics level enforced on the whole batch.
-    pub config: RelaxationConfig,
-    /// SM sharing policy.
-    pub placement: EnginePlacement,
+    pub(crate) config: RelaxationConfig,
 }
 
 /// Reusable per-communicator gather buffers for
@@ -55,7 +43,7 @@ pub struct CommRouter {
 /// the same scratch back in and the gathers become `clear` + `extend`
 /// over retained capacity.
 #[derive(Debug, Clone, Default)]
-pub struct RouterScratch {
+pub(crate) struct RouterScratch {
     msg_ids: Vec<u32>,
     req_ids: Vec<u32>,
     sub_msgs: Vec<Envelope>,
@@ -64,18 +52,17 @@ pub struct RouterScratch {
 
 impl RouterScratch {
     /// Empty scratch; buffers grow to the working-set high-water mark.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
 
 impl CommRouter {
-    /// Router with dedicated SMs per communicator.
+    /// Router with the default engine template.
     pub fn new(config: RelaxationConfig) -> Self {
         CommRouter {
             engine: MatchEngine::default(),
             config,
-            placement: EnginePlacement::DedicatedSms,
         }
     }
 
@@ -98,7 +85,7 @@ impl CommRouter {
     ///
     /// # Errors
     /// Propagates relaxation violations and engine failures.
-    pub fn match_batch_with(
+    pub(crate) fn match_batch_with(
         &self,
         gpu: &mut Gpu,
         msgs: &[Envelope],
@@ -127,10 +114,8 @@ impl CommRouter {
         let mut class_instructions = [0u64; 6];
         let mut issue_busy = 0u64;
         let mut mem_busy = 0u64;
-        let (mut sum_cycles, mut max_cycles) = (0u64, 0u64);
-        let (mut sum_seconds, mut max_seconds) = (0f64, 0f64);
-        let mut sum_stall = [0u64; simt_sim::STALL_CLASSES];
-        let mut max_stall = [0u64; simt_sim::STALL_CLASSES];
+        let (mut cycles, mut seconds) = (0u64, 0f64);
+        let mut stall_cycles = [0u64; simt_sim::STALL_CLASSES];
 
         let single = comms.len() == 1;
         let mut probe_dedups = 0u64;
@@ -194,26 +179,17 @@ impl CommRouter {
             }
             issue_busy += report.issue_busy_cycles;
             mem_busy += report.mem_busy_cycles;
-            for (i, v) in report.stall_cycles.iter().enumerate() {
-                sum_stall[i] += v;
+            if report.cycles > cycles {
+                // The slowest engine is the wall, so its stall breakdown
+                // (which sums to its cycles) is the breakdown of the
+                // merged report.
+                stall_cycles = report.stall_cycles;
             }
-            if report.cycles > max_cycles {
-                // Under DedicatedSms the slowest engine is the wall, so
-                // its stall breakdown (which sums to its cycles) is the
-                // breakdown of the merged report.
-                max_stall = report.stall_cycles;
-            }
-            sum_cycles += report.cycles;
-            max_cycles = max_cycles.max(report.cycles);
-            sum_seconds += report.seconds;
-            max_seconds = max_seconds.max(report.seconds);
+            cycles = cycles.max(report.cycles);
+            seconds = seconds.max(report.seconds);
             choices.push((comm, choice));
         }
 
-        let (cycles, seconds, stall_cycles) = match self.placement {
-            EnginePlacement::DedicatedSms => (max_cycles, max_seconds, max_stall),
-            EnginePlacement::SharedSm => (sum_cycles, sum_seconds, sum_stall),
-        };
         Ok((
             choices,
             GpuMatchReport {
@@ -241,46 +217,17 @@ impl CommRouter {
     }
 }
 
-/// One placement rule: traffic in `comm` whose source rank falls in
-/// `[rank_lo, rank_hi)` is owned by `shard`.
-///
-/// Rules are the Section VI hierarchy made operational for a sharded
-/// service: the top level splits by communicator (no dependencies cross
-/// a communicator), and within one communicator a rank range carves the
-/// partitionable second level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRule {
-    /// Communicator the rule covers.
-    pub comm: u16,
-    /// First source rank covered (inclusive).
-    pub rank_lo: u32,
-    /// One past the last source rank covered.
-    pub rank_hi: u32,
-    /// Owning shard index.
-    pub shard: usize,
-}
-
-impl ShardRule {
-    /// Does this rule own `(comm, src)`?
-    pub fn covers(&self, comm: u16, src: u32) -> bool {
-        self.comm == comm && (self.rank_lo..self.rank_hi).contains(&src)
-    }
-}
-
 /// Maps `(communicator, source rank)` keys onto service shards.
 ///
-/// Explicit [`ShardRule`]s take priority (first match wins); keys no
-/// rule covers fall back to a deterministic hash spread over all
-/// shards. Matching correctness never depends on the placement — only
-/// which shard's engine services a tuple — but MPI ordering does
-/// require that the *same* key always lands on the same shard, which
-/// both the rules and the fallback guarantee.
+/// Keys spread over all shards by a deterministic hash. Matching
+/// correctness never depends on the placement — only which shard's
+/// engine services a tuple — but MPI ordering does require that the
+/// *same* key always lands on the same shard, which the hash
+/// guarantees.
 #[derive(Debug, Clone)]
 pub struct ShardPlacement {
     /// Total shards traffic may land on.
     pub shards: usize,
-    /// Explicit placements, checked in order before the hash fallback.
-    pub rules: Vec<ShardRule>,
     /// Failover indirection: `redirects[s]` is the shard actually
     /// servicing keys homed on `s`. Identity while `s` is healthy; a
     /// supervisor points it elsewhere while `s` is down and restores it
@@ -300,37 +247,11 @@ pub struct ShardPlacement {
 }
 
 impl ShardPlacement {
-    /// Pure hash placement over `shards` shards, no explicit rules.
+    /// Hash placement over `shards` shards.
     pub fn hashed(shards: usize) -> Self {
         assert!(shards > 0, "a service needs at least one shard");
         ShardPlacement {
             shards,
-            rules: Vec::new(),
-            redirects: (0..shards).collect(),
-            assignments: (0..shards).collect(),
-        }
-    }
-
-    /// Placement with explicit rules and a hash fallback for uncovered
-    /// keys.
-    ///
-    /// # Panics
-    /// Panics if any rule names a shard `>= shards` or has an empty
-    /// rank range.
-    pub fn with_rules(shards: usize, rules: Vec<ShardRule>) -> Self {
-        assert!(shards > 0, "a service needs at least one shard");
-        for r in &rules {
-            assert!(
-                r.shard < shards,
-                "rule names shard {} of {}",
-                r.shard,
-                shards
-            );
-            assert!(r.rank_lo < r.rank_hi, "empty rank range in {r:?}");
-        }
-        ShardPlacement {
-            shards,
-            rules,
             redirects: (0..shards).collect(),
             assignments: (0..shards).collect(),
         }
@@ -349,7 +270,6 @@ impl ShardPlacement {
         }
         ShardPlacement {
             shards,
-            rules: Vec::new(),
             redirects: (0..shards).collect(),
             assignments,
         }
@@ -357,12 +277,7 @@ impl ShardPlacement {
 
     /// The *home* shard of `(comm, src)` — the stable key owner,
     /// ignoring any active failover redirect.
-    pub fn home_of(&self, comm: u16, src: u32) -> usize {
-        for r in &self.rules {
-            if r.covers(comm, src) {
-                return r.shard;
-            }
-        }
+    pub(crate) fn home_of(&self, comm: u16, src: u32) -> usize {
         // Fibonacci hashing over the packed key: cheap, deterministic,
         // and spreads consecutive ranks across shards.
         let key = ((comm as u64) << 32) | src as u64;
@@ -371,7 +286,7 @@ impl ShardPlacement {
 
     /// The shard currently servicing `(comm, src)`: the home shard,
     /// resolved through any active failover redirect.
-    pub fn shard_of(&self, comm: u16, src: u32) -> usize {
+    pub(crate) fn shard_of(&self, comm: u16, src: u32) -> usize {
         self.redirects[self.home_of(comm, src)]
     }
 
@@ -541,39 +456,39 @@ mod tests {
     fn dedicated_sms_run_concurrently() {
         let (msgs, reqs) = multi_comm_batch(512, 4, 6);
         let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
-        let par = CommRouter::new(RelaxationConfig::FULL_MPI);
-        let (_, rp) = par.match_batch(&mut gpu, &msgs, &reqs).unwrap();
-        let seq = CommRouter {
-            placement: EnginePlacement::SharedSm,
-            ..CommRouter::new(RelaxationConfig::FULL_MPI)
-        };
-        let (_, rs) = seq.match_batch(&mut gpu, &msgs, &reqs).unwrap();
-        assert_eq!(rp.assignment, rs.assignment, "placement is timing-only");
+        let router = CommRouter::new(RelaxationConfig::FULL_MPI);
+        let (_, rp) = router.match_batch(&mut gpu, &msgs, &reqs).unwrap();
+        // The same communicators matched one after another.
+        let mut serial = 0.0;
+        for comm in 0..4 {
+            let sub_msgs: Vec<_> = msgs.iter().copied().filter(|m| m.comm == comm).collect();
+            let sub_reqs: Vec<_> = reqs.iter().copied().filter(|r| r.comm == comm).collect();
+            serial += router
+                .match_batch(&mut gpu, &sub_msgs, &sub_reqs)
+                .unwrap()
+                .1
+                .seconds;
+        }
         assert!(
-            rp.seconds < rs.seconds * 0.5,
+            rp.seconds < serial * 0.5,
             "4 dedicated engines must be ≫ faster: {} vs {}",
             rp.seconds,
-            rs.seconds
+            serial
         );
     }
 
     #[test]
-    fn merged_stall_breakdown_sums_to_cycles_under_both_placements() {
+    fn merged_stall_breakdown_sums_to_cycles() {
         let (msgs, reqs) = multi_comm_batch(256, 3, 9);
         let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
-        for placement in [EnginePlacement::DedicatedSms, EnginePlacement::SharedSm] {
-            let router = CommRouter {
-                placement,
-                ..CommRouter::new(RelaxationConfig::FULL_MPI)
-            };
-            let (_, r) = router.match_batch(&mut gpu, &msgs, &reqs).unwrap();
-            assert!(r.cycles > 0);
-            assert_eq!(
-                r.stall_cycles.iter().sum::<u64>(),
-                r.cycles,
-                "stall classes must partition the merged cycle count under {placement:?}"
-            );
-        }
+        let router = CommRouter::new(RelaxationConfig::FULL_MPI);
+        let (_, r) = router.match_batch(&mut gpu, &msgs, &reqs).unwrap();
+        assert!(r.cycles > 0);
+        assert_eq!(
+            r.stall_cycles.iter().sum::<u64>(),
+            r.cycles,
+            "stall classes must partition the merged cycle count"
+        );
     }
 
     #[test]
@@ -607,27 +522,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_placement_is_stable_and_rule_priority_wins() {
-        let p = ShardPlacement::with_rules(
-            4,
-            vec![
-                ShardRule {
-                    comm: 0,
-                    rank_lo: 0,
-                    rank_hi: 8,
-                    shard: 3,
-                },
-                ShardRule {
-                    comm: 0,
-                    rank_lo: 8,
-                    rank_hi: 64,
-                    shard: 1,
-                },
-            ],
-        );
-        assert_eq!(p.shard_of(0, 3), 3);
-        assert_eq!(p.shard_of(0, 10), 1);
-        // Fallback is deterministic and in range.
+    fn shard_placement_is_stable() {
+        let p = ShardPlacement::hashed(4);
+        // The hash is deterministic and in range.
         for src in 0..100 {
             let s = p.shard_of(5, src);
             assert!(s < 4);

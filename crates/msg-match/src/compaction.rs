@@ -20,22 +20,22 @@ use simt_sim::{BufferId, CtaCtx, CtaKernel, Gpu, Lanes, LaunchConfig, LaunchRepo
 type RegionWork = (usize, usize, Vec<(u32, u64)>);
 
 /// Compaction of a `u64` queue under a keep-mask.
-pub struct CompactionKernel {
+pub(crate) struct CompactionKernel {
     /// Input queue.
-    pub input: BufferId<u64>,
+    pub(crate) input: BufferId<u64>,
     /// Keep flags: 1 = entry survives, 0 = entry was matched/removed.
-    pub keep: BufferId<u32>,
+    pub(crate) keep: BufferId<u32>,
     /// Output queue (same capacity as input).
-    pub output: BufferId<u64>,
+    pub(crate) output: BufferId<u64>,
     /// Number of live entries, written to element 0 by the kernel.
-    pub out_count: BufferId<u32>,
+    pub(crate) out_count: BufferId<u32>,
     /// Queue length.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Independent move regions. A fully ordered queue (the compliant
     /// matcher) must move front-to-back as one chain (`1`). Rank
     /// partitioning gives one independent region per queue; relaxing
     /// ordering altogether lets every warp move its own slice (`32`).
-    pub parallel_moves: usize,
+    pub(crate) parallel_moves: usize,
 }
 
 impl CtaKernel for CompactionKernel {

@@ -16,14 +16,14 @@ use crate::workloads::{tuple_uniqueness_pct, tuple_uniqueness_pct_indexed};
 
 /// Tuning inputs for automatic engine selection.
 #[derive(Debug, Clone, Copy)]
-pub struct SelectionPolicy {
+pub(crate) struct SelectionPolicy {
     /// Uniqueness (max tuple share, percent) above which hash tables are
     /// considered collision-hostile. Figure 6(a) puts most apps in
     /// single digits; Nekbone-like workloads exceed this.
-    pub max_uniqueness_pct: f64,
+    pub(crate) max_uniqueness_pct: f64,
     /// Maximum queues to partition into (bounded by communication peers;
     /// Section VII-A: most apps allow 10–30).
-    pub max_queues: usize,
+    pub(crate) max_queues: usize,
 }
 
 impl Default for SelectionPolicy {
@@ -50,7 +50,7 @@ pub enum EngineChoice {
 }
 
 /// Static display name for an [`EngineChoice`] (span and metric label).
-pub fn engine_name(choice: EngineChoice) -> &'static str {
+pub(crate) fn engine_name(choice: EngineChoice) -> &'static str {
     match choice {
         EngineChoice::Matrix => "matrix",
         EngineChoice::Partitioned { .. } => "partitioned",
@@ -62,7 +62,7 @@ pub fn engine_name(choice: EngineChoice) -> &'static str {
 #[derive(Debug, Clone, Default)]
 pub struct MatchEngine {
     /// Selection tuning.
-    pub policy: SelectionPolicy,
+    pub(crate) policy: SelectionPolicy,
 }
 
 impl MatchEngine {
@@ -96,7 +96,7 @@ impl MatchEngine {
     /// sub-batch `ids` selects without gathering it into a fresh
     /// `Vec<Envelope>` (what [`crate::comm_router::ShardPlacement::plan_engines`]
     /// feeds it per shard).
-    pub fn choose_indexed(
+    pub(crate) fn choose_indexed(
         &self,
         config: RelaxationConfig,
         msgs: &[Envelope],

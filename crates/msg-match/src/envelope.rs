@@ -71,9 +71,10 @@ impl Envelope {
         (1u64 << 63) | ((self.comm as u64) << 48) | ((self.tag as u64) << 32) | self.src as u64
     }
 
+    #[cfg(test)]
     /// Unpack from a 64-bit header word. Returns `None` for a word whose
     /// valid bit is clear (e.g. an empty hash-table slot).
-    pub fn unpack(word: u64) -> Option<Self> {
+    pub(crate) fn unpack(word: u64) -> Option<Self> {
         if word >> 63 == 0 {
             return None;
         }
@@ -99,9 +100,9 @@ pub struct RecvRequest {
 /// Wildcard encodings in the packed receive word. The kernels compare
 /// against these sentinels exactly like the CUDA original compares against
 /// `MPI_ANY_SOURCE`/`MPI_ANY_TAG`.
-pub const ANY_SOURCE_BITS: u32 = u32::MAX;
+pub(crate) const ANY_SOURCE_BITS: u32 = u32::MAX;
 /// Packed-tag wildcard sentinel (see [`ANY_SOURCE_BITS`]).
-pub const ANY_TAG_BITS: u32 = 0xFFFF;
+pub(crate) const ANY_TAG_BITS: u32 = 0xFFFF;
 
 impl RecvRequest {
     /// Fully specified request.
@@ -167,9 +168,10 @@ impl RecvRequest {
         (1u64 << 63) | ((self.comm as u64) << 48) | (tag << 32) | src as u64
     }
 
+    #[cfg(test)]
     /// Unpack from a 64-bit request word (inverse of
     /// [`RecvRequest::pack`]). Returns `None` if the valid bit is clear.
-    pub fn unpack(word: u64) -> Option<Self> {
+    pub(crate) fn unpack(word: u64) -> Option<Self> {
         if word >> 63 == 0 {
             return None;
         }
@@ -197,7 +199,7 @@ impl RecvRequest {
 /// `msg_word` must come from [`Envelope::pack`] and `req_word` from
 /// [`RecvRequest::pack`].
 #[inline]
-pub fn packed_matches(msg_word: u64, req_word: u64) -> bool {
+pub(crate) fn packed_matches(msg_word: u64, req_word: u64) -> bool {
     // Communicator (and valid bit) must agree.
     if (msg_word >> 48) != (req_word >> 48) {
         return false;

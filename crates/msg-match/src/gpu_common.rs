@@ -6,7 +6,7 @@ use crate::envelope::{Envelope, RecvRequest};
 use crate::reference::verify_valid_matching;
 
 /// Sentinel for "no match" in device result buffers.
-pub const NO_MATCH: u32 = u32::MAX;
+pub(crate) const NO_MATCH: u32 = u32::MAX;
 
 /// Result of running a GPU matching kernel over a batch of messages and
 /// receive requests.
@@ -36,10 +36,10 @@ pub struct GpuMatchReport {
     /// [`simt_sim::OpClass::index`]).
     pub class_instructions: [u64; 6],
     /// Cycles the SM issue pipeline was occupied.
-    pub issue_busy_cycles: u64,
+    pub(crate) issue_busy_cycles: u64,
     /// Cycles the global-memory pipe was occupied.
-    pub mem_busy_cycles: u64,
-    /// Critical-path cycles attributed per [`simt_sim::StallClass`]
+    pub(crate) mem_busy_cycles: u64,
+    /// Critical-path cycles attributed per simt-sim stall class
     /// (summed over launches; sums to `cycles` exactly).
     pub stall_cycles: [u64; simt_sim::STALL_CLASSES],
     /// Adjacent duplicate request probes served by scan-ballot reuse
@@ -49,7 +49,7 @@ pub struct GpuMatchReport {
 
 impl GpuMatchReport {
     /// Aggregate per-launch reports and a device assignment vector.
-    pub fn from_launches(assignment: Vec<Option<u32>>, launches: &[LaunchReport]) -> Self {
+    pub(crate) fn from_launches(assignment: Vec<Option<u32>>, launches: &[LaunchReport]) -> Self {
         let matches = assignment.iter().filter(|a| a.is_some()).count() as u64;
         let cycles: u64 = launches.iter().map(|l| l.cycles).sum();
         let seconds: f64 = launches.iter().map(|l| l.seconds).sum();
@@ -104,7 +104,7 @@ impl GpuMatchReport {
 }
 
 /// Decode a device result buffer (`NO_MATCH` sentinel) into assignments.
-pub fn decode_assignment(raw: &[u32]) -> Vec<Option<u32>> {
+pub(crate) fn decode_assignment(raw: &[u32]) -> Vec<Option<u32>> {
     raw.iter()
         .map(|&v| if v == NO_MATCH { None } else { Some(v) })
         .collect()

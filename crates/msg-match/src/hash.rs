@@ -27,7 +27,7 @@ use crate::gpu_common::{GpuMatchReport, NO_MATCH};
 
 /// Jenkins' 32-bit 6-shift integer hash — the paper's choice (its reference \[17\]).
 #[inline]
-pub fn jenkins6(mut a: u32) -> u32 {
+pub(crate) fn jenkins6(mut a: u32) -> u32 {
     a = a.wrapping_add(0x7ed55d16).wrapping_add(a << 12);
     a = (a ^ 0xc761c23c) ^ (a >> 19);
     a = a.wrapping_add(0x165667b1).wrapping_add(a << 5);
@@ -45,19 +45,19 @@ fn fold_key(key: u64) -> u32 {
 
 /// Primary-table hash.
 #[inline]
-pub fn hash_primary(key: u64, table_size: u32) -> u32 {
+pub(crate) fn hash_primary(key: u64, table_size: u32) -> u32 {
     jenkins6(fold_key(key)) % table_size
 }
 
 /// Secondary-table hash (decorrelated by a pre-xor).
 #[inline]
-pub fn hash_secondary(key: u64, table_size: u32) -> u32 {
+pub(crate) fn hash_secondary(key: u64, table_size: u32) -> u32 {
     jenkins6(fold_key(key) ^ 0x85eb_ca6b) % table_size
 }
 
 /// Size ratio primary : secondary, as chosen in the paper ("the primary
 /// table being five times larger than the secondary table").
-pub const PRIMARY_RATIO: usize = 5;
+pub(crate) const PRIMARY_RATIO: usize = 5;
 
 /// Table organisation: the collision-resolution design axis the paper
 /// leaves to future work ("various combinations of hash functions and
@@ -82,16 +82,16 @@ pub struct HashMatcherConfig {
     pub organization: TableOrganization,
     /// Total table slots per request, distributed 5:1 across the two
     /// levels. 1.5 gives the paper-like load factor ~0.67.
-    pub slots_per_request_x10: usize,
+    pub(crate) slots_per_request_x10: usize,
     /// CTAs to launch (the paper sweeps 1–32 on a single SM).
-    pub ctas: u32,
+    pub(crate) ctas: u32,
     /// Threads per CTA.
-    pub threads_per_cta: u32,
+    pub(crate) threads_per_cta: u32,
     /// Give up after this many refinement iterations without progress.
-    pub max_stall_iterations: u32,
+    pub(crate) max_stall_iterations: u32,
     /// Per-element overhead calibration in ALU instructions (hash
     /// computation is ~18 ALU ops on SASS; plus loop/branch bookkeeping).
-    pub element_overhead: u32,
+    pub(crate) element_overhead: u32,
 }
 
 impl Default for HashMatcherConfig {

@@ -60,7 +60,7 @@ pub struct HashedListMatcher {
     pub matches: u64,
     /// Optional flight recorder: when present, every completed match is
     /// recorded as a `Match` instant (the caller owns the clock).
-    pub obs: Option<obs::SpanRecorder>,
+    pub(crate) obs: Option<obs::SpanRecorder>,
 }
 
 fn bucket_of(src: u32, tag: u32, comm: u16, buckets: usize) -> usize {

@@ -7,28 +7,28 @@
 //! * [`mod@reference`] — the golden sequential model of MPI matching
 //!   semantics (UMQ/PRQ, wildcards, per-pair ordering), against which
 //!   every other engine is validated.
-//! * [`list`] — the CPU baseline: linked-list UMQ/PRQ traversal, the
+//! * [`ListMatcher`] — the CPU baseline: linked-list UMQ/PRQ traversal, the
 //!   design of mainstream MPI libraries (~30 M matches/s short queues,
 //!   < 5 M beyond 512 entries on host silicon).
-//! * [`hashed_list`] — the strongest cited CPU improvement (Flajslik et
+//! * [`HashedListMatcher`] — the strongest cited CPU improvement (Flajslik et
 //!   al.): hash-addressed bucket queues with wildcard markers.
-//! * [`matrix`] — the fully MPI-compliant GPU algorithm: warp-ballot
+//! * [`MatrixMatcher`] — the fully MPI-compliant GPU algorithm: warp-ballot
 //!   *scan* into a vote matrix, sequential warp *reduce* honouring
 //!   ordering and wildcards (paper Algorithms 1 & 2; ~6 M matches/s on
 //!   Pascal).
 //! * [`partitioned`] — the *no source wildcard* relaxation: static rank
 //!   partitioning into parallel queues (~60 M matches/s).
-//! * [`hash`] — the *no ordering* relaxation: two-level hash table with
+//! * [`HashMatcher`] — the *no ordering* relaxation: two-level hash table with
 //!   Jenkins' 6-shift hash (~500 M matches/s).
 //! * [`compaction`] — the prefix-scan queue compaction whose cost the
 //!   *no unexpected messages* relaxation avoids (~10%).
-//! * [`prefilter`] — O(1) counting-digest queue summaries that reject
+//! * [`screen_batch`] — O(1) counting-digest queue summaries that reject
 //!   fruitless traversals without relaxing any semantics.
-//! * [`soa`] — structure-of-arrays queue backing whose maintained packed
+//! * [`EnvelopeSoa`] / [`RequestSoa`] — structure-of-arrays queue backing whose maintained packed
 //!   word column uploads straight to the kernels.
-//! * [`relax`] — the Table II lattice tying guarantees to engines, with
+//! * [`RelaxationConfig`] — the Table II lattice tying guarantees to engines, with
 //!   workload validation.
-//! * [`workloads`] — the micro-benchmark generators of Section V-B.
+//! * [`WorkloadSpec`] — the micro-benchmark generators of Section V-B.
 //!
 //! ## Quick example
 //!
@@ -43,40 +43,37 @@
 //! println!("{:.1} M matches/s", report.matches_per_sec / 1e6);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod comm_router;
 pub mod compaction;
-pub mod engine;
+mod engine;
 pub mod envelope;
-pub mod gpu_common;
-pub mod hash;
-pub mod hashed_list;
-pub mod list;
-pub mod matrix;
+mod gpu_common;
+mod hash;
+mod hashed_list;
+mod list;
+mod matrix;
 pub mod partitioned;
-pub mod prefilter;
+mod prefilter;
 pub mod reference;
-pub mod relax;
-pub mod soa;
-pub mod workloads;
+mod relax;
+mod soa;
+mod workloads;
 
 /// Convenience re-exports of the main API surface.
 pub mod prelude {
-    pub use crate::comm_router::{
-        CommRouter, EnginePlacement, RouterScratch, ShardPlacement, ShardRule,
-    };
-    pub use crate::engine::{engine_name, EngineChoice, MatchEngine, SelectionPolicy};
+    pub use crate::comm_router::{CommRouter, ShardPlacement};
+    pub use crate::engine::{EngineChoice, MatchEngine};
     pub use crate::envelope::{CommId, Envelope, Rank, RecvRequest, SrcSpec, Tag, TagSpec};
-    pub use crate::gpu_common::{GpuMatchReport, NO_MATCH};
-    pub use crate::hash::{HashMatcher, HashMatcherConfig, TableOrganization};
+    pub use crate::gpu_common::GpuMatchReport;
+    pub use crate::hash::{HashMatcher, TableOrganization};
     pub use crate::hashed_list::HashedListMatcher;
     pub use crate::list::{ListMatcher, MatchPair};
     pub use crate::matrix::{MatrixMatcher, MAX_BATCH};
     pub use crate::partitioned::PartitionedMatcher;
     pub use crate::prefilter::{
-        expand_assignment, screen_batch, screen_soa, screen_with, EnvelopeFilter, RequestFilter,
-        ScreenReport,
+        expand_assignment, screen_batch, screen_soa, EnvelopeFilter, RequestFilter, ScreenReport,
     };
     pub use crate::reference::{match_queues, MatchEvent, ReferenceEngine};
     pub use crate::relax::{DataStructure, PerformanceClass, RelaxationConfig, UserImplication};

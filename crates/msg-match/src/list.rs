@@ -92,6 +92,7 @@ impl<T> LinkedQueue<T> {
         (None, inspected)
     }
 
+    #[cfg(test)]
     fn iter(&self) -> impl Iterator<Item = &T> {
         let mut cur = self.head;
         std::iter::from_fn(move || {
@@ -105,20 +106,20 @@ impl<T> LinkedQueue<T> {
 /// Message entry in the UMQ: the envelope plus its arrival sequence
 /// number (so callers can map matches back to payloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UmqEntry {
+pub(crate) struct UmqEntry {
     /// Matching header.
-    pub envelope: Envelope,
+    pub(crate) envelope: Envelope,
     /// Arrival sequence number assigned by the matcher.
-    pub seq: u64,
+    pub(crate) seq: u64,
 }
 
 /// Receive entry in the PRQ: the request plus its post sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrqEntry {
+pub(crate) struct PrqEntry {
     /// Matching criteria.
-    pub request: RecvRequest,
+    pub(crate) request: RecvRequest,
     /// Post sequence number assigned by the matcher.
-    pub seq: u64,
+    pub(crate) seq: u64,
 }
 
 /// A completed match: which arrival paired with which post.
@@ -160,7 +161,7 @@ pub struct ListMatcher {
     /// recorded as a `Match` instant. The caller owns the clock
     /// ([`obs::SpanRecorder::set_now_ns`]); the matcher itself has no
     /// notion of time.
-    pub obs: Option<obs::SpanRecorder>,
+    pub(crate) obs: Option<obs::SpanRecorder>,
 }
 
 impl Default for ListMatcher {
@@ -327,13 +328,15 @@ impl ListMatcher {
         }
     }
 
+    #[cfg(test)]
     /// Snapshot of UMQ envelopes in arrival order (diagnostics/tests).
-    pub fn umq_snapshot(&self) -> Vec<Envelope> {
+    pub(crate) fn umq_snapshot(&self) -> Vec<Envelope> {
         self.umq.iter().map(|e| e.envelope).collect()
     }
 
+    #[cfg(test)]
     /// Snapshot of PRQ requests in posted order.
-    pub fn prq_snapshot(&self) -> Vec<RecvRequest> {
+    pub(crate) fn prq_snapshot(&self) -> Vec<RecvRequest> {
         self.prq.iter().map(|e| e.request).collect()
     }
 }

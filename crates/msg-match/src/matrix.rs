@@ -34,7 +34,7 @@ use crate::gpu_common::{decode_assignment, GpuMatchReport, NO_MATCH};
 /// buffered at 32 rows of `u32` is 16 KiB of shared memory — the footprint
 /// that lets exactly two CTAs stay resident, as the paper reports from the
 /// occupancy calculator.
-pub const DEFAULT_WINDOW: usize = 64;
+pub(crate) const DEFAULT_WINDOW: usize = 64;
 
 /// Calibration of per-element overhead, in ALU instructions, covering the
 /// work the recorded ops do not represent explicitly (envelope unpacking,
@@ -43,9 +43,9 @@ pub const DEFAULT_WINDOW: usize = 64;
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixCosts {
     /// Extra ALU per scanned request per warp.
-    pub scan_overhead: u32,
+    pub(crate) scan_overhead: u32,
     /// Extra ALU per reduced column.
-    pub reduce_overhead: u32,
+    pub(crate) reduce_overhead: u32,
 }
 
 impl Default for MatrixCosts {

@@ -275,11 +275,11 @@ pub fn cta_plan(queue_lens: &[usize]) -> u32 {
 #[derive(Debug, Clone)]
 pub struct PartitionedMatcher {
     /// Number of queues the rank space is split into.
-    pub queues: usize,
+    pub(crate) queues: usize,
     /// Scan window per queue.
-    pub window: usize,
+    pub(crate) window: usize,
     /// Overhead calibration (shared with the matrix matcher).
-    pub costs: MatrixCosts,
+    pub(crate) costs: MatrixCosts,
 }
 
 impl PartitionedMatcher {

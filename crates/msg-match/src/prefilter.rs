@@ -59,7 +59,7 @@ fn mix64(mut x: u64) -> u64 {
 /// Exact counters make the digest a pure function of the key multiset,
 /// which is what lets incremental remove-on-match equal a rebuild.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountingDigest {
+pub(crate) struct CountingDigest {
     counts: Vec<u32>,
     len: u64,
 }
@@ -72,7 +72,7 @@ impl Default for CountingDigest {
 
 impl CountingDigest {
     /// Empty digest.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CountingDigest {
             counts: vec![0; DIGEST_BUCKETS],
             len: 0,
@@ -87,7 +87,7 @@ impl CountingDigest {
     }
 
     /// Record one occurrence of `key`.
-    pub fn insert(&mut self, key: u64) {
+    pub(crate) fn insert(&mut self, key: u64) {
         let (a, b) = Self::buckets(key);
         self.counts[a] += 1;
         self.counts[b] += 1;
@@ -99,7 +99,7 @@ impl CountingDigest {
     /// # Panics
     /// Panics if `key` was not inserted (a caller bug that would
     /// otherwise corrupt the no-false-negative guarantee).
-    pub fn remove(&mut self, key: u64) {
+    pub(crate) fn remove(&mut self, key: u64) {
         let (a, b) = Self::buckets(key);
         self.counts[a] = self.counts[a]
             .checked_sub(1)
@@ -113,25 +113,19 @@ impl CountingDigest {
     /// May `key` be present? `false` is definitive; `true` may be a
     /// hash collision.
     #[inline]
-    pub fn may_contain(&self, key: u64) -> bool {
+    pub(crate) fn may_contain(&self, key: u64) -> bool {
         let (a, b) = Self::buckets(key);
         self.counts[a] > 0 && self.counts[b] > 0
     }
 
     /// Keys currently held (inserts minus removes).
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len
     }
 
     /// No keys held.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Drop every key.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.len = 0;
     }
 }
 
@@ -177,7 +171,7 @@ impl EnvelopeFilter {
 
     /// Build from a queue snapshot — by construction identical to
     /// inserting every entry incrementally.
-    pub fn build<'a>(msgs: impl IntoIterator<Item = &'a Envelope>) -> Self {
+    pub(crate) fn build<'a>(msgs: impl IntoIterator<Item = &'a Envelope>) -> Self {
         let mut f = Self::new();
         for m in msgs {
             f.insert(m);
@@ -201,7 +195,7 @@ impl EnvelopeFilter {
 
     /// Could any queued message satisfy `req`? `false` is definitive.
     #[inline]
-    pub fn may_match(&self, req: &RecvRequest) -> bool {
+    pub(crate) fn may_match(&self, req: &RecvRequest) -> bool {
         self.shapes[shape_of(req)].may_contain(req.pack())
     }
 
@@ -213,13 +207,6 @@ impl EnvelopeFilter {
     /// No messages summarised.
     pub fn is_empty(&self) -> bool {
         self.shapes[0].is_empty()
-    }
-
-    /// Drop every entry.
-    pub fn clear(&mut self) {
-        for d in &mut self.shapes {
-            d.clear();
-        }
     }
 }
 
@@ -245,7 +232,7 @@ impl RequestFilter {
 
     /// Build from a queue snapshot — by construction identical to
     /// inserting every entry incrementally.
-    pub fn build<'a>(reqs: impl IntoIterator<Item = &'a RecvRequest>) -> Self {
+    pub(crate) fn build<'a>(reqs: impl IntoIterator<Item = &'a RecvRequest>) -> Self {
         let mut f = Self::new();
         for r in reqs {
             f.insert(r);
@@ -267,7 +254,7 @@ impl RequestFilter {
     /// all three wildcard words that would cover it, each against the
     /// digest of posts of that shape; `false` is definitive.
     #[inline]
-    pub fn may_match(&self, msg: &Envelope) -> bool {
+    pub(crate) fn may_match(&self, msg: &Envelope) -> bool {
         msg_projections(msg)
             .iter()
             .zip(&self.shapes)
@@ -282,13 +269,6 @@ impl RequestFilter {
     /// No requests summarised.
     pub fn is_empty(&self) -> bool {
         self.shapes.iter().all(|d| d.is_empty())
-    }
-
-    /// Drop every entry.
-    pub fn clear(&mut self) {
-        for d in &mut self.shapes {
-            d.clear();
-        }
     }
 }
 
@@ -331,7 +311,7 @@ pub fn screen_batch(msgs: &[Envelope], reqs: &[RecvRequest]) -> ScreenReport {
 
 /// [`screen_batch`] with caller-maintained filters (a persistent queue
 /// keeps them incrementally instead of rebuilding per batch).
-pub fn screen_with(
+pub(crate) fn screen_with(
     msg_filter: &EnvelopeFilter,
     req_filter: &RequestFilter,
     msgs: &[Envelope],
@@ -355,7 +335,7 @@ pub fn screen_with(
     out
 }
 
-/// [`screen_with`] over a structure-of-arrays message queue: probes the
+/// `screen_with` over a structure-of-arrays message queue: probes the
 /// column store directly instead of a gathered `Vec<Envelope>`.
 /// Requests stay AoS — their wildcard *shape* lives in the enum, not the
 /// packed word (a literal `Rank(0xFFFFFFFF)` packs like `Any`), and the

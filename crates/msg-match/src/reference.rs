@@ -66,7 +66,7 @@ pub enum EventOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttemptStats {
     /// Length of the queue that was searched when the attempt started.
-    pub queue_len: usize,
+    pub(crate) queue_len: usize,
     /// Entries inspected before a match (or the whole queue on a miss).
     pub search_len: usize,
     /// Whether the attempt found a match.
@@ -83,9 +83,9 @@ pub struct ReferenceEngine {
     umq: Vec<Envelope>,
     prq: Vec<RecvRequest>,
     /// Per-attempt statistics for UMQ searches (on posts).
-    pub umq_attempts: Vec<AttemptStats>,
+    pub(crate) umq_attempts: Vec<AttemptStats>,
     /// Per-attempt statistics for PRQ searches (on arrivals).
-    pub prq_attempts: Vec<AttemptStats>,
+    pub(crate) prq_attempts: Vec<AttemptStats>,
     /// High-water mark of the UMQ.
     pub umq_max: usize,
     /// High-water mark of the PRQ.
@@ -100,13 +100,15 @@ impl ReferenceEngine {
         Self::default()
     }
 
+    #[cfg(test)]
     /// Current UMQ length.
-    pub fn umq_len(&self) -> usize {
+    pub(crate) fn umq_len(&self) -> usize {
         self.umq.len()
     }
 
+    #[cfg(test)]
     /// Current PRQ length.
-    pub fn prq_len(&self) -> usize {
+    pub(crate) fn prq_len(&self) -> usize {
         self.prq.len()
     }
 
@@ -155,13 +157,6 @@ impl ReferenceEngine {
                     }
                 }
             }
-        }
-    }
-
-    /// Process a whole event stream.
-    pub fn run(&mut self, events: impl IntoIterator<Item = MatchEvent>) {
-        for ev in events {
-            self.step(ev);
         }
     }
 }

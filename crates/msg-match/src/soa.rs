@@ -29,8 +29,9 @@ impl EnvelopeSoa {
         Self::default()
     }
 
+    #[cfg(test)]
     /// Build from an AoS slice (the legacy layout).
-    pub fn from_envelopes(msgs: &[Envelope]) -> Self {
+    pub(crate) fn from_envelopes(msgs: &[Envelope]) -> Self {
         let mut s = Self::new();
         for m in msgs {
             s.push(m);
@@ -70,25 +71,8 @@ impl EnvelopeSoa {
         &self.words
     }
 
-    /// Source column (per-rank partitioning reads this without
-    /// unpacking).
-    pub fn srcs(&self) -> &[u32] {
-        &self.srcs
-    }
-
-    /// Tag column.
-    pub fn tags(&self) -> &[u32] {
-        &self.tags
-    }
-
-    /// Communicator column (per-communicator routing reads this without
-    /// unpacking).
-    pub fn comms(&self) -> &[u16] {
-        &self.comms
-    }
-
     /// Iterate entries in queue order as envelopes.
-    pub fn iter(&self) -> impl Iterator<Item = Envelope> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Envelope> + '_ {
         (0..self.len()).map(|i| self.get(i))
     }
 
@@ -130,14 +114,6 @@ impl EnvelopeSoa {
         self.comms.truncate(w);
         self.words.truncate(w);
     }
-
-    /// Drop every entry, keeping the column allocations.
-    pub fn clear(&mut self) {
-        self.srcs.clear();
-        self.tags.clear();
-        self.comms.clear();
-        self.words.clear();
-    }
 }
 
 /// A posted-receive queue stored as its packed-word column. Requests
@@ -155,8 +131,9 @@ impl RequestSoa {
         Self::default()
     }
 
+    #[cfg(test)]
     /// Build from an AoS slice.
-    pub fn from_requests(reqs: &[RecvRequest]) -> Self {
+    pub(crate) fn from_requests(reqs: &[RecvRequest]) -> Self {
         RequestSoa {
             words: reqs.iter().map(RecvRequest::pack).collect(),
         }
@@ -202,11 +179,6 @@ impl RequestSoa {
             }
         }
         self.words.truncate(w);
-    }
-
-    /// Drop every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.words.clear();
     }
 }
 

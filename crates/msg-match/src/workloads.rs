@@ -148,7 +148,7 @@ impl WorkloadSpec {
 /// Tuple uniqueness of a message stream, as plotted in Figure 6(a): the
 /// share (percent) of messages carrying the *most common* tuple. High
 /// values mean many hash collisions.
-pub fn tuple_uniqueness_pct(msgs: &[Envelope]) -> f64 {
+pub(crate) fn tuple_uniqueness_pct(msgs: &[Envelope]) -> f64 {
     if msgs.is_empty() {
         return 0.0;
     }
@@ -163,7 +163,7 @@ pub fn tuple_uniqueness_pct(msgs: &[Envelope]) -> f64 {
 /// [`tuple_uniqueness_pct`] over an index view into `msgs` — lets a
 /// router score a per-shard or per-communicator sub-batch without
 /// gathering it into a fresh `Vec<Envelope>`.
-pub fn tuple_uniqueness_pct_indexed(msgs: &[Envelope], ids: &[u32]) -> f64 {
+pub(crate) fn tuple_uniqueness_pct_indexed(msgs: &[Envelope], ids: &[u32]) -> f64 {
     if ids.is_empty() {
         return 0.0;
     }

@@ -55,11 +55,11 @@ pub enum FlowPhase {
 
 /// A flow point carried on a [`crate::SpanEvent`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowPoint {
+pub(crate) struct FlowPoint {
     /// The chain this point belongs to.
-    pub id: FlowId,
+    pub(crate) id: FlowId,
     /// Position in the chain.
-    pub phase: FlowPhase,
+    pub(crate) phase: FlowPhase,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -78,9 +78,9 @@ fn splitmix64(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSampler {
     /// Sample one in this many flows (0 and 1 both mean "all").
-    pub every: u32,
+    pub(crate) every: u32,
     /// Seed mixed into the membership hash.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Admission threshold: hashes strictly below this are sampled.
     threshold: u64,
 }

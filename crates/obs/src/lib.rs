@@ -16,14 +16,17 @@
 //! off, producers hold `None` and the hot path performs no allocation
 //! and no work beyond a branch.
 
-pub mod flow;
+#![warn(unreachable_pub)]
+
+mod flow;
 pub mod perfetto;
 pub mod prom;
 pub mod sync;
 pub mod tracks;
 pub mod wallprof;
 
-pub use flow::{FlowId, FlowPhase, FlowPoint, FlowSampler};
+use flow::FlowPoint;
+pub use flow::{FlowId, FlowPhase, FlowSampler};
 
 /// What a span measures. Categories become the Perfetto `cat` field, so
 /// a viewer can filter one tier of the pipeline at a time.
@@ -78,7 +81,7 @@ pub enum SpanCategory {
     /// independently.
     Epoch,
     /// A causal flow point on one message's end-to-end chain (rendered
-    /// as a Perfetto flow event, see [`flow`]).
+    /// as a Perfetto flow event, see [`FlowId`]).
     Flow,
     /// Wall-clock (host-time) spans — the dual-clock profiler's tracks,
     /// never mixed into virtual-time artefacts.
@@ -109,7 +112,7 @@ pub enum SpanCategory {
 
 impl SpanCategory {
     /// Stable lowercase label (the Perfetto `cat` string).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SpanCategory::BatchAdmission => "batch_admission",
             SpanCategory::ShardDispatch => "shard_dispatch",
@@ -163,14 +166,14 @@ pub struct SpanEvent {
     /// computes the name.
     pub name: std::borrow::Cow<'static, str>,
     /// Start time on the shared simulated clock, in nanoseconds.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Duration in nanoseconds (instants record 0 and `instant = true`).
-    pub dur_ns: u64,
+    pub(crate) dur_ns: u64,
     /// True for point-in-time events (Perfetto phase `i`).
     pub instant: bool,
     /// When set, this event is a causal flow point (Perfetto phase
     /// `s`/`t`/`f`) rather than a span or instant.
-    pub flow: Option<FlowPoint>,
+    pub(crate) flow: Option<FlowPoint>,
     /// Key/value details.
     pub args: Vec<(&'static str, ArgValue)>,
 }
@@ -330,7 +333,7 @@ impl SpanRecorder {
         });
     }
 
-    /// Record a causal flow point (see [`flow`]) at `start_ns` — one
+    /// Record a causal flow point (see [`FlowId`]) at `start_ns` — one
     /// arrowhead on the message's end-to-end chain.
     pub fn record_flow(
         &mut self,

@@ -57,15 +57,15 @@ pub struct HistogramSample {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Family {
     /// Metric name (producers follow Prometheus naming conventions).
-    pub name: String,
+    pub(crate) name: String,
     /// `# HELP` text.
-    pub help: String,
+    pub(crate) help: String,
     /// Family kind.
-    pub kind: FamilyKind,
+    pub(crate) kind: FamilyKind,
     /// Scalar samples (counters/gauges).
-    pub samples: Vec<Sample>,
+    pub(crate) samples: Vec<Sample>,
     /// Histogram series (histograms).
-    pub histograms: Vec<HistogramSample>,
+    pub(crate) histograms: Vec<HistogramSample>,
 }
 
 impl Family {

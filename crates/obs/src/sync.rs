@@ -33,7 +33,7 @@ impl SharedSpanRecorder {
     /// # Panics
     /// Panics if a previous holder panicked while holding the lock
     /// (poisoning) — recorder state is then unreliable.
-    pub fn lock(&self) -> MutexGuard<'_, SpanRecorder> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, SpanRecorder> {
         self.inner.lock().expect("span recorder lock poisoned")
     }
 

@@ -31,7 +31,7 @@ pub fn shard(i: usize) -> u32 {
 
 /// Wall-clock track of shard `i` (rendered beside the virtual track).
 #[must_use]
-pub fn wall_shard(i: usize) -> u32 {
+pub(crate) fn wall_shard(i: usize) -> u32 {
     0x0200_0000 + i as u32
 }
 

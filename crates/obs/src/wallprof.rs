@@ -47,7 +47,7 @@ pub enum WallBucket {
 }
 
 /// Number of wall buckets.
-pub const BUCKET_COUNT: usize = 4;
+pub(crate) const BUCKET_COUNT: usize = 4;
 
 impl WallBucket {
     /// All buckets, in lane order.
@@ -57,17 +57,6 @@ impl WallBucket {
         WallBucket::Backpressure,
         WallBucket::SupervisorSync,
     ];
-
-    /// Stable lowercase label (Prometheus `bucket` label, span args).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            WallBucket::Compute => "compute",
-            WallBucket::BarrierWait => "barrier_wait",
-            WallBucket::Backpressure => "backpressure",
-            WallBucket::SupervisorSync => "supervisor_sync",
-        }
-    }
 }
 
 /// One shard's accumulated wall profile.
@@ -118,12 +107,6 @@ impl WallProfiler {
                     .collect(),
             ),
         }
-    }
-
-    /// Number of shard lanes.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Add `ns` to `shard`'s `bucket` lane. Lock-free (relaxed add):
@@ -269,6 +252,5 @@ mod tests {
         let ev = tracks[1].1.events().next().expect("span recorded");
         assert_eq!(ev.dur_ns, 100);
         assert_eq!(ev.category, SpanCategory::Wall);
-        assert!(WallBucket::ALL.iter().all(|b| !b.label().is_empty()));
     }
 }

@@ -39,7 +39,7 @@ pub struct Distribution {
 
 impl Distribution {
     /// Summarise a sample set. Returns all-zero for an empty sample.
-    pub fn of(values: &[f64]) -> Distribution {
+    pub(crate) fn of(values: &[f64]) -> Distribution {
         if values.is_empty() {
             return Distribution {
                 min: 0.0,
@@ -167,7 +167,7 @@ pub struct AppAnalysis {
     /// Distinct tag values observed.
     pub distinct_tags: usize,
     /// Widest tag value observed (bits needed = ceil(log2(max+1))).
-    pub max_tag: u32,
+    pub(crate) max_tag: u32,
     /// Distribution (across ranks) of maximum UMQ depth — Figure 2.
     pub umq_depth: Distribution,
     /// Distribution (across ranks) of maximum PRQ depth.

@@ -50,7 +50,7 @@ impl Suite {
 
 /// How a rank spreads traffic over its peers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PeerPattern {
+pub(crate) enum PeerPattern {
     /// Uniform nearest-neighbour exchange (stencil-like).
     Regular,
     /// Skewed: a few peers receive most of the traffic (Nekbone,
@@ -67,26 +67,26 @@ pub struct AppModel {
     pub suite: Suite,
     /// Default rank count for generated traces (scaled-down from the
     /// original runs; queue-depth targets are independent of this).
-    pub ranks: u32,
+    pub(crate) ranks: u32,
     /// Peers each rank exchanges point-to-point traffic with.
     pub peers: u32,
     /// Communicators used for point-to-point traffic.
-    pub communicators: u16,
+    pub(crate) communicators: u16,
     /// Distinct tag values the app uses.
-    pub tag_count: u32,
+    pub(crate) tag_count: u32,
     /// Per-mille of receives posted with `MPI_ANY_SOURCE`.
-    pub src_wildcard_pm: u32,
+    pub(crate) src_wildcard_pm: u32,
     /// Per-mille of receives posted with `MPI_ANY_TAG` (always 0 in the
     /// trace set — kept as a parameter so the analyzer is exercised).
-    pub tag_wildcard_pm: u32,
+    pub(crate) tag_wildcard_pm: u32,
     /// Target mean (across ranks) of the maximum UMQ depth.
-    pub umq_mean: u32,
+    pub(crate) umq_mean: u32,
     /// Target median (across ranks) of the maximum UMQ depth.
-    pub umq_median: u32,
+    pub(crate) umq_median: u32,
     /// Peer usage regularity.
-    pub pattern: PeerPattern,
+    pub(crate) pattern: PeerPattern,
     /// Communication phases to generate (iterations of the app's loop).
-    pub phases: u32,
+    pub(crate) phases: u32,
 }
 
 impl AppModel {
@@ -269,11 +269,6 @@ impl AppModel {
         Self::all()
             .into_iter()
             .find(|a| a.name.eq_ignore_ascii_case(name))
-    }
-
-    /// Does the model use any wildcard at all?
-    pub fn uses_wildcards(&self) -> bool {
-        self.src_wildcard_pm > 0 || self.tag_wildcard_pm > 0
     }
 }
 

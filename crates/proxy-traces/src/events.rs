@@ -47,7 +47,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The event's logical timestamp.
-    pub fn ts(&self) -> u64 {
+    pub(crate) fn ts(&self) -> u64 {
         match *self {
             TraceEvent::Send { ts, .. } | TraceEvent::PostRecv { ts, .. } => ts,
         }
@@ -84,7 +84,7 @@ impl TraceEvent {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// Application name (as in Table I).
-    pub app: String,
+    pub(crate) app: String,
     /// Number of ranks the run used.
     pub ranks: u32,
     /// Events in logical-time order.
@@ -120,7 +120,8 @@ impl Trace {
     }
 
     /// Count of posted receives.
-    pub fn recv_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn recv_count(&self) -> usize {
         self.events.len() - self.send_count()
     }
 }

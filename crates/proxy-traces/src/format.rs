@@ -30,16 +30,16 @@ use msg_match::envelope::{MAX_COMM, MAX_TAG};
 use crate::events::{Trace, TraceEvent};
 
 /// Format magic bytes.
-pub const MAGIC: &[u8; 4] = b"SDTF";
+pub(crate) const MAGIC: &[u8; 4] = b"SDTF";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 const ANY: u32 = u32::MAX;
 
 /// Largest rank count the reader accepts: the analyzer allocates per
 /// rank, so the header's word alone must not size that. Three hundred
 /// times the largest proxy application.
-pub const MAX_RANKS: u32 = 1 << 16;
+pub(crate) const MAX_RANKS: u32 = 1 << 16;
 
 /// Encoded size of the smallest record (a `PostRecv` with its kind byte).
 const MIN_RECORD_BYTES: usize = 1 + 8 + 4 + 4 + 4 + 2;

@@ -3,20 +3,20 @@
 //! The paper's Section IV characterises the communication of DOE proxy
 //! applications from their public dumpi traces. The original multi-GB
 //! archives are not redistributable, so this crate models each
-//! application's communication ([`apps`]) and synthesises event streams
-//! ([`generator`]) whose aggregate statistics match everything the paper
+//! application's communication ([`AppModel`]) and synthesises event
+//! streams ([`generate`]) whose aggregate statistics match everything the paper
 //! reports: wildcard usage, communicator counts, peer counts, tag-space
 //! sizes, UMQ/PRQ depth distributions (Figure 2) and {src, tag} tuple
 //! uniqueness (Figure 6(a)).
 //!
-//! The [`mod@analyze`] module reconstructs per-rank UMQ/PRQ state from any
-//! trace — synthetic or hand-built — exactly the way a dumpi-based
-//! analysis restores queues at every matching attempt, and [`mod@format`]
-//! provides a compact binary serialisation so the full pipeline
+//! [`analyze()`] reconstructs per-rank UMQ/PRQ state from any trace —
+//! synthetic or hand-built — exactly the way a dumpi-based analysis
+//! restores queues at every matching attempt, and [`write_trace`] /
+//! [`read_trace`] provide a compact binary serialisation so the full pipeline
 //! (generate → write → read → analyze) is exercised end to end.
 //!
 //! ```
-//! use proxy_traces::{apps::AppModel, generator::{generate, GenOptions}, analyze::analyze};
+//! use proxy_traces::{analyze, generate, AppModel, GenOptions};
 //!
 //! let model = AppModel::by_name("LULESH").unwrap();
 //! let trace = generate(&model, GenOptions { depth_scale: 0.2, ranks: Some(16), seed: 1, rank0_funnel: 0 });
@@ -25,16 +25,16 @@
 //! assert!(report.tag_bits() <= 16);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod analyze;
-pub mod apps;
-pub mod events;
-pub mod format;
-pub mod generator;
+mod analyze;
+mod apps;
+mod events;
+mod format;
+mod generator;
 
-pub use analyze::{analyze, AppAnalysis, Distribution};
-pub use apps::{AppModel, PeerPattern, Suite};
+pub use analyze::{analyze, AppAnalysis};
+pub use apps::AppModel;
 pub use events::{Trace, TraceEvent};
-pub use format::{read_trace, read_trace_file, write_trace, write_trace_file, FormatError};
+pub use format::{read_trace, read_trace_file, write_trace, write_trace_file};
 pub use generator::{generate, GenOptions};

@@ -15,7 +15,7 @@ use crate::mem::BufferId;
 
 /// Warp-level inclusive prefix sum via `shfl_up` (log₂ 32 = 5 steps),
 /// charging one add per step. Returns the inclusive scan of `values`.
-pub fn warp_inclusive_scan(w: &mut WarpCtx<'_>, values: &Lanes<u32>) -> Lanes<u32> {
+pub(crate) fn warp_inclusive_scan(w: &mut WarpCtx<'_>, values: &Lanes<u32>) -> Lanes<u32> {
     let mut scan = *values;
     let mut delta = 1usize;
     while delta < WARP_SIZE {
@@ -35,7 +35,7 @@ pub fn warp_inclusive_scan(w: &mut WarpCtx<'_>, values: &Lanes<u32>) -> Lanes<u3
 
 /// Warp-level sum reduction via `shfl_down` butterflies; every lane ends
 /// up holding the total.
-pub fn warp_reduce_sum(w: &mut WarpCtx<'_>, values: &Lanes<u32>) -> u32 {
+pub(crate) fn warp_reduce_sum(w: &mut WarpCtx<'_>, values: &Lanes<u32>) -> u32 {
     let mut acc = *values;
     let mut delta = WARP_SIZE / 2;
     while delta >= 1 {
@@ -58,37 +58,14 @@ pub fn warp_reduce_sum(w: &mut WarpCtx<'_>, values: &Lanes<u32>) -> u32 {
     total.get(0)
 }
 
-/// Warp-level maximum reduction; every lane ends up holding the maximum.
-pub fn warp_reduce_max(w: &mut WarpCtx<'_>, values: &Lanes<u32>) -> u32 {
-    let mut acc = *values;
-    let mut delta = WARP_SIZE / 2;
-    while delta >= 1 {
-        let shifted = w.shfl_down(&acc, delta);
-        w.charge_alu(1);
-        acc = Lanes::from_fn(|l| {
-            if l + delta < WARP_SIZE {
-                acc.get(l).max(shifted.get(l))
-            } else {
-                acc.get(l)
-            }
-        });
-        if delta == 1 {
-            break;
-        }
-        delta /= 2;
-    }
-    let total = w.shfl(&acc, 0);
-    total.get(0)
-}
-
 /// Grid kernel: sum-reduce a `u32` buffer into `out[0]`.
-pub struct ReduceSumKernel {
+pub(crate) struct ReduceSumKernel {
     /// Input values.
-    pub input: BufferId<u32>,
+    pub(crate) input: BufferId<u32>,
     /// Single-element output.
-    pub out: BufferId<u32>,
+    pub(crate) out: BufferId<u32>,
     /// Element count.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 impl CtaKernel for ReduceSumKernel {
@@ -141,7 +118,7 @@ impl CtaKernel for ReduceSumKernel {
     }
 }
 
-/// Host driver for [`ReduceSumKernel`].
+/// Host driver for `ReduceSumKernel`.
 pub fn reduce_sum(gpu: &mut Gpu, data: &[u32]) -> (u32, LaunchReport) {
     let input = gpu.mem.alloc_from(data);
     let out = gpu.mem.alloc::<u32>(1);
@@ -158,13 +135,13 @@ pub fn reduce_sum(gpu: &mut Gpu, data: &[u32]) -> (u32, LaunchReport) {
 
 /// Grid kernel: exclusive prefix sum of a `u32` buffer (single CTA,
 /// tiles processed left to right with a running carry).
-pub struct ExclusiveScanKernel {
+pub(crate) struct ExclusiveScanKernel {
     /// Input values.
-    pub input: BufferId<u32>,
+    pub(crate) input: BufferId<u32>,
     /// Output: `out[i] = sum(input[..i])`.
-    pub out: BufferId<u32>,
+    pub(crate) out: BufferId<u32>,
     /// Element count.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 impl CtaKernel for ExclusiveScanKernel {
@@ -244,7 +221,7 @@ impl CtaKernel for ExclusiveScanKernel {
     }
 }
 
-/// Host driver for [`ExclusiveScanKernel`].
+/// Host driver for `ExclusiveScanKernel`.
 pub fn exclusive_scan(gpu: &mut Gpu, data: &[u32]) -> (Vec<u32>, LaunchReport) {
     let input = gpu.mem.alloc_from(data);
     let out = gpu.mem.alloc::<u32>(data.len().max(1));
@@ -263,15 +240,15 @@ pub fn exclusive_scan(gpu: &mut Gpu, data: &[u32]) -> (Vec<u32>, LaunchReport) {
 
 /// Grid kernel: histogram of `u32` keys into `bins` buckets via global
 /// atomics (the access pattern of the hash matcher's insert phase).
-pub struct HistogramKernel {
+pub(crate) struct HistogramKernel {
     /// Input keys.
-    pub input: BufferId<u32>,
+    pub(crate) input: BufferId<u32>,
     /// Bucket counters (pre-zeroed), length = `bins`.
-    pub counts: BufferId<u32>,
+    pub(crate) counts: BufferId<u32>,
     /// Element count.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Bucket count.
-    pub bins: u32,
+    pub(crate) bins: u32,
 }
 
 impl CtaKernel for HistogramKernel {
@@ -301,7 +278,7 @@ impl CtaKernel for HistogramKernel {
     }
 }
 
-/// Host driver for [`HistogramKernel`].
+/// Host driver for `HistogramKernel`.
 pub fn histogram(gpu: &mut Gpu, data: &[u32], bins: u32) -> (Vec<u32>, LaunchReport) {
     let input = gpu.mem.alloc_from(data);
     let counts = gpu.mem.alloc::<u32>(bins as usize);

@@ -16,7 +16,7 @@ pub const WARP_SIZE: usize = 32;
 /// Maximum number of warps per CTA supported by the hardware
 /// (1024 threads / 32 lanes). The matrix matcher relies on this: the vote
 /// matrix has at most 32 rows, so one warp can reduce a column.
-pub const MAX_WARPS_PER_CTA: usize = 32;
+pub(crate) const MAX_WARPS_PER_CTA: usize = 32;
 
 /// The three GPU generations evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -72,56 +72,56 @@ impl GpuGeneration {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SmConfig {
     /// Warp schedulers per SM. Each can issue one instruction per cycle.
-    pub schedulers: u32,
+    pub(crate) schedulers: u32,
     /// Issue efficiency in percent (0–100]. Captures dual-issue quality,
     /// dispatch port conflicts and register bank pressure differences
     /// between generations (Kepler's static scheduler rarely sustains the
     /// theoretical rate on dependent integer code).
-    pub issue_efficiency_pct: u32,
+    pub(crate) issue_efficiency_pct: u32,
     /// Maximum resident warps per SM.
-    pub max_warps: u32,
+    pub(crate) max_warps: u32,
     /// Maximum resident CTAs per SM.
-    pub max_ctas: u32,
+    pub(crate) max_ctas: u32,
     /// Shared memory per SM in bytes.
-    pub shared_mem_bytes: u32,
+    pub(crate) shared_mem_bytes: u32,
     /// Register file size per SM (32-bit registers).
-    pub registers: u32,
+    pub(crate) registers: u32,
     /// Shared memory banks (32 on all three generations).
-    pub shared_banks: u32,
+    pub(crate) shared_banks: u32,
     /// Latency of a dependent ALU instruction in cycles.
-    pub alu_latency: u32,
+    pub(crate) alu_latency: u32,
     /// Latency of warp-wide vote/shuffle instructions in cycles.
-    pub vote_latency: u32,
+    pub(crate) vote_latency: u32,
     /// Shared memory access latency in cycles.
-    pub shared_latency: u32,
+    pub(crate) shared_latency: u32,
     /// Global-memory access latency in cycles. The matching kernels work
     /// on small, hot data (queues, vote matrix, hash tables), so this is
     /// the *L2-hit* latency of the part, not the DRAM round trip —
     /// consistent with published micro-benchmarks of these generations.
-    pub global_latency: u32,
+    pub(crate) global_latency: u32,
     /// Latency of a global-memory atomic (CAS/exchange/add) in cycles.
     /// Atomic performance improved sharply across these generations:
     /// Kepler serialises RMWs far from the SM, Maxwell improved L2
     /// atomics, Pascal made them near native-load speed.
-    pub global_atomic_latency: u32,
+    pub(crate) global_atomic_latency: u32,
     /// Global memory transactions the SM can have serviced per cycle,
     /// expressed as transactions per 16 cycles to keep integer math.
-    pub global_tx_per_16_cycles: u32,
+    pub(crate) global_tx_per_16_cycles: u32,
     /// Shared-memory atomic throughput: operations per 16 cycles. Maxwell
     /// introduced native shared atomics; Kepler emulates them with
     /// lock/retry loops, which the hash matcher is sensitive to.
-    pub shared_atomic_per_16_cycles: u32,
+    pub(crate) shared_atomic_per_16_cycles: u32,
 }
 
 /// Full GPU configuration: clock, SM count and SM parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GpuConfig {
     /// Generation this config describes (used for reports only).
-    pub generation: GpuGeneration,
+    pub(crate) generation: GpuGeneration,
     /// Core boost clock in kHz (kept integral for deterministic math).
-    pub clock_khz: u64,
+    pub(crate) clock_khz: u64,
     /// Number of SMs on the device.
-    pub sm_count: u32,
+    pub(crate) sm_count: u32,
     /// Per-SM parameters.
     pub sm: SmConfig,
 }
@@ -129,7 +129,7 @@ pub struct GpuConfig {
 impl GpuConfig {
     /// Tesla K80 preset (GK210, one of the two GPUs on the board, as the
     /// paper uses a single GPU). 13 SMs, 875 MHz boost.
-    pub fn kepler_k80() -> Self {
+    pub(crate) fn kepler_k80() -> Self {
         GpuConfig {
             generation: GpuGeneration::KeplerK80,
             clock_khz: 875_000,
@@ -154,7 +154,7 @@ impl GpuConfig {
     }
 
     /// Tesla M40 preset (GM200). 24 SMs, 1140 MHz boost.
-    pub fn maxwell_m40() -> Self {
+    pub(crate) fn maxwell_m40() -> Self {
         GpuConfig {
             generation: GpuGeneration::MaxwellM40,
             clock_khz: 1_140_000,
@@ -204,7 +204,7 @@ impl GpuConfig {
     }
 
     /// Clock in Hz as a float, for rate computations.
-    pub fn clock_hz(&self) -> f64 {
+    pub(crate) fn clock_hz(&self) -> f64 {
         self.clock_khz as f64 * 1e3
     }
 

@@ -27,14 +27,14 @@ use crate::trace::{CtaTrace, DepToken, GridTrace, OpKind, OpRecord, WarpTrace};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Number of CTAs in the grid.
-    pub ctas: u32,
+    pub(crate) ctas: u32,
     /// Threads per CTA (multiple CTAs may exceed warp granularity; the
     /// final warp of a CTA may be partial).
-    pub threads_per_cta: u32,
+    pub(crate) threads_per_cta: u32,
     /// SMs the grid may occupy. The paper dedicates a *single* SM to the
     /// communication kernel (Section II-C), so this defaults to 1 in
     /// [`LaunchConfig::single_sm`].
-    pub sms_used: u32,
+    pub(crate) sms_used: u32,
 }
 
 impl LaunchConfig {
@@ -48,7 +48,7 @@ impl LaunchConfig {
     }
 
     /// Warps per CTA implied by the thread count.
-    pub fn warps_per_cta(&self) -> u32 {
+    pub(crate) fn warps_per_cta(&self) -> u32 {
         self.threads_per_cta.div_ceil(WARP_SIZE as u32)
     }
 }
@@ -185,12 +185,6 @@ impl<'a> CtaCtx<'a> {
     /// against occupancy.
     pub fn alloc_shared<T: DeviceScalar>(&mut self, len: usize) -> SharedId<T> {
         self.shared.alloc::<T>(len)
-    }
-
-    /// Host-visible peek into shared memory (for tests/debug only; real
-    /// devices cannot do this).
-    pub fn shared_read<T: DeviceScalar>(&self, id: SharedId<T>, idx: usize) -> T {
-        self.shared.read(id, idx)
     }
 
     fn warp_ctx(&mut self, warp_id: usize) -> WarpCtx<'_> {
@@ -344,7 +338,7 @@ impl WarpCtx<'_> {
 
     /// Current active-lane mask (base mask intersected with any
     /// [`WarpCtx::if_lanes`] nesting).
-    pub fn active_mask(&self) -> LaneMask {
+    pub(crate) fn active_mask(&self) -> LaneMask {
         self.mask
     }
 
@@ -381,12 +375,6 @@ impl WarpCtx<'_> {
         lanes::ballot(self.active_mask(), preds)
     }
 
-    /// Warp-wide any-vote.
-    pub fn any(&mut self, preds: &Lanes<bool>) -> bool {
-        self.record(OpKind::Vote);
-        lanes::any(self.active_mask(), preds)
-    }
-
     /// Warp-wide all-vote.
     pub fn all(&mut self, preds: &Lanes<bool>) -> bool {
         self.record(OpKind::Vote);
@@ -406,7 +394,11 @@ impl WarpCtx<'_> {
     }
 
     /// Shuffle-down by `delta`.
-    pub fn shfl_down<T: DeviceScalar>(&mut self, values: &Lanes<T>, delta: usize) -> Lanes<T> {
+    pub(crate) fn shfl_down<T: DeviceScalar>(
+        &mut self,
+        values: &Lanes<T>,
+        delta: usize,
+    ) -> Lanes<T> {
         self.record(OpKind::Shfl);
         lanes::shfl_down(self.active_mask(), values, delta)
     }
@@ -530,27 +522,6 @@ impl WarpCtx<'_> {
         (old, tok)
     }
 
-    /// Global atomic exchange per active lane, lane order; returns old
-    /// values.
-    pub fn atom_global_exch<T: DeviceScalar>(
-        &mut self,
-        buf: BufferId<T>,
-        idx: &Lanes<u32>,
-        new: &Lanes<T>,
-    ) -> (Lanes<T>, DepToken) {
-        let mask = self.active_mask();
-        let tx = mask.count().max(1);
-        let tok = self.record(OpKind::AtomGlobal { transactions: tx });
-        self.log_access(AccessKind::Atomic, Space::Global, buf.index, idx);
-        let mut old = Lanes::<T>::default();
-        for lane in mask.iter() {
-            let i = idx.get(lane) as usize;
-            old.set(lane, self.global.read(buf, i));
-            self.global.write(buf, i, new.get(lane));
-        }
-        (old, tok)
-    }
-
     /// Global atomic add per active lane, lane order; returns old values.
     pub fn atom_global_add(
         &mut self,
@@ -601,41 +572,6 @@ impl WarpCtx<'_> {
         self.log_access(AccessKind::Write, Space::Shared, id.index, idx);
         self.shared.store_lanes(id, mask, idx, values);
     }
-
-    /// Shared atomic CAS per active lane, lane order; returns old values.
-    pub fn atom_shared_cas<T: DeviceScalar + PartialEq>(
-        &mut self,
-        id: SharedId<T>,
-        idx: &Lanes<u32>,
-        compare: &Lanes<T>,
-        new: &Lanes<T>,
-    ) -> (Lanes<T>, DepToken) {
-        let mask = self.active_mask();
-        let replays = mask.count().max(1);
-        let tok = self.record(OpKind::AtomShared { replays });
-        self.log_access(AccessKind::Atomic, Space::Shared, id.index, idx);
-        let mut old = Lanes::<T>::default();
-        for lane in mask.iter() {
-            let i = idx.get(lane) as usize;
-            let cur = self.shared.read(id, i);
-            old.set(lane, cur);
-            if cur == compare.get(lane) {
-                let mut v = Lanes::default();
-                v.set(lane, new.get(lane));
-                let mut one = Lanes::splat(0u32);
-                one.set(lane, i as u32);
-                // direct write through the raw store path
-                self.shared.store_lanes(id, LaneMask(1 << lane), &one, &v);
-            }
-        }
-        (old, tok)
-    }
-
-    /// Number of elements in a global buffer (compile-time-known sizes in
-    /// real kernels; free).
-    pub fn global_len<T: DeviceScalar>(&self, buf: BufferId<T>) -> usize {
-        self.global.len(buf)
-    }
 }
 
 /// Result of a grid launch: functional effects live in the device memory;
@@ -657,21 +593,10 @@ pub struct LaunchReport {
     pub profile: crate::timing::KernelProfile,
 }
 
-impl LaunchReport {
-    /// Convenience: events per second for `events` completed in this launch.
-    pub fn rate(&self, events: u64) -> f64 {
-        if self.seconds > 0.0 {
-            events as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The simulated device: configuration plus global memory.
 pub struct Gpu {
     /// Architecture parameters used by the timing model.
-    pub config: GpuConfig,
+    pub(crate) config: GpuConfig,
     /// Device global memory.
     pub mem: DeviceMemory,
     /// When set, every launch runs under the race sanitizer and appends
@@ -706,7 +631,7 @@ impl Gpu {
     }
 
     /// Create a device from an explicit configuration.
-    pub fn with_config(config: GpuConfig) -> Self {
+    pub(crate) fn with_config(config: GpuConfig) -> Self {
         Gpu {
             config,
             mem: DeviceMemory::new(),

@@ -55,11 +55,6 @@ impl<T: Copy + Default> Lanes<T> {
     pub fn set(&mut self, lane: usize, value: T) {
         self.0[lane] = value;
     }
-
-    /// Iterate over `(lane, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, T)> + '_ {
-        self.0.iter().copied().enumerate()
-    }
 }
 
 impl<T: Copy + Default> Default for Lanes<T> {
@@ -76,10 +71,10 @@ impl LaneMask {
     /// All 32 lanes active.
     pub const FULL: LaneMask = LaneMask(u32::MAX);
     /// No lane active.
-    pub const EMPTY: LaneMask = LaneMask(0);
+    pub(crate) const EMPTY: LaneMask = LaneMask(0);
 
     /// Mask with the first `n` lanes active (`n` clamped to the warp size).
-    pub fn first(n: usize) -> Self {
+    pub(crate) fn first(n: usize) -> Self {
         if n >= WARP_SIZE {
             LaneMask::FULL
         } else {
@@ -94,17 +89,12 @@ impl LaneMask {
     }
 
     /// Number of active lanes.
-    pub fn count(self) -> u32 {
+    pub(crate) fn count(self) -> u32 {
         self.0.count_ones()
     }
 
-    /// Intersection of two masks.
-    pub fn and(self, other: LaneMask) -> LaneMask {
-        LaneMask(self.0 & other.0)
-    }
-
     /// Iterate over active lane indices, ascending.
-    pub fn iter(self) -> impl Iterator<Item = usize> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = usize> {
         let mut bits = self.0;
         std::iter::from_fn(move || {
             let lane = bits.trailing_zeros() as usize;
@@ -298,6 +288,5 @@ mod tests {
         assert_eq!(LaneMask::first(33).count(), 32);
         let m = LaneMask::first(3);
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(m.and(LaneMask::first(2)), LaneMask::first(2));
     }
 }

@@ -46,27 +46,27 @@
 //! ```
 //!
 //! Functional execution records an op trace per warp; [`timing::simulate`]
-//! replays it on the SM model. [`LaunchReport::rate`] converts an event
-//! count into events/second on the simulated device — the unit the paper's
-//! figures use (matches/s).
+//! replays it on the SM model. [`LaunchReport::seconds`] is simulated
+//! device time, so an event count divided by it is the events/second the
+//! paper's figures use (matches/s).
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod algorithms;
-pub mod config;
-pub mod exec;
+mod config;
+mod exec;
 pub mod lanes;
-pub mod mem;
-pub mod occupancy;
-pub mod sanitize;
+mod mem;
+mod occupancy;
+mod sanitize;
 pub mod timing;
 pub mod trace;
 
-pub use config::{GpuConfig, GpuGeneration, SmConfig, MAX_WARPS_PER_CTA, WARP_SIZE};
+pub use config::{GpuConfig, GpuGeneration, WARP_SIZE};
 pub use exec::{CtaCtx, CtaKernel, Gpu, LaunchConfig, LaunchReport, WarpCtx};
 pub use lanes::{LaneMask, Lanes};
-pub use mem::{BufferId, DeviceMemory, DeviceScalar, SharedId, SharedMemory};
-pub use occupancy::{occupancy, Occupancy, OccupancyLimiter};
-pub use sanitize::{AccessKind, RaceReport, Space};
-pub use timing::{KernelProfile, StallClass, TimingReport, STALL_CLASSES};
+pub use mem::{BufferId, DeviceMemory, SharedId};
+pub use occupancy::occupancy;
+pub use sanitize::{RaceReport, Space};
+pub use timing::STALL_CLASSES;
 pub use trace::{DepToken, GridTrace, OpClass, OpKind, WarpTrace};

@@ -116,11 +116,11 @@ impl DeviceMemory {
     /// device-resident service that launches batch after batch instead
     /// reclaims the whole arena between batches, modelling a steady-state
     /// allocation pool without unbounded growth.
-    pub fn reclaim(&mut self) {
+    pub(crate) fn reclaim(&mut self) {
         self.buffers.clear();
     }
 
-    /// Buffers currently allocated (drops to 0 after [`reclaim`](Self::reclaim)).
+    /// Buffers currently allocated (drops to 0 after `reclaim`).
     pub fn allocated_buffers(&self) -> usize {
         self.buffers.len()
     }
@@ -136,7 +136,7 @@ impl DeviceMemory {
     }
 
     /// Host write of a single element.
-    pub fn write<T: DeviceScalar>(&mut self, buf: BufferId<T>, idx: usize, value: T) {
+    pub(crate) fn write<T: DeviceScalar>(&mut self, buf: BufferId<T>, idx: usize, value: T) {
         self.buffers[buf.index].words[idx] = value.to_word();
     }
 
@@ -221,19 +221,19 @@ impl<T> std::fmt::Debug for SharedId<T> {
 /// Regions are allocated by the kernel at CTA start; total usage counts
 /// against the SM's shared-memory budget in the occupancy calculation.
 #[derive(Default)]
-pub struct SharedMemory {
+pub(crate) struct SharedMemory {
     regions: Vec<RawBuffer>,
     bytes_used: u32,
 }
 
 impl SharedMemory {
     /// Fresh, empty shared memory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Allocate a zeroed region of `len` elements.
-    pub fn alloc<T: DeviceScalar>(&mut self, len: usize) -> SharedId<T> {
+    pub(crate) fn alloc<T: DeviceScalar>(&mut self, len: usize) -> SharedId<T> {
         self.bytes_used += T::BYTES * len as u32;
         self.regions.push(RawBuffer {
             words: vec![0u64; len],
@@ -245,13 +245,8 @@ impl SharedMemory {
     }
 
     /// Total bytes allocated (drives occupancy).
-    pub fn bytes_used(&self) -> u32 {
+    pub(crate) fn bytes_used(&self) -> u32 {
         self.bytes_used
-    }
-
-    /// Number of elements in a region.
-    pub fn len<T: DeviceScalar>(&self, id: SharedId<T>) -> usize {
-        self.regions[id.index].words.len()
     }
 
     pub(crate) fn load_lanes<T: DeviceScalar>(
@@ -282,11 +277,6 @@ impl SharedMemory {
             words[idx.get(lane) as usize] = values.get(lane).to_word();
         }
     }
-
-    /// Host-side read for result extraction in tests.
-    pub fn read<T: DeviceScalar>(&self, id: SharedId<T>, idx: usize) -> T {
-        T::from_word(self.regions[id.index].words[idx])
-    }
 }
 
 /// Number of 128-byte global-memory transactions needed to service a
@@ -294,7 +284,7 @@ impl SharedMemory {
 ///
 /// This is the Fermi+ coalescing rule: the distinct 128-byte segments
 /// touched by the active lanes.
-pub fn coalesced_transactions(mask: LaneMask, idx: &Lanes<u32>, elem_bytes: u32) -> u32 {
+pub(crate) fn coalesced_transactions(mask: LaneMask, idx: &Lanes<u32>, elem_bytes: u32) -> u32 {
     let mut segments: [u64; WARP_SIZE] = [u64::MAX; WARP_SIZE];
     let mut n = 0usize;
     for lane in mask.iter() {
@@ -318,7 +308,12 @@ const MAX_SHARED_BANKS: usize = 64;
 ///
 /// # Panics
 /// Panics unless `1 <= banks <= 64`.
-pub fn bank_conflict_degree(mask: LaneMask, idx: &Lanes<u32>, elem_bytes: u32, banks: u32) -> u32 {
+pub(crate) fn bank_conflict_degree(
+    mask: LaneMask,
+    idx: &Lanes<u32>,
+    elem_bytes: u32,
+    banks: u32,
+) -> u32 {
     assert!(
         (1..=MAX_SHARED_BANKS).contains(&(banks as usize)),
         "{banks} shared banks; 1..={MAX_SHARED_BANKS} supported"
@@ -504,10 +499,8 @@ mod tests {
     #[test]
     fn shared_memory_tracks_bytes() {
         let mut sh = SharedMemory::new();
-        let a = sh.alloc::<u32>(256);
-        let b = sh.alloc::<u64>(32);
+        sh.alloc::<u32>(256);
+        sh.alloc::<u64>(32);
         assert_eq!(sh.bytes_used(), 256 * 4 + 32 * 8);
-        assert_eq!(sh.len(a), 256);
-        assert_eq!(sh.len(b), 32);
     }
 }

@@ -11,7 +11,7 @@ use crate::config::{SmConfig, WARP_SIZE};
 
 /// Which resource capped residency (for reports and ablation benches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OccupancyLimiter {
+pub(crate) enum OccupancyLimiter {
     /// The SM's maximum resident-CTA count.
     CtaSlots,
     /// The SM's maximum resident-warp count.
@@ -29,9 +29,9 @@ pub struct Occupancy {
     /// as a single CTA fits at all).
     pub resident_ctas: u32,
     /// The binding resource.
-    pub limiter: OccupancyLimiter,
+    pub(crate) limiter: OccupancyLimiter,
     /// Resident warps implied by `resident_ctas`.
-    pub resident_warps: u32,
+    pub(crate) resident_warps: u32,
 }
 
 /// Compute occupancy for a kernel with the given per-CTA footprint.

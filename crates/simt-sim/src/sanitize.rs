@@ -27,7 +27,7 @@ pub enum Space {
 
 /// Access flavour, as logged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AccessKind {
+pub(crate) enum AccessKind {
     /// Plain load.
     Read,
     /// Plain store.
@@ -40,30 +40,30 @@ pub enum AccessKind {
 /// element).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Access {
-    pub warp: u32,
-    pub kind: AccessKind,
-    pub space: Space,
-    pub buffer: u32,
-    pub index: u32,
+    pub(crate) warp: u32,
+    pub(crate) kind: AccessKind,
+    pub(crate) space: Space,
+    pub(crate) buffer: u32,
+    pub(crate) index: u32,
 }
 
 /// A detected same-segment cross-warp conflict.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RaceReport {
     /// CTA in which the race occurred.
-    pub cta: u32,
+    pub(crate) cta: u32,
     /// Barrier segment index (0 = before the first barrier).
-    pub segment: u32,
+    pub(crate) segment: u32,
     /// Memory space.
     pub space: Space,
     /// Buffer/region index within the space.
-    pub buffer: u32,
+    pub(crate) buffer: u32,
     /// Element index within the buffer.
     pub index: u32,
     /// The two warps involved.
-    pub warps: (u32, u32),
+    pub(crate) warps: (u32, u32),
     /// The conflicting access kinds.
-    pub kinds: (AccessKind, AccessKind),
+    pub(crate) kinds: (AccessKind, AccessKind),
 }
 
 impl std::fmt::Display for RaceReport {

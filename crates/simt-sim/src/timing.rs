@@ -30,7 +30,7 @@ use crate::trace::{GridTrace, OpClass, OpKind, OpRecord};
 /// Millicycles per cycle.
 const MC: u64 = 1000;
 
-/// Number of [`StallClass`]es.
+/// Number of `StallClass`es.
 pub const STALL_CLASSES: usize = 5;
 
 /// Where a cycle of the critical SM's timeline went — the simulator's
@@ -38,7 +38,7 @@ pub const STALL_CLASSES: usize = 5;
 /// to exactly one class, so per-class cycles sum to
 /// [`TimingReport::cycles`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StallClass {
+pub(crate) enum StallClass {
     /// The issue pipeline was occupied delivering instructions.
     Issue,
     /// Warps waited on an outstanding memory result (global, shared or
@@ -56,7 +56,7 @@ pub enum StallClass {
 
 impl StallClass {
     /// All classes in index order.
-    pub const ALL: [StallClass; STALL_CLASSES] = [
+    pub(crate) const ALL: [StallClass; STALL_CLASSES] = [
         StallClass::Issue,
         StallClass::MemDependency,
         StallClass::Barrier,
@@ -65,7 +65,7 @@ impl StallClass {
     ];
 
     /// Dense index into `[u64; STALL_CLASSES]` breakdowns.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             StallClass::Issue => 0,
             StallClass::MemDependency => 1,
@@ -76,7 +76,7 @@ impl StallClass {
     }
 
     /// Stable lowercase label for metrics and reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             StallClass::Issue => "issue",
             StallClass::MemDependency => "mem_dependency",
@@ -112,13 +112,13 @@ impl StallClass {
 pub struct KernelProfile {
     /// Kernel display name (see `CtaKernel::name`).
     pub name: &'static str,
-    /// Launches aggregated into this profile.
+    /// Launches this profile covers (one per `LaunchReport`).
     pub launches: u64,
-    /// Critical-path cycles (summed across merged launches).
+    /// Critical-path cycles.
     pub cycles: u64,
     /// Architectural instructions.
     pub instructions: u64,
-    /// Cycles per [`StallClass`] (indexed by [`StallClass::index`]);
+    /// Cycles per `StallClass` (indexed by `StallClass::index`);
     /// sums exactly to `cycles`.
     pub stall_cycles: [u64; STALL_CLASSES],
     /// Instructions per [`OpClass`] (indexed by [`OpClass::index`]).
@@ -127,7 +127,7 @@ pub struct KernelProfile {
 
 impl KernelProfile {
     /// Profile of one launch's timing outcome.
-    pub fn from_timing(name: &'static str, t: &TimingReport) -> Self {
+    pub(crate) fn from_timing(name: &'static str, t: &TimingReport) -> Self {
         KernelProfile {
             name,
             launches: 1,
@@ -135,23 +135,6 @@ impl KernelProfile {
             instructions: t.instructions,
             stall_cycles: t.stall_cycles,
             class_instructions: t.class_instructions,
-        }
-    }
-
-    /// Fold another profile into this one (keeps this profile's name).
-    pub fn merge(&mut self, other: &KernelProfile) {
-        self.launches += other.launches;
-        self.cycles += other.cycles;
-        self.instructions += other.instructions;
-        for (a, b) in self.stall_cycles.iter_mut().zip(other.stall_cycles.iter()) {
-            *a += b;
-        }
-        for (a, b) in self
-            .class_instructions
-            .iter_mut()
-            .zip(other.class_instructions.iter())
-        {
-            *a += b;
         }
     }
 }
@@ -164,13 +147,13 @@ pub struct TimingReport {
     /// Per-SM completion times in cycles.
     pub per_sm_cycles: Vec<u64>,
     /// CTAs resident concurrently per SM (occupancy outcome).
-    pub resident_ctas_per_sm: u32,
+    pub(crate) resident_ctas_per_sm: u32,
     /// Total architectural instructions issued.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Total global-memory transactions (loads + stores + atomics).
     pub global_transactions: u64,
     /// Total shared-memory access replays.
-    pub shared_replays: u64,
+    pub(crate) shared_replays: u64,
     /// Summed cycles warps spent blocked at barriers.
     pub barrier_wait_cycles: u64,
     /// Summed cycles warps spent stalled on operand dependencies.
@@ -182,9 +165,9 @@ pub struct TimingReport {
     /// Cycles the global-memory pipe was occupied.
     pub mem_busy_cycles: u64,
     /// Cycles the shared-memory pipe was occupied.
-    pub shared_busy_cycles: u64,
-    /// Critical-SM cycles per [`StallClass`] (indexed by
-    /// [`StallClass::index`]): an exact partition of the SM timeline
+    pub(crate) shared_busy_cycles: u64,
+    /// Critical-SM cycles per `StallClass` (indexed by
+    /// `StallClass::index`): an exact partition of the SM timeline
     /// that defined `cycles`, so the entries sum to `cycles`.
     pub stall_cycles: [u64; STALL_CLASSES],
 }
@@ -930,17 +913,14 @@ mod tests {
     }
 
     #[test]
-    fn kernel_profile_mirrors_timing_and_merges() {
+    fn kernel_profile_mirrors_timing() {
         let grid = one_warp_trace(vec![OpKind::IAlu { n: 10 }, OpKind::Bar]);
         let cfg = GpuGeneration::PascalGtx1080.config();
         let t = simulate(&grid, &cfg, 1);
-        let mut p = KernelProfile::from_timing("k", &t);
+        let p = KernelProfile::from_timing("k", &t);
         assert_eq!(p.cycles, t.cycles);
         assert_eq!(p.stall_cycles.iter().sum::<u64>(), p.cycles);
-        p.merge(&KernelProfile::from_timing("k", &t));
-        assert_eq!(p.launches, 2);
-        assert_eq!(p.cycles, 2 * t.cycles);
-        assert_eq!(p.stall_cycles.iter().sum::<u64>(), p.cycles);
+        assert_eq!(p.launches, 1);
     }
 
     #[test]

@@ -105,23 +105,11 @@ impl OpClass {
             OpClass::Barrier => 5,
         }
     }
-
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpClass::Alu => "alu",
-            OpClass::WarpOp => "warp",
-            OpClass::GlobalMem => "gmem",
-            OpClass::SharedMem => "smem",
-            OpClass::Atomic => "atomic",
-            OpClass::Barrier => "bar",
-        }
-    }
 }
 
 impl OpKind {
     /// Profiling class of this op.
-    pub fn class(self) -> OpClass {
+    pub(crate) fn class(self) -> OpClass {
         match self {
             OpKind::IAlu { .. } => OpClass::Alu,
             OpKind::Vote | OpKind::Shfl => OpClass::WarpOp,
@@ -131,23 +119,15 @@ impl OpKind {
             OpKind::Bar => OpClass::Barrier,
         }
     }
-
-    /// Number of architectural instructions this record stands for.
-    pub fn instruction_count(self) -> u64 {
-        match self {
-            OpKind::IAlu { n } => n as u64,
-            _ => 1,
-        }
-    }
 }
 
 /// One recorded warp-wide instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpRecord {
     /// What the instruction is and its cost parameters.
-    pub kind: OpKind,
+    pub(crate) kind: OpKind,
     /// Op (by index in the same warp trace) whose completion gates issue.
-    pub waits_on: Option<u32>,
+    pub(crate) waits_on: Option<u32>,
 }
 
 /// The instruction trace of one warp over a whole kernel execution.
@@ -172,19 +152,6 @@ impl WarpTrace {
         });
         DepToken(idx)
     }
-
-    /// Total architectural instructions in this trace.
-    pub fn instruction_count(&self) -> u64 {
-        self.ops.iter().map(|o| o.kind.instruction_count()).sum()
-    }
-
-    /// Number of barrier ops in this trace.
-    pub fn barrier_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|o| matches!(o.kind, OpKind::Bar))
-            .count()
-    }
 }
 
 /// Traces of every warp of one CTA, plus the CTA's resource footprint.
@@ -196,24 +163,6 @@ pub struct CtaTrace {
     pub shared_bytes: u32,
 }
 
-impl CtaTrace {
-    /// Every warp must see the same number of barriers or the CTA would
-    /// deadlock on real hardware. Returns that count.
-    pub fn validate_barriers(&self) -> Result<usize, String> {
-        let mut counts = self.warps.iter().map(|w| w.barrier_count());
-        let first = counts.next().unwrap_or(0);
-        for (i, c) in counts.enumerate() {
-            if c != first {
-                return Err(format!(
-                    "barrier divergence: warp 0 hits {first} barriers but warp {} hits {c}",
-                    i + 1
-                ));
-            }
-        }
-        Ok(first)
-    }
-}
-
 /// Traces of a full grid launch.
 #[derive(Debug, Clone, Default)]
 pub struct GridTrace {
@@ -223,17 +172,6 @@ pub struct GridTrace {
     pub threads_per_cta: u32,
     /// Kernel register footprint per thread (occupancy input).
     pub registers_per_thread: u32,
-}
-
-impl GridTrace {
-    /// Total architectural instructions across the grid.
-    pub fn instruction_count(&self) -> u64 {
-        self.ctas
-            .iter()
-            .flat_map(|c| c.warps.iter())
-            .map(|w| w.instruction_count())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -264,21 +202,17 @@ mod tests {
         t.push(OpKind::IAlu { n: 5 });
         t.push(OpKind::Vote);
         t.push(OpKind::Bar);
-        assert_eq!(t.instruction_count(), 7);
-        assert_eq!(t.barrier_count(), 1);
-    }
-
-    #[test]
-    fn barrier_validation_catches_divergence() {
-        let mut cta = CtaTrace::default();
-        let mut w0 = WarpTrace::default();
-        w0.push(OpKind::Bar);
-        let mut w1 = WarpTrace::default();
-        w1.push(OpKind::Bar);
-        w1.push(OpKind::Bar);
-        cta.warps = vec![w0, w1];
-        assert!(cta.validate_barriers().is_err());
-        cta.warps[0].push(OpKind::Bar);
-        assert_eq!(cta.validate_barriers().unwrap(), 2);
+        let grid = GridTrace {
+            ctas: vec![CtaTrace {
+                warps: vec![t],
+                shared_bytes: 0,
+            }],
+            threads_per_cta: 32,
+            registers_per_thread: 32,
+        };
+        let cfg = crate::GpuGeneration::PascalGtx1080.config();
+        let r = crate::timing::simulate(&grid, &cfg, 1);
+        assert_eq!(r.instructions, 7);
+        assert_eq!(r.class_instructions[OpClass::Barrier.index()], 1);
     }
 }

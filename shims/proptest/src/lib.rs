@@ -3,7 +3,8 @@
 //!
 //! The `proptest!` macro runs each property for `ProptestConfig::cases`
 //! independently drawn samples; a failing case panics with the values
-//! baked into the assertion message. Supported strategies: integer
+//! baked into the assertion message, and a body that panics on its own
+//! is named by case number (`proptest <name>: case i/N panicked`). Supported strategies: integer
 //! ranges (`a..b`, `a..=b`), `any::<T>()`, `Just`, tuples of strategies,
 //! `prop_oneof![..]`, `.prop_map(..)`, and `collection::vec(..)`.
 
@@ -79,8 +80,12 @@ macro_rules! __proptest_impl {
             let mut rng = $crate::test_runner::TestRng::deterministic(stringify!($name));
             for case in 0..config.cases {
                 $(let $arg = $crate::strategy::Strategy::sample(&$strat, &mut rng);)+
-                let outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (|| { $body ::std::result::Result::Ok(()) })();
+                let outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> = {
+                    let _guard = $crate::test_runner::CaseGuard::new(
+                        stringify!($name), case + 1, config.cases,
+                    );
+                    (|| { $body ::std::result::Result::Ok(()) })()
+                };
                 if let ::std::result::Result::Err(e) = outcome {
                     panic!(
                         "proptest {}: case {}/{} failed: {}",

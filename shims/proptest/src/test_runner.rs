@@ -1,5 +1,7 @@
 //! Test-runner plumbing for the proptest shim.
 
+use std::io::Write;
+
 /// Per-block configuration. Only `cases` is honoured.
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
@@ -73,5 +75,39 @@ impl TestRng {
     /// Uniform draw from `[0, bound)`; `bound` must be non-zero.
     pub fn below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound
+    }
+}
+
+/// Names the case a property body panicked in. The runner holds one
+/// across each call of the body; if the call unwinds (an `assert!`, an
+/// index out of bounds), the drop prints `proptest <name>: case i/N
+/// panicked`. The sample stream is seeded from the test name, so that
+/// line is all it takes to replay the failing case.
+#[derive(Debug)]
+pub struct CaseGuard {
+    name: &'static str,
+    case: u32,
+    cases: u32,
+}
+
+impl CaseGuard {
+    /// Guard for case `case` (1-based) of `cases` of property `name`.
+    pub fn new(name: &'static str, case: u32, cases: u32) -> Self {
+        CaseGuard { name, case, cases }
+    }
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Never panic here: this runs while the body unwinds.
+            let _ = writeln!(
+                std::io::stderr(),
+                "proptest {}: case {}/{} panicked",
+                self.name,
+                self.case,
+                self.cases
+            );
+        }
     }
 }

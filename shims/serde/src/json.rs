@@ -1,4 +1,4 @@
-//! JSON text rendering and parsing for [`Value`](crate::Value) trees.
+//! JSON text rendering and parsing for [`Value`] trees.
 //!
 //! Floats are printed with Rust's shortest-round-trip formatting, so a
 //! serialize → parse → deserialize cycle reproduces every `f64` exactly.
