@@ -79,7 +79,7 @@ pub trait CtaKernel {
 /// Execution context of one CTA during functional execution.
 pub struct CtaCtx<'a> {
     global: &'a mut DeviceMemory,
-    shared: SharedMemory,
+    shared: &'a mut SharedMemory,
     /// This CTA's warps in the device's trace arena, holding whatever
     /// the previous launch recorded there.
     traces: &'a mut [WarpTrace],
@@ -92,6 +92,7 @@ pub struct CtaCtx<'a> {
 
 /// Per-CTA sanitizer bookkeeping (enabled by
 /// [`Gpu::launch_sanitized`]).
+#[derive(Default)]
 struct SanitizerState {
     log: Vec<Access>,
     segment: u32,
@@ -140,32 +141,7 @@ impl Cursor {
     }
 }
 
-impl<'a> CtaCtx<'a> {
-    fn new(
-        global: &'a mut DeviceMemory,
-        traces: &'a mut [WarpTrace],
-        cursors: &'a mut [Cursor],
-        cta_id: usize,
-        threads: usize,
-        banks: u32,
-        sanitize: bool,
-    ) -> Self {
-        CtaCtx {
-            global,
-            shared: SharedMemory::new(),
-            traces,
-            cursors,
-            cta_id,
-            threads,
-            banks,
-            sanitizer: sanitize.then(|| SanitizerState {
-                log: Vec::new(),
-                segment: 0,
-                reports: Vec::new(),
-            }),
-        }
-    }
-
+impl CtaCtx<'_> {
     /// Index of this CTA within the grid.
     pub fn cta_id(&self) -> usize {
         self.cta_id
@@ -192,7 +168,7 @@ impl<'a> CtaCtx<'a> {
         let live = self.threads.saturating_sub(start).min(WARP_SIZE);
         WarpCtx {
             global: self.global,
-            shared: &mut self.shared,
+            shared: self.shared,
             trace: &mut self.traces[warp_id],
             cursor: &mut self.cursors[warp_id],
             cta_id: self.cta_id,
@@ -612,6 +588,11 @@ pub struct Gpu {
     trace: GridTrace,
     /// Recording cursors of the CTA being executed, one per warp.
     cursors: Vec<Cursor>,
+    /// Shared memory of the CTA being executed; each CTA starts it
+    /// empty and reuses the previous CTA's regions.
+    shared: SharedMemory,
+    /// The working set every launch's timing replay runs in.
+    replayer: timing::Replayer,
     /// The timing replay of `trace`, while `trace` is unchanged.
     replayed: Option<Replayed>,
 }
@@ -639,6 +620,8 @@ impl Gpu {
             obs: None,
             trace: GridTrace::default(),
             cursors: Vec::new(),
+            shared: SharedMemory::default(),
+            replayer: timing::Replayer::default(),
             replayed: None,
         }
     }
@@ -731,15 +714,17 @@ impl Gpu {
             cta.warps.resize_with(warp_count, WarpTrace::default);
             self.cursors.clear();
             self.cursors.resize(warp_count, Cursor::default());
-            let mut ctx = CtaCtx::new(
-                &mut self.mem,
-                &mut cta.warps,
-                &mut self.cursors,
+            self.shared.reset();
+            let mut ctx = CtaCtx {
+                global: &mut self.mem,
+                shared: &mut self.shared,
+                traces: &mut cta.warps,
+                cursors: &mut self.cursors,
                 cta_id,
-                launch.threads_per_cta as usize,
+                threads: launch.threads_per_cta as usize,
                 banks,
-                sanitize,
-            );
+                sanitizer: sanitize.then(SanitizerState::default),
+            };
             kernel.execute(&mut ctx);
             let (shared_bytes, cta_races) = ctx.finish();
             races.extend(cta_races);
@@ -747,16 +732,22 @@ impl Gpu {
             cta.shared_bytes = shared_bytes;
         }
 
-        // `timing::simulate` is a pure function of the trace, the
+        // A timing replay is a pure function of the trace, the
         // configuration and `sms_used`: with all three unchanged, the
-        // previous replay is this launch's, exactly.
+        // previous replay is this launch's, exactly. A new replay reuses
+        // the stale report's buffer.
         let replayed = match replayed {
             Some(r) if !changed && r.sms_used == launch.sms_used && r.config == self.config => r,
-            _ => Replayed {
-                timing: timing::simulate(&self.trace, &self.config, launch.sms_used),
-                config: self.config.clone(),
-                sms_used: launch.sms_used,
-            },
+            stale => {
+                let mut timing = stale.map(|r| r.timing).unwrap_or_default();
+                self.replayer
+                    .replay(&self.trace, &self.config, launch.sms_used, &mut timing);
+                Replayed {
+                    timing,
+                    config: self.config.clone(),
+                    sms_used: launch.sms_used,
+                }
+            }
         };
         let timing = replayed.timing.clone();
         self.replayed = Some(replayed);

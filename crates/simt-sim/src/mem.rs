@@ -220,26 +220,36 @@ impl<T> std::fmt::Debug for SharedId<T> {
 ///
 /// Regions are allocated by the kernel at CTA start; total usage counts
 /// against the SM's shared-memory budget in the occupancy calculation.
+/// A device keeps one for all its CTAs: [`SharedMemory::reset`] empties
+/// it and keeps the regions' buffers for the next CTA to reuse.
 #[derive(Default)]
 pub(crate) struct SharedMemory {
+    /// The current CTA's regions, then buffers kept from earlier CTAs.
     regions: Vec<RawBuffer>,
+    /// Regions the current CTA allocated.
+    used: usize,
     bytes_used: u32,
 }
 
 impl SharedMemory {
-    /// Fresh, empty shared memory.
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// Empty the shared memory for the next CTA.
+    pub(crate) fn reset(&mut self) {
+        self.used = 0;
+        self.bytes_used = 0;
     }
 
     /// Allocate a zeroed region of `len` elements.
     pub(crate) fn alloc<T: DeviceScalar>(&mut self, len: usize) -> SharedId<T> {
         self.bytes_used += T::BYTES * len as u32;
-        self.regions.push(RawBuffer {
-            words: vec![0u64; len],
-        });
+        if self.used == self.regions.len() {
+            self.regions.push(RawBuffer { words: Vec::new() });
+        }
+        let words = &mut self.regions[self.used].words;
+        words.clear();
+        words.resize(len, 0);
+        self.used += 1;
         SharedId {
-            index: self.regions.len() - 1,
+            index: self.used - 1,
             _ty: PhantomData,
         }
     }
@@ -255,7 +265,7 @@ impl SharedMemory {
         mask: LaneMask,
         idx: &Lanes<u32>,
     ) -> Lanes<T> {
-        let words = &self.regions[id.index].words;
+        let words = &self.regions[..self.used][id.index].words;
         Lanes::from_fn(|lane| {
             if mask.contains(lane) {
                 T::from_word(words[idx.get(lane) as usize])
@@ -272,7 +282,7 @@ impl SharedMemory {
         idx: &Lanes<u32>,
         values: &Lanes<T>,
     ) {
-        let words = &mut self.regions[id.index].words;
+        let words = &mut self.regions[..self.used][id.index].words;
         for lane in mask.iter() {
             words[idx.get(lane) as usize] = values.get(lane).to_word();
         }
@@ -283,19 +293,30 @@ impl SharedMemory {
 /// warp's access to elements `idx` of size `elem_bytes` under `mask`.
 ///
 /// This is the Fermi+ coalescing rule: the distinct 128-byte segments
-/// touched by the active lanes.
+/// touched by the active lanes. Segments within 64 of each other are
+/// counted in a bitmask, wider spreads (random addresses) by sorting.
 pub(crate) fn coalesced_transactions(mask: LaneMask, idx: &Lanes<u32>, elem_bytes: u32) -> u32 {
-    let mut segments: [u64; WARP_SIZE] = [u64::MAX; WARP_SIZE];
-    let mut n = 0usize;
+    let mut segments = [0u64; WARP_SIZE];
+    let (mut n, mut lo, mut hi) = (0, u64::MAX, 0);
     for lane in mask.iter() {
-        let byte = idx.get(lane) as u64 * elem_bytes as u64;
-        let seg = byte / 128;
-        if !segments[..n].contains(&seg) {
-            segments[n] = seg;
-            n += 1;
-        }
+        let seg = idx.get(lane) as u64 * elem_bytes as u64 / 128;
+        segments[n] = seg;
+        n += 1;
+        lo = lo.min(seg);
+        hi = hi.max(seg);
     }
-    n as u32
+    let segments = &mut segments[..n];
+    if n == 0 {
+        0
+    } else if hi - lo < 64 {
+        segments
+            .iter()
+            .fold(0u64, |bits, &s| bits | 1 << (s - lo))
+            .count_ones()
+    } else {
+        segments.sort_unstable();
+        1 + segments.windows(2).filter(|w| w[0] != w[1]).count() as u32
+    }
 }
 
 /// Most shared-memory banks [`bank_conflict_degree`] counts on its stack
@@ -415,6 +436,53 @@ mod tests {
         assert_eq!(coalesced_transactions(LaneMask::EMPTY, &idx, 4), 0);
     }
 
+    /// The original quadratic implementation: a list of the distinct
+    /// segments seen so far. The oracle the counting version must agree
+    /// with.
+    fn coalesced_transactions_by_scan(mask: LaneMask, idx: &Lanes<u32>, elem_bytes: u32) -> u32 {
+        let mut segments: [u64; WARP_SIZE] = [u64::MAX; WARP_SIZE];
+        let mut n = 0usize;
+        for lane in mask.iter() {
+            let byte = idx.get(lane) as u64 * elem_bytes as u64;
+            let seg = byte / 128;
+            if !segments[..n].contains(&seg) {
+                segments[n] = seg;
+                n += 1;
+            }
+        }
+        n as u32
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn coalescing_equals_the_scan_reference(
+            mask in prop_oneof![
+                Just(0u32),
+                Just(u32::MAX),
+                Just(1u32),
+                any::<u32>(),
+            ],
+            base in 0u32..1 << 24,
+            spread in prop_oneof![0u32..256, 0u32..1 << 16],
+            picks in collection::vec((0u32..8, 0u32..64), WARP_SIZE),
+            elem_bytes in prop_oneof![Just(4u32), Just(8u32)],
+        ) {
+            // Lanes cluster around up to eight points `spread` elements
+            // apart, so segments repeat both when they span fewer than 64
+            // segments and when they span more.
+            let idx = Lanes::from_fn(|l| {
+                let (point, offset) = picks[l];
+                base + point * spread + offset
+            });
+            let mask = LaneMask(mask);
+            prop_assert_eq!(
+                coalesced_transactions(mask, &idx, elem_bytes),
+                coalesced_transactions_by_scan(mask, &idx, elem_bytes)
+            );
+        }
+    }
+
     #[test]
     fn bank_conflicts_unit_stride_is_free() {
         let idx = Lanes::from_fn(|i| i as u32);
@@ -498,9 +566,27 @@ mod tests {
 
     #[test]
     fn shared_memory_tracks_bytes() {
-        let mut sh = SharedMemory::new();
+        let mut sh = SharedMemory::default();
         sh.alloc::<u32>(256);
         sh.alloc::<u64>(32);
         assert_eq!(sh.bytes_used(), 256 * 4 + 32 * 8);
+    }
+
+    #[test]
+    fn reset_shared_memory_reuses_regions_zeroed() {
+        let mut sh = SharedMemory::default();
+        let a = sh.alloc::<u32>(64);
+        sh.store_lanes(
+            a,
+            LaneMask::FULL,
+            &Lanes::from_fn(|i| i as u32),
+            &Lanes::splat(7),
+        );
+        sh.reset();
+        assert_eq!(sh.bytes_used(), 0);
+        let b = sh.alloc::<u64>(96);
+        let idx = Lanes::from_fn(|i| i as u32 * 3);
+        assert_eq!(sh.load_lanes(b, LaneMask::FULL, &idx), Lanes::splat(0));
+        assert_eq!(sh.bytes_used(), 96 * 8);
     }
 }

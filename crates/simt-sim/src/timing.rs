@@ -185,11 +185,15 @@ struct WarpState<'a> {
     ops: &'a [OpRecord],
     /// Next op index to issue.
     pc: usize,
+    /// Where the warp's ring of op completion times starts in
+    /// `SmSim::completions`.
+    base: usize,
+    /// The ring's length minus one: op `i` completes into slot
+    /// `base + (i & ring_mask)`.
+    ring_mask: usize,
     /// Earliest millicycle the warp can issue its next op.
     ready_mc: u64,
     phase: WarpPhase,
-    /// Completion time (mc) of each already-issued op, for dep lookups.
-    completions: Vec<u64>,
     /// Arrival time at the current barrier.
     barrier_arrival_mc: u64,
     /// Why `ready_mc` is what it is — attributes any issue gap this warp
@@ -207,20 +211,75 @@ struct CtaRun {
     at_barrier: usize,
 }
 
+/// An entry of the warp pick's tournament tree: a warp's candidate issue
+/// time (mc) and its index. Entries order by time, then by index, so the
+/// smaller of two entries is the issue rule's pick.
+type Entry = (u64, usize);
+
+/// The smaller of two entries. Which one wins is data, so this selects
+/// rather than branches: a branch here would mispredict on most picks.
+fn smaller(a: Entry, b: Entry) -> Entry {
+    let b_first = (b.0 < a.0) | ((b.0 == a.0) & (b.1 < a.1));
+    (
+        std::hint::select_unpredictable(b_first, b.0, a.0),
+        std::hint::select_unpredictable(b_first, b.1, a.1),
+    )
+}
+
+/// The allocations a replay works in. [`Replayer`] keeps them between
+/// launches, and each SM's replay hands them on to the next SM's.
+#[derive(Default)]
+struct WorkingSet<'a> {
+    warps: Vec<WarpState<'a>>,
+    resident: Vec<CtaRun>,
+    completions: Vec<u64>,
+    tree: Vec<Entry>,
+}
+
+impl WorkingSet<'_> {
+    /// The same allocations holding no warp, for traces of any lifetime
+    /// (an emptied `Vec` is collected into its own buffer).
+    fn recycle<'b>(self) -> WorkingSet<'b> {
+        let mut warps = self.warps;
+        warps.clear();
+        WorkingSet {
+            warps: warps
+                .into_iter()
+                .map(|_| -> WarpState<'b> { unreachable!("the vector is empty") })
+                .collect(),
+            resident: self.resident,
+            completions: self.completions,
+            tree: self.tree,
+        }
+    }
+}
+
 struct SmSim<'a> {
     grid: &'a GridTrace,
     cfg: &'a GpuConfig,
-    /// Pending CTA indices (into grid.ctas) not yet resident.
-    pending: Vec<usize>,
+    /// Next CTA (index into grid.ctas) to admit: this SM replays every
+    /// `cta_stride`-th CTA.
+    next_cta: usize,
+    cta_stride: usize,
     /// Every CTA activated so far, in activation order.
     resident: Vec<CtaRun>,
     /// Every warp activated so far, in activation order: the index is
     /// the issue priority among equal candidate times.
     warps: Vec<WarpState<'a>>,
-    /// Per warp, the earliest millicycle its next op can issue
-    /// (`u64::MAX` unless Ready). Changes only when that warp steps or
-    /// its barrier releases, so the pick is a scan of this array.
-    cand_mc: Vec<u64>,
+    /// Completion times (mc) of the warps' recent ops, for dependency
+    /// lookups: one ring per warp, in activation order (see
+    /// [`ring_len`]). A slot is written when its op issues, before any
+    /// later op reads it, so stale values are never read.
+    completions: Vec<u64>,
+    /// Tournament tree over the warps' candidate issue times
+    /// (`max(ready, dependency completion)`, or `u64::MAX` unless
+    /// Ready): leaf `i` at `leaves + i`, node `k` the smaller [`Entry`]
+    /// of `2k` and `2k + 1`, node 1 the pick. A candidate changes only
+    /// when its warp is admitted, steps or leaves a barrier; then one
+    /// leaf-to-root path is recomputed.
+    tree: Vec<Entry>,
+    /// Leaf count: the SM's warps, rounded up to a power of two.
+    leaves: usize,
     /// Shared-resource availability (mc).
     issue_free_mc: u64,
     mem_free_mc: u64,
@@ -244,27 +303,57 @@ struct SmSim<'a> {
 }
 
 impl<'a> SmSim<'a> {
-    fn new(grid: &'a GridTrace, cfg: &'a GpuConfig, ctas: Vec<usize>, max_resident: u32) -> Self {
-        let sm = &cfg.sm;
-        let issue_rate_per_mille = sm.schedulers as u64 * sm.issue_efficiency_pct as u64 * 10;
+    /// The replay of SM `sm` of `sms`, which holds CTAs `sm`, `sm + sms`,
+    /// …, working in `set`.
+    fn new(
+        grid: &'a GridTrace,
+        cfg: &'a GpuConfig,
+        (sm, sms): (usize, usize),
+        max_resident: u32,
+        set: WorkingSet<'a>,
+    ) -> Self {
+        let warp_count: usize = grid
+            .ctas
+            .iter()
+            .skip(sm)
+            .step_by(sms)
+            .map(|cta| cta.warps.len())
+            .sum();
+        let WorkingSet {
+            mut warps,
+            mut resident,
+            mut completions,
+            mut tree,
+        } = set;
+        warps.clear();
+        resident.clear();
+        completions.clear();
+        // No warp is Ready yet. An entry at `u64::MAX` is never picked,
+        // so its index does not matter.
+        let leaves = warp_count.next_power_of_two();
+        tree.clear();
+        tree.resize(2 * leaves, (u64::MAX, 0));
+
+        let params = &cfg.sm;
+        let issue_rate_per_mille =
+            params.schedulers as u64 * params.issue_efficiency_pct as u64 * 10;
         let mut sim = SmSim {
             grid,
             cfg,
-            pending: {
-                let mut p = ctas;
-                p.reverse(); // pop() from the back in launch order
-                p
-            },
-            resident: Vec::new(),
-            warps: Vec::new(),
-            cand_mc: Vec::new(),
+            next_cta: sm,
+            cta_stride: sms,
+            resident,
+            warps,
+            completions,
+            tree,
+            leaves,
             issue_free_mc: 0,
             mem_free_mc: 0,
             shared_free_mc: 0,
             // instructions per cycle = rate/1000; cost per instr in mc:
             issue_cost_mc: (MC * MC / issue_rate_per_mille).max(1),
-            mem_tx_cost_mc: (16 * MC / sm.global_tx_per_16_cycles as u64).max(1),
-            shared_atom_cost_mc: (16 * MC / sm.shared_atomic_per_16_cycles as u64).max(1),
+            mem_tx_cost_mc: (16 * MC / params.global_tx_per_16_cycles as u64).max(1),
+            shared_atom_cost_mc: (16 * MC / params.shared_atomic_per_16_cycles as u64).max(1),
             now_max_mc: 0,
             acct_mc: 0,
             stall_mc: [0; STALL_CLASSES],
@@ -277,33 +366,47 @@ impl<'a> SmSim<'a> {
         sim
     }
 
+    /// Hand the allocations back.
+    fn into_working_set(self) -> WorkingSet<'a> {
+        WorkingSet {
+            warps: self.warps,
+            resident: self.resident,
+            completions: self.completions,
+            tree: self.tree,
+        }
+    }
+
     /// Admit the next pending CTA into a free residency slot. A CTA whose
     /// warps recorded no op finishes on admission, so it hands the slot
     /// straight to the CTA behind it.
     fn activate_next(&mut self, at_mc: u64) {
         let grid = self.grid;
-        while let Some(grid_cta) = self.pending.pop() {
-            let cta = &grid.ctas[grid_cta];
+        while let Some(cta) = grid.ctas.get(self.next_cta) {
+            self.next_cta += self.cta_stride;
             let slot = self.resident.len();
             let first = self.warps.len();
+            let mut base = self.completions.len();
             for wt in &cta.warps {
+                let ring = ring_len(&wt.ops);
                 self.warps.push(WarpState {
                     cta_slot: slot,
                     ops: &wt.ops,
                     pc: 0,
+                    base,
+                    ring_mask: ring - 1,
                     ready_mc: at_mc,
                     phase: if wt.ops.is_empty() {
                         WarpPhase::Done
                     } else {
                         WarpPhase::Ready
                     },
-                    completions: Vec::with_capacity(wt.ops.len()),
                     barrier_arrival_mc: 0,
                     wait_class: StallClass::OccupancyWait,
                 });
-                self.cand_mc.push(u64::MAX);
-                self.refresh(self.warps.len() - 1);
+                base += ring;
             }
+            self.completions.resize(base, 0);
+            self.refresh_range(first..self.warps.len());
             let live_warps = cta.warps.iter().filter(|w| !w.ops.is_empty()).count();
             self.resident.push(CtaRun {
                 warps: first..self.warps.len(),
@@ -316,17 +419,78 @@ impl<'a> SmSim<'a> {
         }
     }
 
+    /// Warp `wi`'s candidate issue time from its current state.
+    fn candidate(&self, wi: usize) -> u64 {
+        let w = &self.warps[wi];
+        if w.phase != WarpPhase::Ready {
+            return u64::MAX;
+        }
+        let dep_mc = w.ops[w.pc]
+            .waits_on
+            .map_or(0, |d| self.completion(wi, d as usize));
+        w.ready_mc.max(dep_mc)
+    }
+
+    /// Slot of op `i` of warp `wi` in `completions`.
+    fn slot(&self, wi: usize, i: usize) -> usize {
+        let w = &self.warps[wi];
+        w.base + (i & w.ring_mask)
+    }
+
+    /// Completion time of op `i` of warp `wi`, which issued and which
+    /// the warp's next op may wait on.
+    fn completion(&self, wi: usize, i: usize) -> u64 {
+        self.completions[self.slot(wi, i)]
+    }
+
+    /// Set warp `wi`'s candidate issue time and replay the matches on its
+    /// leaf-to-root path.
+    fn set_candidate(&mut self, wi: usize, mc: u64) {
+        let mut k = self.leaves + wi;
+        let mut won = (mc, wi);
+        self.tree[k] = won;
+        while k > 1 {
+            won = smaller(won, self.tree[k ^ 1]);
+            k >>= 1;
+            self.tree[k] = won;
+        }
+    }
+
     /// Recompute warp `wi`'s candidate issue time after its state changed.
     fn refresh(&mut self, wi: usize) {
-        let w = &self.warps[wi];
-        self.cand_mc[wi] = if w.phase == WarpPhase::Ready {
-            let dep_mc = w.ops[w.pc]
-                .waits_on
-                .map_or(0, |d| w.completions[d as usize]);
-            w.ready_mc.max(dep_mc)
-        } else {
-            u64::MAX
-        };
+        self.set_candidate(wi, self.candidate(wi));
+    }
+
+    /// [`SmSim::refresh`] for a contiguous range of warps (a CTA), one
+    /// tree level at a time.
+    fn refresh_range(&mut self, range: Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        for wi in range.clone() {
+            self.tree[self.leaves + wi] = (self.candidate(wi), wi);
+        }
+        let (mut lo, mut hi) = (self.leaves + range.start, self.leaves + range.end - 1);
+        while lo > 1 {
+            (lo, hi) = (lo >> 1, hi >> 1);
+            for k in lo..=hi {
+                self.tree[k] = smaller(self.tree[2 * k], self.tree[2 * k + 1]);
+            }
+        }
+    }
+
+    /// The pick the tournament replaced: a scan of every leaf, the
+    /// lowest index winning a tie. The oracle every test replay checks
+    /// the tree's pick against.
+    #[cfg(test)]
+    fn pick_by_scan(&self) -> (u64, usize) {
+        let (mut cand_mc, mut wi) = (u64::MAX, 0);
+        for (i, &(c, _)) in self.tree[self.leaves..].iter().enumerate() {
+            if c < cand_mc {
+                (cand_mc, wi) = (c, i);
+            }
+        }
+        (cand_mc, wi)
     }
 
     fn latency_mc(&self, kind: OpKind) -> u64 {
@@ -349,17 +513,14 @@ impl<'a> SmSim<'a> {
     /// Run the SM to completion; returns finish time in mc.
     fn run(&mut self) -> u64 {
         loop {
-            // Pick the ready warp with the earliest candidate start; the
+            // The ready warp with the earliest candidate start; the
             // lowest warp index wins a tie.
-            let (mut cand_mc, mut wi) = (u64::MAX, 0);
-            for (i, &c) in self.cand_mc.iter().enumerate() {
-                if c < cand_mc {
-                    (cand_mc, wi) = (c, i);
-                }
-            }
+            let (cand_mc, wi) = self.tree[1];
             if cand_mc == u64::MAX {
                 break; // no ready warps: all done (or all at barriers, handled on arrival)
             }
+            #[cfg(test)]
+            assert_eq!((cand_mc, wi), self.pick_by_scan(), "tournament pick");
             self.step_warp(wi, cand_mc);
         }
         self.finalize_attribution();
@@ -405,23 +566,18 @@ impl<'a> SmSim<'a> {
         };
         let op = ops[pc];
 
-        let dep_mc = op
-            .waits_on
-            .map(|d| self.warps[wi].completions[d as usize])
-            .unwrap_or(0);
+        let dep_mc = op.waits_on.map_or(0, |d| self.completion(wi, d as usize));
         let stall = dep_mc.saturating_sub(self.warps[wi].ready_mc);
         self.report.dependency_stall_cycles += stall / MC;
 
         if let OpKind::Bar = op.kind {
             // Arrive at the barrier.
             let arrive = cand_mc;
-            {
-                let w = &mut self.warps[wi];
-                w.phase = WarpPhase::AtBarrier;
-                w.barrier_arrival_mc = arrive;
-                w.completions.push(arrive);
-            }
-            self.cand_mc[wi] = u64::MAX;
+            let slot = self.slot(wi, pc);
+            self.completions[slot] = arrive;
+            let w = &mut self.warps[wi];
+            w.phase = WarpPhase::AtBarrier;
+            w.barrier_arrival_mc = arrive;
             self.report.instructions += 1;
             self.report.class_instructions[OpClass::Barrier.index()] += 1;
             let run = &mut self.resident[cta_slot];
@@ -453,9 +609,7 @@ impl<'a> SmSim<'a> {
                         }
                     }
                 }
-                for i in range {
-                    self.refresh(i);
-                }
+                self.refresh_range(range);
                 self.report.barrier_wait_cycles += waits;
                 if release >= self.now_max_mc {
                     self.now_max_mc = release;
@@ -467,6 +621,8 @@ impl<'a> SmSim<'a> {
                     // CTA finished: its slot frees; admit the next CTA.
                     self.activate_next(release);
                 }
+            } else {
+                self.set_candidate(wi, u64::MAX);
             }
             return;
         }
@@ -541,13 +697,14 @@ impl<'a> SmSim<'a> {
         }
 
         self.report.instructions += n_instr;
+        let slot = self.slot(wi, pc);
+        self.completions[slot] = completion;
         let done_len = {
             let w = &mut self.warps[wi];
             w.ready_mc = issue_end;
             // Any future gap this warp heads is its own 1-IPC limit:
             // latency more resident warps would hide.
             w.wait_class = StallClass::OccupancyWait;
-            w.completions.push(completion);
             w.pc += 1;
             w.pc >= ops.len()
         };
@@ -557,7 +714,7 @@ impl<'a> SmSim<'a> {
         }
         if done_len {
             self.warps[wi].phase = WarpPhase::Done;
-            self.cand_mc[wi] = u64::MAX;
+            self.set_candidate(wi, u64::MAX);
             let run = &mut self.resident[cta_slot];
             run.live_warps -= 1;
             if run.live_warps == 0 {
@@ -570,52 +727,103 @@ impl<'a> SmSim<'a> {
     }
 }
 
-/// Replay `grid` on `sms_used` SMs of the configured device.
+/// Slots a warp's completion ring needs: its longest distance from an op
+/// back to the op it waits on, rounded up to a power of two (at least
+/// one). The ops between an op and its consumer then fill the other
+/// slots, so the producer's slot still holds its completion when the
+/// consumer reads it. Kernels wait on an op a few back, so a ring is a
+/// few slots however long the warp runs.
+///
+/// # Panics
+/// Panics if an op waits on itself or on a later op.
+fn ring_len(ops: &[OpRecord]) -> usize {
+    // Distance minus one, so a dependency on the op itself or a later
+    // one wraps around to a huge value; no branch per op.
+    let gap = ops
+        .iter()
+        .enumerate()
+        .map(|(i, op)| op.waits_on.map_or(0, |d| i.wrapping_sub(d as usize + 1)))
+        .max()
+        .unwrap_or(0);
+    assert!(gap <= ops.len(), "an op waits on itself or on a later op");
+    (gap + 1).next_power_of_two()
+}
+
+/// A timing replay's working set, kept between launches: a resident
+/// [`crate::Gpu`] replays every launch through one, so a replay
+/// allocates only while a launch outgrows all earlier ones. Holds no
+/// replay state between calls; every report is the one a fresh
+/// `Replayer` computes.
+#[derive(Default)]
+pub struct Replayer {
+    set: WorkingSet<'static>,
+}
+
+impl Replayer {
+    /// Replay `grid` on `sms_used` SMs of the configured device into
+    /// `report`, reusing its `per_sm_cycles` buffer.
+    pub fn replay(
+        &mut self,
+        grid: &GridTrace,
+        cfg: &GpuConfig,
+        sms_used: u32,
+        report: &mut TimingReport,
+    ) {
+        let max_shared = grid.ctas.iter().map(|c| c.shared_bytes).max().unwrap_or(0);
+        let occ: Occupancy = occupancy(
+            &cfg.sm,
+            grid.threads_per_cta,
+            max_shared,
+            grid.registers_per_thread,
+        );
+
+        let mut per_sm_cycles = std::mem::take(&mut report.per_sm_cycles);
+        per_sm_cycles.clear();
+        *report = TimingReport {
+            per_sm_cycles,
+            resident_ctas_per_sm: occ.resident_ctas,
+            ..TimingReport::default()
+        };
+        // CTAs are distributed round-robin over the SMs in use; SM `s`
+        // holds CTAs `s`, `s + sms`, …
+        let sms = sms_used.min(cfg.sm_count).max(1) as usize;
+        let mut set = std::mem::take(&mut self.set).recycle();
+        for sm in 0..sms.min(grid.ctas.len()) {
+            let mut sim = SmSim::new(grid, cfg, (sm, sms), occ.resident_ctas, set);
+            let end_mc = sim.run();
+            let sm_cycles = end_mc.div_ceil(MC);
+            report.per_sm_cycles.push(sm_cycles);
+            // The critical SM defines the launch's cycle count; its stall
+            // partition is the launch's stall partition (first SM wins
+            // ties, deterministically).
+            let r = &sim.report;
+            if sm_cycles > report.cycles {
+                report.cycles = sm_cycles;
+                report.stall_cycles = r.stall_cycles;
+            }
+            report.instructions += r.instructions;
+            report.global_transactions += r.global_transactions;
+            report.shared_replays += r.shared_replays;
+            report.barrier_wait_cycles += r.barrier_wait_cycles;
+            report.dependency_stall_cycles += r.dependency_stall_cycles;
+            for (i, v) in r.class_instructions.iter().enumerate() {
+                report.class_instructions[i] += v;
+            }
+            report.issue_busy_cycles += r.issue_busy_cycles;
+            report.mem_busy_cycles += r.mem_busy_cycles;
+            report.shared_busy_cycles += r.shared_busy_cycles;
+            set = sim.into_working_set();
+        }
+        self.set = set.recycle();
+    }
+}
+
+/// Replay `grid` on `sms_used` SMs of the configured device, in a fresh
+/// [`Replayer`].
 pub fn simulate(grid: &GridTrace, cfg: &GpuConfig, sms_used: u32) -> TimingReport {
-    let max_shared = grid.ctas.iter().map(|c| c.shared_bytes).max().unwrap_or(0);
-    let occ: Occupancy = occupancy(
-        &cfg.sm,
-        grid.threads_per_cta,
-        max_shared,
-        grid.registers_per_thread,
-    );
-
-    // Distribute CTAs round-robin over the SMs in use.
-    let sms = sms_used.min(cfg.sm_count).max(1) as usize;
-    let mut per_sm: Vec<Vec<usize>> = vec![Vec::new(); sms];
-    for i in 0..grid.ctas.len() {
-        per_sm[i % sms].push(i);
-    }
-
-    let mut total = TimingReport {
-        resident_ctas_per_sm: occ.resident_ctas,
-        ..TimingReport::default()
-    };
-    for ctas in per_sm.into_iter().filter(|v| !v.is_empty()) {
-        let mut sim = SmSim::new(grid, cfg, ctas, occ.resident_ctas);
-        let end_mc = sim.run();
-        let sm_cycles = end_mc.div_ceil(MC);
-        total.per_sm_cycles.push(sm_cycles);
-        // The critical SM defines the launch's cycle count; its stall
-        // partition is the launch's stall partition (first SM wins ties,
-        // deterministically).
-        if sm_cycles > total.cycles {
-            total.cycles = sm_cycles;
-            total.stall_cycles = sim.report.stall_cycles;
-        }
-        total.instructions += sim.report.instructions;
-        total.global_transactions += sim.report.global_transactions;
-        total.shared_replays += sim.report.shared_replays;
-        total.barrier_wait_cycles += sim.report.barrier_wait_cycles;
-        total.dependency_stall_cycles += sim.report.dependency_stall_cycles;
-        for (i, v) in sim.report.class_instructions.iter().enumerate() {
-            total.class_instructions[i] += v;
-        }
-        total.issue_busy_cycles += sim.report.issue_busy_cycles;
-        total.mem_busy_cycles += sim.report.mem_busy_cycles;
-        total.shared_busy_cycles += sim.report.shared_busy_cycles;
-    }
-    total
+    let mut report = TimingReport::default();
+    Replayer::default().replay(grid, cfg, sms_used, &mut report);
+    report
 }
 
 #[cfg(test)]

@@ -269,3 +269,39 @@ fn matching_kernels_launch_to_their_goldens() {
     let expected: Vec<Vec<_>> = KERNEL_GOLDENS.iter().map(|g| g.to_vec()).collect();
     assert_eq!(observed, expected, "observed goldens:\n{observed:?}");
 }
+
+/// One `Replayer` replays every seeded grid, alternating between the
+/// smallest and the largest left (1↔6 CTAs, 1↔32 warps) on each
+/// generation and SM count, so each replay runs in buffers a larger or a
+/// smaller replay left behind. Every report must equal a fresh
+/// `timing::simulate`'s.
+#[test]
+fn a_resident_replayer_equals_fresh_replays() {
+    let mut grids: Vec<GridTrace> = (0..GRID_GOLDENS.len() as u64).map(random_grid).collect();
+    grids.sort_by_key(|g| g.ctas.len() * g.ctas[0].warps.len());
+    let mut order = Vec::new();
+    while !grids.is_empty() {
+        order.push(grids.remove(0));
+        if let Some(largest) = grids.pop() {
+            order.push(largest);
+        }
+    }
+    let mut replayer = timing::Replayer::default();
+    let mut report = timing::TimingReport::default();
+    for (i, grid) in order.iter().enumerate() {
+        for gen in GpuGeneration::ALL {
+            for sms in [1u32, 4] {
+                let cfg = gen.config();
+                replayer.replay(grid, &cfg, sms, &mut report);
+                let fresh = timing::simulate(grid, &cfg, sms);
+                assert_eq!(
+                    format!("{report:?}"),
+                    format!("{fresh:?}"),
+                    "replay {i} ({} CTAs of {} warps) on {gen:?}, {sms} SMs",
+                    grid.ctas.len(),
+                    grid.ctas[0].warps.len()
+                );
+            }
+        }
+    }
+}
