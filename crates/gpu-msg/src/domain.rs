@@ -92,11 +92,6 @@ struct EndpointInner {
     umq_filter: EnvelopeFilter,
     /// Counting-digest summary of `posted`, probed by arrivals.
     prq_filter: RequestFilter,
-    /// Screen batches through the digests before launching (see
-    /// [`DomainConfig::prefilter`]). The mirrors above are maintained
-    /// either way — the flag only gates their consultation, so flipping
-    /// it changes timing and counters, never match results.
-    prefilter: bool,
     /// Matched receives awaiting collection by the application.
     completed: Vec<Completion>,
     gpu: Gpu,
@@ -126,18 +121,9 @@ impl EndpointInner {
         // Screen through the incrementally-maintained digests: entries
         // whose tuple can match nothing stay out of the launch, and a
         // launch whose batch empties on either side is skipped outright.
-        let screen = if self.prefilter {
-            let s = screen_soa(&self.umq_filter, &self.prq_filter, &self.umq_soa, &reqs);
-            self.stats.prefilter_probes += (self.inbox.len() + reqs.len()) as u64;
-            self.stats.prefilter_rejections += s.rejected_msgs + s.rejected_reqs;
-            s
-        } else {
-            ScreenReport {
-                msg_keep: (0..self.inbox.len() as u32).collect(),
-                req_keep: (0..reqs.len() as u32).collect(),
-                ..Default::default()
-            }
-        };
+        let screen = screen_soa(&self.umq_filter, &self.prq_filter, &self.umq_soa, &reqs);
+        self.stats.prefilter_probes += (self.inbox.len() + reqs.len()) as u64;
+        self.stats.prefilter_rejections += screen.rejected_msgs + screen.rejected_reqs;
         if screen.skip_launch() {
             self.stats.prefilter_skipped_launches += 1;
             return Ok(0);
@@ -265,10 +251,6 @@ pub struct DomainConfig {
     pub matcher: MatcherKind,
     /// Semantics guaranteed to the application.
     pub relax: RelaxationConfig,
-    /// Screen match batches through per-queue counting-digest summaries
-    /// before launching the communication kernel (default on). Purely a
-    /// go-faster switch: match results are identical either way.
-    pub prefilter: bool,
     /// The wire between endpoints.
     pub transport: TransportConfig,
     /// Restore per-source order in user space: the transport is forced
@@ -305,7 +287,6 @@ impl DomainConfig {
             generation,
             matcher,
             relax,
-            prefilter: true,
             transport: TransportConfig::Direct,
             restore_order: false,
             trace: false,
@@ -424,7 +405,6 @@ impl Domain {
                         prq_soa: RequestSoa::new(),
                         umq_filter: EnvelopeFilter::new(),
                         prq_filter: RequestFilter::new(),
-                        prefilter: cfg.prefilter,
                         completed: Vec::new(),
                         gpu: Gpu::new(cfg.generation),
                         stats: EndpointStats::default(),

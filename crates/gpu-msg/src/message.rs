@@ -52,8 +52,7 @@ pub struct EndpointStats {
     /// High-water mark of the posted-receive queue.
     pub prq_high_water: usize,
     /// Queue entries the kernel-launch pre-filter screened out of match
-    /// batches (see [`msg_match::screen_batch`]); 0 when the domain runs
-    /// with the pre-filter disabled.
+    /// batches (see [`msg_match::screen_batch`]).
     pub prefilter_rejections: u64,
     /// Entries probed against the pre-filter digests (messages plus
     /// requests, every kernel tick).
@@ -61,8 +60,8 @@ pub struct EndpointStats {
     /// Kernel launches skipped entirely because screening emptied one
     /// side of the batch.
     pub prefilter_skipped_launches: u64,
-    /// Duplicate wildcard probes served by scan-ballot reuse inside the
-    /// matrix engine (see `GpuMatchReport::probe_dedups`).
+    /// Wildcard probes the matrix engine answered by reusing the previous
+    /// probe's scan ballot (see `GpuMatchReport::probe_dedups`).
     pub probe_dedups: u64,
     /// Duplicate transport sequences dropped by this endpoint's reorder
     /// stage (only populated when the domain restores order in user

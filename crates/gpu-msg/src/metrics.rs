@@ -7,7 +7,13 @@
 //! recording is O(1), memory is fixed, and two runs of the same
 //! simulation produce bit-identical snapshots — which the determinism
 //! tests rely on.
+//!
+//! Every exported Prometheus family is declared once, in the family
+//! tables at the end of this module (name, kind, help, labels,
+//! accessor); the expositions and the family table of `docs/SERVICE.md`
+//! are both rendered from them.
 
+use obs::prom::{Family, FamilyKind, HistogramSample, Sample};
 use serde::{Deserialize, Serialize};
 
 /// Number of power-of-two buckets: bucket `k` holds values `v` with
@@ -184,22 +190,30 @@ impl Histogram {
     }
 }
 
+impl Default for Histogram {
+    /// An empty histogram of whole units (`scale` 1).
+    fn default() -> Self {
+        Histogram::new(1.0)
+    }
+}
+
 /// Shared overflow accounting for every service model: arrivals the
 /// service accepted responsibility for but did not match.
 ///
 /// The two counters are deliberately distinct. `spilled` is *admission
 /// control*: the bounded pending queue was full, so the arrival was
 /// rejected at the door (the unmodelled slow host path takes it).
-/// `shed` is *graceful degradation*: the arrival was admitted — and
-/// journaled — but the supervisor dropped it oldest-first because it
-/// could no longer meet the service deadline. Conflating them hides
-/// whether a deployment is under-provisioned (spill) or failing its
-/// latency SLO under faults (shed).
+/// `shed` is *graceful degradation*: the supervisor dropped an admitted
+/// — and journaled — arrival oldest-first because it could no longer
+/// meet the service deadline, or tenancy admission rejected an arrival
+/// over its tenant's quota. Conflating them hides whether a deployment
+/// is under-provisioned (spill) or failing its latency SLO under faults
+/// (shed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OverflowStats {
     /// Arrivals rejected because the pending queue was at capacity.
     pub spilled: u64,
-    /// Admitted arrivals dropped (oldest first) by deadline shedding.
+    /// Arrivals shed past the deadline or over a tenant quota.
     pub shed: u64,
 }
 
@@ -253,9 +267,7 @@ pub struct EngineProfile {
     pub(crate) instr_atomic: u64,
     /// Barrier instructions.
     pub(crate) instr_barrier: u64,
-    /// Duplicate wildcard probes served by scan-ballot reuse instead of
-    /// a fresh queue pass (matrix engine; see
-    /// `msg_match::GpuMatchReport::probe_dedups`).
+    /// Sum of `msg_match::GpuMatchReport::probe_dedups` over launches.
     pub(crate) probe_dedups: u64,
 }
 
@@ -318,7 +330,7 @@ impl EngineProfile {
 }
 
 /// Counters and distributions for one service shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardMetrics {
     /// Shard index within the service.
     pub shard: usize,
@@ -327,18 +339,19 @@ pub struct ShardMetrics {
     pub engine: String,
     /// Messages routed to this shard over the run.
     pub arrivals: u64,
-    /// Arrivals admitted to the pending queue.
+    /// Arrivals past admission control:
+    /// `admitted + overflow.spilled == arrivals`.
     pub admitted: u64,
-    /// Arrivals the shard gave up on: spilled at admission or shed by
-    /// the supervisor's deadline enforcement (accounted, not simulated).
+    /// Arrivals the shard gave up on, spilled or shed (accounted, not
+    /// simulated).
     pub overflow: OverflowStats,
     /// Messages matched.
     pub matched: u64,
-    /// Matching passes launched.
+    /// Dispatches; equals `batch_size.count` and `service_time.count`.
     pub(crate) batches: u64,
-    /// Simulated seconds the shard's device spent matching.
+    /// Sum of the `service_time` samples (seconds).
     pub(crate) busy_seconds: f64,
-    /// `busy_seconds` over the run duration.
+    /// `busy_seconds` over the shard's last activity time, capped at 1.
     pub(crate) utilisation: f64,
     /// Steady-state overload: the backlog was still growing — or the
     /// shard was still spilling — when time ran out. A transient spill
@@ -356,14 +369,15 @@ pub struct ShardMetrics {
     /// Injected partition windows that cut this shard off from the
     /// supervisor and its peers (state intact, path down).
     pub partitions: u64,
-    /// Completed checkpoint/journal recoveries after crashes.
+    /// Crash recoveries completed, one `recovery_seconds` sample each.
     pub(crate) recoveries: u64,
     /// In-flight batches destroyed by a crash before their matches
     /// committed (their entries are re-matched from the journal).
     pub lost_batches: u64,
-    /// Periodic state snapshots taken.
+    /// Checkpoints this shard took.
     pub checkpoints: u64,
-    /// Entries restored from the checkpoint snapshot during recoveries.
+    /// Recovery-scanned journal entries below the restored snapshot's
+    /// admitted watermark.
     pub(crate) snapshot_restored: u64,
     /// Journal entries replayed (admitted after the last checkpoint)
     /// during recoveries.
@@ -383,12 +397,6 @@ pub struct ShardMetrics {
     /// failed to verify; each fallback widens the journal-replay window
     /// by one checkpoint generation.
     pub snapshot_fallbacks: u64,
-    /// Dispatch-batch entries the pre-launch digest screen rejected as
-    /// unmatchable (see `msg_match::prefilter`). Service streams are
-    /// self-matching, so this stays 0 in healthy runs — a nonzero value
-    /// means the shard is being fed traffic its posted side never
-    /// requested.
-    pub(crate) prefilter_rejections: u64,
     /// Times this shard took over a down peer's keys.
     pub(crate) failovers_in: u64,
     /// Times this shard's keys were routed away to a failover peer.
@@ -398,7 +406,7 @@ pub struct ShardMetrics {
     /// Planned migrations that drained a slot off this shard.
     pub(crate) migrations_out: u64,
     /// Outstanding journaled entries this shard inherited through
-    /// failover transfers (admitted elsewhere, matched here).
+    /// failovers and migrations (admitted elsewhere, matched here).
     pub transferred_in: u64,
     /// Times this shard's engine was swapped for a stricter one because
     /// an inherited stream required ordering its own engine relaxes.
@@ -408,14 +416,14 @@ pub struct ShardMetrics {
     /// the recorder sees the same virtual-time event stream in every
     /// scheduler interleaving.
     pub trace_dropped: u64,
-    /// Crash-to-service-resumed recovery latency (seconds).
+    /// Seconds from each crash to the end of its recovery.
     pub recovery_seconds: Histogram,
     /// Distribution of batch sizes (messages per launch).
     pub batch_size: Histogram,
-    /// Pending-queue depth sampled at dispatch time, just before each
+    /// Pending-queue depth sampled at each dispatch decision, before any
     /// batch is popped.
     pub queue_depth: Histogram,
-    /// Per-batch device service time (seconds).
+    /// Simulated device seconds of each batch, slow windows included.
     pub(crate) service_time: Histogram,
     /// Per-message latency from arrival to match completion (seconds).
     pub match_latency: Histogram,
@@ -429,41 +437,12 @@ impl ShardMetrics {
         ShardMetrics {
             shard,
             engine: engine.into(),
-            arrivals: 0,
-            admitted: 0,
-            overflow: OverflowStats::default(),
-            matched: 0,
-            batches: 0,
-            busy_seconds: 0.0,
-            utilisation: 0.0,
-            saturated: false,
-            ever_spilled: false,
-            crashes: 0,
-            hangs: 0,
-            partitions: 0,
-            recoveries: 0,
-            lost_batches: 0,
-            checkpoints: 0,
-            snapshot_restored: 0,
-            journal_replayed: 0,
-            replay_duplicates: 0,
-            fenced_commits: 0,
-            corrupt_checkpoints: 0,
-            snapshot_fallbacks: 0,
-            prefilter_rejections: 0,
-            failovers_in: 0,
-            failovers_out: 0,
-            migrations_in: 0,
-            migrations_out: 0,
-            transferred_in: 0,
-            engine_fallbacks: 0,
-            trace_dropped: 0,
             recovery_seconds: Histogram::new(1e9),
             batch_size: Histogram::new(1.0),
             queue_depth: Histogram::new(1.0),
             service_time: Histogram::new(1e9),
             match_latency: Histogram::new(1e9),
-            profile: EngineProfile::default(),
+            ..Default::default()
         }
     }
 }
@@ -484,13 +463,13 @@ pub struct TenantMetrics {
     pub name: String,
     /// QoS class label: `guaranteed` / `burstable` / `best_effort`.
     pub class: String,
-    /// Streams (slots) the tenant owns.
+    /// `TenantSpec::streams` of the tenant.
     pub(crate) streams: u64,
-    /// Messages that arrived for the tenant's streams.
+    /// Sum of arrivals over the tenant's stream slots.
     pub arrivals: u64,
     /// Arrivals admitted (journaled) across the tenant's streams.
     pub admitted: u64,
-    /// Messages matched across the tenant's streams.
+    /// Sum of matches over the tenant's stream slots.
     pub(crate) matched: u64,
     /// The tenant's own spilled/shed accounting: `shed` counts quota
     /// rejections (and deadline sheds) of this tenant's traffic only.
@@ -500,17 +479,18 @@ pub struct TenantMetrics {
 /// Whole-service snapshot: per-shard metrics plus run-level aggregates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceMetrics {
-    /// Simulated run duration (seconds).
+    /// Configured simulated duration (seconds); arrivals stop here.
     pub(crate) duration: f64,
     /// Aggregate offered load (messages/s).
     pub(crate) offered_rate: f64,
-    /// Aggregate messages matched per second of simulated time.
+    /// Messages matched per simulated second up to the latest shard
+    /// activity.
     pub sustained_rate: f64,
-    /// Messages matched across all shards.
+    /// Sum of the shards' `matched`.
     pub total_matched: u64,
-    /// Messages spilled across all shards.
+    /// Sum of the shards' `overflow.spilled`.
     pub total_spilled: u64,
-    /// Messages shed by supervisor deadline enforcement, all shards.
+    /// Sum of the shards' `overflow.shed`.
     pub total_shed: u64,
     /// Injected crashes across all shards.
     pub total_crashes: u64,
@@ -518,10 +498,6 @@ pub struct ServiceMetrics {
     pub total_recoveries: u64,
     /// Failover reroutes across all shards (counted at the target).
     pub total_failovers: u64,
-    /// Transport-level sequence duplicates dropped by the endpoints'
-    /// reorder buffers ([`crate::ReorderBuffer`]); zero for service
-    /// models that run without a transport underneath.
-    pub(crate) reorder_duplicates: u64,
     /// Planned migrations the reshard planner completed.
     pub total_migrations: u64,
     /// Planned migrations aborted (endpoint down or redirected).
@@ -564,7 +540,6 @@ impl ServiceMetrics {
             total_crashes: shards.iter().map(|s| s.crashes).sum(),
             total_recoveries: shards.iter().map(|s| s.recoveries).sum(),
             total_failovers: shards.iter().map(|s| s.failovers_in).sum(),
-            reorder_duplicates: 0,
             total_migrations: shards.iter().map(|s| s.migrations_in).sum(),
             aborted_migrations: 0,
             shards,
@@ -585,436 +560,16 @@ impl ServiceMetrics {
         serde::json::from_str(s)
     }
 
-    /// Render the snapshot in the Prometheus text exposition format.
-    ///
-    /// Service-level aggregates become unlabelled gauges/counters;
-    /// per-shard series carry `shard` and `engine` labels; stall and
-    /// op-class rollups add a `class` label; histograms export
-    /// cumulative `le` buckets (the `+Inf` bucket equals `_count`).
+    /// Render the snapshot in the Prometheus text exposition format: the
+    /// service families unlabelled, the shard families once per shard
+    /// (`shard` and `engine` labels; stall cycles and the instruction mix
+    /// add `class`) and the tenant families once per tenant (absent
+    /// without tenancy). Histograms export cumulative `le` buckets; the
+    /// `+Inf` bucket equals `_count`.
     pub fn to_prometheus(&self) -> String {
-        use obs::prom::{Family, FamilyKind, HistogramSample, Sample};
-
-        let shard_labels = |s: &ShardMetrics| {
-            vec![
-                ("shard".to_string(), s.shard.to_string()),
-                ("engine".to_string(), s.engine.clone()),
-            ]
-        };
-        let per_shard = |v: fn(&ShardMetrics) -> f64| -> Vec<Sample> {
-            self.shards
-                .iter()
-                .map(|s| Sample {
-                    labels: shard_labels(s),
-                    value: v(s),
-                })
-                .collect()
-        };
-        let shard_hist = |h: fn(&ShardMetrics) -> &Histogram| -> Vec<HistogramSample> {
-            self.shards
-                .iter()
-                .map(|s| {
-                    let hist = h(s);
-                    HistogramSample {
-                        labels: shard_labels(s),
-                        buckets: hist.prom_buckets(),
-                        sum: hist.sum,
-                        count: hist.count,
-                    }
-                })
-                .collect()
-        };
-        let classed = |pairs: &dyn Fn(&ShardMetrics) -> Vec<(&'static str, u64)>| -> Vec<Sample> {
-            self.shards
-                .iter()
-                .flat_map(|s| {
-                    pairs(s).into_iter().map(move |(class, v)| Sample {
-                        labels: {
-                            let mut l = shard_labels(s);
-                            l.push(("class".to_string(), class.to_string()));
-                            l
-                        },
-                        value: v as f64,
-                    })
-                })
-                .collect()
-        };
-
-        let unlabelled = |value: f64| {
-            vec![Sample {
-                labels: Vec::new(),
-                value,
-            }]
-        };
-        let mut families = vec![
-            Family::scalar(
-                "service_duration_seconds",
-                "Simulated run duration",
-                FamilyKind::Gauge,
-                unlabelled(self.duration),
-            ),
-            Family::scalar(
-                "service_offered_rate",
-                "Aggregate offered load in messages per second",
-                FamilyKind::Gauge,
-                unlabelled(self.offered_rate),
-            ),
-            Family::scalar(
-                "service_sustained_rate",
-                "Aggregate matched messages per simulated second",
-                FamilyKind::Gauge,
-                unlabelled(self.sustained_rate),
-            ),
-            Family::scalar(
-                "service_matched_total",
-                "Messages matched across all shards",
-                FamilyKind::Counter,
-                unlabelled(self.total_matched as f64),
-            ),
-            Family::scalar(
-                "service_spilled_total",
-                "Messages spilled across all shards",
-                FamilyKind::Counter,
-                unlabelled(self.total_spilled as f64),
-            ),
-            Family::scalar(
-                "service_shed_total",
-                "Messages shed by deadline enforcement across all shards",
-                FamilyKind::Counter,
-                unlabelled(self.total_shed as f64),
-            ),
-            Family::scalar(
-                "service_crashes_total",
-                "Injected shard crashes across the run",
-                FamilyKind::Counter,
-                unlabelled(self.total_crashes as f64),
-            ),
-            Family::scalar(
-                "service_recoveries_total",
-                "Completed checkpoint/journal recoveries across the run",
-                FamilyKind::Counter,
-                unlabelled(self.total_recoveries as f64),
-            ),
-            Family::scalar(
-                "service_failovers_total",
-                "Supervisor failover reroutes across the run",
-                FamilyKind::Counter,
-                unlabelled(self.total_failovers as f64),
-            ),
-            Family::scalar(
-                "service_reorder_duplicates_total",
-                "Transport sequence duplicates dropped by reorder buffers",
-                FamilyKind::Counter,
-                unlabelled(self.reorder_duplicates as f64),
-            ),
-            Family::scalar(
-                "service_migrations_total",
-                "Planned slot migrations completed by the reshard planner",
-                FamilyKind::Counter,
-                unlabelled(self.total_migrations as f64),
-            ),
-            Family::scalar(
-                "service_migrations_aborted_total",
-                "Planned migrations aborted before transfer",
-                FamilyKind::Counter,
-                unlabelled(self.aborted_migrations as f64),
-            ),
-            Family::scalar(
-                "shard_arrivals_total",
-                "Messages routed to the shard",
-                FamilyKind::Counter,
-                per_shard(|s| s.arrivals as f64),
-            ),
-            Family::scalar(
-                "shard_admitted_total",
-                "Arrivals admitted to the pending queue",
-                FamilyKind::Counter,
-                per_shard(|s| s.admitted as f64),
-            ),
-            Family::scalar(
-                "shard_spilled_total",
-                "Arrivals rejected at the admission queue",
-                FamilyKind::Counter,
-                per_shard(|s| s.overflow.spilled as f64),
-            ),
-            Family::scalar(
-                "shard_shed_total",
-                "Admitted arrivals dropped oldest-first past the deadline",
-                FamilyKind::Counter,
-                per_shard(|s| s.overflow.shed as f64),
-            ),
-            Family::scalar(
-                "shard_matched_total",
-                "Messages matched by the shard",
-                FamilyKind::Counter,
-                per_shard(|s| s.matched as f64),
-            ),
-            Family::scalar(
-                "shard_batches_total",
-                "Matching passes launched",
-                FamilyKind::Counter,
-                per_shard(|s| s.batches as f64),
-            ),
-            Family::scalar(
-                "shard_busy_seconds_total",
-                "Simulated seconds the shard's device spent matching",
-                FamilyKind::Counter,
-                per_shard(|s| s.busy_seconds),
-            ),
-            Family::scalar(
-                "shard_utilisation",
-                "Busy seconds over run duration",
-                FamilyKind::Gauge,
-                per_shard(|s| s.utilisation),
-            ),
-            Family::scalar(
-                "shard_saturated",
-                "1 when the backlog was still growing at the end of the run",
-                FamilyKind::Gauge,
-                per_shard(|s| if s.saturated { 1.0 } else { 0.0 }),
-            ),
-            Family::scalar(
-                "shard_ever_spilled",
-                "1 when admission control rejected at least one arrival",
-                FamilyKind::Gauge,
-                per_shard(|s| if s.ever_spilled { 1.0 } else { 0.0 }),
-            ),
-            Family::scalar(
-                "shard_crashes_total",
-                "Injected crashes the shard suffered",
-                FamilyKind::Counter,
-                per_shard(|s| s.crashes as f64),
-            ),
-            Family::scalar(
-                "shard_hangs_total",
-                "Injected hangs the shard suffered",
-                FamilyKind::Counter,
-                per_shard(|s| s.hangs as f64),
-            ),
-            Family::scalar(
-                "shard_recoveries_total",
-                "Completed checkpoint/journal recoveries",
-                FamilyKind::Counter,
-                per_shard(|s| s.recoveries as f64),
-            ),
-            Family::scalar(
-                "shard_lost_batches_total",
-                "In-flight batches destroyed by a crash before commit",
-                FamilyKind::Counter,
-                per_shard(|s| s.lost_batches as f64),
-            ),
-            Family::scalar(
-                "shard_checkpoints_total",
-                "Periodic state snapshots taken",
-                FamilyKind::Counter,
-                per_shard(|s| s.checkpoints as f64),
-            ),
-            Family::scalar(
-                "shard_snapshot_restored_total",
-                "Entries restored from checkpoint snapshots",
-                FamilyKind::Counter,
-                per_shard(|s| s.snapshot_restored as f64),
-            ),
-            Family::scalar(
-                "shard_journal_replayed_total",
-                "Journal entries replayed during recoveries",
-                FamilyKind::Counter,
-                per_shard(|s| s.journal_replayed as f64),
-            ),
-            Family::scalar(
-                "shard_replay_duplicates_total",
-                "Re-matched entries suppressed at commit (exactly-once)",
-                FamilyKind::Counter,
-                per_shard(|s| s.replay_duplicates as f64),
-            ),
-            Family::scalar(
-                "shard_partitions_total",
-                "Injected partition windows that cut the shard off",
-                FamilyKind::Counter,
-                per_shard(|s| s.partitions as f64),
-            ),
-            Family::scalar(
-                "shard_fenced_commits_total",
-                "Stale-epoch commits rejected by the failover fence",
-                FamilyKind::Counter,
-                per_shard(|s| s.fenced_commits as f64),
-            ),
-            Family::scalar(
-                "shard_corrupt_checkpoints_total",
-                "Stream snapshots hit by injected checkpoint corruption",
-                FamilyKind::Counter,
-                per_shard(|s| s.corrupt_checkpoints as f64),
-            ),
-            Family::scalar(
-                "shard_snapshot_fallbacks_total",
-                "Corrupt snapshot generations skipped at restore",
-                FamilyKind::Counter,
-                per_shard(|s| s.snapshot_fallbacks as f64),
-            ),
-            Family::scalar(
-                "shard_prefilter_rejections_total",
-                "Dispatch entries the pre-launch digest screen rejected",
-                FamilyKind::Counter,
-                per_shard(|s| s.prefilter_rejections as f64),
-            ),
-            Family::scalar(
-                "shard_probe_dedups_total",
-                "Duplicate wildcard probes served by scan-ballot reuse",
-                FamilyKind::Counter,
-                per_shard(|s| s.profile.probe_dedups as f64),
-            ),
-            Family::scalar(
-                "shard_failovers_in_total",
-                "Times the shard took over a down peer's keys",
-                FamilyKind::Counter,
-                per_shard(|s| s.failovers_in as f64),
-            ),
-            Family::scalar(
-                "shard_failovers_out_total",
-                "Times the shard's keys were routed to a failover peer",
-                FamilyKind::Counter,
-                per_shard(|s| s.failovers_out as f64),
-            ),
-            Family::scalar(
-                "shard_transferred_in_total",
-                "Outstanding entries inherited through failover transfers",
-                FamilyKind::Counter,
-                per_shard(|s| s.transferred_in as f64),
-            ),
-            Family::scalar(
-                "shard_migrations_in_total",
-                "Planned migrations that moved a slot onto the shard",
-                FamilyKind::Counter,
-                per_shard(|s| s.migrations_in as f64),
-            ),
-            Family::scalar(
-                "shard_migrations_out_total",
-                "Planned migrations that drained a slot off the shard",
-                FamilyKind::Counter,
-                per_shard(|s| s.migrations_out as f64),
-            ),
-            Family::scalar(
-                "shard_engine_fallbacks_total",
-                "Engine swaps to a stricter engine for inherited streams",
-                FamilyKind::Counter,
-                per_shard(|s| s.engine_fallbacks as f64),
-            ),
-            Family::scalar(
-                "shard_trace_dropped_total",
-                "Trace events overwritten by the shard's bounded recorder",
-                FamilyKind::Counter,
-                per_shard(|s| s.trace_dropped as f64),
-            ),
-            Family::scalar(
-                "shard_kernel_launches_total",
-                "Kernel launches performed by the shard",
-                FamilyKind::Counter,
-                per_shard(|s| s.profile.launches as f64),
-            ),
-            Family::scalar(
-                "shard_kernel_cycles_total",
-                "Simulated device cycles across the shard's launches",
-                FamilyKind::Counter,
-                per_shard(|s| s.profile.cycles as f64),
-            ),
-            Family::scalar(
-                "shard_instructions_total",
-                "Warp instructions executed by the shard",
-                FamilyKind::Counter,
-                per_shard(|s| s.profile.instructions as f64),
-            ),
-            Family::scalar(
-                "shard_stall_cycles_total",
-                "Critical-path cycles attributed per stall class",
-                FamilyKind::Counter,
-                classed(&|s| s.profile.stall_breakdown().to_vec()),
-            ),
-            Family::scalar(
-                "shard_class_instructions_total",
-                "Instructions executed per op class",
-                FamilyKind::Counter,
-                classed(&|s| s.profile.instruction_mix().to_vec()),
-            ),
-            Family::histogram(
-                "shard_recovery_seconds",
-                "Crash-to-service-resumed recovery latency",
-                shard_hist(|s| &s.recovery_seconds),
-            ),
-            Family::histogram(
-                "shard_batch_size",
-                "Messages per matching pass",
-                shard_hist(|s| &s.batch_size),
-            ),
-            Family::histogram(
-                "shard_queue_depth",
-                "Pending-queue depth sampled at dispatch",
-                shard_hist(|s| &s.queue_depth),
-            ),
-            Family::histogram(
-                "shard_service_time_seconds",
-                "Per-batch device service time",
-                shard_hist(|s| &s.service_time),
-            ),
-            Family::histogram(
-                "shard_match_latency_seconds",
-                "Arrival-to-match latency",
-                shard_hist(|s| &s.match_latency),
-            ),
-        ];
-        if !self.tenants.is_empty() {
-            let tenant_labels = |t: &TenantMetrics| {
-                vec![
-                    ("tenant".to_string(), t.name.clone()),
-                    ("class".to_string(), t.class.clone()),
-                ]
-            };
-            let per_tenant = |v: fn(&TenantMetrics) -> f64| -> Vec<Sample> {
-                self.tenants
-                    .iter()
-                    .map(|t| Sample {
-                        labels: tenant_labels(t),
-                        value: v(t),
-                    })
-                    .collect()
-            };
-            families.extend([
-                Family::scalar(
-                    "tenant_streams",
-                    "Streams (slots) the tenant owns",
-                    FamilyKind::Gauge,
-                    per_tenant(|t| t.streams as f64),
-                ),
-                Family::scalar(
-                    "tenant_arrivals_total",
-                    "Messages that arrived for the tenant's streams",
-                    FamilyKind::Counter,
-                    per_tenant(|t| t.arrivals as f64),
-                ),
-                Family::scalar(
-                    "tenant_admitted_total",
-                    "Arrivals admitted across the tenant's streams",
-                    FamilyKind::Counter,
-                    per_tenant(|t| t.admitted as f64),
-                ),
-                Family::scalar(
-                    "tenant_matched_total",
-                    "Messages matched across the tenant's streams",
-                    FamilyKind::Counter,
-                    per_tenant(|t| t.matched as f64),
-                ),
-                Family::scalar(
-                    "tenant_spilled_total",
-                    "The tenant's arrivals rejected for lack of physical queue space",
-                    FamilyKind::Counter,
-                    per_tenant(|t| t.overflow.spilled as f64),
-                ),
-                Family::scalar(
-                    "tenant_shed_total",
-                    "The tenant's arrivals shed by its own quota or the deadline",
-                    FamilyKind::Counter,
-                    per_tenant(|t| t.overflow.shed as f64),
-                ),
-            ]);
-        }
+        let mut families = SERVICE_FAMILIES.render(std::slice::from_ref(self));
+        families.extend(SHARD_FAMILIES.render(&self.shards));
+        families.extend(TENANT_FAMILIES.render(&self.tenants));
         obs::prom::render(&families)
     }
 }
@@ -1029,7 +584,7 @@ impl ServiceMetrics {
 pub struct ShardWallProfile {
     /// Shard index.
     pub shard: usize,
-    /// Scheduler epochs the shard participated in.
+    /// Epochs the scheduler ran this shard in.
     pub epochs: u64,
     /// Wall ns a worker spent advancing this shard's domain.
     pub compute_ns: u64,
@@ -1072,8 +627,7 @@ impl ShardWallProfile {
 pub struct SchedulerProfile {
     /// Scheduler the run used (`"global_clock"` / `"thread_per_shard"`).
     pub scheduler: String,
-    /// Wall seconds for the whole run (same value as
-    /// `ShardedServiceReport::wall_seconds`).
+    /// Wall seconds for the whole run.
     pub wall_seconds: f64,
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardWallProfile>,
@@ -1082,12 +636,7 @@ pub struct SchedulerProfile {
 impl SchedulerProfile {
     /// Total wall ns across shards per bucket, in bucket order.
     pub fn totals(&self) -> [(&'static str, u64); 4] {
-        let mut t = [
-            ("compute", 0u64),
-            ("barrier_wait", 0),
-            ("backpressure", 0),
-            ("supervisor_sync", 0),
-        ];
+        let mut t = ShardWallProfile::default().buckets();
         for s in &self.shards {
             for (slot, (_, v)) in t.iter_mut().zip(s.buckets()) {
                 slot.1 += v;
@@ -1117,70 +666,252 @@ impl SchedulerProfile {
     /// wall-clock nondeterminism never lands in the byte-compared
     /// deterministic exposition.
     pub fn to_prometheus(&self) -> String {
-        use obs::prom::{Family, FamilyKind, Sample};
-        let bucketed: Vec<Sample> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.buckets().into_iter().map(move |(bucket, ns)| Sample {
-                    labels: vec![
-                        ("shard".to_string(), s.shard.to_string()),
-                        ("bucket".to_string(), bucket.to_string()),
-                    ],
-                    value: ns as f64,
-                })
-            })
-            .collect();
-        let per_shard = |v: fn(&ShardWallProfile) -> f64| -> Vec<Sample> {
-            self.shards
-                .iter()
-                .map(|s| Sample {
-                    labels: vec![("shard".to_string(), s.shard.to_string())],
-                    value: v(s),
-                })
-                .collect()
-        };
-        let families = vec![
-            Family::scalar(
-                "scheduler_wall_seconds",
-                "Wall-clock duration of the run",
-                FamilyKind::Gauge,
-                vec![Sample {
-                    labels: vec![("scheduler".to_string(), self.scheduler.clone())],
-                    value: self.wall_seconds,
-                }],
-            ),
-            Family::scalar(
-                "scheduler_shard_epochs_total",
-                "Scheduler epochs the shard participated in",
-                FamilyKind::Counter,
-                per_shard(|s| s.epochs as f64),
-            ),
-            Family::scalar(
-                "scheduler_shard_wall_ns_total",
-                "Measured wall nanoseconds across the shard's epochs",
-                FamilyKind::Counter,
-                per_shard(|s| s.total_ns as f64),
-            ),
-            Family::scalar(
-                "scheduler_shard_bucket_ns_total",
-                "Wall nanoseconds attributed per scheduler bucket",
-                FamilyKind::Counter,
-                bucketed,
-            ),
-            Family::scalar(
-                "scheduler_barrier_wait_fraction",
-                "Fraction of summed shard wall time idle at the epoch barrier",
-                FamilyKind::Gauge,
-                vec![Sample {
-                    labels: Vec::new(),
-                    value: self.barrier_wait_fraction(),
-                }],
-            ),
-        ];
+        let mut families = WALL_RUN_FAMILIES.render(std::slice::from_ref(self));
+        families.extend(WALL_SHARD_FAMILIES.render(&self.shards));
         obs::prom::render(&families)
     }
 }
+
+/// How one exported family reads its samples from a subject.
+enum Read<S: 'static> {
+    /// One sample per subject.
+    Value(fn(&S) -> f64),
+    /// One sample per `(value of one more label, sample)` pair.
+    Split(&'static str, fn(&S) -> Vec<(String, f64)>),
+    /// One histogram series per subject.
+    Histogram(fn(&S) -> &Histogram),
+}
+
+/// One exported family, declared once: name, kind, help text and how to
+/// read it.
+struct Decl<S: 'static> {
+    name: &'static str,
+    kind: FamilyKind,
+    help: &'static str,
+    read: Read<S>,
+}
+
+const fn counter<S>(name: &'static str, help: &'static str, value: fn(&S) -> f64) -> Decl<S> {
+    Decl {
+        name,
+        kind: FamilyKind::Counter,
+        help,
+        read: Read::Value(value),
+    }
+}
+
+const fn gauge<S>(name: &'static str, help: &'static str, value: fn(&S) -> f64) -> Decl<S> {
+    Decl {
+        name,
+        kind: FamilyKind::Gauge,
+        help,
+        read: Read::Value(value),
+    }
+}
+
+/// A family with one sample per value of the extra label `by`.
+const fn split<S>(
+    kind: FamilyKind,
+    name: &'static str,
+    help: &'static str,
+    by: &'static str,
+    samples: fn(&S) -> Vec<(String, f64)>,
+) -> Decl<S> {
+    Decl {
+        name,
+        kind,
+        help,
+        read: Read::Split(by, samples),
+    }
+}
+
+const fn histogram<S>(
+    name: &'static str,
+    help: &'static str,
+    hist: fn(&S) -> &Histogram,
+) -> Decl<S> {
+    Decl {
+        name,
+        kind: FamilyKind::Histogram,
+        help,
+        read: Read::Histogram(hist),
+    }
+}
+
+/// `(label value, count)` pairs as the samples of a split family.
+fn by_label<const N: usize>(pairs: [(&'static str, u64); N]) -> Vec<(String, f64)> {
+    pairs
+        .into_iter()
+        .map(|(label, v)| (label.to_string(), v as f64))
+        .collect()
+}
+
+/// The families exported once per subject — the service, a shard, a
+/// tenant — and the labels that tell subjects apart.
+struct Table<S: 'static> {
+    /// Label names, in emission order.
+    labels: &'static [&'static str],
+    /// The values of `labels` for one subject.
+    label_values: fn(&S) -> Vec<String>,
+    families: &'static [Decl<S>],
+}
+
+impl<S> Table<S> {
+    /// Every family of the table over `subjects`; none without subjects.
+    fn render(&self, subjects: &[S]) -> Vec<Family> {
+        if subjects.is_empty() {
+            return Vec::new();
+        }
+        let series: Vec<(Vec<(String, String)>, &S)> = subjects
+            .iter()
+            .map(|s| {
+                let names = self.labels.iter().map(|l| l.to_string());
+                (names.zip((self.label_values)(s)).collect(), s)
+            })
+            .collect();
+        self.families
+            .iter()
+            .map(|d| match d.read {
+                Read::Value(value) => {
+                    let samples = series.iter().map(|(labels, s)| Sample {
+                        labels: labels.clone(),
+                        value: value(s),
+                    });
+                    Family::scalar(d.name, d.help, d.kind, samples.collect())
+                }
+                Read::Split(by, split) => {
+                    let samples = series.iter().flat_map(|(labels, s)| {
+                        split(s).into_iter().map(move |(v, value)| {
+                            let mut labels = labels.clone();
+                            labels.push((by.to_string(), v));
+                            Sample { labels, value }
+                        })
+                    });
+                    Family::scalar(d.name, d.help, d.kind, samples.collect())
+                }
+                Read::Histogram(hist) => {
+                    let series = series.iter().map(|(labels, s)| {
+                        let h = hist(s);
+                        HistogramSample {
+                            labels: labels.clone(),
+                            buckets: h.prom_buckets(),
+                            sum: h.sum,
+                            count: h.count,
+                        }
+                    });
+                    Family::histogram(d.name, d.help, series.collect())
+                }
+            })
+            .collect()
+    }
+}
+
+/// Run-level families: one unlabelled sample per snapshot.
+#[rustfmt::skip]
+const SERVICE_FAMILIES: Table<ServiceMetrics> = Table {
+    labels: &[],
+    label_values: |_| Vec::new(),
+    families: &[
+        gauge("service_duration_seconds", "Configured simulated duration in seconds; arrivals stop here", |m| m.duration),
+        gauge("service_offered_rate", "Aggregate offered load in messages per second", |m| m.offered_rate),
+        gauge("service_sustained_rate", "Messages matched per simulated second up to the latest shard activity", |m| m.sustained_rate),
+        counter("service_matched_total", "Messages matched across all shards", |m| m.total_matched as f64),
+        counter("service_spilled_total", "Messages spilled across all shards", |m| m.total_spilled as f64),
+        counter("service_shed_total", "Messages shed past the deadline or over a tenant quota, all shards", |m| m.total_shed as f64),
+        counter("service_crashes_total", "Injected shard crashes across the run", |m| m.total_crashes as f64),
+        counter("service_recoveries_total", "Completed checkpoint/journal recoveries across the run", |m| m.total_recoveries as f64),
+        counter("service_failovers_total", "Supervisor failover reroutes across the run", |m| m.total_failovers as f64),
+        counter("service_migrations_total", "Planned slot migrations completed by the reshard planner", |m| m.total_migrations as f64),
+        counter("service_migrations_aborted_total", "Planned migrations aborted before transfer", |m| m.aborted_migrations as f64),
+    ],
+};
+
+/// One series per shard.
+#[rustfmt::skip]
+const SHARD_FAMILIES: Table<ShardMetrics> = Table {
+    labels: &["shard", "engine"],
+    label_values: |s| vec![s.shard.to_string(), s.engine.clone()],
+    families: &[
+        counter("shard_arrivals_total", "Messages routed to the shard", |s| s.arrivals as f64),
+        counter("shard_admitted_total", "Arrivals admitted to the pending queue", |s| s.admitted as f64),
+        counter("shard_spilled_total", "Arrivals rejected at the admission queue", |s| s.overflow.spilled as f64),
+        counter("shard_shed_total", "Arrivals shed: queued past the deadline, or over a tenant quota", |s| s.overflow.shed as f64),
+        counter("shard_matched_total", "Messages matched by the shard", |s| s.matched as f64),
+        counter("shard_batches_total", "Matching passes launched", |s| s.batches as f64),
+        counter("shard_busy_seconds_total", "Simulated seconds the shard's device spent matching", |s| s.busy_seconds),
+        gauge("shard_utilisation", "Busy seconds over the shard's last activity time, capped at 1", |s| s.utilisation),
+        gauge("shard_saturated", "1 when the backlog was still growing at the end of the run", |s| f64::from(u8::from(s.saturated))),
+        gauge("shard_ever_spilled", "1 when admission control rejected at least one arrival", |s| f64::from(u8::from(s.ever_spilled))),
+        counter("shard_crashes_total", "Injected crashes the shard suffered", |s| s.crashes as f64),
+        counter("shard_hangs_total", "Injected hangs the shard suffered", |s| s.hangs as f64),
+        counter("shard_recoveries_total", "Completed checkpoint/journal recoveries", |s| s.recoveries as f64),
+        counter("shard_lost_batches_total", "In-flight batches destroyed by a crash before commit", |s| s.lost_batches as f64),
+        counter("shard_checkpoints_total", "Periodic state snapshots taken", |s| s.checkpoints as f64),
+        counter("shard_snapshot_restored_total", "Recovery-scanned journal entries covered by the restored snapshot", |s| s.snapshot_restored as f64),
+        counter("shard_journal_replayed_total", "Journal entries replayed during recoveries", |s| s.journal_replayed as f64),
+        counter("shard_replay_duplicates_total", "Re-matched entries suppressed at commit (exactly-once)", |s| s.replay_duplicates as f64),
+        counter("shard_partitions_total", "Injected partition windows that cut the shard off", |s| s.partitions as f64),
+        counter("shard_fenced_commits_total", "Stale-epoch commits rejected by the failover fence", |s| s.fenced_commits as f64),
+        counter("shard_corrupt_checkpoints_total", "Stream snapshots hit by injected checkpoint corruption", |s| s.corrupt_checkpoints as f64),
+        counter("shard_snapshot_fallbacks_total", "Corrupt snapshot generations skipped at restore", |s| s.snapshot_fallbacks as f64),
+        counter("shard_probe_dedups_total", "Duplicate wildcard probes served by scan-ballot reuse", |s| s.profile.probe_dedups as f64),
+        counter("shard_failovers_in_total", "Times the shard took over a down peer's keys", |s| s.failovers_in as f64),
+        counter("shard_failovers_out_total", "Times the shard's keys were routed to a failover peer", |s| s.failovers_out as f64),
+        counter("shard_transferred_in_total", "Outstanding entries inherited through failovers and migrations", |s| s.transferred_in as f64),
+        counter("shard_migrations_in_total", "Planned migrations that moved a slot onto the shard", |s| s.migrations_in as f64),
+        counter("shard_migrations_out_total", "Planned migrations that drained a slot off the shard", |s| s.migrations_out as f64),
+        counter("shard_engine_fallbacks_total", "Engine swaps to a stricter engine for inherited streams", |s| s.engine_fallbacks as f64),
+        counter("shard_trace_dropped_total", "Trace events overwritten by the shard's bounded recorder", |s| s.trace_dropped as f64),
+        counter("shard_kernel_launches_total", "Kernel launches performed by the shard", |s| s.profile.launches as f64),
+        counter("shard_kernel_cycles_total", "Simulated device cycles across the shard's launches", |s| s.profile.cycles as f64),
+        counter("shard_instructions_total", "Warp instructions executed by the shard", |s| s.profile.instructions as f64),
+        split(FamilyKind::Counter, "shard_stall_cycles_total", "Critical-path cycles attributed per stall class", "class", |s| by_label(s.profile.stall_breakdown())),
+        split(FamilyKind::Counter, "shard_class_instructions_total", "Instructions executed per op class", "class", |s| by_label(s.profile.instruction_mix())),
+        histogram("shard_recovery_seconds", "Crash-to-service-resumed recovery latency", |s| &s.recovery_seconds),
+        histogram("shard_batch_size", "Messages per matching pass", |s| &s.batch_size),
+        histogram("shard_queue_depth", "Pending-queue depth sampled at each dispatch decision, before the batch is popped", |s| &s.queue_depth),
+        histogram("shard_service_time_seconds", "Per-batch device service time", |s| &s.service_time),
+        histogram("shard_match_latency_seconds", "Arrival-to-match latency", |s| &s.match_latency),
+    ],
+};
+
+/// One series per tenant; absent without tenancy.
+#[rustfmt::skip]
+const TENANT_FAMILIES: Table<TenantMetrics> = Table {
+    labels: &["tenant", "class"],
+    label_values: |t| vec![t.name.clone(), t.class.clone()],
+    families: &[
+        gauge("tenant_streams", "Streams (slots) the tenant owns", |t| t.streams as f64),
+        counter("tenant_arrivals_total", "Messages that arrived for the tenant's streams", |t| t.arrivals as f64),
+        counter("tenant_admitted_total", "Arrivals admitted across the tenant's streams", |t| t.admitted as f64),
+        counter("tenant_matched_total", "Messages matched across the tenant's streams", |t| t.matched as f64),
+        counter("tenant_spilled_total", "The tenant's arrivals rejected for lack of physical queue space", |t| t.overflow.spilled as f64),
+        counter("tenant_shed_total", "The tenant's arrivals shed by its own quota or the deadline", |t| t.overflow.shed as f64),
+    ],
+};
+
+/// Run-level wall-clock families.
+#[rustfmt::skip]
+const WALL_RUN_FAMILIES: Table<SchedulerProfile> = Table {
+    labels: &[],
+    label_values: |_| Vec::new(),
+    families: &[
+        split(FamilyKind::Gauge, "scheduler_wall_seconds", "Wall-clock duration of the run", "scheduler", |p| vec![(p.scheduler.clone(), p.wall_seconds)]),
+        gauge("scheduler_barrier_wait_fraction", "Fraction of summed shard wall time idle at the epoch barrier", |p| p.barrier_wait_fraction()),
+    ],
+};
+
+/// One wall-clock series per shard.
+#[rustfmt::skip]
+const WALL_SHARD_FAMILIES: Table<ShardWallProfile> = Table {
+    labels: &["shard"],
+    label_values: |s| vec![s.shard.to_string()],
+    families: &[
+        counter("scheduler_shard_epochs_total", "Scheduler epochs the shard participated in", |s| s.epochs as f64),
+        counter("scheduler_shard_wall_ns_total", "Measured wall nanoseconds across the shard's epochs", |s| s.total_ns as f64),
+        split(FamilyKind::Counter, "scheduler_shard_bucket_ns_total", "Wall nanoseconds attributed per scheduler bucket", "bucket", |s| by_label(s.buckets())),
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -1378,7 +1109,6 @@ mod tests {
             total_crashes: 1,
             total_recoveries: 1,
             total_failovers: 0,
-            reorder_duplicates: 4,
             total_migrations: 2,
             aborted_migrations: 1,
             shards: vec![sm],
@@ -1397,7 +1127,6 @@ mod tests {
         assert!(text.contains("# TYPE service_matched_total counter"));
         assert!(text.contains("service_matched_total 990"));
         assert!(text.contains("service_shed_total 3"));
-        assert!(text.contains("service_reorder_duplicates_total 4"));
         assert!(text.contains("shard_shed_total{shard=\"2\",engine=\"hash\"} 3"));
         assert!(text.contains("shard_crashes_total{shard=\"2\",engine=\"hash\"} 1"));
         assert!(text.contains("shard_replay_duplicates_total{shard=\"2\",engine=\"hash\"} 7"));
@@ -1501,7 +1230,6 @@ mod tests {
             total_crashes: 1,
             total_recoveries: 1,
             total_failovers: 1,
-            reorder_duplicates: 9,
             total_migrations: 1,
             aborted_migrations: 0,
             shards: vec![sm],
@@ -1521,5 +1249,64 @@ mod tests {
         };
         let back = ServiceMetrics::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
+    }
+
+    /// One `docs/SERVICE.md` row per family of `table`.
+    fn doc_rows<S>(table: &Table<S>, out: &mut String) {
+        for d in table.families {
+            let mut labels: Vec<String> = table.labels.iter().map(|l| format!("`{l}`")).collect();
+            if let Read::Split(by, _) = d.read {
+                labels.push(format!("`{by}`"));
+            }
+            let labels = if labels.is_empty() {
+                "—".to_string()
+            } else {
+                labels.join(", ")
+            };
+            let kind = format!("{:?}", d.kind).to_lowercase();
+            out.push_str(&format!(
+                "| `{}` | {kind} | {labels} | {} |\n",
+                d.name, d.help
+            ));
+        }
+    }
+
+    /// The family tables of `docs/SERVICE.md`, rendered from the
+    /// declarations.
+    fn family_tables() -> String {
+        const HEADER: &str = "| family | type | labels | help |\n|---|---|---|---|\n";
+        let mut out = format!("`ServiceMetrics::to_prometheus`:\n\n{HEADER}");
+        doc_rows(&SERVICE_FAMILIES, &mut out);
+        doc_rows(&SHARD_FAMILIES, &mut out);
+        doc_rows(&TENANT_FAMILIES, &mut out);
+        out.push_str(&format!(
+            "\n`SchedulerProfile::to_prometheus` (wall clock):\n\n{HEADER}"
+        ));
+        doc_rows(&WALL_RUN_FAMILIES, &mut out);
+        doc_rows(&WALL_SHARD_FAMILIES, &mut out);
+        out
+    }
+
+    /// `docs/SERVICE.md` documents exactly the declared families: a
+    /// family added, renamed or re-described in the tables above, or a
+    /// row edited in the document, fails here.
+    #[test]
+    fn service_md_family_tables_match_the_declarations() {
+        const BEGIN: &str = "<!-- family tables: rendered from crates/gpu-msg/src/metrics.rs -->\n";
+        const END: &str = "<!-- end family tables -->";
+        let doc = include_str!("../../../docs/SERVICE.md");
+        let start = doc
+            .find(BEGIN)
+            .expect("docs/SERVICE.md lacks the begin marker")
+            + BEGIN.len();
+        let len = doc[start..]
+            .find(END)
+            .expect("docs/SERVICE.md lacks the end marker");
+        let want = family_tables();
+        assert!(
+            doc[start..start + len] == want,
+            "docs/SERVICE.md's family tables are stale; replace the lines between \
+             its markers with:\n\n{want}"
+        );
     }
 }

@@ -944,22 +944,6 @@ impl<'a> EpochGroup<'a> {
                 }
             }
 
-            // Screen the batch through the digest pre-filters before
-            // touching the device. Service streams are self-matching
-            // (each request mirrors a message exactly), so nothing is
-            // ever rejected here and the artefacts stay byte-identical
-            // with the screen off — but the counter is the operator's
-            // canary for mismatched traffic, and the debug assert pins
-            // the soundness claim on every test run.
-            if env.cfg.prefilter {
-                let screen = screen_batch(&msgs, &reqs);
-                debug_assert!(
-                    !screen.skip_launch(),
-                    "service batches are self-matching; the screen must keep them"
-                );
-                cell.metrics.prefilter_rejections += screen.rejected_msgs + screen.rejected_reqs;
-            }
-
             // The shard's resident device: reclaim the arena, not the
             // device.
             let choice = cell.active_choice;
@@ -1567,8 +1551,8 @@ pub(crate) struct SchedOutcome {
     pub(crate) last_spill: Vec<f64>,
     pub(crate) backlog: Vec<u64>,
     pub(crate) streams: Vec<StreamOutcome>,
-    /// Completed / aborted migration counts (zero without resharding).
-    pub(crate) migrations: (u64, u64),
+    /// Planned migrations aborted (zero without resharding).
+    pub(crate) aborted_migrations: u64,
 }
 
 /// Drive a full service run under the configured [`Scheduler`].
@@ -1611,7 +1595,8 @@ pub(crate) fn run_scheduled(
         .and_then(|f| f.supervisor.as_ref())
         .map(|&sc| Supervisor::new(n, sc));
     let mut planner: Option<ReshardPlanner> = reshard.map(ReshardPlanner::new);
-    let mut finished_planner: Option<(u64, u64)> = None;
+    // Aborts counted by a planner that retired before the run ended.
+    let mut retired_aborts = 0u64;
     let mut sup_tick: Option<f64> = supervisor
         .as_ref()
         .map(|s| s.config().health_check_interval);
@@ -1946,8 +1931,7 @@ pub(crate) fn run_scheduled(
             if pl.pending.is_none() && !pl.may_plan() {
                 // Migration budget exhausted: stop scheduling planner
                 // barriers so the final epoch can run to completion.
-                let done = (pl.completed, pl.aborted);
-                finished_planner = Some(done);
+                retired_aborts = pl.aborted;
                 planner = None;
             }
         }
@@ -1977,9 +1961,7 @@ pub(crate) fn run_scheduled(
         last_spill: Vec::with_capacity(n),
         backlog: Vec::with_capacity(n),
         streams: Vec::with_capacity(m),
-        migrations: finished_planner
-            .or(planner.map(|p| (p.completed, p.aborted)))
-            .unwrap_or((0, 0)),
+        aborted_migrations: planner.map_or(retired_aborts, |p| p.aborted),
     };
     for cell in &mut shard_cells {
         let mut c = cell.take().expect("cell is home after the run");

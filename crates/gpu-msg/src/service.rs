@@ -88,25 +88,33 @@ pub(crate) fn strictness(choice: EngineChoice) -> u8 {
     }
 }
 
-/// Aggregate outcome of a service run, summed over its shards.
+/// Service-level view of a run, derived from its [`ServiceMetrics`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceReport {
-    /// Messages matched per second of simulated time.
+    /// [`ServiceMetrics::sustained_rate`].
     pub sustained_rate: f64,
-    /// Mean pending-queue depth sampled at batch boundaries.
-    pub mean_depth: f64,
-    /// Maximum pending-queue depth observed.
-    pub max_depth: usize,
-    /// Fraction of device time spent matching (utilisation).
+    /// Mean of the shards' utilisations.
     pub utilisation: f64,
-    /// True if the service was in steady-state overload when time ran
-    /// out: the backlog was still growing, or admission control was
-    /// still spilling in the final stretch of the run.
+    /// True if any shard was in steady-state overload when time ran out
+    /// ([`ShardMetrics::saturated`](crate::ShardMetrics::saturated)).
     pub saturated: bool,
     /// Arrivals the service gave up on (spilled at admission or shed).
     pub overflow: OverflowStats,
-    /// Batches executed.
-    pub batches: u64,
+}
+
+impl ServiceReport {
+    fn of(m: &ServiceMetrics) -> Self {
+        ServiceReport {
+            sustained_rate: m.sustained_rate,
+            utilisation: m.shards.iter().map(|s| s.utilisation).sum::<f64>()
+                / m.shards.len() as f64,
+            saturated: m.shards.iter().any(|s| s.saturated),
+            overflow: OverflowStats {
+                spilled: m.total_spilled,
+                shed: m.total_shed,
+            },
+        }
+    }
 }
 
 /// How a sharded service picks each shard's engine.
@@ -124,7 +132,8 @@ pub enum ShardEnginePolicy {
 pub struct ShardedServiceConfig {
     /// Number of shards (each owns a persistent device).
     pub shards: usize,
-    /// Aggregate offered load in messages per second of device time.
+    /// Offered load over all shards, in messages per second of device
+    /// time.
     pub arrival_rate: f64,
     /// Largest batch a shard matches at once.
     pub max_batch: usize,
@@ -169,13 +178,6 @@ pub struct ShardedServiceConfig {
     /// (`tests/parallel_differential.rs` pins this); only wall-clock
     /// time differs.
     pub scheduler: Scheduler,
-    /// Screen each dispatch batch through counting-digest pre-filters
-    /// before launching (see [`msg_match::screen_batch`]). Service streams
-    /// are self-matching, so in this path the screen never rejects —
-    /// artefacts are byte-identical on or off — but the rejection
-    /// counter it feeds (`shard_prefilter_rejections_total`) is the
-    /// signal an operator watches for mismatched traffic.
-    pub prefilter: bool,
 }
 
 impl Default for ShardedServiceConfig {
@@ -196,7 +198,6 @@ impl Default for ShardedServiceConfig {
             trace_capacity: 4096,
             flow_sample_every: 64,
             scheduler: Scheduler::GlobalClock,
-            prefilter: true,
         }
     }
 }
@@ -232,15 +233,13 @@ pub struct ShardedServiceReport {
     /// [`ShardedMatchService::set_record_completions`] was turned on —
     /// the artefact the exactly-once differential tests compare.
     pub completions: Option<Vec<Vec<u64>>>,
-    /// Wall-clock (host) seconds the run took — *not* deterministic,
-    /// kept out of [`ServiceMetrics`] so metric snapshots stay
-    /// byte-comparable across schedulers and runs.
-    pub wall_seconds: f64,
-    /// Dual-clock scheduler profile: per-shard wall-time bucket
-    /// decompositions (compute / barrier-wait / backpressure /
-    /// supervisor-sync). Wall-clock data, so it also lives outside
-    /// [`ServiceMetrics`] and exports to its own Prometheus document.
-    pub scheduler_profile: crate::metrics::SchedulerProfile,
+    /// Dual-clock scheduler profile: the run's wall seconds and per-shard
+    /// wall-time bucket decompositions (compute / barrier-wait /
+    /// backpressure / supervisor-sync). Wall-clock data is not
+    /// deterministic, so it lives outside [`ServiceMetrics`] — whose
+    /// snapshots stay byte-comparable across schedulers and runs — and
+    /// exports to its own Prometheus document.
+    pub scheduler_profile: SchedulerProfile,
 }
 
 /// One shard: a persistent device and a pinned engine. The traffic it
@@ -658,7 +657,7 @@ impl ShardedMatchService {
     /// configuration, the placement and the attached
     /// [`FaultTolerance`], so repeated runs are bit-identical and both
     /// schedulers produce byte-identical metrics, completions and shard
-    /// traces; only [`ShardedServiceReport::wall_seconds`] varies.
+    /// traces; only [`ShardedServiceReport::scheduler_profile`] varies.
     pub fn run(&mut self) -> ShardedServiceReport {
         let ShardedMatchService {
             cfg,
@@ -725,7 +724,7 @@ impl ShardedMatchService {
             last_spill,
             backlog,
             streams: stream_outcomes,
-            migrations,
+            aborted_migrations,
         } = out;
         *wall_tracks = wallprof.wall_tracks();
 
@@ -767,37 +766,9 @@ impl ShardedMatchService {
                 .collect(),
         };
 
-        let elapsed = last_activity
-            .iter()
-            .fold(0.0f64, |a, &b| a.max(b))
-            .max(f64::MIN_POSITIVE);
-        let total_matched: u64 = metrics.iter().map(|m| m.matched).sum();
-        let mut overflow = OverflowStats::default();
-        for m in &metrics {
-            overflow.merge(&m.overflow);
-        }
-        let aggregate = ServiceReport {
-            sustained_rate: total_matched as f64 / elapsed,
-            mean_depth: {
-                let (sum, count) = metrics.iter().fold((0.0, 0u64), |(s, c), m| {
-                    (s + m.queue_depth.sum, c + m.queue_depth.count)
-                });
-                sum / count.max(1) as f64
-            },
-            max_depth: metrics
-                .iter()
-                .map(|m| m.queue_depth.max as usize)
-                .max()
-                .unwrap_or(0),
-            utilisation: metrics.iter().map(|m| m.utilisation).sum::<f64>() / n as f64,
-            saturated: metrics.iter().any(|m| m.saturated),
-            overflow,
-            batches: metrics.iter().map(|m| m.batches).sum(),
-        };
+        let elapsed = last_activity.iter().fold(0.0f64, |a, &b| a.max(b));
         let mut service_metrics =
             ServiceMetrics::from_shards(cfg.duration, cfg.arrival_rate, elapsed, metrics);
-        let (done_migrations, aborted_migrations) = migrations;
-        service_metrics.total_migrations = done_migrations;
         service_metrics.aborted_migrations = aborted_migrations;
         if let Some(tc) = tenancy.as_ref() {
             let mut tenants: Vec<crate::metrics::TenantMetrics> = tc
@@ -826,10 +797,9 @@ impl ShardedMatchService {
             service_metrics.tenants = tenants;
         }
         ShardedServiceReport {
-            aggregate,
+            aggregate: ServiceReport::of(&service_metrics),
             metrics: service_metrics,
             completions,
-            wall_seconds,
             scheduler_profile,
         }
     }
@@ -847,7 +817,7 @@ mod tests {
     }
 
     /// One shard, one queue: the single resident communication kernel.
-    fn single(rate: f64, engine: ServiceEngine) -> ServiceReport {
+    fn single_run(rate: f64, engine: ServiceEngine) -> ShardedServiceReport {
         run(ShardedServiceConfig {
             shards: 1,
             arrival_rate: rate,
@@ -855,7 +825,10 @@ mod tests {
             policy: ShardEnginePolicy::Fixed(engine),
             ..Default::default()
         })
-        .aggregate
+    }
+
+    fn single(rate: f64, engine: ServiceEngine) -> ServiceReport {
+        single_run(rate, engine).aggregate
     }
 
     #[test]
@@ -871,7 +844,8 @@ mod tests {
     #[test]
     fn past_saturation_the_backlog_grows() {
         // 20 M msgs/s against the compliant matcher: hopeless.
-        let r = single(20.0e6, ServiceEngine::Matrix);
+        let run = single_run(20.0e6, ServiceEngine::Matrix);
+        let r = run.aggregate;
         assert!(r.saturated, "{r:?}");
         assert!(r.utilisation > 0.95, "the kernel must be pegged: {r:?}");
         // The sustained rate caps at the matcher's ceiling.
@@ -879,7 +853,8 @@ mod tests {
         // With a bounded queue the overload spills instead of growing
         // the backlog without bound.
         assert!(r.overflow.spilled > 0, "{r:?}");
-        assert!(r.max_depth <= 1 << 14, "{r:?}");
+        let max_depth = run.metrics.shards[0].queue_depth.max;
+        assert!(max_depth <= (1 << 14) as f64, "{max_depth}");
     }
 
     #[test]
@@ -915,8 +890,9 @@ mod tests {
                 batch_threshold,
                 ..sharded_cfg(1, 2.0e6)
             })
-            .aggregate
-            .batches
+            .metrics
+            .shards[0]
+                .batches
         };
         assert!(
             batches(32) > batches(512),

@@ -176,7 +176,10 @@ fn schedulers_agree_through_supervised_failover() {
         "fixture must drive one failover: {:?}",
         r.metrics.shards[0]
     );
-    assert!(r.wall_seconds > 0.0, "wall clock must be measured");
+    assert!(
+        r.scheduler_profile.wall_seconds > 0.0,
+        "wall clock must be measured"
+    );
     assert_schedulers_agree("matrix under supervised hang failover", build);
 }
 

@@ -2,9 +2,11 @@
 //! monotonicity, and the JSON metrics interchange used by bench-harness.
 
 use gpu_msg::{
-    ServiceEngine, ServiceMetrics, ShardEnginePolicy, ShardedMatchService, ShardedServiceConfig,
-    ShardedServiceReport,
+    FaultPlan, FaultRates, FaultTolerance, RecoveryConfig, Scheduler, ServiceEngine,
+    ServiceMetrics, ShardEnginePolicy, ShardedMatchService, ShardedServiceConfig,
+    ShardedServiceReport, SupervisorConfig,
 };
+use integration_support::hot_cold_tenancy;
 use simt_sim::GpuGeneration;
 
 const GEN: GpuGeneration = GpuGeneration::PascalGtx1080;
@@ -32,11 +34,8 @@ fn sharded_service_is_deterministic() {
     let a = run(sharded_cfg(4, 8.0e6));
     let b = run(sharded_cfg(4, 8.0e6));
     assert_eq!(a.aggregate.sustained_rate, b.aggregate.sustained_rate);
-    assert_eq!(a.aggregate.mean_depth, b.aggregate.mean_depth);
-    assert_eq!(a.aggregate.max_depth, b.aggregate.max_depth);
     assert_eq!(a.aggregate.utilisation, b.aggregate.utilisation);
     assert_eq!(a.aggregate.saturated, b.aggregate.saturated);
-    assert_eq!(a.aggregate.batches, b.aggregate.batches);
     assert_eq!(a.metrics, b.metrics, "metrics snapshots must be identical");
     assert_eq!(
         a.metrics.to_json(),
@@ -54,10 +53,10 @@ fn single_queue_service_is_deterministic() {
         seed: 3,
         ..sharded_cfg(1, 3.0e6)
     };
-    let (a, b) = (run(cfg).aggregate, run(cfg).aggregate);
-    assert_eq!(a.sustained_rate, b.sustained_rate);
-    assert_eq!(a.batches, b.batches);
-    assert_eq!(a.saturated, b.saturated);
+    let (a, b) = (run(cfg), run(cfg));
+    assert_eq!(a.aggregate.sustained_rate, b.aggregate.sustained_rate);
+    assert_eq!(a.aggregate.saturated, b.aggregate.saturated);
+    assert_eq!(a.metrics, b.metrics, "metrics snapshots must be identical");
 }
 
 /// Pushing the offered rate up never lowers the sustained rate: below
@@ -148,4 +147,98 @@ fn metrics_round_trip_through_json() {
     assert_eq!(back.shards.len(), 3);
     // Re-serializing the parsed value is a fixed point.
     assert_eq!(back.to_json(), json);
+}
+
+/// FNV-1a over an exported document.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// An export without its `# HELP` prose and without the two always-zero
+/// counters the service no longer reports (`prefilter_rejections`,
+/// `reorder_duplicates`, in both their JSON and Prometheus spellings), so
+/// the golden compares every number that is still exported.
+fn canonical(text: &str) -> String {
+    text.lines()
+        .filter(|l| {
+            !l.starts_with("# HELP ")
+                && !l.contains("prefilter_rejections")
+                && !l.contains("reorder_duplicates")
+        })
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// The three snapshots the golden pins: one matrix shard; four hash
+/// shards on shard threads; and the hot/cold tenancy fixture resharding
+/// live under a seeded soup of all five fault kinds.
+fn golden_runs() -> Vec<ServiceMetrics> {
+    let single = sharded_cfg(1, 3.0e6);
+    let threaded = ShardedServiceConfig {
+        policy: ShardEnginePolicy::Fixed(ServiceEngine::Hash),
+        scheduler: Scheduler::ThreadPerShard,
+        duration: 0.5e-3,
+        ..sharded_cfg(4, 20.0e6)
+    };
+    let tenanted = ShardedServiceConfig {
+        shards: 2,
+        arrival_rate: 8.0e6,
+        duration: 1.0e-3,
+        queue_capacity: 1 << 20,
+        drain: true,
+        policy: ShardEnginePolicy::Fixed(ServiceEngine::Hash),
+        seed: 23,
+        ..Default::default()
+    };
+    let per_class = 2.0 / tenanted.duration;
+    let mut chaos = ShardedMatchService::with_tenancy(GEN, tenanted, hot_cold_tenancy());
+    chaos.set_fault_tolerance(Some(FaultTolerance {
+        plan: FaultPlan::random(
+            41,
+            tenanted.shards,
+            tenanted.duration,
+            &FaultRates {
+                crash_rate: per_class,
+                hang_rate: per_class,
+                slow_rate: per_class,
+                partition_rate: per_class,
+                corrupt_rate: per_class,
+                ..Default::default()
+            },
+        ),
+        recovery: RecoveryConfig::default(),
+        supervisor: Some(SupervisorConfig::default()),
+    }));
+    vec![
+        run(single).metrics,
+        run(threaded).metrics,
+        chaos.run().metrics,
+    ]
+}
+
+/// FNV-1a of `(to_json, to_prometheus)` per golden run, after
+/// [`canonical`].
+const GOLDEN: [(u64, u64); 3] = [
+    (0xbd8d_1fe4_2908_7184, 0x4e56_b433_e5e0_6d4c),
+    (0x51b3_024a_b1d4_6d32, 0x660e_b21b_3b0b_d5fb),
+    (0xf0c6_ef38_8fa9_882f, 0x2f74_8432_024d_0132),
+];
+
+/// Every exported number of three representative runs is pinned: a
+/// change to how a metric is computed, named, typed or labelled fails
+/// here, while `# HELP` prose may be reworded freely.
+#[test]
+fn exported_snapshots_match_the_golden() {
+    let got: Vec<(u64, u64)> = golden_runs()
+        .iter()
+        .map(|m| {
+            (
+                fnv(&canonical(&m.to_json())),
+                fnv(&canonical(&m.to_prometheus())),
+            )
+        })
+        .collect();
+    assert_eq!(got, GOLDEN, "exported snapshots drifted: {got:#x?}");
 }
