@@ -197,16 +197,29 @@ impl RecvRequest {
 /// the comparison a CUDA lane performs on two 64-bit header words.
 ///
 /// `msg_word` must come from [`Envelope::pack`] and `req_word` from
-/// [`RecvRequest::pack`].
+/// [`RecvRequest::pack`]. One masked XOR: the words must agree on every
+/// bit `req_word` cares about (see [`match_care`]).
 #[inline]
 pub(crate) fn packed_matches(msg_word: u64, req_word: u64) -> bool {
-    // Communicator (and valid bit) must agree.
-    if (msg_word >> 48) != (req_word >> 48) {
-        return false;
+    (msg_word ^ req_word) & match_care(req_word) == 0
+}
+
+/// The bits of a message word that a request word constrains: the valid
+/// bit and the communicator always, the source unless it is
+/// [`ANY_SOURCE_BITS`], the tag unless it is [`ANY_TAG_BITS`].
+#[inline]
+fn match_care(req_word: u64) -> u64 {
+    const VALID_COMM: u64 = 0xFFFF << 48;
+    const TAG: u64 = 0xFFFF << 32;
+    const SRC: u64 = 0xFFFF_FFFF;
+    let mut care = VALID_COMM | TAG | SRC;
+    if req_word as u32 == ANY_SOURCE_BITS {
+        care &= !SRC;
     }
-    let (msrc, rsrc) = (msg_word as u32, req_word as u32);
-    let (mtag, rtag) = ((msg_word >> 32) as u16, (req_word >> 32) as u16);
-    (rsrc == ANY_SOURCE_BITS || rsrc == msrc) && (rtag == ANY_TAG_BITS as u16 || rtag == mtag)
+    if (req_word >> 32) as u16 == ANY_TAG_BITS as u16 {
+        care &= !TAG;
+    }
+    care
 }
 
 #[cfg(test)]
@@ -283,6 +296,18 @@ mod tests {
         assert!(RecvRequest::exact(ANY_SOURCE_BITS, 0, 0).matches(&msg));
     }
 
+    /// The original branchy predicate: the oracle the masked XOR must
+    /// equal on every pair of words, packed or not.
+    fn packed_matches_by_fields(msg_word: u64, req_word: u64) -> bool {
+        // Communicator (and valid bit) must agree.
+        if (msg_word >> 48) != (req_word >> 48) {
+            return false;
+        }
+        let (msrc, rsrc) = (msg_word as u32, req_word as u32);
+        let (mtag, rtag) = ((msg_word >> 32) as u16, (req_word >> 32) as u16);
+        (rsrc == ANY_SOURCE_BITS || rsrc == msrc) && (rtag == ANY_TAG_BITS as u16 || rtag == mtag)
+    }
+
     #[test]
     fn unpack_rejects_invalid() {
         assert_eq!(Envelope::unpack(0), None);
@@ -319,6 +344,66 @@ mod tests {
             let m = Envelope::new(msrc, mtag, mcomm);
             let r = RecvRequest { src: rsrc, tag: rtag, comm: rcomm };
             prop_assert_eq!(packed_matches(m.pack(), r.pack()), r.matches(&m));
+        }
+    }
+
+    /// The four fields of a header word: valid bit, comm, tag, src.
+    const FIELDS: [u64; 4] = [1 << 63, 0x7FFF << 48, 0xFFFF << 32, 0xFFFF_FFFF];
+
+    /// Any 64-bit word, built field by field so that valid-bit-clear
+    /// words, comm values past [`MAX_COMM`] and both wildcard sentinels
+    /// (in message words too) are common.
+    fn any_header_word() -> impl Strategy<Value = u64> {
+        (
+            any::<bool>(),
+            0u64..=0x7FFF,
+            prop_oneof![Just(ANY_TAG_BITS), 0u32..4, 0u32..=0xFFFF],
+            prop_oneof![Just(ANY_SOURCE_BITS), 0u32..4, any::<u32>()],
+        )
+            .prop_map(|(valid, comm, tag, src)| {
+                (valid as u64) << 63 | comm << 48 | (tag as u64) << 32 | src as u64
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn masked_xor_equals_the_branchy_predicate_on_any_words(
+            msg in any_header_word(),
+            req in any_header_word(),
+            copied in 0usize..16,
+        ) {
+            // Bit `f` of `copied` copies field `f` of the message into the
+            // request, so that pairs agreeing on some fields and differing
+            // on others are as common as unrelated words.
+            let req = FIELDS.iter().enumerate().fold(req, |req, (f, &bits)| {
+                if copied >> f & 1 == 1 { req & !bits | msg & bits } else { req }
+            });
+            prop_assert_eq!(packed_matches(msg, req), packed_matches_by_fields(msg, req));
+        }
+    }
+
+    /// Every communicator value, with and without the valid bit, against
+    /// an exact, a source-wildcard and a tag-wildcard request.
+    #[test]
+    fn masked_xor_equals_the_branchy_predicate_for_every_comm() {
+        for comm in 0..=0x7FFFu64 {
+            for valid in [0, 1u64 << 63] {
+                let msg = valid | comm << 48 | 7 << 32 | 3;
+                for req in [
+                    msg,
+                    msg | 0xFFFF_FFFF,
+                    msg | 0xFFFF << 32,
+                    msg ^ 1 << 48,
+                    msg ^ 1 << 63,
+                ] {
+                    assert_eq!(
+                        packed_matches(msg, req),
+                        packed_matches_by_fields(msg, req),
+                        "msg {msg:#018x} req {req:#018x}"
+                    );
+                }
+            }
         }
     }
 }

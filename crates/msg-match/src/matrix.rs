@@ -124,6 +124,7 @@ impl MatrixKernel {
         let mut chunk_start = 0usize;
         // (request word, ballot) of the previous column, for probe dedup.
         let mut prev: Option<(u64, u32)> = None;
+        let lane0 = w.lane_ids().map(|l| l == 0);
         while chunk_start < win_len {
             let chunk = WARP_SIZE.min(win_len - chunk_start);
             let lid = w.lane_ids();
@@ -136,8 +137,7 @@ impl MatrixKernel {
             for j in 0..chunk {
                 // Loop bookkeeping + envelope comparison overhead.
                 w.charge_alu(1 + self.costs.scan_overhead);
-                let bcast = w.shfl(&req_lanes, j);
-                let req_word = bcast.get(0);
+                let req_word = w.shfl(&req_lanes, j);
                 let vote = match prev {
                     // Probe dedup: an identical adjacent request word
                     // yields the identical ballot, so one register
@@ -148,7 +148,7 @@ impl MatrixKernel {
                     }
                     _ => {
                         let preds =
-                            msg_words.zip(msg_live, |m, live| live && packed_matches(m, req_word));
+                            msg_words.zip(msg_live, |m, live| live & packed_matches(m, req_word));
                         w.ballot_dep(load_dep.take(), &preds)
                     }
                 };
@@ -158,7 +158,6 @@ impl MatrixKernel {
                 let i = chunk_start + j;
                 let slot = Lanes::splat((i * WARP_SIZE + w.warp_id()) as u32);
                 let vv = Lanes::splat(vote);
-                let lane0 = w.lane_ids().map(|l| l == 0);
                 w.if_lanes(&lane0, |w| {
                     w.st_shared(buf, &slot, &vv);
                 });
@@ -350,8 +349,7 @@ impl CtaKernel for SmallKernel {
                 let mut load_dep = Some(tok);
                 for j in 0..chunk {
                     w.charge_alu(1 + costs.reduce_overhead);
-                    let bcast = w.shfl(&req_lanes, j);
-                    let req_word = bcast.get(0);
+                    let req_word = w.shfl(&req_lanes, j);
                     let raw = match prev {
                         Some((pw, pv)) if dedup && pw == req_word => {
                             w.charge_alu(1);
@@ -364,7 +362,7 @@ impl CtaKernel for SmallKernel {
                             let (_req_desc, gtok) =
                                 w.ld_global_bcast(recvq, (chunk_start + j) as u32);
                             let _ = load_dep.take();
-                            let preds = words.zip(&live, |m, l| l && packed_matches(m, req_word));
+                            let preds = words.zip(&live, |m, l| l & packed_matches(m, req_word));
                             w.ballot_dep(Some(gtok), &preds)
                         }
                     };

@@ -69,6 +69,7 @@ impl PartitionedKernel {
         // Register-staged requests: one coalesced load per 32, then shfl
         // broadcasts (see `matrix::MatrixKernel::scan`).
         let mut chunk_start = 0usize;
+        let lane0 = w.lane_ids().map(|l| l == 0);
         while chunk_start < win_len {
             let chunk = WARP_SIZE.min(win_len - chunk_start);
             let lid = w.lane_ids();
@@ -80,14 +81,12 @@ impl PartitionedKernel {
             let mut load_dep = Some(tok);
             for j in 0..chunk {
                 w.charge_alu(1 + self.costs.scan_overhead);
-                let bcast = w.shfl(&req_lanes, j);
-                let req_word = bcast.get(0);
-                let preds = msg_words.zip(msg_live, |m, live| live && packed_matches(m, req_word));
+                let req_word = w.shfl(&req_lanes, j);
+                let preds = msg_words.zip(msg_live, |m, live| live & packed_matches(m, req_word));
                 let vote = w.ballot_dep(load_dep.take(), &preds);
                 let i = chunk_start + j;
                 let slot = Lanes::splat((i * rows + row) as u32);
                 let vv = Lanes::splat(vote);
-                let lane0 = w.lane_ids().map(|l| l == 0);
                 w.if_lanes(&lane0, |w| {
                     w.st_shared(buf, &slot, &vv);
                 });

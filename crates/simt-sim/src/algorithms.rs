@@ -54,8 +54,7 @@ pub(crate) fn warp_reduce_sum(w: &mut WarpCtx<'_>, values: &Lanes<u32>) -> u32 {
         delta /= 2;
     }
     // Broadcast lane 0's total.
-    let total = w.shfl(&acc, 0);
-    total.get(0)
+    w.shfl(&acc, 0)
 }
 
 /// Grid kernel: sum-reduce a `u32` buffer into `out[0]`.

@@ -112,24 +112,32 @@ struct Cursor {
 impl Cursor {
     /// Record `kind` as the warp's next op, writing the arena only where
     /// it differs from the op the previous launch left at that position.
+    /// Inlined, so that the compare sees which `kind` each call site
+    /// records; appending past the previous trace is out of line.
+    #[inline]
     fn record(&mut self, trace: &mut WarpTrace, kind: OpKind, dep: Option<DepToken>) -> DepToken {
         let op = OpRecord {
             kind,
             waits_on: dep.map(|t| t.0),
         };
         match trace.ops.get_mut(self.len) {
-            Some(old) if *old == op => {}
             Some(old) => {
-                *old = op;
-                self.changed = true;
+                if *old != op {
+                    *old = op;
+                    self.changed = true;
+                }
             }
-            None => {
-                trace.ops.push(op);
-                self.changed = true;
-            }
+            None => self.append(trace, op),
         }
         self.len += 1;
         DepToken(self.len as u32 - 1)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn append(&mut self, trace: &mut WarpTrace, op: OpRecord) {
+        trace.ops.push(op);
+        self.changed = true;
     }
 
     /// End the warp's recording: drop the previous launch's ops past it.
@@ -263,10 +271,12 @@ pub struct WarpCtx<'a> {
 }
 
 impl WarpCtx<'_> {
+    #[inline]
     fn record(&mut self, kind: OpKind) -> DepToken {
         self.record_dep(kind, None)
     }
 
+    #[inline]
     fn record_dep(&mut self, kind: OpKind, dep: Option<DepToken>) -> DepToken {
         self.cursor.record(self.trace, kind, dep)
     }
@@ -357,10 +367,11 @@ impl WarpCtx<'_> {
         lanes::all(self.active_mask(), preds)
     }
 
-    /// Broadcast `src_lane`'s value to all active lanes.
-    pub fn shfl<T: DeviceScalar>(&mut self, values: &Lanes<T>, src_lane: usize) -> Lanes<T> {
+    /// Broadcast `src_lane`'s value to all active lanes ([`lanes::shfl`]),
+    /// returned as the warp-uniform value every active lane now holds.
+    pub fn shfl<T: DeviceScalar>(&mut self, values: &Lanes<T>, src_lane: usize) -> T {
         self.record(OpKind::Shfl);
-        lanes::shfl(self.active_mask(), values, src_lane)
+        values.get(src_lane)
     }
 
     /// Shuffle-up by `delta` (prefix-scan building block).

@@ -93,6 +93,12 @@ impl LaneMask {
         self.0.count_ones()
     }
 
+    /// Is at most one lane active? (Cheaper than `count() <= 1` where
+    /// the target has no popcount instruction.)
+    pub(crate) fn at_most_one(self) -> bool {
+        self.0 & self.0.wrapping_sub(1) == 0
+    }
+
     /// Iterate over active lane indices, ascending.
     pub(crate) fn iter(self) -> impl Iterator<Item = usize> {
         let mut bits = self.0;
@@ -106,14 +112,19 @@ impl LaneMask {
 
 /// CUDA `__ballot(pred)`: a 32-bit word where bit *i* is set iff lane *i*
 /// is active in `mask` and its predicate is true.
+///
+/// Branch-free, eight lanes per multiply: a `bool` is the byte 0 or 1, so
+/// eight of them read as one `u64` with lane *i*'s bit at bit `8i`, and
+/// multiplying by `Σ 2^(56 − 7i)` moves that bit to bit `56 + i` without
+/// a carry (every partial product lands on a distinct bit).
 pub fn ballot(mask: LaneMask, preds: &Lanes<bool>) -> u32 {
+    const GATHER: u64 = 0x0102_0408_1020_4080;
     let mut word = 0u32;
-    for lane in 0..WARP_SIZE {
-        if mask.contains(lane) && preds.0[lane] {
-            word |= 1 << lane;
-        }
+    for (octet, lanes) in preds.0.chunks_exact(8).enumerate() {
+        let bytes = u64::from_le_bytes(std::array::from_fn(|i| u8::from(lanes[i])));
+        word |= ((bytes.wrapping_mul(GATHER) >> 56) as u32) << (8 * octet);
     }
-    word
+    word & mask.0
 }
 
 /// CUDA `__ffs(x)`: 1-based position of the least significant set bit;
@@ -262,8 +273,35 @@ mod tests {
         assert_eq!(down.get(31), 31, "top lanes keep their own value");
     }
 
+    /// The original per-lane ballot: the oracle the packed form must equal.
+    fn ballot_by_lanes(mask: LaneMask, preds: &Lanes<bool>) -> u32 {
+        let mut word = 0u32;
+        for lane in 0..WARP_SIZE {
+            if mask.contains(lane) && preds.0[lane] {
+                word |= 1 << lane;
+            }
+        }
+        word
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn ballot_equals_the_per_lane_oracle(
+            mask in prop_oneof![Just(0u32), Just(u32::MAX), proptest::strategy::any::<u32>()],
+            bits in prop_oneof![
+                Just(0u32),
+                Just(u32::MAX),
+                Just(0x8080_8080u32),
+                Just(0x0101_0101u32),
+                proptest::strategy::any::<u32>(),
+            ],
+        ) {
+            let preds = Lanes::from_fn(|l| bits >> l & 1 == 1);
+            prop_assert_eq!(ballot(LaneMask(mask), &preds), ballot_by_lanes(LaneMask(mask), &preds));
+            prop_assert_eq!(ballot(LaneMask::FULL, &preds), bits);
+        }
+
         /// The set-bit walk visits exactly the lanes the original
         /// filter over all 32 lanes does, in the same order.
         #[test]

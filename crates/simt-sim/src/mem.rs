@@ -293,21 +293,31 @@ impl SharedMemory {
 /// warp's access to elements `idx` of size `elem_bytes` under `mask`.
 ///
 /// This is the Fermi+ coalescing rule: the distinct 128-byte segments
-/// touched by the active lanes. Segments within 64 of each other are
-/// counted in a bitmask, wider spreads (random addresses) by sorting.
+/// touched by the active lanes. A lane's element starts in one segment,
+/// so one lane is one transaction. Segments already in ascending lane
+/// order are counted by their changes, others within 64 of each other in
+/// a bitmask, wider spreads (random addresses) by sorting.
 pub(crate) fn coalesced_transactions(mask: LaneMask, idx: &Lanes<u32>, elem_bytes: u32) -> u32 {
+    if mask.at_most_one() {
+        return mask.count();
+    }
     let mut segments = [0u64; WARP_SIZE];
     let (mut n, mut lo, mut hi) = (0, u64::MAX, 0);
+    let (mut ascending, mut changes) = (true, 0);
     for lane in mask.iter() {
         let seg = idx.get(lane) as u64 * elem_bytes as u64 / 128;
+        if n > 0 {
+            ascending &= segments[n - 1] <= seg;
+            changes += u32::from(segments[n - 1] != seg);
+        }
         segments[n] = seg;
         n += 1;
         lo = lo.min(seg);
         hi = hi.max(seg);
     }
     let segments = &mut segments[..n];
-    if n == 0 {
-        0
+    if ascending {
+        1 + changes
     } else if hi - lo < 64 {
         segments
             .iter()
@@ -327,8 +337,14 @@ const MAX_SHARED_BANKS: usize = 64;
 /// of *distinct* 32-bit words that map to the same bank. 1 means conflict
 /// free; `k` means the access replays `k` times.
 ///
+/// Fast paths: one lane's element covers `k` consecutive words, at most
+/// `⌈k / banks⌉` of them on one bank; lane indices already strictly
+/// ascending need no sort, and when they span at most `banks` words
+/// every bank holds at most one of them.
+///
 /// # Panics
 /// Panics unless `1 <= banks <= 64`.
+#[inline]
 pub(crate) fn bank_conflict_degree(
     mask: LaneMask,
     idx: &Lanes<u32>,
@@ -339,27 +355,51 @@ pub(crate) fn bank_conflict_degree(
         (1..=MAX_SHARED_BANKS).contains(&(banks as usize)),
         "{banks} shared banks; 1..={MAX_SHARED_BANKS} supported"
     );
+    let words_per_elem = (elem_bytes / 4).max(1);
     if mask == LaneMask::EMPTY {
-        return 0;
+        0
+    } else if !mask.at_most_one() {
+        lanes_conflict_degree(mask, idx, u64::from(words_per_elem), u64::from(banks))
+    } else if words_per_elem <= banks {
+        1
+    } else {
+        words_per_elem.div_ceil(banks)
     }
-    // Element `e` covers words `e*k .. e*k+k`, so distinct elements touch
-    // distinct words: deduplicating the lane indices deduplicates words.
-    let mut elems = [0u32; WARP_SIZE];
-    let mut n = 0;
-    for lane in mask.iter() {
-        elems[n] = idx.get(lane);
-        n += 1;
+}
+
+/// [`bank_conflict_degree`] of two or more active lanes.
+fn lanes_conflict_degree(mask: LaneMask, idx: &Lanes<u32>, words_per_elem: u64, banks: u64) -> u32 {
+    // The active lanes' indices, compacted in place (lane `l` moves down
+    // to a slot `n <= l` whose own index was already read). Element `e`
+    // covers words `e*k .. e*k+k`, so distinct elements touch distinct
+    // words: deduplicating the indices deduplicates words.
+    let mut elems = idx.0;
+    let mut n = WARP_SIZE;
+    if mask != LaneMask::FULL {
+        n = 0;
+        for lane in mask.iter() {
+            elems[n] = elems[lane];
+            n += 1;
+        }
     }
-    elems[..n].sort_unstable();
-    let words_per_elem = u64::from((elem_bytes / 4).max(1));
+    let elems = &mut elems[..n];
+    if elems.windows(2).all(|pair| pair[0] < pair[1]) {
+        // In `u64`: a spread of 2^31 eight-byte elements wraps a `u32`.
+        let span = (u64::from(elems[n - 1]) - u64::from(elems[0]) + 1) * words_per_elem;
+        if span <= banks {
+            return 1;
+        }
+    } else {
+        elems.sort_unstable();
+    }
     let mut per_bank = [0u32; MAX_SHARED_BANKS];
     let mut degree = 1;
-    for (i, &e) in elems[..n].iter().enumerate() {
+    for (i, &e) in elems.iter().enumerate() {
         if i > 0 && elems[i - 1] == e {
             continue;
         }
         for w in 0..words_per_elem {
-            let bank = ((u64::from(e) * words_per_elem + w) % u64::from(banks)) as usize;
+            let bank = ((u64::from(e) * words_per_elem + w) % banks) as usize;
             per_bank[bank] += 1;
             degree = degree.max(per_bank[bank]);
         }
@@ -557,6 +597,85 @@ mod tests {
                 _ => Lanes::from_fn(|l| random[l]),
             };
             let mask = LaneMask(mask);
+            prop_assert_eq!(
+                bank_conflict_degree(mask, &idx, elem_bytes, banks),
+                bank_conflict_degree_by_lists(mask, &idx, elem_bytes, banks)
+            );
+        }
+    }
+
+    #[test]
+    fn bank_conflicts_of_one_lane_count_its_words() {
+        // An 8-byte element is two words: on one bank they conflict, on
+        // two they do not.
+        let idx = Lanes::splat(3u32);
+        let one = LaneMask(1 << 5);
+        assert_eq!(bank_conflict_degree(one, &idx, 8, 1), 2);
+        assert_eq!(bank_conflict_degree(one, &idx, 8, 2), 1);
+        assert_eq!(bank_conflict_degree(one, &idx, 4, 1), 1);
+        assert_eq!(bank_conflict_degree(one, &idx, 8, 32), 1);
+    }
+
+    #[test]
+    fn bank_conflicts_of_an_ascending_run_turn_at_banks_words() {
+        // 32 four-byte words on 32 banks are free; skipping one index
+        // spans 33 words and puts words 0 and 32 on bank 0.
+        let exact = Lanes::from_fn(|l| l as u32);
+        let one_over = Lanes::from_fn(|l| l as u32 + u32::from(l == 31));
+        assert_eq!(bank_conflict_degree(LaneMask::FULL, &exact, 4, 32), 1);
+        assert_eq!(bank_conflict_degree(LaneMask::FULL, &one_over, 4, 32), 2);
+        // Sixteen eight-byte elements are 32 words; seventeen are 34.
+        assert_eq!(bank_conflict_degree(LaneMask::first(16), &exact, 8, 32), 1);
+        assert_eq!(bank_conflict_degree(LaneMask::first(17), &exact, 8, 32), 2);
+        assert_eq!(bank_conflict_degree(LaneMask::first(16), &exact, 4, 16), 1);
+        assert_eq!(bank_conflict_degree(LaneMask::first(17), &exact, 4, 16), 2);
+    }
+
+    #[test]
+    fn bank_conflict_span_does_not_wrap() {
+        // Elements 0 and 2^31 of eight bytes sit 2^32 words apart, on the
+        // same two banks; a 32-bit span would wrap to 2 words and call the
+        // access free.
+        let idx = Lanes::from_fn(|l| if l == 1 { 1 << 31 } else { 0 });
+        let two = LaneMask(0b11);
+        assert_eq!(bank_conflict_degree(two, &idx, 8, 32), 2);
+        assert_eq!(bank_conflict_degree_by_lists(two, &idx, 8, 32), 2);
+        let far = Lanes::from_fn(|l| if l == 1 { u32::MAX } else { 0 });
+        assert_eq!(
+            bank_conflict_degree(two, &far, 8, 32),
+            bank_conflict_degree_by_lists(two, &far, 8, 32)
+        );
+    }
+
+    #[test]
+    fn coalescing_of_one_lane_is_one_transaction() {
+        let idx = Lanes::splat(u32::MAX);
+        assert_eq!(coalesced_transactions(LaneMask(1 << 31), &idx, 8), 1);
+        assert_eq!(coalesced_transactions(LaneMask(1), &idx, 4), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// Ascending indices take the fast paths; they must agree with
+        /// the references too.
+        #[test]
+        fn ascending_accesses_equal_the_references(
+            mask in prop_oneof![Just(u32::MAX), Just(3u32), any::<u32>()],
+            base in prop_oneof![0u32..4096, Just(0xFFE0_0000u32)],
+            steps in collection::vec(prop_oneof![Just(0u32), Just(1u32), 0u32..40], WARP_SIZE),
+            elem_bytes in prop_oneof![Just(4u32), Just(8u32)],
+            banks in prop_oneof![Just(32u32), Just(16u32), 1u32..=64],
+        ) {
+            let mut at = base;
+            let idx = Lanes::from_fn(|l| {
+                at += steps[l];
+                at
+            });
+            let mask = LaneMask(mask);
+            prop_assert_eq!(
+                coalesced_transactions(mask, &idx, elem_bytes),
+                coalesced_transactions_by_scan(mask, &idx, elem_bytes)
+            );
             prop_assert_eq!(
                 bank_conflict_degree(mask, &idx, elem_bytes, banks),
                 bank_conflict_degree_by_lists(mask, &idx, elem_bytes, banks)

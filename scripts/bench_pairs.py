@@ -13,7 +13,10 @@ tenths of them won, medians further apart than the parent's own
 interquartile range, and a change that fails no larger share of its
 operations than the parent and none of its runs' checks; a regression is
 a median worse than the parent's by more than the metric's bound; `sim_*`
-values must be bit-identical.
+values must be bit-identical. Peak RSS gets a verdict line of its own, the
+ROADMAP's rule for every performance change: the change's median at most
+the parent's median + 2 %, whatever the metric's bound (unresolved, as a
+metric is, where the parent's own runs spread wider than that).
 
 Usage: bench_pairs.py PARENT_REV WORKLOAD [--pairs 10] [--seed 1] [--workdir DIR]
        bench_pairs.py --self-test
@@ -31,6 +34,10 @@ REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # Fewer pairs than this support no claim, however they fall.
 MIN_PAIRS = 10
+# Peak RSS may exceed the parent's median by this share at most (ROADMAP,
+# "Rules for every performance item"), tighter than its BENCHMARK.json bound.
+RSS_METRIC = "host_peak_rss_mb"
+RSS_SLACK = 0.02
 
 
 def parse_args(argv):
@@ -111,6 +118,26 @@ def summarize(metric, parent, change, fails_more=False):
     return out
 
 
+def rss_rule(parent, change):
+    """The RSS rule's verdict line: change median <= parent median + 2 %.
+
+    Like a metric's bound, the rule cannot be judged where the parent's
+    own runs spread wider than it: a median over the limit is then
+    unresolved, not broken.
+    """
+    pm, cm = quantile(parent, 0.5), quantile(change, 0.5)
+    limit = pm * (1 + RSS_SLACK)
+    spread = (quantile(parent, 0.75) - quantile(parent, 0.25)) / pm if pm else 0.0
+    if cm <= limit:
+        verdict = "ok"
+    elif spread > RSS_SLACK:
+        verdict = f"unresolved (parent IQR {spread:.1%} of its median)"
+    else:
+        verdict = "BROKEN"
+    return (f"rss rule: change median {cm:.6g} {'<=' if cm <= limit else '>'} parent median + {RSS_SLACK:.0%} "
+            f"({limit:.6g}): {verdict}")
+
+
 def render(workload, seed, metrics, runs):
     """The report: every run, then one summary row per metric."""
     lines = [f"workload {workload}, seed {seed}, {len(runs['parent'])} pairs"]
@@ -127,6 +154,9 @@ def render(workload, seed, metrics, runs):
         lines.append(f"  parent median {s['parent_median']:.6g} (q1 {s['parent_q1']:.6g}, q3 {s['parent_q3']:.6g})")
         lines.append(f"  change median {s['change_median']:.6g} (q1 {s['change_q1']:.6g}, q3 {s['change_q3']:.6g})")
         lines.append(f"  change/parent {s['ratio']:.3f}, change won {s['won']}/{s['pairs']} (lost {s['lost']}): {s['verdict']}")
+        if name == RSS_METRIC:
+            lines.append("  " + rss_rule([r["metrics"][name] for r in runs["parent"]],
+                                         [r["metrics"][name] for r in runs["change"]]))
     for side in SIDES:
         attempted = sum(r["attempted"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])
@@ -266,15 +296,36 @@ def self_test():
     s = summarize(sim, [1.0, 2.0], [1.0, 2.0])
     assert s["verdict"] == "DIFFERS", "a simulated value must repeat on one side too"
 
-    def run(host, failed=0, ok=True):
+    # The RSS rule: 2 % over the parent's median passes, more does not,
+    # however far inside the metric's 20 % bound.
+    rss_parent = [24.31, 24.25, 24.40, 24.28, 24.35]
+    assert rss_rule(rss_parent, [24.31 * 1.02] * 5).endswith(": ok")
+    assert rss_rule(rss_parent, [24.0] * 5).endswith(": ok")
+    assert rss_rule(rss_parent, [24.31 * 1.021] * 5).endswith(": BROKEN")
+    assert rss_rule(rss_parent, [24.31, 24.31, 24.9, 25.0, 25.1]).endswith(": BROKEN"), "the median decides"
+    assert rss_rule(rss_parent, [24.0, 24.0, 24.5, 40.0, 40.0]).endswith(": ok"), "the median decides"
+    # A parent spread wider than the rule leaves an over-limit median unresolved.
+    wide = [5.05, 5.08, 5.21, 5.05, 5.40, 4.93, 5.24, 5.38, 5.10, 4.99]
+    assert rss_rule(wide, [5.27] * 10).endswith(": unresolved (parent IQR 3.6% of its median)"), rss_rule(wide, [5.27] * 10)
+    assert rss_rule(wide, [5.12] * 10).endswith(": ok")
+    rss = {"name": RSS_METRIC, "unit": "MiB", "better": "lower", "bound": 0.2}
+    assert summarize(rss, rss_parent, [24.31 * 1.05] * 5)["verdict"] == "within bound"
+
+    def run(host, failed=0, ok=True, rss_mb=20.0):
         return {"correct": ok, "attempted": 100, "failed": failed,
-                "metrics": {"host_msgs_per_s": host, "sim_msgs_per_s": 5.0}}
+                "metrics": {"host_msgs_per_s": host, "sim_msgs_per_s": 5.0, RSS_METRIC: rss_mb}}
     assert health([run(1.0, failed=3), run(1.0, ok=False)]) == (0.015, 1)
     text = render("domain-fabric", 7, [up, sim], {"parent": [run(50.0), run(52.0)], "change": [run(99.0), run(98.0)]})
     for needle in ("workload domain-fabric, seed 7, 2 pairs", "pair  1 (parent first)", "pair  2 (change first)",
                    "change won 2/2 (lost 0): better, but a claim needs 10 pairs", "bit-identical",
                    "parent: 0 of 200 operations failed, 0 run(s)", "change: 0 of 200 operations failed, 0 run(s)"):
         assert needle in text, f"{needle!r} missing from:\n{text}"
+    # The RSS rule has its own line under the RSS metric, and only there.
+    text = render("svc-hash", 1, [up, rss], {"parent": [run(1.0), run(1.0)], "change": [run(1.0, rss_mb=20.5)] * 2})
+    assert "  rss rule: change median 20.5 > parent median + 2% (20.4): BROKEN" in text, text
+    assert text.count("rss rule") == 1, text
+    text = render("svc-hash", 1, [up, rss], {"parent": [run(1.0), run(1.0)], "change": [run(1.0, rss_mb=20.4)] * 2})
+    assert "  rss rule: change median 20.4 <= parent median + 2% (20.4): ok" in text, text
     # The report's verdict sees the failures, not only its last lines:
     # a larger failed share, or one run failing its checks, bars the gain;
     # failing no more than the parent does not.
