@@ -2,8 +2,8 @@
 //! monotonicity, and the JSON metrics interchange used by bench-harness.
 
 use gpu_msg::{
-    FaultPlan, FaultRates, FaultTolerance, RecoveryConfig, Scheduler, ServiceEngine,
-    ServiceMetrics, ShardEnginePolicy, ShardedMatchService, ShardedServiceConfig,
+    FaultEvent, FaultKind, FaultPlan, FaultRates, FaultTolerance, RecoveryConfig, Scheduler,
+    ServiceEngine, ServiceMetrics, ShardEnginePolicy, ShardedMatchService, ShardedServiceConfig,
     ShardedServiceReport, SupervisorConfig,
 };
 use integration_support::hot_cold_tenancy;
@@ -241,4 +241,127 @@ fn exported_snapshots_match_the_golden() {
         })
         .collect();
     assert_eq!(got, GOLDEN, "exported snapshots drifted: {got:#x?}");
+}
+
+/// The two traced runs the trace golden pins, both sampling every
+/// message into the flow trace: the chaos tenancy run of
+/// [`golden_runs`] (migrations, journal replay, checkpoint corruption)
+/// on the global clock, and a supervised hang on shard threads (one
+/// failover and its handback).
+fn traced_golden_runs() -> Vec<ShardedMatchService> {
+    let tenanted = ShardedServiceConfig {
+        shards: 2,
+        arrival_rate: 8.0e6,
+        duration: 1.0e-3,
+        queue_capacity: 1 << 20,
+        drain: true,
+        policy: ShardEnginePolicy::Fixed(ServiceEngine::Hash),
+        seed: 23,
+        trace: true,
+        trace_capacity: 1 << 16,
+        flow_sample_every: 1,
+        ..Default::default()
+    };
+    let per_class = 2.0 / tenanted.duration;
+    let mut chaos = ShardedMatchService::with_tenancy(GEN, tenanted, hot_cold_tenancy());
+    chaos.set_fault_tolerance(Some(FaultTolerance {
+        plan: FaultPlan::random(
+            41,
+            tenanted.shards,
+            tenanted.duration,
+            &FaultRates {
+                crash_rate: per_class,
+                hang_rate: per_class,
+                slow_rate: per_class,
+                partition_rate: per_class,
+                corrupt_rate: per_class,
+                ..Default::default()
+            },
+        ),
+        recovery: RecoveryConfig::default(),
+        supervisor: Some(SupervisorConfig::default()),
+    }));
+    let hung = ShardedServiceConfig {
+        shards: 3,
+        arrival_rate: 4.0e6,
+        duration: 1.0e-3,
+        queue_capacity: 1 << 20,
+        drain: true,
+        policy: ShardEnginePolicy::Fixed(ServiceEngine::Matrix),
+        seed: 5,
+        trace: true,
+        trace_capacity: 1 << 16,
+        flow_sample_every: 1,
+        scheduler: Scheduler::ThreadPerShard,
+        ..Default::default()
+    };
+    let mut hang = ShardedMatchService::new(GEN, hung);
+    hang.set_fault_tolerance(Some(FaultTolerance {
+        plan: FaultPlan::new(vec![FaultEvent {
+            at: 0.3e-3,
+            shard: 0,
+            kind: FaultKind::Hang { seconds: 500e-6 },
+        }]),
+        recovery: RecoveryConfig::default(),
+        supervisor: Some(SupervisorConfig::default()),
+    }));
+    let mut runs = vec![chaos, hang];
+    for svc in &mut runs {
+        svc.set_record_completions(true);
+    }
+    runs
+}
+
+/// FNV-1a of `(trace_json, scheduler_trace_json, completions)` per
+/// traced golden run.
+const TRACE_GOLDEN: [(u64, u64, u64); 2] = [
+    (
+        0x4e37_44b1_a031_fbf6,
+        0x71bd_eea7_814e_ee5e,
+        0xcc46_2450_185a_1603,
+    ),
+    (
+        0xb9d6_5a96_939a_9f36,
+        0x18ea_7fc5_f9fb_b390,
+        0xacc6_559e_75bd_893b,
+    ),
+];
+
+/// Every event the shard recorders and the coordinator record — their
+/// order within each track included — and every stream's commit order
+/// are pinned. Comparing one scheduler with the other cannot catch an
+/// event reordered on both sides; this can.
+#[test]
+fn exported_traces_match_the_golden() {
+    let mut got = Vec::new();
+    let mut shard_traces = String::new();
+    for mut svc in traced_golden_runs() {
+        let r = svc.run();
+        assert!(
+            r.metrics.shards.iter().all(|s| s.trace_dropped == 0),
+            "the golden pins whole traces: no recorder may wrap"
+        );
+        let trace = svc.trace_json().expect("tracing is on");
+        let sched = svc.scheduler_trace_json().expect("tracing is on");
+        let completions = r.completions.expect("completions are recorded");
+        got.push((fnv(&trace), fnv(&sched), fnv(&format!("{completions:?}"))));
+        shard_traces.push_str(&trace);
+    }
+    for name in [
+        "failover",
+        "handback",
+        "migration_drain",
+        "migration_transfer",
+        "migration_handback",
+        "migrated",
+        "replayed",
+        "recovery",
+        "checkpoint_corruption",
+    ] {
+        assert!(
+            shard_traces.contains(&format!("\"name\":\"{name}\"")),
+            "the traced golden runs must exercise `{name}`"
+        );
+    }
+    assert_eq!(got, TRACE_GOLDEN, "exported traces drifted: {got:#x?}");
 }
