@@ -2,11 +2,10 @@
 //! epoch groups advanced either on one OS thread or on one thread per
 //! conflict group, synchronized PDES-style at supervisor barriers.
 //!
-//! The legacy service advanced every shard on one global simulated
-//! clock. This module splits that clock into per-shard *epoch groups*
-//! ([`fabric::WatermarkExchange`]): each epoch group owns the complete state a group of
-//! shards needs (device, queue, stream watermarks, fault schedule) and
-//! advances through its own local events. Epoch groups only interact at
+//! There is no global simulated clock. Shards advance in *epoch groups*:
+//! each epoch group owns the complete state a group of shards needs
+//! (device, queue, stream watermarks, fault schedule) and advances
+//! through its own local events. Epoch groups only interact at
 //! *barriers* — supervisor health-check times, where failover rewires
 //! placement — so between barriers they can run on separate OS threads.
 //! The conservative horizon for each epoch comes from a
@@ -52,7 +51,7 @@ use crate::tenancy::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// All shards in one merged virtual-time epoch group on the calling
-    /// thread — the legacy single-threaded execution order.
+    /// thread: the one-thread case of [`Scheduler::ThreadPerShard`].
     #[default]
     GlobalClock,
     /// One OS thread per conflict group of shards (scoped threads over
@@ -114,27 +113,27 @@ impl Phase {
         }
     }
 
-    /// Entries occupying the device (they count against queue capacity).
-    pub(crate) fn inflight_len(&self) -> usize {
+    /// The batch on the device, running or interrupted by a hang.
+    fn inflight(&self) -> Option<&InFlight> {
         match self {
-            Phase::Busy(f) => f.entries.len(),
-            Phase::Hung {
+            Phase::Busy(f)
+            | Phase::Hung {
                 resume: Some(f), ..
-            } => f.entries.len(),
-            _ => 0,
+            } => Some(f),
+            _ => None,
         }
+    }
+
+    /// Entries occupying the device (they count against queue capacity).
+    fn inflight_len(&self) -> usize {
+        self.inflight().map_or(0, |f| f.entries.len())
     }
 
     /// Is any in-flight entry from stream `s`? (Failover handback must
     /// wait until the target has fully drained the inherited stream.)
     fn holds_stream(&self, s: usize) -> bool {
-        match self {
-            Phase::Busy(f) => f.entries.iter().any(|e| e.stream == s),
-            Phase::Hung {
-                resume: Some(f), ..
-            } => f.entries.iter().any(|e| e.stream == s),
-            _ => false,
-        }
+        self.inflight()
+            .is_some_and(|f| f.entries.iter().any(|e| e.stream == s))
     }
 
     /// Would a health check get an answer?
@@ -153,6 +152,14 @@ impl Phase {
     }
 }
 
+/// Arguments of one trace event.
+type Args = Vec<(&'static str, obs::ArgValue)>;
+
+/// Simulated seconds as the recorders' integer nanoseconds.
+fn ns(t: f64) -> u64 {
+    (t * 1e9).round() as u64
+}
+
 /// Everything one shard's execution owns: the device, the pending
 /// queue, the fault schedule and the counters. Moved wholesale between
 /// the coordinator and whichever epoch group runs the shard this epoch.
@@ -162,7 +169,6 @@ pub(crate) struct ShardCell<'a> {
     queue: VecDeque<QEntry>,
     phase: Phase,
     metrics: ShardMetrics,
-    busy: f64,
     last_activity: f64,
     last_spill: f64,
     slow_until: f64,
@@ -190,6 +196,83 @@ pub(crate) struct ShardCell<'a> {
     /// True when the shard had a local event at the current instant and
     /// must re-evaluate checkpoint/shed/dispatch.
     active: bool,
+    /// Deterministic 1-in-K admission into the causal flow trace. A
+    /// pure function of `(seed, flow id)`, so the sampled set — and
+    /// therefore the recorded event stream — is scheduler-invariant.
+    sampler: obs::FlowSampler,
+}
+
+impl ShardCell<'_> {
+    /// Queued plus in-flight entries: the backlog admission gates on
+    /// and the supervisor and the reshard planner compare.
+    fn backlog(&self) -> usize {
+        self.queue.len() + self.phase.inflight_len()
+    }
+
+    /// Does a health check at `t` reach a responsive device? A
+    /// partitioned shard is healthy but cut off until its window closes.
+    fn reachable_at(&self, t: f64) -> bool {
+        self.phase.responsive() && self.partitioned_until <= t
+    }
+
+    /// Record an instant at simulated time `t`. This moves the
+    /// recorder's clock, which the next launch spans start from, so the
+    /// order of calls is part of the trace.
+    fn instant(&mut self, t: f64, cat: obs::SpanCategory, name: &'static str, args: Args) {
+        if let Some(rec) = self.gpu.obs.as_mut() {
+            rec.set_now_ns(ns(t));
+            rec.record_instant(cat, name, args);
+        }
+    }
+
+    /// Record the span `[t0, t1]` without moving the recorder's clock.
+    fn span(&mut self, t0: f64, t1: f64, cat: obs::SpanCategory, name: &'static str, args: Args) {
+        if let Some(rec) = self.gpu.obs.as_mut() {
+            let (t0, t1) = (ns(t0), ns(t1));
+            rec.record_complete(cat, name, t0, t1.saturating_sub(t0), args);
+        }
+    }
+
+    /// Record a point of message `(stream, seq)`'s causal flow at `t`
+    /// when tracing is on and the sampler admits the message; `args`
+    /// is only built then.
+    fn flow(
+        &mut self,
+        stream: usize,
+        seq: u64,
+        name: &'static str,
+        phase: obs::FlowPhase,
+        t: f64,
+        args: impl FnOnce() -> Args,
+    ) {
+        let Some(rec) = self.gpu.obs.as_mut() else {
+            return;
+        };
+        let fid = obs::FlowId::service(stream as u32, seq);
+        if self.sampler.admits(fid) {
+            rec.record_flow(name, fid, phase, ns(t), args());
+        }
+    }
+
+    /// Emit the pending spill and admission-shed runs as one instant
+    /// each, stamped with the run's last arrival.
+    fn flush_spills(&mut self) {
+        if self.pend_spill > 0 {
+            let count = vec![("count", obs::ArgValue::U64(self.pend_spill))];
+            self.instant(self.pend_spill_t, obs::SpanCategory::Spill, "spill", count);
+            self.pend_spill = 0;
+        }
+        if self.pend_shed > 0 {
+            let count = vec![("count", obs::ArgValue::U64(self.pend_shed))];
+            self.instant(
+                self.pend_shed_t,
+                obs::SpanCategory::Shed,
+                "admission_shed",
+                count,
+            );
+            self.pend_shed = 0;
+        }
+    }
 }
 
 /// Per-stream state: the arrival generator cursor, the recovery
@@ -206,16 +289,36 @@ pub(crate) struct StreamCell<'a> {
     /// to a new owner; commits stamped with an older epoch are fenced.
     epoch: u64,
     completions: Option<Vec<u64>>,
-    /// Arrival-time shape (uniform for legacy streams).
+    /// Arrival-time shape (uniform for untenanted streams).
     pattern: ArrivalPattern,
     /// Owning tenant (0 for the implicit single tenant).
     tenant: u32,
-    /// Per-stream QoS gate; `None` admits on raw capacity (legacy).
-    qos: Option<StreamQos>,
+    /// Per-stream QoS gate (unmetered guaranteed for untenanted streams,
+    /// which admits on raw capacity).
+    qos: StreamQos,
     /// Per-stream overflow split, aggregated per tenant at the end.
     spilled_n: u64,
     shed_n: u64,
     matched_n: u64,
+}
+
+impl StreamCell<'_> {
+    /// The journal window `[committed, admitted)` as queue entries under
+    /// the stream's current epoch, in admission order: everything a
+    /// stream's new owner or a rebuilt queue must still match.
+    fn window(&self) -> impl Iterator<Item = QEntry> + '_ {
+        let committed = self.state.committed;
+        self.state
+            .journal
+            .iter()
+            .filter(move |&&(seq, _)| seq >= committed)
+            .map(move |&(seq, arrived)| QEntry {
+                stream: self.idx,
+                seq,
+                arrived,
+                epoch: self.epoch,
+            })
+    }
 }
 
 /// Epoch-constant context shared (immutably) by every epoch group.
@@ -229,10 +332,6 @@ struct EpochEnv<'a> {
     shed_deadline: f64,
     /// Queue-fill ceilings for non-guaranteed QoS classes.
     fill: FillLimits,
-    /// Deterministic 1-in-K admission into the causal flow trace. A
-    /// pure function of `(seed, flow id)`, so the sampled set — and
-    /// therefore the recorded event stream — is scheduler-invariant.
-    sampler: obs::FlowSampler,
 }
 
 /// A virtual-time epoch group: one conflict group's shards and streams plus
@@ -243,41 +342,10 @@ struct EpochGroup<'a> {
     streams: Vec<StreamCell<'a>>,
 }
 
-fn xpos(cells: &[ShardCell], idx: usize) -> usize {
-    cells
-        .binary_search_by_key(&idx, |c| c.idx)
-        .expect("target shard is in this epoch group")
-}
-
 fn spos(cells: &[StreamCell], idx: usize) -> usize {
     cells
         .binary_search_by_key(&idx, |c| c.idx)
         .expect("stream is in this epoch group")
-}
-
-fn flush_spills(cell: &mut ShardCell) {
-    if cell.pend_spill > 0 {
-        if let Some(rec) = cell.gpu.obs.as_mut() {
-            rec.set_now_ns((cell.pend_spill_t * 1e9).round() as u64);
-            rec.record_instant(
-                obs::SpanCategory::Spill,
-                "spill",
-                vec![("count", obs::ArgValue::U64(cell.pend_spill))],
-            );
-        }
-        cell.pend_spill = 0;
-    }
-    if cell.pend_shed > 0 {
-        if let Some(rec) = cell.gpu.obs.as_mut() {
-            rec.set_now_ns((cell.pend_shed_t * 1e9).round() as u64);
-            rec.record_instant(
-                obs::SpanCategory::Shed,
-                "admission_shed",
-                vec![("count", obs::ArgValue::U64(cell.pend_shed))],
-            );
-        }
-        cell.pend_shed = 0;
-    }
 }
 
 /// The stall class that dominated a batch's critical path (the flow
@@ -303,19 +371,13 @@ fn dominant_stall(report: &GpuMatchReport) -> &'static str {
 /// suppressing entries a concurrent path (failover transfer, journal
 /// replay) already delivered — the idempotent-commit half of
 /// exactly-once matching.
-fn commit_batch(
-    inf: InFlight,
-    cell: &mut ShardCell,
-    streams: &mut [StreamCell],
-    sampler: obs::FlowSampler,
-) {
-    cell.busy += inf.service;
+fn commit_batch(inf: InFlight, cell: &mut ShardCell, streams: &mut [StreamCell]) {
+    cell.metrics.busy_seconds += inf.service;
     cell.metrics.profile.absorb(&inf.report);
     cell.metrics.batches += 1;
     cell.metrics.batch_size.record(inf.entries.len() as f64);
     cell.metrics.service_time.record(inf.service);
     let stall = dominant_stall(&inf.report);
-    let until_ns = (inf.until * 1e9).round() as u64;
     for e in &inf.entries {
         let sp = spos(streams, e.stream);
         let sc = &mut streams[sp];
@@ -333,16 +395,9 @@ fn commit_batch(
             continue;
         }
         debug_assert_eq!(
-            e.seq,
-            sc.state.committed,
-            "per-stream commits are FIFO: shard {} stream {} seq {} committed {} epoch {} sc.epoch {} until {}",
-            cell.idx,
-            e.stream,
-            e.seq,
-            sc.state.committed,
-            e.epoch,
-            sc.epoch,
-            inf.until,
+            e.seq, sc.state.committed,
+            "per-stream commits are FIFO: shard {} stream {}",
+            cell.idx, e.stream
         );
         sc.state.committed = e.seq + 1;
         sc.matched_n += 1;
@@ -351,21 +406,43 @@ fn commit_batch(
         if let Some(c) = sc.completions.as_mut() {
             c.push(e.seq);
         }
-        let fid = obs::FlowId::service(e.stream as u32, e.seq);
-        if sampler.admits(fid) {
-            if let Some(rec) = cell.gpu.obs.as_mut() {
-                rec.record_flow(
-                    "matched",
-                    fid,
-                    obs::FlowPhase::Step,
-                    until_ns,
-                    vec![("stall", obs::ArgValue::Text(stall.to_string()))],
-                );
-                rec.record_flow("delivered", fid, obs::FlowPhase::End, until_ns, vec![]);
-            }
-        }
+        let (step, end) = (obs::FlowPhase::Step, obs::FlowPhase::End);
+        cell.flow(e.stream, e.seq, "matched", step, inf.until, || {
+            vec![("stall", obs::ArgValue::Text(stall.to_string()))]
+        });
+        cell.flow(e.stream, e.seq, "delivered", end, inf.until, Vec::new);
     }
     cell.last_activity = cell.last_activity.max(inf.until);
+}
+
+/// Hand stream `sc` from shard `from` to shard `to` at barrier `tick`:
+/// the one transfer failover and migration share (`DESIGN.md` §13).
+/// `from`'s queued copies die, since the journal is the durable source;
+/// the window `[committed, admitted)` joins `to`'s queue in admission
+/// order, and each sampled arrival's flow chain gains a `step` point.
+/// A copy still in flight elsewhere commits first and the transferred
+/// duplicate is suppressed by the watermark, or it is fenced by a
+/// bumped epoch. Returns the number of entries transferred.
+fn hand_off(
+    cells: &mut [ShardCell],
+    sc: &StreamCell,
+    from: usize,
+    to: usize,
+    tick: f64,
+    step: &'static str,
+) -> u64 {
+    cells[from].queue.retain(|e| e.stream != sc.idx);
+    let tc = &mut cells[to];
+    let mut transferred = 0u64;
+    for e in sc.window() {
+        tc.queue.push_back(e);
+        tc.flow(e.stream, e.seq, step, obs::FlowPhase::Step, tick, || {
+            vec![("from", obs::ArgValue::U64(from as u64))]
+        });
+        transferred += 1;
+    }
+    tc.metrics.transferred_in += transferred;
+    transferred
 }
 
 /// When will `need` more arrivals have been generated for the streams
@@ -403,11 +480,12 @@ fn fill_wake(
 }
 
 impl<'a> EpochGroup<'a> {
-    /// Process everything due at `self.now`: admission up to the
-    /// horizon, fault injections, then phase transitions — the same
-    /// intra-instant order the legacy loop used. Cells whose own state
-    /// changed (or whose armed wake / checkpoint edge is exactly now)
-    /// are marked active for the following [`post`](Self::post).
+    /// Process everything due at `self.now` in a fixed intra-instant
+    /// order: admission up to the horizon, fault injections, then phase
+    /// transitions — so a crash beats a commit due at the same instant.
+    /// Cells whose own state changed (or whose armed wake / checkpoint
+    /// edge is exactly now) are marked active for the following
+    /// [`post`](Self::post).
     fn boundary(&mut self, env: &EpochEnv) {
         let EpochGroup {
             now,
@@ -435,33 +513,22 @@ impl<'a> EpochGroup<'a> {
                 }
             }
             let Some((t, sp)) = best else { break };
-            let s = streams[sp].idx;
-            let x = env.placement.target_of(s);
-            let xp = xpos(shards, x);
+            let sc = &mut streams[sp];
+            let s = sc.idx;
+            let xp = shards
+                .binary_search_by_key(&env.placement.target_of(s), |c| c.idx)
+                .expect("target shard is in this epoch group");
             let cell = &mut shards[xp];
             cell.metrics.arrivals += 1;
-            let backlog = cell.queue.len() + cell.phase.inflight_len();
-            // QoS verdict: unmetered legacy streams admit on raw
-            // capacity; tenant streams consult their token bucket and
-            // class fill ceiling. The verdict is a pure function of
-            // (arrival time, backlog), both boundary-invariant, so it
-            // is identical under either scheduler.
-            let verdict = match streams[sp].qos.as_mut() {
-                None => {
-                    if backlog < env.capacity {
-                        AdmitVerdict::Admit
-                    } else {
-                        AdmitVerdict::Spill
-                    }
-                }
-                Some(q) => q.admit(t, backlog, env.capacity, env.fill),
-            };
-            match verdict {
+            // QoS verdict: the stream's token bucket and class fill
+            // ceiling against the shard's backlog. Both inputs are
+            // boundary-invariant, so the verdict is identical under
+            // either scheduler.
+            match sc.qos.admit(t, cell.backlog(), env.capacity, env.fill) {
                 AdmitVerdict::Admit => {
                     // An admit ends any spill/shed run.
-                    flush_spills(cell);
-                    let seq = streams[sp].state.admit(t);
-                    let epoch = streams[sp].epoch;
+                    cell.flush_spills();
+                    let seq = sc.state.admit(t);
                     // A dark shard's queue died with its device;
                     // journal-only until the rebuild restores it.
                     if !cell.phase.dark() {
@@ -469,22 +536,13 @@ impl<'a> EpochGroup<'a> {
                             stream: s,
                             seq,
                             arrived: t,
-                            epoch,
+                            epoch: sc.epoch,
                         });
                     }
                     cell.metrics.admitted += 1;
-                    let fid = obs::FlowId::service(s as u32, seq);
-                    if env.sampler.admits(fid) {
-                        if let Some(rec) = cell.gpu.obs.as_mut() {
-                            rec.record_flow(
-                                "admitted",
-                                fid,
-                                obs::FlowPhase::Start,
-                                (t * 1e9).round() as u64,
-                                vec![("stream", obs::ArgValue::U64(s as u64))],
-                            );
-                        }
-                    }
+                    cell.flow(s, seq, "admitted", obs::FlowPhase::Start, t, || {
+                        vec![("stream", obs::ArgValue::U64(s as u64))]
+                    });
                 }
                 AdmitVerdict::Spill => {
                     cell.metrics.overflow.spilled += 1;
@@ -492,7 +550,7 @@ impl<'a> EpochGroup<'a> {
                     cell.last_spill = t;
                     cell.pend_spill += 1;
                     cell.pend_spill_t = t;
-                    streams[sp].spilled_n += 1;
+                    sc.spilled_n += 1;
                 }
                 AdmitVerdict::Shed => {
                     // A quota breach sheds the offending tenant's own
@@ -501,10 +559,10 @@ impl<'a> EpochGroup<'a> {
                     cell.metrics.overflow.shed += 1;
                     cell.pend_shed += 1;
                     cell.pend_shed_t = t;
-                    streams[sp].shed_n += 1;
+                    sc.shed_n += 1;
                 }
             }
-            streams[sp].seen += 1;
+            sc.seen += 1;
         }
 
         // In drain mode `duration` is a universal local event: every
@@ -547,10 +605,7 @@ impl<'a> EpochGroup<'a> {
                             until: ev.at + r.restart_latency,
                             crashed_at,
                         };
-                        if let Some(rec) = cell.gpu.obs.as_mut() {
-                            rec.set_now_ns((ev.at * 1e9).round() as u64);
-                            rec.record_instant(obs::SpanCategory::Crash, "crash", vec![]);
-                        }
+                        cell.instant(ev.at, obs::SpanCategory::Crash, "crash", vec![]);
                     }
                     FaultKind::Hang { seconds } => {
                         cell.metrics.hangs += 1;
@@ -576,18 +631,12 @@ impl<'a> EpochGroup<'a> {
                                 resume: None,
                             },
                         };
-                        if let Some(rec) = cell.gpu.obs.as_mut() {
-                            rec.set_now_ns((ev.at * 1e9).round() as u64);
-                            rec.record_instant(obs::SpanCategory::Crash, "hang", vec![]);
-                        }
+                        cell.instant(ev.at, obs::SpanCategory::Crash, "hang", vec![]);
                     }
                     FaultKind::Slow { factor, seconds } => {
                         cell.slow_until = ev.at + seconds;
                         cell.slow_factor = factor.max(1.0);
-                        if let Some(rec) = cell.gpu.obs.as_mut() {
-                            rec.set_now_ns((ev.at * 1e9).round() as u64);
-                            rec.record_instant(obs::SpanCategory::Crash, "slow", vec![]);
-                        }
+                        cell.instant(ev.at, obs::SpanCategory::Crash, "slow", vec![]);
                     }
                     FaultKind::Partition { seconds } => {
                         // The shard is cut off, not down: it keeps
@@ -595,17 +644,13 @@ impl<'a> EpochGroup<'a> {
                         // see it unreachable until the window closes.
                         cell.metrics.partitions += 1;
                         cell.partitioned_until = cell.partitioned_until.max(ev.at + seconds);
-                        if let Some(rec) = cell.gpu.obs.as_mut() {
-                            rec.set_now_ns((ev.at * 1e9).round() as u64);
-                            rec.record_instant(
-                                obs::SpanCategory::Partition,
-                                "partition",
-                                vec![(
-                                    "until_ns",
-                                    obs::ArgValue::U64(((ev.at + seconds) * 1e9).round() as u64),
-                                )],
-                            );
-                        }
+                        let until_ns = obs::ArgValue::U64(ns(ev.at + seconds));
+                        cell.instant(
+                            ev.at,
+                            obs::SpanCategory::Partition,
+                            "partition",
+                            vec![("until_ns", until_ns)],
+                        );
                     }
                     FaultKind::CorruptCheckpoint => {
                         // Flip the newest durable snapshot of every
@@ -622,14 +667,12 @@ impl<'a> EpochGroup<'a> {
                             }
                         }
                         cell.metrics.corrupt_checkpoints += corrupted;
-                        if let Some(rec) = cell.gpu.obs.as_mut() {
-                            rec.set_now_ns((ev.at * 1e9).round() as u64);
-                            rec.record_instant(
-                                obs::SpanCategory::Corruption,
-                                "checkpoint_corruption",
-                                vec![("streams", obs::ArgValue::U64(corrupted))],
-                            );
-                        }
+                        cell.instant(
+                            ev.at,
+                            obs::SpanCategory::Corruption,
+                            "checkpoint_corruption",
+                            vec![("streams", obs::ArgValue::U64(corrupted))],
+                        );
                     }
                 }
             }
@@ -643,7 +686,7 @@ impl<'a> EpochGroup<'a> {
                 let phase = std::mem::replace(&mut cell.phase, Phase::Idle);
                 match phase {
                     Phase::Busy(inf) => {
-                        commit_batch(*inf, cell, streams, env.sampler);
+                        commit_batch(*inf, cell, streams);
                     }
                     Phase::Hung { resume, .. } => {
                         cell.phase = match resume {
@@ -682,56 +725,44 @@ impl<'a> EpochGroup<'a> {
                         };
                     }
                     Phase::Replaying { until, crashed_at } => {
-                        // Rebuild the pending queue from the journal,
-                        // suppressing seqs already delivered — the
-                        // duplicate half of exactly-once replay.
+                        // Rebuild the pending queue from each served
+                        // stream's journal window. Journaled seqs below
+                        // the watermark were already delivered: they
+                        // count as duplicates, the duplicate half of
+                        // exactly-once replay.
                         cell.gpu.reset_memory();
                         let x = cell.idx;
                         for sc in streams.iter() {
                             if env.placement.target_of(sc.idx) != x {
                                 continue;
                             }
-                            let committed = sc.state.committed;
-                            for &(seq, t) in sc.state.journal.iter() {
-                                if seq < committed {
-                                    cell.metrics.replay_duplicates += 1;
-                                    continue;
-                                }
-                                cell.queue.push_back(QEntry {
-                                    stream: sc.idx,
-                                    seq,
-                                    arrived: t,
-                                    epoch: sc.epoch,
-                                });
-                                let fid = obs::FlowId::service(sc.idx as u32, seq);
-                                if env.sampler.admits(fid) {
-                                    if let Some(rec) = cell.gpu.obs.as_mut() {
-                                        rec.record_flow(
-                                            "replayed",
-                                            fid,
-                                            obs::FlowPhase::Step,
-                                            (until * 1e9).round() as u64,
-                                            vec![],
-                                        );
-                                    }
-                                }
+                            let mut replayed = 0u64;
+                            for e in sc.window() {
+                                cell.queue.push_back(e);
+                                cell.flow(
+                                    e.stream,
+                                    e.seq,
+                                    "replayed",
+                                    obs::FlowPhase::Step,
+                                    until,
+                                    Vec::new,
+                                );
+                                replayed += 1;
                             }
+                            cell.metrics.replay_duplicates +=
+                                sc.state.journal.len() as u64 - replayed;
                         }
                         cell.metrics.recoveries += 1;
                         cell.metrics.recovery_seconds.record(until - crashed_at);
                         cell.last_activity = cell.last_activity.max(until);
-                        let restored = cell.queue.len() as u64;
-                        if let Some(rec) = cell.gpu.obs.as_mut() {
-                            let t0 = (crashed_at * 1e9).round() as u64;
-                            let t1 = (until * 1e9).round() as u64;
-                            rec.record_complete(
-                                obs::SpanCategory::Recovery,
-                                "recovery",
-                                t0,
-                                t1.saturating_sub(t0),
-                                vec![("restored", obs::ArgValue::U64(restored))],
-                            );
-                        }
+                        let restored = obs::ArgValue::U64(cell.queue.len() as u64);
+                        cell.span(
+                            crashed_at,
+                            until,
+                            obs::SpanCategory::Recovery,
+                            "recovery",
+                            vec![("restored", restored)],
+                        );
                     }
                     Phase::Checkpointing { until, started } => {
                         let r = env.recovery.expect("checkpointing implies fault tolerance");
@@ -743,17 +774,8 @@ impl<'a> EpochGroup<'a> {
                         }
                         cell.metrics.checkpoints += 1;
                         cell.next_ckpt = until + r.checkpoint_interval;
-                        if let Some(rec) = cell.gpu.obs.as_mut() {
-                            let t0 = (started * 1e9).round() as u64;
-                            let t1 = (until * 1e9).round() as u64;
-                            rec.record_complete(
-                                obs::SpanCategory::Checkpoint,
-                                "checkpoint",
-                                t0,
-                                t1.saturating_sub(t0),
-                                vec![],
-                            );
-                        }
+                        let cat = obs::SpanCategory::Checkpoint;
+                        cell.span(started, until, cat, "checkpoint", vec![]);
                     }
                     Phase::Idle => unreachable!("idle phases have no events"),
                 }
@@ -838,29 +860,13 @@ impl<'a> EpochGroup<'a> {
                     }
                     streams[sp].shed_n += 1;
                     shed_now += 1;
-                    let fid = obs::FlowId::service(front.stream as u32, front.seq);
-                    if env.sampler.admits(fid) {
-                        if let Some(rec) = cell.gpu.obs.as_mut() {
-                            rec.record_flow(
-                                "shed",
-                                fid,
-                                obs::FlowPhase::End,
-                                (now * 1e9).round() as u64,
-                                vec![],
-                            );
-                        }
-                    }
+                    let end = obs::FlowPhase::End;
+                    cell.flow(front.stream, front.seq, "shed", end, now, Vec::new);
                 }
                 if shed_now > 0 {
                     cell.metrics.overflow.shed += shed_now;
-                    if let Some(rec) = cell.gpu.obs.as_mut() {
-                        rec.set_now_ns((now * 1e9).round() as u64);
-                        rec.record_instant(
-                            obs::SpanCategory::Shed,
-                            "shed",
-                            vec![("count", obs::ArgValue::U64(shed_now))],
-                        );
-                    }
+                    let count = vec![("count", obs::ArgValue::U64(shed_now))];
+                    cell.instant(now, obs::SpanCategory::Shed, "shed", count);
                 }
             }
 
@@ -917,31 +923,27 @@ impl<'a> EpochGroup<'a> {
                 .map(|m| RecvRequest::exact(m.src, m.tag, m.comm))
                 .collect();
 
-            flush_spills(cell);
+            cell.flush_spills();
+            // Pin the recorder to the service clock so the launch spans
+            // the engine records start at the dispatch instant, and span
+            // the batch's accumulation time.
             if let Some(rec) = cell.gpu.obs.as_mut() {
-                // Pin the recorder to the service clock so the launch
-                // spans the engine records start at the dispatch
-                // instant, and span the batch's accumulation time.
-                let now_ns = (now * 1e9).round() as u64;
-                rec.set_now_ns(now_ns);
-                let oldest = entries.first().map_or(now, |e| e.arrived);
-                let t0 = ((oldest * 1e9).round() as u64).min(now_ns);
-                rec.record_complete(
-                    obs::SpanCategory::BatchAdmission,
-                    "batch",
-                    t0,
-                    now_ns - t0,
-                    vec![
-                        ("batch", obs::ArgValue::U64(batch as u64)),
-                        ("pending", obs::ArgValue::U64(pending as u64)),
-                    ],
-                );
-                for e in &entries {
-                    let fid = obs::FlowId::service(e.stream as u32, e.seq);
-                    if env.sampler.admits(fid) {
-                        rec.record_flow("dispatched", fid, obs::FlowPhase::Step, now_ns, vec![]);
-                    }
-                }
+                rec.set_now_ns(ns(now));
+            }
+            let oldest = entries.first().map_or(now, |e| e.arrived);
+            cell.span(
+                oldest.min(now),
+                now,
+                obs::SpanCategory::BatchAdmission,
+                "batch",
+                vec![
+                    ("batch", obs::ArgValue::U64(batch as u64)),
+                    ("pending", obs::ArgValue::U64(pending as u64)),
+                ],
+            );
+            for e in &entries {
+                let step = obs::FlowPhase::Step;
+                cell.flow(e.stream, e.seq, "dispatched", step, now, Vec::new);
             }
 
             // The shard's resident device: reclaim the arena, not the
@@ -1044,15 +1046,15 @@ fn uf_union(parent: &mut [usize], a: usize, b: usize) {
 /// holding shard. Shards in different groups share nothing until the
 /// next barrier, so their epoch groups may run on different threads.
 ///
-/// Nodes `0..n` are shards, `n..n + m` are stream slots; each returned
-/// group is `(shards, streams)`, both ascending, groups ordered by
-/// their smallest shard.
+/// Nodes `0..n` are the shards of `cells`, `n..n + m` the `m` stream
+/// slots; each returned group is `(shards, streams)`, both ascending,
+/// groups ordered by their smallest shard.
 fn conflict_groups(
-    n: usize,
     m: usize,
     placement: &ShardPlacement,
-    cells: &[Option<ShardCell>],
+    cells: &[ShardCell],
 ) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let n = cells.len();
     let mut parent: Vec<usize> = (0..n + m).collect();
     for j in 0..m {
         let h = placement.home_of_slot(j);
@@ -1060,21 +1062,11 @@ fn conflict_groups(
         uf_union(&mut parent, n + j, placement.target_of(j));
         uf_union(&mut parent, n + j, h);
     }
-    for (x, cell) in cells.iter().enumerate() {
-        let cell = cell.as_ref().expect("cells are home between epochs");
-        for e in &cell.queue {
+    for cell in cells {
+        let x = cell.idx;
+        let inflight = cell.phase.inflight().map(|f| f.entries.as_slice());
+        for e in cell.queue.iter().chain(inflight.unwrap_or_default()) {
             uf_union(&mut parent, x, n + e.stream);
-        }
-        match &cell.phase {
-            Phase::Busy(f)
-            | Phase::Hung {
-                resume: Some(f), ..
-            } => {
-                for e in &f.entries {
-                    uf_union(&mut parent, x, n + e.stream);
-                }
-            }
-            _ => {}
         }
     }
     // Every stream node is unioned with a shard node and unions pick
@@ -1097,38 +1089,29 @@ fn conflict_groups(
 /// bookkeeping, failover of a down shard's streams to the healthiest
 /// responsive peer, and handback once a home shard has recovered and
 /// its stand-in has drained the inherited stream. Runs at the
-/// coordinator with every cell home, exactly as the legacy loop ran it
-/// on the global clock.
-#[allow(clippy::needless_range_loop)]
+/// coordinator with every cell home, so each decision sees one
+/// consistent barrier state under either scheduler.
 fn supervisor_tick(
     sup: &mut Supervisor,
     tick: f64,
     placement: &mut ShardPlacement,
-    cells: &mut [Option<ShardCell>],
-    streams: &mut [Option<StreamCell>],
+    cells: &mut [ShardCell],
+    streams: &mut [StreamCell],
     capacity: usize,
-    sampler: obs::FlowSampler,
 ) {
     let n = cells.len();
     let m = streams.len();
     for x in 0..n {
-        let (responsive, unreachable) = {
-            let c = cells[x].as_ref().unwrap();
-            (c.phase.responsive(), c.partitioned_until > tick)
-        };
+        let unreachable = cells[x].partitioned_until > tick;
         if !unreachable {
             sup.note_reachable(x);
         }
-        if responsive && !unreachable {
+        if cells[x].reachable_at(tick) {
             sup.note_up(x);
             // Observe the same backlog admission gates on (queued plus
             // in-flight), else a pegged shard alternating full queue /
             // full batch never looks overloaded.
-            let depth = {
-                let c = cells[x].as_ref().unwrap();
-                c.queue.len() + c.phase.inflight_len()
-            };
-            sup.observe_depth(x, depth, capacity);
+            sup.observe_depth(x, cells[x].backlog(), capacity);
             continue;
         }
         // A partition is diagnosed apart from a crash or hang: the
@@ -1149,14 +1132,8 @@ fn supervisor_tick(
             continue;
         }
         let target = (0..n)
-            .filter(|&u| {
-                let c = cells[u].as_ref().unwrap();
-                u != x && c.phase.responsive() && c.partitioned_until <= tick
-            })
-            .min_by_key(|&u| {
-                let c = cells[u].as_ref().unwrap();
-                (c.queue.len() + c.phase.inflight_len(), u)
-            });
+            .filter(|&u| u != x && cells[u].reachable_at(tick))
+            .min_by_key(|&u| (cells[u].backlog(), u));
         let Some(t) = target else { continue };
         for s in moved {
             // Failover rewrites the slot's *home shard* redirect, the
@@ -1168,53 +1145,15 @@ fn supervisor_tick(
             } else {
                 placement.redirect(h, t);
             }
-            // The hung shard keeps its device state, so drop its queued
-            // copies; the journal is the durable source the target
-            // inherits. Any in-flight copies commit late and are
-            // suppressed by the watermark.
-            cells[x].as_mut().unwrap().queue.retain(|e| e.stream != s);
             // Bump the stream's epoch as it changes hands: any copy the
             // old owner still holds in flight (a hung batch, a
             // partitioned shard that kept servicing) commits under the
             // stale epoch and is fenced at the commit point, so late
             // work can never double-commit against the new owner.
-            let sc = streams[s].as_mut().unwrap();
-            sc.epoch += 1;
-            let epoch = sc.epoch;
-            let committed = sc.state.committed;
-            let mut transferred = 0u64;
-            let inherited: Vec<QEntry> = sc
-                .state
-                .journal
-                .iter()
-                .filter(|&&(seq, _)| seq >= committed)
-                .map(|&(seq, tm)| QEntry {
-                    stream: s,
-                    seq,
-                    arrived: tm,
-                    epoch,
-                })
-                .collect();
-            let home = cells[h].as_ref().unwrap().home_choice;
-            let tc = cells[t].as_mut().unwrap();
-            let tick_ns = (tick * 1e9).round() as u64;
-            for e in inherited {
-                let fid = obs::FlowId::service(e.stream as u32, e.seq);
-                tc.queue.push_back(e);
-                transferred += 1;
-                if sampler.admits(fid) {
-                    if let Some(rec) = tc.gpu.obs.as_mut() {
-                        rec.record_flow(
-                            "failover",
-                            fid,
-                            obs::FlowPhase::Step,
-                            tick_ns,
-                            vec![("from", obs::ArgValue::U64(x as u64))],
-                        );
-                    }
-                }
-            }
-            tc.metrics.transferred_in += transferred;
+            streams[s].epoch += 1;
+            let transferred = hand_off(cells, &streams[s], x, t, tick, "failover");
+            let home = cells[h].home_choice;
+            let tc = &mut cells[t];
             // Inherited streams keep the ordering their home engine
             // promised: fall back to the stricter discipline while
             // serving them.
@@ -1222,64 +1161,50 @@ fn supervisor_tick(
                 tc.active_choice = home;
                 tc.metrics.engine_fallbacks += 1;
             }
-            if let Some(rec) = tc.gpu.obs.as_mut() {
-                rec.set_now_ns((tick * 1e9).round() as u64);
-                rec.record_instant(
-                    obs::SpanCategory::Failover,
-                    "failover",
-                    vec![
-                        ("stream", obs::ArgValue::U64(s as u64)),
-                        ("from", obs::ArgValue::U64(x as u64)),
-                        ("transferred", obs::ArgValue::U64(transferred)),
-                    ],
-                );
-            }
+            tc.instant(
+                tick,
+                obs::SpanCategory::Failover,
+                "failover",
+                vec![
+                    ("stream", obs::ArgValue::U64(s as u64)),
+                    ("from", obs::ArgValue::U64(x as u64)),
+                    ("transferred", obs::ArgValue::U64(transferred)),
+                ],
+            );
         }
-        cells[x].as_mut().unwrap().metrics.failovers_out += 1;
-        cells[t].as_mut().unwrap().metrics.failovers_in += 1;
+        cells[x].metrics.failovers_out += 1;
+        cells[t].metrics.failovers_in += 1;
     }
     // Handback: once a home shard is responsive again and its failover
-    // target has drained the inherited streams, route them home.
+    // target has drained the inherited streams, route them home. A
+    // partitioned home must heal first, or fresh admissions would land
+    // behind the cut.
     for h in 0..n {
         let t = placement.redirect_of(h);
-        let home_ok = {
-            let c = cells[h].as_ref().unwrap();
-            // A partitioned home must heal before it takes its keys
-            // back, or fresh admissions would land behind the cut.
-            c.phase.responsive() && c.partitioned_until <= tick
-        };
-        if t == h || !home_ok {
+        if t == h || !cells[h].reachable_at(tick) {
             continue;
         }
-        let draining = {
-            let tc = cells[t].as_ref().unwrap();
-            // A crashed stand-in looks drained — the crash cleared its
-            // queue — but it still owns the inherited streams'
-            // un-replayed journal windows, and its replay skips any
-            // stream routed away in the meantime. Hold the handback
-            // until the recovery has rebuilt and re-committed them.
-            tc.phase.dark()
-                || (0..m).any(|s| {
-                    placement.home_of_slot(s) == h
-                        && (tc.queue.iter().any(|e| e.stream == s) || tc.phase.holds_stream(s))
-                })
-        };
+        let tc = &cells[t];
+        // A crashed stand-in looks drained — the crash cleared its
+        // queue — but it still owns the inherited streams' un-replayed
+        // journal windows, and its replay skips any stream routed away
+        // in the meantime. Hold the handback until the recovery has
+        // rebuilt and re-committed them.
+        let draining = tc.phase.dark()
+            || (0..m).any(|s| {
+                placement.home_of_slot(s) == h
+                    && (tc.queue.iter().any(|e| e.stream == s) || tc.phase.holds_stream(s))
+            });
         if draining {
             continue;
         }
         placement.restore(h);
-        let tc = cells[t].as_mut().unwrap();
+        let tc = &mut cells[t];
         if !(0..m).any(|u| placement.home_of_slot(u) != t && placement.target_of(u) == t) {
             tc.active_choice = tc.home_choice;
         }
-        if let Some(rec) = tc.gpu.obs.as_mut() {
-            rec.set_now_ns((tick * 1e9).round() as u64);
-            rec.record_instant(
-                obs::SpanCategory::Failover,
-                "handback",
-                vec![("stream", obs::ArgValue::U64(h as u64))],
-            );
-        }
+        let stream = vec![("stream", obs::ArgValue::U64(h as u64))];
+        tc.instant(tick, obs::SpanCategory::Failover, "handback", stream);
     }
 }
 
@@ -1289,25 +1214,18 @@ fn supervisor_tick(
 /// home, like [`supervisor_tick`]. Returns `true` when routing changed
 /// and every cell must re-evaluate dispatch.
 ///
-/// Execution repurposes the failover journal-window transfer as a
-/// drain-transfer-handback: drop the source's undispatched queue copies
-/// (the journal is the durable source of truth), re-enqueue the window
-/// `[committed, admitted)` at the target in admission order, then
-/// rebind the slot's durable home via [`ShardPlacement::migrate`]. Any
-/// copy still in flight at a third shard commits first and the
-/// transferred duplicate is suppressed by the commit watermark — the
-/// same exactly-once argument failover relies on (`DESIGN.md` §13).
+/// Execution is a drain-transfer-handback around [`hand_off`], the
+/// failover journal-window transfer: the source's undispatched copies
+/// drop, the window moves to the target, then the slot's durable home
+/// is rebound via [`ShardPlacement::migrate`] (`DESIGN.md` §13).
 fn reshard_tick(
     planner: &mut ReshardPlanner,
     tick: f64,
     placement: &mut ShardPlacement,
-    cells: &mut [Option<ShardCell>],
-    streams: &mut [Option<StreamCell>],
-    sampler: obs::FlowSampler,
+    cells: &mut [ShardCell],
+    streams: &[StreamCell],
 ) -> bool {
-    let n = cells.len();
     let m = streams.len();
-    let tick_ns = (tick * 1e9).round() as u64;
     if let Some(plan) = planner.pending {
         let PlannedMigration {
             slot,
@@ -1315,121 +1233,68 @@ fn reshard_tick(
             to,
             planned_at,
         } = plan;
-        let healthy = |x: usize| {
-            let c = cells[x].as_ref().unwrap();
-            c.phase.responsive() && c.partitioned_until <= tick
-        };
-        let from_ok = healthy(from);
-        let to_ok = healthy(to);
         let routed_clean = placement.redirect_of(from) == from && placement.redirect_of(to) == to;
-        if !from_ok || !to_ok || !routed_clean {
+        if !cells[from].reachable_at(tick) || !cells[to].reachable_at(tick) || !routed_clean {
             // A crash, hang or failover intervened between plan and
             // execution. Nothing has moved yet — routing only changes
             // at the migrate() below — so aborting is a pure
             // bookkeeping rollback.
             planner.pending = None;
             planner.aborted += 1;
-            if let Some(rec) = cells[from].as_mut().unwrap().gpu.obs.as_mut() {
-                rec.set_now_ns(tick_ns);
-                rec.record_instant(
-                    obs::SpanCategory::Migration,
-                    "migration_abort",
-                    vec![
-                        ("slot", obs::ArgValue::U64(slot as u64)),
-                        ("to", obs::ArgValue::U64(to as u64)),
-                    ],
-                );
-            }
+            cells[from].instant(
+                tick,
+                obs::SpanCategory::Migration,
+                "migration_abort",
+                vec![
+                    ("slot", obs::ArgValue::U64(slot as u64)),
+                    ("to", obs::ArgValue::U64(to as u64)),
+                ],
+            );
             return false;
         }
-        if cells[from].as_ref().unwrap().phase.holds_stream(slot) {
+        if cells[from].phase.holds_stream(slot) {
             // The source still has the slot's entries on device; they
             // commit at batch end. Wait for the next barrier.
             return false;
         }
-        // ---- Drain: the source's queued copies die here; the journal
-        // window is the durable hand-off.
-        let fc = cells[from].as_mut().unwrap();
-        let before = fc.queue.len();
-        fc.queue.retain(|e| e.stream != slot);
-        let drained = (before - fc.queue.len()) as u64;
+        let queued = cells[from].queue.len();
+        let transferred = hand_off(cells, &streams[slot], from, to, tick, "migrated");
+        let drained = (queued - cells[from].queue.len()) as u64;
+        let fc = &mut cells[from];
         fc.metrics.migrations_out += 1;
-        if let Some(rec) = fc.gpu.obs.as_mut() {
-            rec.set_now_ns(tick_ns);
-            rec.record_instant(
-                obs::SpanCategory::Migration,
-                "migration_drain",
-                vec![
-                    ("slot", obs::ArgValue::U64(slot as u64)),
-                    ("drained", obs::ArgValue::U64(drained)),
-                ],
-            );
-        }
-        // ---- Transfer: re-enqueue the journal window at the target in
-        // admission order, joining each sampled arrival's existing
-        // admission→match flow chain.
-        let sc = streams[slot].as_ref().unwrap();
-        let committed = sc.state.committed;
-        let window: Vec<QEntry> = sc
-            .state
-            .journal
-            .iter()
-            .filter(|&&(seq, _)| seq >= committed)
-            .map(|&(seq, tm)| QEntry {
-                stream: slot,
-                seq,
-                arrived: tm,
-                epoch: sc.epoch,
-            })
-            .collect();
-        let mut transferred = 0u64;
-        let tc = cells[to].as_mut().unwrap();
-        for e in window {
-            let fid = obs::FlowId::service(e.stream as u32, e.seq);
-            tc.queue.push_back(e);
-            transferred += 1;
-            if sampler.admits(fid) {
-                if let Some(rec) = tc.gpu.obs.as_mut() {
-                    rec.record_flow(
-                        "migrated",
-                        fid,
-                        obs::FlowPhase::Step,
-                        tick_ns,
-                        vec![("from", obs::ArgValue::U64(from as u64))],
-                    );
-                }
-            }
-        }
-        tc.metrics.transferred_in += transferred;
+        fc.instant(
+            tick,
+            obs::SpanCategory::Migration,
+            "migration_drain",
+            vec![
+                ("slot", obs::ArgValue::U64(slot as u64)),
+                ("drained", obs::ArgValue::U64(drained)),
+            ],
+        );
+        let tc = &mut cells[to];
         tc.metrics.migrations_in += 1;
-        if let Some(rec) = tc.gpu.obs.as_mut() {
-            let t0 = (planned_at * 1e9).round() as u64;
-            rec.record_complete(
-                obs::SpanCategory::Migration,
-                "migration_transfer",
-                t0,
-                tick_ns.saturating_sub(t0),
-                vec![
-                    ("slot", obs::ArgValue::U64(slot as u64)),
-                    ("from", obs::ArgValue::U64(from as u64)),
-                    ("to", obs::ArgValue::U64(to as u64)),
-                    ("transferred", obs::ArgValue::U64(transferred)),
-                ],
-            );
-        }
-        // ---- Handback: rebind the slot's durable home.
+        tc.span(
+            planned_at,
+            tick,
+            obs::SpanCategory::Migration,
+            "migration_transfer",
+            vec![
+                ("slot", obs::ArgValue::U64(slot as u64)),
+                ("from", obs::ArgValue::U64(from as u64)),
+                ("to", obs::ArgValue::U64(to as u64)),
+                ("transferred", obs::ArgValue::U64(transferred)),
+            ],
+        );
         placement.migrate(slot, to);
-        if let Some(rec) = cells[from].as_mut().unwrap().gpu.obs.as_mut() {
-            rec.set_now_ns(tick_ns);
-            rec.record_instant(
-                obs::SpanCategory::Migration,
-                "migration_handback",
-                vec![
-                    ("slot", obs::ArgValue::U64(slot as u64)),
-                    ("to", obs::ArgValue::U64(to as u64)),
-                ],
-            );
-        }
+        cells[from].instant(
+            tick,
+            obs::SpanCategory::Migration,
+            "migration_handback",
+            vec![
+                ("slot", obs::ArgValue::U64(slot as u64)),
+                ("to", obs::ArgValue::U64(to as u64)),
+            ],
+        );
         planner.pending = None;
         planner.completed += 1;
         return true;
@@ -1439,19 +1304,17 @@ fn reshard_tick(
     }
     // ---- Plan: hot/cold from barrier-visible backlogs; shards that
     // are down or entangled in a failover redirect are ineligible.
-    let backlogs: Vec<Option<usize>> = (0..n)
-        .map(|x| {
-            let c = cells[x].as_ref().unwrap();
-            (c.phase.responsive() && c.partitioned_until <= tick && placement.redirect_of(x) == x)
-                .then(|| c.queue.len() + c.phase.inflight_len())
+    let backlogs: Vec<Option<usize>> = cells
+        .iter()
+        .map(|c| {
+            (c.reachable_at(tick) && placement.redirect_of(c.idx) == c.idx).then(|| c.backlog())
         })
         .collect();
     let Some((hot, cold)) = planner.pick(&backlogs) else {
         return false;
     };
     // Move the lowest live slot homed on the hot shard.
-    let slot = (0..m)
-        .find(|&j| placement.home_of_slot(j) == hot && streams[j].as_ref().unwrap().rate > 0.0);
+    let slot = (0..m).find(|&j| placement.home_of_slot(j) == hot && streams[j].rate > 0.0);
     let Some(slot) = slot else { return false };
     planner.pending = Some(PlannedMigration {
         slot,
@@ -1459,17 +1322,15 @@ fn reshard_tick(
         to: cold,
         planned_at: tick,
     });
-    if let Some(rec) = cells[hot].as_mut().unwrap().gpu.obs.as_mut() {
-        rec.set_now_ns(tick_ns);
-        rec.record_instant(
-            obs::SpanCategory::Migration,
-            "migration_plan",
-            vec![
-                ("slot", obs::ArgValue::U64(slot as u64)),
-                ("to", obs::ArgValue::U64(cold as u64)),
-            ],
-        );
-    }
+    cells[hot].instant(
+        tick,
+        obs::SpanCategory::Migration,
+        "migration_plan",
+        vec![
+            ("slot", obs::ArgValue::U64(slot as u64)),
+            ("to", obs::ArgValue::U64(cold as u64)),
+        ],
+    );
     false
 }
 
@@ -1510,12 +1371,11 @@ fn close_wall_epoch(
 }
 
 /// The observability hooks threaded through a scheduled run: the
-/// shared span recorder (virtual clock), the causal-flow sampler, and
-/// the wall-clock profiler. Bundled so the scheduler entry point stays
-/// a scheduling signature, not an instrumentation one.
+/// shared span recorder (virtual clock) and the wall-clock profiler.
+/// Bundled so the scheduler entry point stays a scheduling signature,
+/// not an instrumentation one.
 pub(crate) struct ObsHooks<'a> {
     pub(crate) sched_rec: Option<&'a obs::sync::SharedSpanRecorder>,
-    pub(crate) flow_sampler: obs::FlowSampler,
     pub(crate) wallprof: Option<&'a obs::wallprof::WallProfiler>,
 }
 
@@ -1540,17 +1400,15 @@ pub(crate) struct StreamOutcome {
     pub(crate) matched: u64,
 }
 
-/// Everything the coordinator hands back to the service for
-/// finalisation: shard-index order for the shard vectors, slot-index
-/// order for `completions` and `streams`.
+/// Everything the coordinator hands back to the service: finished
+/// per-shard metrics in shard order, `completions` and `streams` in
+/// slot-index order.
 pub(crate) struct SchedOutcome {
     pub(crate) metrics: Vec<ShardMetrics>,
     pub(crate) completions: Option<Vec<Vec<u64>>>,
-    pub(crate) busy: Vec<f64>,
-    pub(crate) last_activity: Vec<f64>,
-    pub(crate) last_spill: Vec<f64>,
-    pub(crate) backlog: Vec<u64>,
     pub(crate) streams: Vec<StreamOutcome>,
+    /// The last simulated instant any shard was active.
+    pub(crate) elapsed: f64,
     /// Planned migrations aborted (zero without resharding).
     pub(crate) aborted_migrations: u64,
 }
@@ -1578,7 +1436,6 @@ pub(crate) fn run_scheduled(
 ) -> SchedOutcome {
     let ObsHooks {
         sched_rec,
-        flow_sampler,
         wallprof,
     } = hooks;
     let RunKnobs {
@@ -1611,25 +1468,26 @@ pub(crate) fn run_scheduled(
         }
     }
 
-    let mut shard_cells: Vec<Option<ShardCell>> = Vec::with_capacity(n);
-    for (idx, (sh, faults)) in service_shards.iter_mut().zip(fault_lists).enumerate() {
-        let ServiceShard { gpu, choice } = sh;
-        let choice = *choice;
-        shard_cells.push(Some(ShardCell {
+    // Between epochs the coordinator owns every cell, each vector
+    // sorted by index, so `shard_cells[x].idx == x`.
+    let mut shard_cells: Vec<ShardCell> = service_shards
+        .iter_mut()
+        .zip(fault_lists)
+        .enumerate()
+        .map(|(idx, (sh, faults))| ShardCell {
             idx,
-            gpu,
+            gpu: &mut sh.gpu,
             queue: VecDeque::new(),
             phase: Phase::Idle,
-            metrics: ShardMetrics::new(idx, engine_label(choice)),
-            busy: 0.0,
+            metrics: ShardMetrics::new(idx, engine_label(sh.choice)),
             last_activity: 0.0,
             last_spill: f64::NEG_INFINITY,
             slow_until: f64::NEG_INFINITY,
             slow_factor: 1.0,
             partitioned_until: f64::NEG_INFINITY,
             next_ckpt: recovery.map_or(f64::INFINITY, |r| r.checkpoint_interval),
-            active_choice: choice,
-            home_choice: choice,
+            active_choice: sh.choice,
+            home_choice: sh.choice,
             faults,
             fault_idx: 0,
             pend_spill: 0,
@@ -1637,31 +1495,29 @@ pub(crate) fn run_scheduled(
             pend_shed: 0,
             pend_shed_t: 0.0,
             wake: None,
-            // Every shard evaluates dispatch once at t = 0, as the
-            // legacy loop's first iteration did.
+            // Every shard evaluates dispatch once at t = 0.
             active: true,
-        }));
-    }
-    let mut stream_cells: Vec<Option<StreamCell>> = service_streams
+            sampler: obs::FlowSampler::new(cfg.flow_sample_every, cfg.seed),
+        })
+        .collect();
+    let mut stream_cells: Vec<StreamCell> = service_streams
         .iter()
         .enumerate()
-        .map(|(idx, st)| {
-            Some(StreamCell {
-                idx,
-                msgs: &st.msgs,
-                rate: st.rate,
-                state: StreamState::default(),
-                seen: 0,
-                epoch: 0,
-                completions: record_completions.then(Vec::new),
-                pattern: st.pattern,
-                tenant: st.tenant,
-                // Each run starts from a full, fresh bucket.
-                qos: st.qos.clone(),
-                spilled_n: 0,
-                shed_n: 0,
-                matched_n: 0,
-            })
+        .map(|(idx, st)| StreamCell {
+            idx,
+            msgs: &st.msgs,
+            rate: st.rate,
+            state: StreamState::default(),
+            seen: 0,
+            epoch: 0,
+            completions: record_completions.then(Vec::new),
+            pattern: st.pattern,
+            tenant: st.tenant,
+            // Each run starts from a full, fresh bucket.
+            qos: st.qos.clone(),
+            spilled_n: 0,
+            shed_n: 0,
+            matched_n: 0,
         })
         .collect();
 
@@ -1680,27 +1536,20 @@ pub(crate) fn run_scheduled(
         let pre_lanes: Vec<[u64; 4]> = wallprof
             .map(|wp| (0..n).map(|x| wp.bucket_ns(x)).collect())
             .unwrap_or_default();
-        // ---- Liveness (legacy `work_live`, evaluated at the barrier).
-        let arrivals_remain = stream_cells.iter().any(|c| {
-            let c = c.as_ref().unwrap();
-            c.rate > 0.0 && c.seen < c.pattern.due(c.rate, cfg.duration)
-        });
+        // ---- Liveness, evaluated at the barrier: is there anything
+        // left for another epoch to do?
+        let arrivals_remain = stream_cells
+            .iter()
+            .any(|c| c.rate > 0.0 && c.seen < c.pattern.due(c.rate, cfg.duration));
         let redirect_active = (0..n).any(|h| placement.redirect_of(h) != h);
-        let queues_nonempty = shard_cells
-            .iter()
-            .any(|c| !c.as_ref().unwrap().queue.is_empty());
-        let phases_live = shard_cells
-            .iter()
-            .any(|c| !matches!(c.as_ref().unwrap().phase, Phase::Idle));
+        let queues_nonempty = shard_cells.iter().any(|c| !c.queue.is_empty());
+        let phases_live = shard_cells.iter().any(|c| !matches!(c.phase, Phase::Idle));
         let work_live = t_now < cfg.duration
             || phases_live
             || (cfg.drain && (redirect_active || arrivals_remain || queues_nonempty));
         let next_fault = shard_cells
             .iter()
-            .filter_map(|c| {
-                let c = c.as_ref().unwrap();
-                c.faults.get(c.fault_idx).map(|ev| ev.at)
-            })
+            .filter_map(|c| c.faults.get(c.fault_idx).map(|ev| ev.at))
             .fold(f64::INFINITY, f64::min);
 
         // ---- Epoch horizon: the next barrier (supervisor health tick
@@ -1741,55 +1590,63 @@ pub(crate) fn run_scheduled(
             shedding: &shedding,
             shed_deadline,
             fill,
-            sampler: flow_sampler,
         };
         let groups = match cfg.scheduler {
-            Scheduler::GlobalClock => {
-                vec![(
-                    (0..n).collect::<Vec<usize>>(),
-                    (0..m).collect::<Vec<usize>>(),
-                )]
-            }
-            Scheduler::ThreadPerShard => conflict_groups(n, m, env.placement, &shard_cells),
+            Scheduler::GlobalClock => vec![((0..n).collect(), (0..m).collect())],
+            Scheduler::ThreadPerShard => conflict_groups(m, env.placement, &shard_cells),
         };
+        // Deal the cells out in index order, so each group's cells stay
+        // ascending.
+        let mut group_of = vec![0usize; n + m];
+        for (g, (gs, gt)) in groups.iter().enumerate() {
+            for &x in gs {
+                group_of[x] = g;
+            }
+            for &j in gt {
+                group_of[n + j] = g;
+            }
+        }
         let mut epoch_groups: Vec<EpochGroup> = groups
             .iter()
-            .map(|(gs, gt)| EpochGroup {
+            .map(|_| EpochGroup {
                 now: t_now,
-                shards: gs
-                    .iter()
-                    .map(|&i| shard_cells[i].take().expect("cell is home"))
-                    .collect(),
-                streams: gt
-                    .iter()
-                    .map(|&i| stream_cells[i].take().expect("cell is home"))
-                    .collect(),
+                shards: Vec::new(),
+                streams: Vec::new(),
             })
             .collect();
+        for c in shard_cells.drain(..) {
+            epoch_groups[group_of[c.idx]].shards.push(c);
+        }
+        for c in stream_cells.drain(..) {
+            epoch_groups[group_of[n + c.idx]].streams.push(c);
+        }
 
+        // Advance one epoch group to the horizon. Wall attribution: its
+        // compute time is split evenly over its shards (relaxed adds —
+        // no effect on the simulated state).
+        let run_group = |group: &mut EpochGroup| {
+            let t0 = std::time::Instant::now();
+            if first {
+                group.boundary(&env);
+            }
+            group.advance(&env, horizon);
+            if let Some(wp) = wallprof {
+                let per = t0.elapsed().as_nanos() as u64 / group.shards.len() as u64;
+                for c in &group.shards {
+                    wp.add(c.idx, obs::wallprof::WallBucket::Compute, per);
+                }
+            }
+        };
         let threaded = matches!(cfg.scheduler, Scheduler::ThreadPerShard) && epoch_groups.len() > 1;
         if threaded {
-            let env = &env;
-            let done = crossbeam::scope(|scope| {
+            let run_group = &run_group;
+            epoch_groups = crossbeam::scope(|scope| {
                 let (tx, rx) = crossbeam::channel::bounded(epoch_groups.len());
                 for (gi, mut group) in epoch_groups.drain(..).enumerate() {
                     let tx = tx.clone();
                     scope.spawn(move |_| {
-                        let t0 = std::time::Instant::now();
-                        if first {
-                            group.boundary(env);
-                        }
-                        group.advance(env, horizon);
-                        // Wall attribution: the epoch group's compute time is
-                        // split evenly over its shards (relaxed adds —
-                        // no effect on the simulated state).
+                        run_group(&mut group);
                         let shard_ids: Vec<usize> = group.shards.iter().map(|c| c.idx).collect();
-                        if let Some(wp) = wallprof {
-                            let per = t0.elapsed().as_nanos() as u64 / shard_ids.len() as u64;
-                            for &i in &shard_ids {
-                                wp.add(i, obs::wallprof::WallBucket::Compute, per);
-                            }
-                        }
                         let s0 = std::time::Instant::now();
                         if tx.send((gi, group)).is_err() {
                             unreachable!("coordinator holds the receiver until all sends land");
@@ -1805,54 +1662,37 @@ pub(crate) fn run_scheduled(
                 drop(tx);
                 let mut done: Vec<(usize, EpochGroup)> = rx.iter().collect();
                 done.sort_by_key(|&(gi, _)| gi);
-                done
+                done.into_iter().map(|(_, g)| g).collect()
             })
             .expect("no panics in shard epoch groups");
-            epoch_groups = done.into_iter().map(|(_, d)| d).collect();
         } else {
-            for group in epoch_groups.iter_mut() {
-                let t0 = std::time::Instant::now();
-                if first {
-                    group.boundary(&env);
-                }
-                group.advance(&env, horizon);
-                if let Some(wp) = wallprof {
-                    let per = t0.elapsed().as_nanos() as u64 / group.shards.len().max(1) as u64;
-                    for c in &group.shards {
-                        wp.add(c.idx, obs::wallprof::WallBucket::Compute, per);
-                    }
-                }
-            }
+            epoch_groups.iter_mut().for_each(run_group);
         }
         first = false;
 
-        // ---- Reassemble and report each epoch group's clock to the
-        // watermark exchange.
+        // ---- Reassemble in index order and report each epoch group's
+        // clock to the watermark exchange.
         let mut t_end = t_now;
-        for group in epoch_groups {
-            let EpochGroup {
-                now,
-                shards,
-                streams,
-                ..
-            } = group;
+        for EpochGroup {
+            now,
+            shards,
+            streams,
+        } in epoch_groups
+        {
             t_end = t_end.max(now);
             for c in shards {
                 wx.advance(c.idx, now);
-                let i = c.idx;
-                shard_cells[i] = Some(c);
+                shard_cells.push(c);
             }
-            for c in streams {
-                let i = c.idx;
-                stream_cells[i] = Some(c);
-            }
+            stream_cells.extend(streams);
         }
+        shard_cells.sort_unstable_by_key(|c| c.idx);
+        stream_cells.sort_unstable_by_key(|c| c.idx);
         if let Some(rec) = sched_rec {
             let groups_n = groups.len() as u64;
-            let threads_n = if threaded { groups.len() as u64 } else { 1 };
+            let threads_n = if threaded { groups_n } else { 1 };
             rec.with(|r| {
-                let t0 = (t_now * 1e9).round() as u64;
-                let t1 = (t_end * 1e9).round() as u64;
+                let (t0, t1) = (ns(t_now), ns(t_end));
                 r.record_complete(
                     obs::SpanCategory::Epoch,
                     "epoch",
@@ -1878,34 +1718,24 @@ pub(crate) fn run_scheduled(
         }
         t_now = horizon;
 
-        // ---- Supervisor barrier: crash deltas first (the legacy loop
-        // notified crashes as they happened, always before the next
-        // tick), then every health tick due by now — a fault jump can
-        // owe several — and wake every cell if any fired (shedding
-        // state may have changed anywhere).
+        // ---- Supervisor barrier: crash deltas first (so a health tick
+        // always knows about every crash before it), then every health
+        // tick due by now — a fault jump can owe several — and wake
+        // every cell if any fired (shedding state may have changed
+        // anywhere).
         let sup_start = std::time::Instant::now();
         let mut wake_all = false;
         if let Some(sup) = supervisor.as_mut() {
-            for x in 0..n {
-                let crashes = shard_cells[x].as_ref().unwrap().metrics.crashes;
-                for _ in crash_seen[x]..crashes {
+            for (x, c) in shard_cells.iter().enumerate() {
+                for _ in crash_seen[x]..c.metrics.crashes {
                     sup.note_crash(x);
                 }
-                crash_seen[x] = crashes;
+                crash_seen[x] = c.metrics.crashes;
             }
-            while sup_tick.is_some_and(|t| t <= t_now) {
-                let tick = sup_tick.unwrap();
-                supervisor_tick(
-                    sup,
-                    tick,
-                    placement,
-                    &mut shard_cells,
-                    &mut stream_cells,
-                    capacity,
-                    flow_sampler,
-                );
+            while let Some(tick) = sup_tick.filter(|&t| t <= t_now) {
+                let cells = &mut shard_cells;
+                supervisor_tick(sup, tick, placement, cells, &mut stream_cells, capacity);
                 sup_tick = Some(tick + sup.config().health_check_interval);
-                // Shedding state may have changed anywhere.
                 wake_all = true;
             }
         }
@@ -1915,14 +1745,7 @@ pub(crate) fn run_scheduled(
         if let Some(pl) = planner.as_mut() {
             while pl.next_tick <= t_now {
                 let tick = pl.next_tick;
-                if reshard_tick(
-                    pl,
-                    tick,
-                    placement,
-                    &mut shard_cells,
-                    &mut stream_cells,
-                    flow_sampler,
-                ) {
+                if reshard_tick(pl, tick, placement, &mut shard_cells, &stream_cells) {
                     // Routing changed: every cell re-evaluates dispatch.
                     wake_all = true;
                 }
@@ -1937,7 +1760,7 @@ pub(crate) fn run_scheduled(
         }
         if wake_all {
             for c in shard_cells.iter_mut() {
-                c.as_mut().unwrap().active = true;
+                c.active = true;
             }
         }
         close_wall_epoch(
@@ -1951,77 +1774,83 @@ pub(crate) fn run_scheduled(
         epoch_idx += 1;
     }
 
-    // ---- Hand everything back: shards in shard order, streams in
-    // slot order.
-    let mut out = SchedOutcome {
-        metrics: Vec::with_capacity(n),
-        completions: record_completions.then(|| Vec::with_capacity(m)),
-        busy: Vec::with_capacity(n),
-        last_activity: Vec::with_capacity(n),
-        last_spill: Vec::with_capacity(n),
-        backlog: Vec::with_capacity(n),
-        streams: Vec::with_capacity(m),
+    // ---- Finish each shard's metrics and hand everything back.
+    let mut elapsed = 0.0f64;
+    let metrics = shard_cells
+        .into_iter()
+        .map(|mut c| {
+            c.flush_spills();
+            let backlog = c.backlog() as u64;
+            let m = &mut c.metrics;
+            m.utilisation = if c.last_activity > 0.0 {
+                (m.busy_seconds / c.last_activity).min(1.0)
+            } else {
+                0.0
+            };
+            m.saturated = (backlog > 2 * cfg.max_batch as u64
+                && backlog as f64 > 0.05 * m.arrivals as f64)
+                || c.last_spill >= 0.9 * cfg.duration;
+            m.trace_dropped = c.gpu.obs.as_ref().map_or(0, |r| r.dropped());
+            elapsed = elapsed.max(c.last_activity);
+            c.metrics
+        })
+        .collect();
+    let mut completions = record_completions.then(|| Vec::with_capacity(m));
+    let streams = stream_cells
+        .into_iter()
+        .map(|sc| {
+            if let Some(comps) = completions.as_mut() {
+                comps.push(sc.completions.unwrap_or_default());
+            }
+            StreamOutcome {
+                tenant: sc.tenant,
+                arrivals: sc.seen,
+                admitted: sc.state.admitted,
+                spilled: sc.spilled_n,
+                shed: sc.shed_n,
+                matched: sc.matched_n,
+            }
+        })
+        .collect();
+    SchedOutcome {
+        metrics,
+        completions,
+        streams,
+        elapsed,
         aborted_migrations: planner.map_or(retired_aborts, |p| p.aborted),
-    };
-    for cell in &mut shard_cells {
-        let mut c = cell.take().expect("cell is home after the run");
-        flush_spills(&mut c);
-        out.busy.push(c.busy);
-        out.last_activity.push(c.last_activity);
-        out.last_spill.push(c.last_spill);
-        out.backlog
-            .push((c.queue.len() + c.phase.inflight_len()) as u64);
-        out.metrics.push(c.metrics);
     }
-    for cell in &mut stream_cells {
-        let sc = cell.take().expect("cell is home after the run");
-        if let Some(comps) = out.completions.as_mut() {
-            comps.push(sc.completions.unwrap_or_default());
-        }
-        out.streams.push(StreamOutcome {
-            tenant: sc.tenant,
-            arrivals: sc.seen,
-            admitted: sc.state.admitted,
-            spilled: sc.spilled_n,
-            shed: sc.shed_n,
-            matched: sc.matched_n,
-        });
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cell_fixture(gpus: &mut [Gpu]) -> Vec<Option<ShardCell<'_>>> {
+    fn cell_fixture(gpus: &mut [Gpu]) -> Vec<ShardCell<'_>> {
         gpus.iter_mut()
             .enumerate()
-            .map(|(idx, gpu)| {
-                Some(ShardCell {
-                    idx,
-                    gpu,
-                    queue: VecDeque::new(),
-                    phase: Phase::Idle,
-                    metrics: ShardMetrics::new(idx, "matrix"),
-                    busy: 0.0,
-                    last_activity: 0.0,
-                    last_spill: f64::NEG_INFINITY,
-                    slow_until: f64::NEG_INFINITY,
-                    slow_factor: 1.0,
-                    partitioned_until: f64::NEG_INFINITY,
-                    next_ckpt: f64::INFINITY,
-                    active_choice: EngineChoice::Matrix,
-                    home_choice: EngineChoice::Matrix,
-                    faults: Vec::new(),
-                    fault_idx: 0,
-                    pend_spill: 0,
-                    pend_spill_t: 0.0,
-                    pend_shed: 0,
-                    pend_shed_t: 0.0,
-                    wake: None,
-                    active: false,
-                })
+            .map(|(idx, gpu)| ShardCell {
+                idx,
+                gpu,
+                queue: VecDeque::new(),
+                phase: Phase::Idle,
+                metrics: ShardMetrics::new(idx, "matrix"),
+                last_activity: 0.0,
+                last_spill: f64::NEG_INFINITY,
+                slow_until: f64::NEG_INFINITY,
+                slow_factor: 1.0,
+                partitioned_until: f64::NEG_INFINITY,
+                next_ckpt: f64::INFINITY,
+                active_choice: EngineChoice::Matrix,
+                home_choice: EngineChoice::Matrix,
+                faults: Vec::new(),
+                fault_idx: 0,
+                pend_spill: 0,
+                pend_spill_t: 0.0,
+                pend_shed: 0,
+                pend_shed_t: 0.0,
+                wake: None,
+                active: false,
+                sampler: obs::FlowSampler::new(1, 0),
             })
             .collect()
     }
@@ -2033,7 +1862,7 @@ mod tests {
             .collect();
         let cells = cell_fixture(&mut gpus);
         let placement = ShardPlacement::hashed(3);
-        let groups = conflict_groups(3, 3, &placement, &cells);
+        let groups = conflict_groups(3, &placement, &cells);
         assert_eq!(
             groups,
             vec![(vec![0], vec![0]), (vec![1], vec![1]), (vec![2], vec![2])]
@@ -2050,13 +1879,13 @@ mod tests {
         // Shard 2's traffic now lands on shard 0: {0, 2} conflict.
         placement.redirect(2, 0);
         // Shard 3 still holds an undrained entry of stream 1: {1, 3}.
-        cells[3].as_mut().unwrap().queue.push_back(QEntry {
+        cells[3].queue.push_back(QEntry {
             stream: 1,
             seq: 0,
             arrived: 0.0,
             epoch: 0,
         });
-        let groups = conflict_groups(4, 4, &placement, &cells);
+        let groups = conflict_groups(4, &placement, &cells);
         assert_eq!(
             groups,
             vec![(vec![0, 2], vec![0, 2]), (vec![1, 3], vec![1, 3])]
@@ -2072,7 +1901,7 @@ mod tests {
         // Four slots over three shards; slot 3 migrated from 0 to 2.
         let mut placement = ShardPlacement::with_assignments(3, vec![0, 1, 2, 0]);
         placement.migrate(3, 2);
-        let groups = conflict_groups(3, 4, &placement, &cells);
+        let groups = conflict_groups(4, &placement, &cells);
         assert_eq!(
             groups,
             vec![

@@ -45,6 +45,7 @@ use crate::metrics::{OverflowStats, SchedulerProfile, ServiceMetrics, ShardWallP
 use crate::recovery::RecoveryConfig;
 use crate::sched::{self, Scheduler};
 use crate::supervisor::SupervisorConfig;
+use crate::tenancy::{ArrivalPattern, QosClass, StreamQos, TenancyConfig, TokenBucket};
 
 /// Which matching engine the service kernel runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,10 +264,11 @@ pub(crate) struct ServiceStream {
     pub(crate) rate: f64,
     /// Owning tenant id (0 for the implicit single tenant).
     pub(crate) tenant: u32,
-    /// QoS admission gate; `None` admits on raw queue capacity.
-    pub(crate) qos: Option<crate::tenancy::StreamQos>,
+    /// QoS admission gate (unmetered guaranteed for an untenanted
+    /// service, which admits on raw queue capacity).
+    pub(crate) qos: StreamQos,
     /// Arrival process shape.
-    pub(crate) pattern: crate::tenancy::ArrivalPattern,
+    pub(crate) pattern: ArrivalPattern,
 }
 
 /// A sharded streaming match service over persistent devices.
@@ -283,8 +285,9 @@ pub struct ShardedMatchService {
     /// run so live resharding in one run never leaks into the next.
     initial_assignments: Vec<usize>,
     /// Tenancy layer (QoS classes, fill limits, reshard policy);
-    /// `None` runs the legacy single-tenant admission path.
-    tenancy: Option<crate::tenancy::TenancyConfig>,
+    /// `None` is the single-tenant service: one unmetered guaranteed
+    /// stream slot per shard.
+    tenancy: Option<TenancyConfig>,
     fault_tolerance: Option<FaultTolerance>,
     record_completions: bool,
     /// Coordinator-track recorder for scheduler epoch spans, present
@@ -345,44 +348,24 @@ impl ShardedMatchService {
 
         let parts = placement.split(&sample, &sample_reqs);
         let total = sample.len() as f64;
-        let mut shards = Vec::with_capacity(cfg.shards);
-        let mut streams = Vec::with_capacity(cfg.shards);
-        for (idx, ((msg_ids, _), choice)) in parts.into_iter().zip(choices).enumerate() {
-            let msgs: Vec<Envelope> = msg_ids.iter().map(|&i| sample[i as usize]).collect();
-            let rate = cfg.arrival_rate * msgs.len() as f64 / total;
-            let mut gpu = Gpu::new(generation);
-            if cfg.trace {
-                gpu.enable_tracing(obs::tracks::shard(idx), cfg.trace_capacity);
-            }
-            shards.push(ServiceShard { gpu, choice });
-            // One stream slot per shard, homed 1:1 — the legacy shape.
-            streams.push(ServiceStream {
-                msgs,
-                rate,
-                tenant: 0,
-                qos: None,
-                pattern: crate::tenancy::ArrivalPattern::Uniform,
-            });
-        }
-
-        let initial_assignments: Vec<usize> = (0..placement.slots())
-            .map(|j| placement.home_of_slot(j))
+        // One unmetered guaranteed stream slot per shard, homed 1:1.
+        let streams = parts
+            .into_iter()
+            .map(|(msg_ids, _)| {
+                let msgs: Vec<Envelope> = msg_ids.iter().map(|&i| sample[i as usize]).collect();
+                ServiceStream {
+                    rate: cfg.arrival_rate * msgs.len() as f64 / total,
+                    msgs,
+                    tenant: 0,
+                    qos: StreamQos {
+                        class: QosClass::Guaranteed,
+                        bucket: None,
+                    },
+                    pattern: ArrivalPattern::Uniform,
+                }
+            })
             .collect();
-        let sched_rec = cfg.trace.then(|| {
-            obs::sync::SharedSpanRecorder::new(obs::tracks::COORDINATOR, cfg.trace_capacity)
-        });
-        ShardedMatchService {
-            cfg,
-            placement,
-            shards,
-            streams,
-            initial_assignments,
-            tenancy: None,
-            fault_tolerance: None,
-            record_completions: false,
-            sched_rec,
-            wall_tracks: Vec::new(),
-        }
+        Self::assemble(generation, cfg, placement, choices, streams, None)
     }
 
     /// Build a multi-tenant service: tenant stream slots homed by
@@ -400,9 +383,8 @@ impl ShardedMatchService {
     pub fn with_tenancy(
         generation: GpuGeneration,
         cfg: ShardedServiceConfig,
-        tenancy: crate::tenancy::TenancyConfig,
+        tenancy: TenancyConfig,
     ) -> Self {
-        use crate::tenancy::{StreamQos, TokenBucket};
         assert!(cfg.shards > 0, "a service needs at least one shard");
         tenancy.validate(cfg.shards);
         let assignments = tenancy.assignments(cfg.shards);
@@ -439,10 +421,10 @@ impl ShardedMatchService {
                 msgs,
                 rate,
                 tenant,
-                qos: Some(StreamQos {
+                qos: StreamQos {
                     class: spec.class,
                     bucket,
-                }),
+                },
                 pattern: spec.pattern,
             });
         }
@@ -471,6 +453,20 @@ impl ShardedMatchService {
                 })
                 .collect(),
         };
+        Self::assemble(generation, cfg, placement, choices, streams, Some(tenancy))
+    }
+
+    /// The tail both constructors share: one traced-or-not device per
+    /// engine pin, the slot assignments runs restore, and the
+    /// coordinator recorder.
+    fn assemble(
+        generation: GpuGeneration,
+        cfg: ShardedServiceConfig,
+        placement: ShardPlacement,
+        choices: Vec<EngineChoice>,
+        streams: Vec<ServiceStream>,
+        tenancy: Option<TenancyConfig>,
+    ) -> Self {
         let shards = choices
             .into_iter()
             .enumerate()
@@ -482,7 +478,9 @@ impl ShardedMatchService {
                 ServiceShard { gpu, choice }
             })
             .collect();
-
+        let initial_assignments = (0..placement.slots())
+            .map(|j| placement.home_of_slot(j))
+            .collect();
         let sched_rec = cfg.trace.then(|| {
             obs::sync::SharedSpanRecorder::new(obs::tracks::COORDINATOR, cfg.trace_capacity)
         });
@@ -491,8 +489,8 @@ impl ShardedMatchService {
             placement,
             shards,
             streams,
-            initial_assignments: assignments,
-            tenancy: Some(tenancy),
+            initial_assignments,
+            tenancy,
             fault_tolerance: None,
             record_completions: false,
             sched_rec,
@@ -501,8 +499,8 @@ impl ShardedMatchService {
     }
 
     /// Attach (or detach) the fault-tolerance stack. `None` — the
-    /// default — runs the legacy fault-free fast path with no
-    /// checkpoint or supervisor overhead.
+    /// default — runs fault-free with no checkpoint or supervisor
+    /// overhead.
     ///
     /// # Panics
     /// Panics if the plan names a shard the service doesn't have.
@@ -689,7 +687,6 @@ impl ShardedMatchService {
             rec.with(|r| r.reset());
         }
 
-        let sampler = obs::FlowSampler::new(cfg.flow_sample_every, cfg.seed);
         let wallprof = if cfg.trace {
             obs::wallprof::WallProfiler::with_trace(n, cfg.trace_capacity)
         } else {
@@ -711,38 +708,18 @@ impl ShardedMatchService {
             knobs,
             sched::ObsHooks {
                 sched_rec: sched_rec.as_ref(),
-                flow_sampler: sampler,
                 wallprof: Some(&wallprof),
             },
         );
         let wall_seconds = wall_start.elapsed().as_secs_f64();
         let sched::SchedOutcome {
-            mut metrics,
+            metrics,
             completions,
-            busy,
-            last_activity,
-            last_spill,
-            backlog,
             streams: stream_outcomes,
+            elapsed,
             aborted_migrations,
         } = out;
         *wall_tracks = wallprof.wall_tracks();
-
-        // ---- Finalise per-shard metrics.
-        for x in 0..n {
-            let m = &mut metrics[x];
-            m.busy_seconds = busy[x];
-            m.utilisation = if last_activity[x] > 0.0 {
-                (busy[x] / last_activity[x]).min(1.0)
-            } else {
-                0.0
-            };
-            m.saturated = (backlog[x] > 2 * cfg.max_batch as u64
-                && backlog[x] as f64 > 0.05 * m.arrivals as f64)
-                || last_spill[x] >= 0.9 * cfg.duration;
-            m.ever_spilled = m.overflow.spilled > 0;
-            m.trace_dropped = shards[x].gpu.obs.as_ref().map_or(0, |r| r.dropped());
-        }
 
         let scheduler_profile = SchedulerProfile {
             scheduler: match cfg.scheduler {
@@ -766,7 +743,6 @@ impl ShardedMatchService {
                 .collect(),
         };
 
-        let elapsed = last_activity.iter().fold(0.0f64, |a, &b| a.max(b));
         let mut service_metrics =
             ServiceMetrics::from_shards(cfg.duration, cfg.arrival_rate, elapsed, metrics);
         service_metrics.aborted_migrations = aborted_migrations;
@@ -780,10 +756,7 @@ impl ShardedMatchService {
                     name: spec.name.clone(),
                     class: spec.class.label().to_string(),
                     streams: spec.streams as u64,
-                    arrivals: 0,
-                    admitted: 0,
-                    matched: 0,
-                    overflow: OverflowStats::default(),
+                    ..Default::default()
                 })
                 .collect();
             for so in &stream_outcomes {

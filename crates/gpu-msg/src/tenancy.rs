@@ -238,10 +238,7 @@ impl StreamQos {
         capacity: usize,
         fill: FillLimits,
     ) -> AdmitVerdict {
-        let conformant = match self.bucket.as_mut() {
-            None => true,
-            Some(b) => b.take(t),
-        };
+        let conformant = self.bucket.as_mut().is_none_or(|b| b.take(t));
         let limit = |f: f64| ((f * capacity as f64) as usize).min(capacity);
         match self.class {
             QosClass::Guaranteed => {
@@ -624,6 +621,24 @@ mod tests {
             AdmitVerdict::Shed,
             "but only up to the burstable fill limit"
         );
+
+        // An untenanted stream's gate admits on raw capacity alone.
+        let mut raw = StreamQos {
+            class: QosClass::Guaranteed,
+            bucket: None,
+        };
+        for backlog in 0..=cap + 1 {
+            let want = if backlog < cap {
+                AdmitVerdict::Admit
+            } else {
+                AdmitVerdict::Spill
+            };
+            assert_eq!(
+                raw.admit(0.0, backlog, cap, fill),
+                want,
+                "backlog {backlog}"
+            );
+        }
     }
 
     #[test]

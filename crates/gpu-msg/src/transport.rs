@@ -28,7 +28,7 @@ use crate::message::Message;
 /// Which wire a [`crate::Domain`] runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TransportConfig {
-    /// Instantaneous in-order delivery (the legacy behaviour).
+    /// Instantaneous in-order delivery.
     #[default]
     Direct,
     /// A simulated interconnect with the given parameters.

@@ -30,7 +30,7 @@ impl EnvelopeSoa {
     }
 
     #[cfg(test)]
-    /// Build from an AoS slice (the legacy layout).
+    /// Build from an array-of-structs slice.
     pub(crate) fn from_envelopes(msgs: &[Envelope]) -> Self {
         let mut s = Self::new();
         for m in msgs {
