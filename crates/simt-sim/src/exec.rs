@@ -21,7 +21,7 @@ use crate::mem::{
 };
 use crate::sanitize::{self, Access, AccessKind, RaceReport, Space};
 use crate::timing::{self, TimingReport};
-use crate::trace::{CtaTrace, DepToken, GridTrace, OpKind, OpRecord, WarpTrace};
+use crate::trace::{dependency_gap, CtaTrace, DepToken, GridTrace, OpKind, OpRecord, WarpTrace};
 
 /// Grid launch geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,7 @@ pub struct CtaCtx<'a> {
     global: &'a mut DeviceMemory,
     shared: &'a mut SharedMemory,
     /// This CTA's warps in the device's trace arena, holding whatever
-    /// the previous launch recorded there.
+    /// earlier launches recorded there.
     traces: &'a mut [WarpTrace],
     cursors: &'a mut [Cursor],
     cta_id: usize,
@@ -100,34 +100,34 @@ struct SanitizerState {
 }
 
 /// One warp's recording position in its arena trace, which still holds
-/// the previous launch's ops past that position.
+/// earlier launches' ops past that position.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
     /// Ops this launch recorded so far.
     len: usize,
+    /// The largest [`dependency_gap`] this launch recorded.
+    max_gap: usize,
     /// Whether the trace now differs from the previous launch's.
     changed: bool,
 }
 
 impl Cursor {
     /// Record `kind` as the warp's next op, writing the arena only where
-    /// it differs from the op the previous launch left at that position.
+    /// it differs from the op an earlier launch left at that position.
     /// Inlined, so that the compare sees which `kind` each call site
-    /// records; appending past the previous trace is out of line.
+    /// records; appending past every earlier trace is out of line.
     #[inline]
     fn record(&mut self, trace: &mut WarpTrace, kind: OpKind, dep: Option<DepToken>) -> DepToken {
-        let op = OpRecord {
-            kind,
-            waits_on: dep.map(|t| t.0),
-        };
-        match trace.ops.get_mut(self.len) {
+        let op = OpRecord::new(kind, dep);
+        self.max_gap = self.max_gap.max(dependency_gap(self.len, dep));
+        match trace.ops.buf.get_mut(self.len) {
             Some(old) => {
                 if *old != op {
                     *old = op;
                     self.changed = true;
                 }
             }
-            None => self.append(trace, op),
+            None => Self::append(trace, op),
         }
         self.len += 1;
         DepToken(self.len as u32 - 1)
@@ -135,17 +135,19 @@ impl Cursor {
 
     #[cold]
     #[inline(never)]
-    fn append(&mut self, trace: &mut WarpTrace, op: OpRecord) {
-        trace.ops.push(op);
-        self.changed = true;
+    fn append(trace: &mut WarpTrace, op: OpRecord) {
+        trace.ops.buf.push(op);
     }
 
-    /// End the warp's recording: drop the previous launch's ops past it.
+    /// End the warp's recording: the trace's ops become the ones this
+    /// launch recorded. Ops past them stay in the buffer, unread. A
+    /// recording of another length changed the trace, even where each of
+    /// its ops equals the one the buffer held.
     fn finish(&mut self, trace: &mut WarpTrace) {
-        if trace.ops.len() > self.len {
-            trace.ops.truncate(self.len);
-            self.changed = true;
-        }
+        let ops = &mut trace.ops;
+        self.changed |= ops.len != self.len;
+        ops.len = self.len;
+        ops.max_gap = self.max_gap;
     }
 }
 
@@ -597,6 +599,10 @@ pub struct Gpu {
     /// The last launch's trace. The next launch records over it in
     /// place, so a launch that repeats it op for op leaves it unchanged.
     trace: GridTrace,
+    /// Warps left over when a launch has fewer warps per CTA than the
+    /// launch before, with their ops: a wider launch takes them back and
+    /// records over them.
+    spare_warps: Vec<WarpTrace>,
     /// Recording cursors of the CTA being executed, one per warp.
     cursors: Vec<Cursor>,
     /// Shared memory of the CTA being executed; each CTA starts it
@@ -630,6 +636,7 @@ impl Gpu {
             sanitizer_findings: None,
             obs: None,
             trace: GridTrace::default(),
+            spare_warps: Vec::new(),
             cursors: Vec::new(),
             shared: SharedMemory::default(),
             replayer: timing::Replayer::default(),
@@ -722,7 +729,11 @@ impl Gpu {
         let banks = self.config.sm.shared_banks;
         let mut races = Vec::new();
         for (cta_id, cta) in grid.ctas.iter_mut().enumerate() {
-            cta.warps.resize_with(warp_count, WarpTrace::default);
+            if cta.warps.len() > warp_count {
+                self.spare_warps.extend(cta.warps.drain(warp_count..).rev());
+            }
+            cta.warps
+                .resize_with(warp_count, || self.spare_warps.pop().unwrap_or_default());
             self.cursors.clear();
             self.cursors.resize(warp_count, Cursor::default());
             self.shared.reset();
@@ -1261,6 +1272,16 @@ mod tests {
             ..SCRIPT
         };
         step(&mut gpu, shorter, one, false, "shorter");
+        // The arena still holds the conflicted trace's second segment past
+        // the shorter one, so every op this launch records equals the op
+        // at its position: only the lengths differ.
+        step(
+            &mut gpu,
+            conflict,
+            one,
+            false,
+            "the ops past a shorter trace",
+        );
         let longer = Script {
             segments: 3,
             ..SCRIPT
@@ -1293,6 +1314,10 @@ mod tests {
             ..three
         };
         step(&mut gpu, greedy, narrow, false, "fewer warps");
+        // Each CTA's fourth warp comes back from the spare warps holding
+        // the ops it recorded before: only the warp count differs.
+        step(&mut gpu, greedy, three, false, "more warps");
+        step(&mut gpu, greedy, narrow, false, "fewer warps again");
         gpu.enable_sanitizer();
         gpu.enable_tracing(0, 256);
         step(&mut gpu, greedy, narrow, true, "sanitizer and tracing");

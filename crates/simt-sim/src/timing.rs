@@ -211,19 +211,24 @@ struct CtaRun {
     at_barrier: usize,
 }
 
-/// An entry of the warp pick's tournament tree: a warp's candidate issue
-/// time (mc) and its index. Entries order by time, then by index, so the
-/// smaller of two entries is the issue rule's pick.
-type Entry = (u64, usize);
+/// The tournament key of a warp that is not Ready: no Ready warp's key
+/// reaches it, so the pick never takes it.
+const NOT_READY: u64 = u64::MAX;
 
-/// The smaller of two entries. Which one wins is data, so this selects
-/// rather than branches: a branch here would mispredict on most picks.
-fn smaller(a: Entry, b: Entry) -> Entry {
-    let b_first = (b.0 < a.0) | ((b.0 == a.0) & (b.1 < a.1));
-    (
-        std::hint::select_unpredictable(b_first, b.0, a.0),
-        std::hint::select_unpredictable(b_first, b.1, a.1),
-    )
+/// The tournament key of warp `wi` with candidate issue time `mc` (in a
+/// tree of `1 << shift` leaves): the time above the index, so the
+/// smaller of two keys is the issue rule's pick — the earlier time, then
+/// the lower index — and each match is one `min`.
+///
+/// # Panics
+/// Panics if `mc` does not fit the key's time bits; the all-ones time is
+/// kept for [`NOT_READY`].
+fn pick_key(mc: u64, wi: usize, shift: u32) -> u64 {
+    assert!(
+        mc < NOT_READY >> shift,
+        "candidate time {mc} mc overflows the pick key"
+    );
+    (mc << shift) | wi as u64
 }
 
 /// The allocations a replay works in. [`Replayer`] keeps them between
@@ -233,7 +238,7 @@ struct WorkingSet<'a> {
     warps: Vec<WarpState<'a>>,
     resident: Vec<CtaRun>,
     completions: Vec<u64>,
-    tree: Vec<Entry>,
+    tree: Vec<u64>,
 }
 
 impl WorkingSet<'_> {
@@ -268,18 +273,21 @@ struct SmSim<'a> {
     warps: Vec<WarpState<'a>>,
     /// Completion times (mc) of the warps' recent ops, for dependency
     /// lookups: one ring per warp, in activation order (see
-    /// [`ring_len`]). A slot is written when its op issues, before any
-    /// later op reads it, so stale values are never read.
+    /// [`crate::trace::Ops::ring_len`]). A slot is written when its op
+    /// issues, before any later op reads it, so stale values are never
+    /// read.
     completions: Vec<u64>,
-    /// Tournament tree over the warps' candidate issue times
-    /// (`max(ready, dependency completion)`, or `u64::MAX` unless
-    /// Ready): leaf `i` at `leaves + i`, node `k` the smaller [`Entry`]
+    /// Tournament tree over the warps' [`pick_key`]s of their candidate
+    /// issue times (`max(ready, dependency completion)`), or
+    /// [`NOT_READY`]: leaf `i` at `leaves + i`, node `k` the smaller key
     /// of `2k` and `2k + 1`, node 1 the pick. A candidate changes only
     /// when its warp is admitted, steps or leaves a barrier; then one
     /// leaf-to-root path is recomputed.
-    tree: Vec<Entry>,
+    tree: Vec<u64>,
     /// Leaf count: the SM's warps, rounded up to a power of two.
     leaves: usize,
+    /// `log2(leaves)`: the index bits of a key.
+    shift: u32,
     /// Shared-resource availability (mc).
     issue_free_mc: u64,
     mem_free_mc: u64,
@@ -328,11 +336,10 @@ impl<'a> SmSim<'a> {
         warps.clear();
         resident.clear();
         completions.clear();
-        // No warp is Ready yet. An entry at `u64::MAX` is never picked,
-        // so its index does not matter.
+        // No warp is Ready yet.
         let leaves = warp_count.next_power_of_two();
         tree.clear();
-        tree.resize(2 * leaves, (u64::MAX, 0));
+        tree.resize(2 * leaves, NOT_READY);
 
         let params = &cfg.sm;
         let issue_rate_per_mille =
@@ -347,6 +354,7 @@ impl<'a> SmSim<'a> {
             completions,
             tree,
             leaves,
+            shift: leaves.trailing_zeros(),
             issue_free_mc: 0,
             mem_free_mc: 0,
             shared_free_mc: 0,
@@ -387,7 +395,9 @@ impl<'a> SmSim<'a> {
             let first = self.warps.len();
             let mut base = self.completions.len();
             for wt in &cta.warps {
-                let ring = ring_len(&wt.ops);
+                let ring = wt.ops.ring_len();
+                #[cfg(test)]
+                assert_eq!(ring, ring_len(&wt.ops), "ring sized while recording");
                 self.warps.push(WarpState {
                     cta_slot: slot,
                     ops: &wt.ops,
@@ -419,16 +429,23 @@ impl<'a> SmSim<'a> {
         }
     }
 
-    /// Warp `wi`'s candidate issue time from its current state.
-    fn candidate(&self, wi: usize) -> u64 {
+    /// Warp `wi`'s candidate issue time from its current state, if it is
+    /// Ready.
+    fn candidate(&self, wi: usize) -> Option<u64> {
         let w = &self.warps[wi];
         if w.phase != WarpPhase::Ready {
-            return u64::MAX;
+            return None;
         }
         let dep_mc = w.ops[w.pc]
-            .waits_on
+            .waits_on()
             .map_or(0, |d| self.completion(wi, d as usize));
-        w.ready_mc.max(dep_mc)
+        Some(w.ready_mc.max(dep_mc))
+    }
+
+    /// Warp `wi`'s tournament key from its current state.
+    fn key(&self, wi: usize) -> u64 {
+        self.candidate(wi)
+            .map_or(NOT_READY, |mc| pick_key(mc, wi, self.shift))
     }
 
     /// Slot of op `i` of warp `wi` in `completions`.
@@ -443,22 +460,22 @@ impl<'a> SmSim<'a> {
         self.completions[self.slot(wi, i)]
     }
 
-    /// Set warp `wi`'s candidate issue time and replay the matches on its
+    /// Set warp `wi`'s tournament key and replay the matches on its
     /// leaf-to-root path.
-    fn set_candidate(&mut self, wi: usize, mc: u64) {
+    fn set_key(&mut self, wi: usize, key: u64) {
         let mut k = self.leaves + wi;
-        let mut won = (mc, wi);
+        let mut won = key;
         self.tree[k] = won;
         while k > 1 {
-            won = smaller(won, self.tree[k ^ 1]);
+            won = won.min(self.tree[k ^ 1]);
             k >>= 1;
             self.tree[k] = won;
         }
     }
 
-    /// Recompute warp `wi`'s candidate issue time after its state changed.
+    /// Recompute warp `wi`'s key after its state changed.
     fn refresh(&mut self, wi: usize) {
-        self.set_candidate(wi, self.candidate(wi));
+        self.set_key(wi, self.key(wi));
     }
 
     /// [`SmSim::refresh`] for a contiguous range of warps (a CTA), one
@@ -468,29 +485,32 @@ impl<'a> SmSim<'a> {
             return;
         }
         for wi in range.clone() {
-            self.tree[self.leaves + wi] = (self.candidate(wi), wi);
+            self.tree[self.leaves + wi] = self.key(wi);
         }
         let (mut lo, mut hi) = (self.leaves + range.start, self.leaves + range.end - 1);
         while lo > 1 {
             (lo, hi) = (lo >> 1, hi >> 1);
             for k in lo..=hi {
-                self.tree[k] = smaller(self.tree[2 * k], self.tree[2 * k + 1]);
+                self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
             }
         }
     }
 
-    /// The pick the tournament replaced: a scan of every leaf, the
-    /// lowest index winning a tie. The oracle every test replay checks
-    /// the tree's pick against.
+    /// The pick the tournament replaced: a scan of every warp's
+    /// candidate, the lowest index winning a tie, or `None` if no warp is
+    /// Ready. The oracle every test replay checks the tree's pick
+    /// against.
     #[cfg(test)]
-    fn pick_by_scan(&self) -> (u64, usize) {
-        let (mut cand_mc, mut wi) = (u64::MAX, 0);
-        for (i, &(c, _)) in self.tree[self.leaves..].iter().enumerate() {
-            if c < cand_mc {
-                (cand_mc, wi) = (c, i);
+    fn pick_by_scan(&self) -> Option<(u64, usize)> {
+        let mut pick: Option<(u64, usize)> = None;
+        for wi in 0..self.warps.len() {
+            if let Some(mc) = self.candidate(wi) {
+                if pick.is_none_or(|(best, _)| mc < best) {
+                    pick = Some((mc, wi));
+                }
             }
         }
-        (cand_mc, wi)
+        pick
     }
 
     fn latency_mc(&self, kind: OpKind) -> u64 {
@@ -515,12 +535,14 @@ impl<'a> SmSim<'a> {
         loop {
             // The ready warp with the earliest candidate start; the
             // lowest warp index wins a tie.
-            let (cand_mc, wi) = self.tree[1];
-            if cand_mc == u64::MAX {
-                break; // no ready warps: all done (or all at barriers, handled on arrival)
-            }
+            let key = self.tree[1];
+            let pick =
+                (key != NOT_READY).then(|| (key >> self.shift, key as usize & (self.leaves - 1)));
             #[cfg(test)]
-            assert_eq!((cand_mc, wi), self.pick_by_scan(), "tournament pick");
+            assert_eq!(pick, self.pick_by_scan(), "tournament pick");
+            // No ready warps: all done (or all at barriers, handled on
+            // arrival).
+            let Some((cand_mc, wi)) = pick else { break };
             self.step_warp(wi, cand_mc);
         }
         self.finalize_attribution();
@@ -566,7 +588,7 @@ impl<'a> SmSim<'a> {
         };
         let op = ops[pc];
 
-        let dep_mc = op.waits_on.map_or(0, |d| self.completion(wi, d as usize));
+        let dep_mc = op.waits_on().map_or(0, |d| self.completion(wi, d as usize));
         let stall = dep_mc.saturating_sub(self.warps[wi].ready_mc);
         self.report.dependency_stall_cycles += stall / MC;
 
@@ -622,7 +644,7 @@ impl<'a> SmSim<'a> {
                     self.activate_next(release);
                 }
             } else {
-                self.set_candidate(wi, u64::MAX);
+                self.set_key(wi, NOT_READY);
             }
             return;
         }
@@ -640,7 +662,7 @@ impl<'a> SmSim<'a> {
         if gap > 0 {
             let cls = if dep_mc > self.warps[wi].ready_mc {
                 let dep = op
-                    .waits_on
+                    .waits_on()
                     .expect("dependency-gated op records its producer");
                 let producer = ops[dep as usize];
                 StallClass::of_dependency(producer.kind.class())
@@ -714,7 +736,7 @@ impl<'a> SmSim<'a> {
         }
         if done_len {
             self.warps[wi].phase = WarpPhase::Done;
-            self.set_candidate(wi, u64::MAX);
+            self.set_key(wi, NOT_READY);
             let run = &mut self.resident[cta_slot];
             run.live_warps -= 1;
             if run.live_warps == 0 {
@@ -727,22 +749,20 @@ impl<'a> SmSim<'a> {
     }
 }
 
-/// Slots a warp's completion ring needs: its longest distance from an op
-/// back to the op it waits on, rounded up to a power of two (at least
-/// one). The ops between an op and its consumer then fill the other
-/// slots, so the producer's slot still holds its completion when the
-/// consumer reads it. Kernels wait on an op a few back, so a ring is a
-/// few slots however long the warp runs.
+/// [`crate::trace::Ops::ring_len`] by a walk of every op: the oracle
+/// every test replay checks the ring length kept while recording
+/// against.
 ///
 /// # Panics
 /// Panics if an op waits on itself or on a later op.
+#[cfg(test)]
 fn ring_len(ops: &[OpRecord]) -> usize {
     // Distance minus one, so a dependency on the op itself or a later
     // one wraps around to a huge value; no branch per op.
     let gap = ops
         .iter()
         .enumerate()
-        .map(|(i, op)| op.waits_on.map_or(0, |d| i.wrapping_sub(d as usize + 1)))
+        .map(|(i, op)| op.waits_on().map_or(0, |d| i.wrapping_sub(d as usize + 1)))
         .max()
         .unwrap_or(0);
     assert!(gap <= ops.len(), "an op waits on itself or on a later op");
@@ -1129,6 +1149,18 @@ mod tests {
         assert_eq!(p.cycles, t.cycles);
         assert_eq!(p.stall_cycles.iter().sum::<u64>(), p.cycles);
         assert_eq!(p.launches, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the pick key")]
+    fn pick_key_panics_at_the_first_time_that_does_not_fit() {
+        // Eight leaves: three index bits below 61 time bits.
+        let shift = 3;
+        let last = (NOT_READY >> shift) - 1;
+        assert!(pick_key(5, 1, shift) < pick_key(5, 2, shift), "tie");
+        assert!(pick_key(last - 1, 7, shift) < pick_key(last, 0, shift));
+        assert!(pick_key(last, 7, shift) < NOT_READY);
+        pick_key(last + 1, 0, shift);
     }
 
     #[test]

@@ -118,6 +118,31 @@ fn a_replayed_launch_allocates_only_its_report() {
 }
 
 #[test]
+fn a_wider_launch_after_a_narrower_one_allocates_only_its_report() {
+    let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
+    let wide = 256u32;
+    let keys = gpu.mem.alloc::<u32>(wide as usize);
+    let table = gpu.mem.alloc_from(&(0..4096u32).collect::<Vec<_>>());
+    let mut kernel = Gather { keys, table };
+
+    let dense: Vec<u32> = (0..wide).collect();
+    gpu.mem.write_slice(keys, 0, &dense);
+    let first = gpu.launch(&mut kernel, LaunchConfig::single_sm(4, wide));
+    // Half the warps per CTA: the other half keep their traces.
+    gpu.launch(&mut kernel, LaunchConfig::single_sm(4, wide / 2));
+
+    // Wide again, recording a trace neither earlier launch recorded.
+    let scattered: Vec<u32> = (0..wide).map(|i| i * 97 % 4096).collect();
+    gpu.mem.write_slice(keys, 0, &scattered);
+    let (last, n) = allocations(|| gpu.launch(&mut kernel, LaunchConfig::single_sm(4, wide)));
+    assert!(
+        last.timing.global_transactions > first.timing.global_transactions,
+        "the last launch must record a different trace from the first"
+    );
+    assert!(n <= 1, "a wider launch made {n} heap allocations");
+}
+
+#[test]
 fn the_counter_sees_allocations() {
     let (v, n) = allocations(|| vec![0u8; 16]);
     assert_eq!((v.len(), n), (16, 1));
