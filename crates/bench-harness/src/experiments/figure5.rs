@@ -172,6 +172,33 @@ mod tests {
     }
 
     #[test]
+    fn cta_annotation_is_the_first_launch_grid() {
+        // The annotation predicts the grid the first round launches; the
+        // launch's functional-execution instant records the real one.
+        for &total_len in &DEFAULT_LENS {
+            for &q in &DEFAULT_QUEUES {
+                let w = workload(total_len, q, 3);
+                let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
+                gpu.enable_tracing(0, 1 << 12);
+                PartitionedMatcher::new(q)
+                    .match_batch(&mut gpu, &w.msgs, &w.reqs)
+                    .expect("workload has no wildcards");
+                let rec = gpu.take_recorder().expect("tracing is on");
+                let launched = rec
+                    .events()
+                    .find(|e| e.instant && e.category == obs::SpanCategory::FunctionalExec)
+                    .and_then(|e| e.args.iter().find(|(k, _)| *k == "ctas"))
+                    .map(|(_, v)| v.clone());
+                assert_eq!(
+                    launched,
+                    Some(obs::ArgValue::U64(cta_plan(&queue_sizes(&w, q)).into())),
+                    "{q} queues over {total_len} messages"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn cta_annotation_grows_with_length() {
         let pts = run(&[4], &[1024, 4096], 3);
         let point = |len: usize| {

@@ -15,9 +15,11 @@
 //! * [`MatrixMatcher`] — the fully MPI-compliant GPU algorithm: warp-ballot
 //!   *scan* into a vote matrix, sequential warp *reduce* honouring
 //!   ordering and wildcards (paper Algorithms 1 & 2; ~6 M matches/s on
-//!   Pascal).
+//!   Pascal). Its kernel runs over queue slices, one per queue, and its
+//!   round driver iterates queues longer than one batch.
 //! * [`partitioned`] — the *no source wildcard* relaxation: static rank
-//!   partitioning into parallel queues (~60 M matches/s).
+//!   partitioning into parallel queues (~60 M matches/s), each queue one
+//!   slice of the matrix kernel with its own reduce warp.
 //! * [`HashMatcher`] — the *no ordering* relaxation: two-level hash table with
 //!   Jenkins' 6-shift hash (~500 M matches/s).
 //! * [`compaction`] — the prefix-scan queue compaction whose cost the

@@ -1,4 +1,6 @@
-//! The fully MPI-compliant GPU matching algorithm (paper Section V).
+//! The fully MPI-compliant GPU matching algorithm (paper Section V), and
+//! the scan/reduce kernel and round driver the rank-partitioned matcher
+//! ([`crate::partitioned`]) shares with it.
 //!
 //! Two phases over a *vote matrix*:
 //!
@@ -19,22 +21,32 @@
 //! the reduce warp is no longer free, and the phases serialise — the
 //! performance drop the paper shows at 1024 (Figure 4).
 //!
-//! Queues longer than 1024 are processed in iterations of up to 1024
-//! messages × 1024 requests with a compaction step in between
+//! One kernel serves both matchers: it runs the scan/reduce over queue
+//! slices grouped by CTA. The compliant matcher launches one slice (its
+//! whole batch); rank partitioning launches one per `src % k` queue. Each
+//! slice's vote matrix is column-major with one word per scan warp, so
+//! column *i* starts at word `i * rows`, and padded by one warp's width:
+//! the reduce gathers 32 consecutive words per column, conflict free, and
+//! the lanes past `rows` start with an empty mask, so what they read
+//! never bids.
+//!
+//! Queues longer than 1024 are processed in rounds of up to 1024
+//! messages × 1024 requests per queue with a compaction step in between
 //! ([`MatrixMatcher::match_iterative`]).
 
 use simt_sim::{
-    lanes, CtaCtx, CtaKernel, Gpu, Lanes, LaunchConfig, LaunchReport, WarpCtx, WARP_SIZE,
+    lanes, BufferId, CtaCtx, CtaKernel, Gpu, Lanes, LaunchConfig, LaunchReport, SharedId, WarpCtx,
+    WARP_SIZE,
 };
 
 use crate::envelope::{packed_matches, Envelope, RecvRequest};
 use crate::gpu_common::{decode_assignment, GpuMatchReport, NO_MATCH};
 
 /// Default scan window: requests per matrix tile. 64 columns double
-/// buffered at 32 rows of `u32` is 16 KiB of shared memory — the footprint
-/// that lets exactly two CTAs stay resident, as the paper reports from the
-/// occupancy calculator.
-pub(crate) const DEFAULT_WINDOW: usize = 64;
+/// buffered at 32 rows of `u32` (plus the padding) is just over 16 KiB
+/// of shared memory — the footprint that lets exactly two CTAs stay
+/// resident, as the paper reports from the occupancy calculator.
+const DEFAULT_WINDOW: usize = 64;
 
 /// Calibration of per-element overhead, in ALU instructions, covering the
 /// work the recorded ops do not represent explicitly (envelope unpacking,
@@ -92,31 +104,113 @@ impl Default for MatrixMatcher {
 /// one thread per message, at most 1024 threads per CTA.
 pub const MAX_BATCH: usize = WARP_SIZE * 32;
 
+/// Which matcher a launch serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Engine {
+    /// The compliant matcher: one queue, and the single-warp kernel when
+    /// it holds at most 32 messages.
+    Compliant,
+    /// Rank partitioning: one queue per `src % k` class, always the
+    /// matrix kernel.
+    Partitioned,
+}
+
+/// One queue's slice of a launch, as seen by the kernel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueueSlice {
+    /// Offset of this queue's messages in the packed message buffer.
+    msg_off: u32,
+    n_msgs: u32,
+    /// Offset of this queue's requests in the packed request buffer.
+    req_off: u32,
+    n_reqs: u32,
+    /// Warps scanning messages: the rows of this queue's vote matrix.
+    rows: u32,
+    /// First warp (within the CTA) of this queue's group.
+    warp_base: u32,
+}
+
+impl QueueSlice {
+    pub(crate) fn new(msg_off: usize, n_msgs: usize, req_off: usize, n_reqs: usize) -> Self {
+        QueueSlice {
+            msg_off: msg_off as u32,
+            n_msgs: n_msgs as u32,
+            req_off: req_off as u32,
+            n_reqs: n_reqs as u32,
+            rows: (n_msgs as u32).div_ceil(WARP_SIZE as u32),
+            warp_base: 0,
+        }
+    }
+
+    /// Warps this queue's group occupies: its scan warps plus a
+    /// dedicated reduce warp, unless the scan already fills a CTA.
+    fn group_warps(&self) -> u32 {
+        (self.rows + 1).min(32)
+    }
+
+    /// One past the group's last warp.
+    fn warp_end(&self) -> u32 {
+        self.warp_base + self.group_warps()
+    }
+
+    /// Warp running the reduce: the dedicated one after the scan warps,
+    /// or the group's first warp when the scan fills the CTA.
+    fn reduce_warp(&self) -> usize {
+        let offset = if self.rows < 32 { self.rows } else { 0 };
+        (self.warp_base + offset) as usize
+    }
+}
+
+/// Pack queue groups into CTAs, first fit, at most 32 warps each
+/// (queues never span CTAs); returns the slices each CTA serves.
+pub(crate) fn pack_ctas(slices: impl IntoIterator<Item = QueueSlice>) -> Vec<Vec<QueueSlice>> {
+    let mut per_cta: Vec<Vec<QueueSlice>> = Vec::new();
+    for mut s in slices {
+        let used = |cta: &Vec<QueueSlice>| cta.last().map_or(0, QueueSlice::warp_end);
+        let cta = per_cta
+            .iter()
+            .position(|c| used(c) + s.group_warps() <= 32)
+            .unwrap_or_else(|| {
+                per_cta.push(Vec::new());
+                per_cta.len() - 1
+            });
+        s.warp_base = used(&per_cta[cta]);
+        per_cta[cta].push(s);
+    }
+    per_cta
+}
+
 struct MatrixKernel {
-    msgq: simt_sim::BufferId<u64>,
-    recvq: simt_sim::BufferId<u64>,
-    result: simt_sim::BufferId<u32>,
-    n_msgs: usize,
-    n_reqs: usize,
+    name: &'static str,
+    msgq: BufferId<u64>,
+    recvq: BufferId<u64>,
+    /// Result per packed request (packed message index or `NO_MATCH`).
+    result: BufferId<u32>,
+    /// Queue slices grouped by CTA: CTA `c` serves `per_cta[c]`.
+    per_cta: Vec<Vec<QueueSlice>>,
     window: usize,
-    msg_warps: usize,
-    reduce_warp: usize,
     costs: MatrixCosts,
-    disable_pipelining: bool,
+    pipelined: bool,
     dedup: bool,
 }
 
 impl MatrixKernel {
+    fn windows(&self, q: &QueueSlice) -> usize {
+        (q.n_reqs as usize).div_ceil(self.window)
+    }
+
     fn scan(
         &self,
         w: &mut WarpCtx<'_>,
+        q: &QueueSlice,
         win: usize,
-        buf: simt_sim::SharedId<u32>,
+        buf: SharedId<u32>,
         msg_words: &Lanes<u64>,
         msg_live: &Lanes<bool>,
     ) {
         let win_base = win * self.window;
-        let win_len = self.window.min(self.n_reqs - win_base);
+        let win_len = self.window.min(q.n_reqs as usize - win_base);
+        let (rows, row) = (q.rows as usize, w.warp_id() - q.warp_base as usize);
         // Requests are staged through registers: one coalesced load per 32
         // requests, then `shfl` broadcasts each to the whole warp. This is
         // the standard CUDA idiom for Algorithm 1's inner loop — a naive
@@ -129,7 +223,7 @@ impl MatrixKernel {
             let chunk = WARP_SIZE.min(win_len - chunk_start);
             let lid = w.lane_ids();
             let live = lid.map(|l| (l as usize) < chunk);
-            let base = (win_base + chunk_start) as u32;
+            let base = q.req_off + (win_base + chunk_start) as u32;
             let idx = lid.zip(&live, |l, lv| if lv { base + l } else { base });
             w.charge_alu(2);
             let (req_lanes, tok) = w.ld_global(self.recvq, &idx);
@@ -153,10 +247,7 @@ impl MatrixKernel {
                     }
                 };
                 prev = Some((req_word, vote));
-                // Column-major matrix: column i occupies 32 consecutive
-                // words, so the reduce's column gather is conflict free.
-                let i = chunk_start + j;
-                let slot = Lanes::splat((i * WARP_SIZE + w.warp_id()) as u32);
+                let slot = Lanes::splat(((chunk_start + j) * rows + row) as u32);
                 let vv = Lanes::splat(vote);
                 w.if_lanes(&lane0, |w| {
                     w.st_shared(buf, &slot, &vv);
@@ -169,36 +260,37 @@ impl MatrixKernel {
     fn reduce(
         &self,
         w: &mut WarpCtx<'_>,
+        q: &QueueSlice,
         win: usize,
-        buf: simt_sim::SharedId<u32>,
+        buf: SharedId<u32>,
         masks: &mut Lanes<u32>,
     ) {
         let win_base = win * self.window;
-        let win_len = self.window.min(self.n_reqs - win_base);
+        let win_len = self.window.min(q.n_reqs as usize - win_base);
         for i in 0..win_len {
             w.charge_alu(1 + self.costs.reduce_overhead);
-            // Lane l reads row l's vote for column i (contiguous words).
-            let idx = w.lane_ids().map(|l| (i * WARP_SIZE) as u32 + l);
+            // Lane l reads row l's vote for column i; lanes past the rows
+            // read the next column's words under an empty mask.
+            let idx = w.lane_ids().map(|l| (i * q.rows as usize) as u32 + l);
             let (col, tok) = w.ld_shared(buf, &idx);
             // The reduce completes each match record against the receive
             // descriptor in global memory (Algorithm 2's result handling);
             // this global access is the long pole of the per-column chain.
-            let (_req_desc, gtok) = w.ld_global_bcast(self.recvq, (win_base + i) as u32);
+            let req = q.req_off + (win_base + i) as u32;
+            let (_req_desc, gtok) = w.ld_global_bcast(self.recvq, req);
             let _ = tok;
-            let tok = gtok;
             let masked = col.zip(masks, |v, m| v & m);
-            let bidders = w.ballot_dep(Some(tok), &masked.map(|x| x != 0));
+            let bidders = w.ballot_dep(Some(gtok), &masked.map(|x| x != 0));
             if bidders != 0 {
                 // ffs picks the lowest row = earliest messages (rows map
                 // to ascending message indices).
                 w.charge_alu(2); // ffs(bidders), thread-id compare
                 let winner = (lanes::ffs(bidders) - 1) as usize;
-                let vote = masked.get(winner);
-                let bit = lanes::ffs(vote) - 1;
+                let bit = lanes::ffs(masked.get(winner)) - 1;
                 w.charge_alu(2); // ffs(vote & mask), mask erase
                 masks.set(winner, masks.get(winner) & !(1u32 << bit));
-                let msg_idx = (winner * WARP_SIZE) as u32 + bit;
-                w.st_global_leader(self.result, (win_base + i) as u32, msg_idx);
+                let msg_idx = q.msg_off + (winner * WARP_SIZE) as u32 + bit;
+                w.st_global_leader(self.result, req, msg_idx);
             }
         }
     }
@@ -206,98 +298,90 @@ impl MatrixKernel {
 
 impl CtaKernel for MatrixKernel {
     fn name(&self) -> &'static str {
-        "matrix_match"
+        self.name
     }
 
     fn execute(&mut self, cta: &mut CtaCtx<'_>) {
-        // Double-buffered vote matrix, column-major, 32 rows × window.
-        let buf_a = cta.alloc_shared::<u32>(WARP_SIZE * self.window);
-        let buf_b = cta.alloc_shared::<u32>(WARP_SIZE * self.window);
-        let bufs = [buf_a, buf_b];
+        let k = &*self;
+        let queues = &k.per_cta[cta.cta_id()];
+        // Per queue, a double-buffered vote matrix (see the module docs
+        // for the layout and its padding).
+        let bufs: Vec<[SharedId<u32>; 2]> = queues
+            .iter()
+            .map(|q| {
+                let words = q.rows as usize * k.window + WARP_SIZE;
+                [cta.alloc_shared(words), cta.alloc_shared(words)]
+            })
+            .collect();
+        let mut owner: Vec<Option<usize>> = vec![None; cta.warp_count()];
+        for (qi, q) in queues.iter().enumerate() {
+            owner[q.warp_base as usize..q.warp_end() as usize].fill(Some(qi));
+        }
+        let is_scan = |wid: usize, q: &QueueSlice| wid - (q.warp_base as usize) < q.rows as usize;
 
         // Each scan warp loads its 32 messages once (kept in registers by
         // the CUDA original).
-        let mut msg_words: Vec<Lanes<u64>> = vec![Lanes::default(); self.msg_warps];
-        let mut msg_live: Vec<Lanes<bool>> = vec![Lanes::splat(false); self.msg_warps];
-        let (n_msgs, msg_warps, reduce_warp) = (self.n_msgs, self.msg_warps, self.reduce_warp);
-        let msgq = self.msgq;
+        let mut msg_words: Vec<Lanes<u64>> = vec![Lanes::default(); owner.len()];
+        let mut msg_live: Vec<Lanes<bool>> = vec![Lanes::splat(false); owner.len()];
         cta.for_each_warp(|w| {
-            if w.warp_id() < msg_warps {
-                let tid = w.thread_ids();
-                let live = tid.map(|t| (t as usize) < n_msgs);
-                let idx = tid.map(|t| if (t as usize) < n_msgs { t } else { 0 });
-                w.charge_alu(2);
-                let (words, _tok) = w.ld_global(msgq, &idx);
-                msg_words[w.warp_id()] = words;
-                msg_live[w.warp_id()] = live;
+            let Some(q) = owner[w.warp_id()].map(|qi| &queues[qi]) else {
+                return;
+            };
+            if !is_scan(w.warp_id(), q) {
+                return;
             }
+            let base = (w.warp_id() as u32 - q.warp_base) * WARP_SIZE as u32;
+            let lid = w.lane_ids();
+            let live = lid.map(|l| base + l < q.n_msgs);
+            let idx = lid.zip(&live, |l, lv| if lv { q.msg_off + base + l } else { 0 });
+            w.charge_alu(2);
+            let (words, _tok) = w.ld_global(k.msgq, &idx);
+            msg_words[w.warp_id()] = words;
+            msg_live[w.warp_id()] = live;
         });
 
-        // Row mask state lives in the reduce warp's registers.
-        let mut masks = Lanes::splat(u32::MAX);
-
-        let n_windows = self.n_reqs.div_ceil(self.window);
-        if self.disable_pipelining {
-            // Ablation: all scans, barrier, all reduces (single buffer
-            // reuse pattern kept for the shared footprint).
-            for win in 0..n_windows {
-                let buf = bufs[win % 2];
-                self.scan_segment(cta, win, buf, &msg_words, &msg_live);
-                self.reduce_segment(cta, win, buf, &mut masks);
-            }
-        } else {
-            // Pipelined: scan(win) and reduce(win-1) share a segment.
+        // Row mask state lives in each reduce warp's registers; lanes past
+        // the queue's rows never bid.
+        let mut masks: Vec<Lanes<u32>> = queues
+            .iter()
+            .map(|q| Lanes::from_fn(|l| if l < q.rows as usize { u32::MAX } else { 0 }))
+            .collect();
+        let n_windows = queues.iter().map(|q| k.windows(q)).max().unwrap_or(0);
+        if k.pipelined {
+            // scan(win) and reduce(win - 1) share a segment.
             for win in 0..=n_windows {
-                let scan_buf = bufs[win % 2];
-                let red_buf = bufs[(win + 1) % 2];
-                let k = &*self;
                 cta.for_each_warp(|w| {
-                    if win < n_windows && w.warp_id() < msg_warps {
-                        k.scan(
-                            w,
-                            win,
-                            scan_buf,
-                            &msg_words[w.warp_id()],
-                            &msg_live[w.warp_id()],
-                        );
+                    let wid = w.warp_id();
+                    let Some(qi) = owner[wid] else {
+                        return;
+                    };
+                    let q = &queues[qi];
+                    if win < k.windows(q) && is_scan(wid, q) {
+                        let buf = bufs[qi][win % 2];
+                        k.scan(w, q, win, buf, &msg_words[wid], &msg_live[wid]);
                     }
-                    if win > 0 && w.warp_id() == reduce_warp {
-                        k.reduce(w, win - 1, red_buf, &mut masks);
+                    if win > 0 && win - 1 < k.windows(q) && wid == q.reduce_warp() {
+                        k.reduce(w, q, win - 1, bufs[qi][(win + 1) % 2], &mut masks[qi]);
                     }
                 });
             }
-        }
-    }
-}
-
-impl MatrixKernel {
-    fn scan_segment(
-        &self,
-        cta: &mut CtaCtx<'_>,
-        win: usize,
-        buf: simt_sim::SharedId<u32>,
-        msg_words: &[Lanes<u64>],
-        msg_live: &[Lanes<bool>],
-    ) {
-        let msg_warps = self.msg_warps;
-        cta.for_each_warp(|w| {
-            if w.warp_id() < msg_warps {
-                self.scan(w, win, buf, &msg_words[w.warp_id()], &msg_live[w.warp_id()]);
+        } else {
+            // Ablation (the compliant matcher's one queue): all scans,
+            // barrier, then the reduce, window by window.
+            let q = &queues[0];
+            for win in 0..n_windows {
+                let buf = bufs[0][win % 2];
+                cta.for_each_warp(|w| {
+                    let wid = w.warp_id();
+                    if is_scan(wid, q) {
+                        k.scan(w, q, win, buf, &msg_words[wid], &msg_live[wid]);
+                    }
+                });
+                cta.warp(q.reduce_warp(), |w| {
+                    k.reduce(w, q, win, buf, &mut masks[0]);
+                });
             }
-        });
-    }
-
-    fn reduce_segment(
-        &self,
-        cta: &mut CtaCtx<'_>,
-        win: usize,
-        buf: simt_sim::SharedId<u32>,
-        masks: &mut Lanes<u32>,
-    ) {
-        let reduce_warp = self.reduce_warp;
-        cta.warp(reduce_warp, |w| {
-            self.reduce(w, win, buf, masks);
-        });
+        }
     }
 }
 
@@ -306,9 +390,9 @@ impl MatrixKernel {
 /// generated"). One warp holds up to 32 messages in registers and
 /// resolves each request with a direct ballot.
 struct SmallKernel {
-    msgq: simt_sim::BufferId<u64>,
-    recvq: simt_sim::BufferId<u64>,
-    result: simt_sim::BufferId<u32>,
+    msgq: BufferId<u64>,
+    recvq: BufferId<u64>,
+    result: BufferId<u32>,
     n_msgs: usize,
     n_reqs: usize,
     costs: MatrixCosts,
@@ -423,7 +507,9 @@ impl MatrixMatcher {
         if msg_words.is_empty() || req_words.is_empty() {
             return GpuMatchReport::from_launches(vec![None; req_words.len()], &[]);
         }
-        let (assignment, launch) = self.launch_words(gpu, msg_words, req_words);
+        let slice = QueueSlice::new(0, msg_words.len(), 0, req_words.len());
+        let (assignment, launch) =
+            self.launch(gpu, Engine::Compliant, msg_words, req_words, &[slice]);
         let mut report = GpuMatchReport::from_launches(assignment, &[launch]);
         report.probe_dedups = self.count_dedups(req_words);
         report
@@ -437,63 +523,57 @@ impl MatrixMatcher {
         req_words.windows(2).filter(|w| w[0] == w[1]).count() as u64
     }
 
-    fn launch_words(
+    /// Launch one round over `slices` of the packed words; returns the
+    /// packed message index each packed request matched.
+    fn launch(
         &self,
         gpu: &mut Gpu,
+        engine: Engine,
         msg_words: &[u64],
         req_words: &[u64],
+        slices: &[QueueSlice],
     ) -> (Vec<Option<u32>>, LaunchReport) {
-        assert!(
-            !msg_words.is_empty() && !req_words.is_empty(),
-            "guarded by callers"
-        );
-        let n_msgs = msg_words.len();
-        let n_reqs = req_words.len();
         let msgq = gpu.mem.alloc_from(msg_words);
         let recvq = gpu.mem.alloc_from(req_words);
-        let result = gpu.mem.alloc_from(&vec![NO_MATCH; n_reqs.max(1)]);
-
-        let launch = if n_msgs <= WARP_SIZE {
-            let mut k = SmallKernel {
-                msgq,
-                recvq,
-                result,
-                n_msgs,
-                n_reqs,
-                costs: self.costs,
-                dedup: self.dedup_probes,
-            };
-            gpu.launch(&mut k, LaunchConfig::single_sm(1, WARP_SIZE as u32))
-        } else {
-            let msg_warps = n_msgs.div_ceil(WARP_SIZE);
-            // The reduce warp is a dedicated warp when one is free; at 32
-            // message warps it doubles up on warp 0 and pipelining dies.
-            let (reduce_warp, warps) = if msg_warps < 32 {
-                (msg_warps, msg_warps + 1)
-            } else {
-                (0, 32)
-            };
-            let mut k = MatrixKernel {
-                msgq,
-                recvq,
-                result,
-                n_msgs,
-                n_reqs,
-                window: self.window,
-                msg_warps,
-                reduce_warp,
-                costs: self.costs,
-                disable_pipelining: self.disable_pipelining,
-                dedup: self.dedup_probes,
-            };
-            gpu.launch(
-                &mut k,
-                LaunchConfig::single_sm(1, (warps * WARP_SIZE) as u32),
-            )
+        let result = gpu.mem.alloc_from(&vec![NO_MATCH; req_words.len()]);
+        let launch = match slices {
+            [q] if engine == Engine::Compliant && q.n_msgs as usize <= WARP_SIZE => {
+                let mut k = SmallKernel {
+                    msgq,
+                    recvq,
+                    result,
+                    n_msgs: msg_words.len(),
+                    n_reqs: req_words.len(),
+                    costs: self.costs,
+                    dedup: self.dedup_probes,
+                };
+                gpu.launch(&mut k, LaunchConfig::single_sm(1, WARP_SIZE as u32))
+            }
+            _ => {
+                let per_cta = pack_ctas(slices.iter().copied());
+                let warps = per_cta.iter().flatten().map(QueueSlice::warp_end).max();
+                let config = LaunchConfig::single_sm(
+                    per_cta.len() as u32,
+                    warps.unwrap_or(1) * WARP_SIZE as u32,
+                );
+                let mut k = MatrixKernel {
+                    name: match engine {
+                        Engine::Compliant => "matrix_match",
+                        Engine::Partitioned => "partitioned_match",
+                    },
+                    msgq,
+                    recvq,
+                    result,
+                    per_cta,
+                    window: self.window,
+                    costs: self.costs,
+                    pipelined: !self.disable_pipelining,
+                    dedup: self.dedup_probes,
+                };
+                gpu.launch(&mut k, config)
+            }
         };
-
-        let raw = gpu.mem.read_vec(result);
-        (decode_assignment(&raw), launch)
+        (decode_assignment(&gpu.mem.read_vec(result)), launch)
     }
 
     /// Match arbitrarily long queues by iterating head-of-queue batches
@@ -526,61 +606,82 @@ impl MatrixMatcher {
         msg_words: &[u64],
         req_words: &[u64],
     ) -> GpuMatchReport {
-        let mut assignment: Vec<Option<u32>> = vec![None; req_words.len()];
-        let mut live_msgs: Vec<u32> = (0..msg_words.len() as u32).collect();
-        let mut live_reqs: Vec<u32> = (0..req_words.len() as u32).collect();
-        let mut launches = Vec::new();
-        let mut req_window_start = 0usize;
-        let mut probe_dedups = 0u64;
+        let queue = (
+            (0..msg_words.len() as u32).collect(),
+            (0..req_words.len() as u32).collect(),
+        );
+        self.match_queues(gpu, Engine::Compliant, msg_words, req_words, vec![queue])
+    }
 
-        while !live_reqs.is_empty() && req_window_start < live_reqs.len() {
-            let mb: Vec<u64> = live_msgs
-                .iter()
-                .take(MAX_BATCH)
-                .map(|&i| msg_words[i as usize])
-                .collect();
-            let rb: Vec<u64> = live_reqs[req_window_start..]
-                .iter()
-                .take(MAX_BATCH)
-                .map(|&i| req_words[i as usize])
-                .collect();
-            if mb.is_empty() {
+    /// The round driver both matchers share. `queues` lists each queue's
+    /// message and request ids (indices into the packed words) in order.
+    /// Every round launches one grid over each queue's first ≤ 1024 live
+    /// messages and the ≤ 1024 live requests from its window start. A
+    /// queue that matched drops its matched ids and restarts its window;
+    /// one that matched nothing advances its window past the batch, so
+    /// every round makes progress and the driver ends once no queue has
+    /// both messages and requests left in view.
+    pub(crate) fn match_queues(
+        &self,
+        gpu: &mut Gpu,
+        engine: Engine,
+        msg_words: &[u64],
+        req_words: &[u64],
+        queues: Vec<(Vec<u32>, Vec<u32>)>,
+    ) -> GpuMatchReport {
+        /// Marks a matched id for removal.
+        const GONE: u32 = u32::MAX;
+        let mut assignment: Vec<Option<u32>> = vec![None; req_words.len()];
+        let mut launches = Vec::new();
+        let mut probe_dedups = 0u64;
+        // Per queue: live message ids, live request ids, window start.
+        let mut queues: Vec<_> = queues.into_iter().map(|(m, r)| (m, r, 0usize)).collect();
+        let in_view = |q: &(Vec<u32>, Vec<u32>, usize)| !q.0.is_empty() && q.2 < q.1.len();
+        let (mut mb, mut rb, mut slices) = (Vec::new(), Vec::new(), Vec::new());
+        loop {
+            mb.clear();
+            rb.clear();
+            slices.clear();
+            for (mids, rids, start) in queues.iter().filter(|q| in_view(q)) {
+                let m = &mids[..mids.len().min(MAX_BATCH)];
+                let r = &rids[*start..rids.len().min(start + MAX_BATCH)];
+                slices.push(QueueSlice::new(mb.len(), m.len(), rb.len(), r.len()));
+                mb.extend(m.iter().map(|&i| msg_words[i as usize]));
+                rb.extend(r.iter().map(|&j| req_words[j as usize]));
+            }
+            if slices.is_empty() {
                 break;
             }
-            let (batch_assign, launch) = self.launch_words(gpu, &mb, &rb);
+            let (batch, launch) = self.launch(gpu, engine, &mb, &rb, &slices);
             probe_dedups += self.count_dedups(&rb);
             launches.push(launch);
 
-            let mut matched_msgs = Vec::new();
-            let mut matched_reqs = Vec::new();
-            for (bj, bm) in batch_assign.iter().enumerate() {
-                if let Some(bi) = bm {
-                    let gi = live_msgs[*bi as usize];
-                    let gj = live_reqs[req_window_start + bj];
-                    assignment[gj as usize] = Some(gi);
-                    matched_msgs.push(*bi as usize);
-                    matched_reqs.push(req_window_start + bj);
-                }
-            }
-            if matched_msgs.is_empty() {
-                // No request in this window can match the current message
-                // head: advance the request window (mirrors tolerating
-                // "bubbles" instead of compacting).
-                req_window_start += rb.len();
-                continue;
-            }
             // Compaction (the prefix-scan + move step); cost is charged by
             // the dedicated compaction kernel in `crate::compaction` when
             // the caller opts in — here we track the queue bookkeeping.
-            matched_msgs.sort_unstable();
-            for i in matched_msgs.into_iter().rev() {
-                live_msgs.remove(i);
+            let ran = queues.iter_mut().filter(|q| in_view(q));
+            for ((mids, rids, start), s) in ran.zip(&slices) {
+                let (req_off, n_reqs) = (s.req_off as usize, s.n_reqs as usize);
+                let mut matched = false;
+                for (bj, bm) in batch[req_off..req_off + n_reqs].iter().enumerate() {
+                    if let Some(bi) = bm {
+                        let mi = (bi - s.msg_off) as usize;
+                        assignment[rids[*start + bj] as usize] = Some(mids[mi]);
+                        (mids[mi], rids[*start + bj]) = (GONE, GONE);
+                        matched = true;
+                    }
+                }
+                if matched {
+                    mids.retain(|&i| i != GONE);
+                    rids.retain(|&j| j != GONE);
+                    *start = 0;
+                } else {
+                    // No request in this window can match the queue's
+                    // message head: advance the window (mirrors tolerating
+                    // "bubbles" instead of compacting).
+                    *start += n_reqs;
+                }
             }
-            matched_reqs.sort_unstable();
-            for j in matched_reqs.into_iter().rev() {
-                live_reqs.remove(j);
-            }
-            req_window_start = 0;
         }
         let mut report = GpuMatchReport::from_launches(assignment, &launches);
         report.probe_dedups = probe_dedups;

@@ -160,7 +160,10 @@ fn random_grids_replay_to_their_goldens() {
 /// Per generation (K80, M40, GTX 1080) and kernel run: cycles,
 /// instructions and the FNV of the report plus every span the launches
 /// recorded. One resident device per generation runs the whole script.
-const KERNEL_GOLDENS: [[(u64, u64, u64); 8]; 3] = [
+/// The last five runs (partitioning over several CTAs, over several
+/// rounds and into one 32-warp queue, the unpipelined matrix, and
+/// deduplicated wildcard probes) were computed at c798423.
+const KERNEL_GOLDENS: [[(u64, u64, u64); 13]; 3] = [
     [
         (67584, 29966, 12100418345915138506),
         (67584, 29966, 12100418345915138506),
@@ -170,6 +173,11 @@ const KERNEL_GOLDENS: [[(u64, u64, u64); 8]; 3] = [
         (44358, 38574, 11992266281271516014),
         (3866, 1303, 11066809910527263523),
         (12495, 981, 1124498110912316085),
+        (27762, 38156, 12385788207315674699),
+        (823070, 1354980, 16550951412123763700),
+        (389030, 417440, 15328435051640400170),
+        (165391, 109785, 11786282837441363065),
+        (79511, 40817, 15840360680986612692),
     ],
     [
         (66133, 29966, 8461965035511724002),
@@ -180,6 +188,11 @@ const KERNEL_GOLDENS: [[(u64, u64, u64); 8]; 3] = [
         (44244, 38574, 7277176339972411077),
         (2834, 1303, 6952406265117086651),
         (12087, 981, 14454131636941246094),
+        (28107, 38156, 14577480824310765939),
+        (878422, 1354980, 12875056310377061126),
+        (403012, 417440, 11925810551719473170),
+        (166462, 109785, 305983059573332982),
+        (78050, 40817, 15025129131275316677),
     ],
     [
         (63088, 29966, 10835801159620799461),
@@ -190,6 +203,11 @@ const KERNEL_GOLDENS: [[(u64, u64, u64); 8]; 3] = [
         (41892, 38574, 7968444000998095459),
         (2286, 1303, 5117897411415408051),
         (11520, 981, 5521444366813224086),
+        (26365, 38156, 9907935299586976166),
+        (806078, 1354980, 1084981838754523919),
+        (378330, 417440, 5926744837703965891),
+        (156679, 109785, 2798077310270009030),
+        (74263, 40817, 18271560743620160841),
     ],
 ];
 
@@ -260,6 +278,47 @@ fn kernel_script(gen: GpuGeneration) -> Vec<(u64, u64, u64)> {
         launch.instructions,
         format!("{launch:?}"),
     );
+
+    // Rank partitioning beyond one CTA, over several rounds, and at 32
+    // scan warps, where the reduce shares its group's first warp.
+    for (queues, len, seed) in [(32usize, 1024usize, 9u64), (2, 3000, 10), (1, 1024, 11)] {
+        let ranked = WorkloadSpec::fully_matching(len, seed).generate();
+        gpu.reset_memory();
+        let r = PartitionedMatcher::new(queues)
+            .match_batch(&mut gpu, &ranked.msgs, &ranked.reqs)
+            .expect("no source wildcards");
+        pin(&mut gpu, r.cycles, r.instructions, format!("{r:?}"));
+    }
+
+    let unpiped = WorkloadSpec::fully_matching(512, 12).generate();
+    gpu.reset_memory();
+    let r = MatrixMatcher {
+        disable_pipelining: true,
+        ..Default::default()
+    }
+    .match_batch(&mut gpu, &unpiped.msgs, &unpiped.reqs);
+    pin(&mut gpu, r.cycles, r.instructions, format!("{r:?}"));
+
+    // Runs of four identical wildcard probes: the scan reuses the ballot.
+    let probed = WorkloadSpec {
+        len: 300,
+        peers: 6,
+        tags: 8,
+        seed: 13,
+        ..Default::default()
+    }
+    .generate();
+    let probes: Vec<RecvRequest> = (0..300u32)
+        .map(|j| match (j / 4) % 3 {
+            0 => RecvRequest::any_source((j / 12) % 8, 0),
+            1 => RecvRequest::any_tag((j / 12) % 6, 0),
+            _ => probed.reqs[j as usize],
+        })
+        .collect();
+    gpu.reset_memory();
+    let r = matrix.match_batch(&mut gpu, &probed.msgs, &probes);
+    assert!(r.probe_dedups > 0);
+    pin(&mut gpu, r.cycles, r.instructions, format!("{r:?}"));
     out
 }
 
