@@ -24,7 +24,7 @@ use gpu_msg::{
     Domain, DomainConfig, MatcherKind, ServiceMetrics, ShardEnginePolicy, ShardedMatchService,
     ShardedServiceConfig, ShardedServiceReport, TransportConfig,
 };
-use msg_match::{RecvRequest, RelaxationConfig};
+use msg_match::{EngineChoice, RecvRequest, RelaxationConfig};
 use simt_sim::GpuGeneration;
 
 use crate::table::Report;
@@ -98,43 +98,19 @@ pub struct FlowDemo {
 /// every message. Track ids are offset per demo so the documents can
 /// be [`obs::perfetto::merge`]d with the service trace.
 pub fn flow_demos(seed: u64) -> Vec<FlowDemo> {
-    let engines: [(&'static str, MatcherKind, RelaxationConfig, bool); 5] = [
-        (
-            "matrix",
-            MatcherKind::Matrix,
-            RelaxationConfig::FULL_MPI,
-            false,
-        ),
-        (
-            "partitioned x4",
-            MatcherKind::Partitioned(4),
-            RelaxationConfig::NO_WILDCARDS,
-            false,
-        ),
-        (
-            "partitioned x16",
-            MatcherKind::Partitioned(16),
-            RelaxationConfig::NO_WILDCARDS,
-            false,
-        ),
-        (
-            "hash",
-            MatcherKind::Hash,
-            RelaxationConfig::UNORDERED,
-            false,
-        ),
-        (
-            "hash+reorder",
-            MatcherKind::Hash,
-            RelaxationConfig::UNORDERED,
-            true,
-        ),
+    // Each engine runs at the least-relaxed level it serves.
+    let engines: [(&'static str, MatcherKind, bool); 5] = [
+        ("matrix", MatcherKind::Matrix, false),
+        ("partitioned x4", MatcherKind::Partitioned(4), false),
+        ("partitioned x16", MatcherKind::Partitioned(16), false),
+        ("hash", MatcherKind::Hash, false),
+        ("hash+reorder", MatcherKind::Hash, true),
     ];
     let ranks = 4u32;
     engines
         .iter()
         .enumerate()
-        .map(|(i, &(label, matcher, relax, restore_order))| {
+        .map(|(i, &(label, matcher, restore_order))| {
             // Demo 0 shares no tracks with the service trace either:
             // service shard/coordinator/wall ids live below the
             // endpoint/fabric windows of instance 0.
@@ -148,6 +124,7 @@ pub fn flow_demos(seed: u64) -> Vec<FlowDemo> {
             if restore_order {
                 fc.order = fabric::DeliveryOrder::Unordered;
             }
+            let relax = EngineChoice::from(matcher).relaxation();
             let mut cfg = DomainConfig::new(ranks, GpuGeneration::PascalGtx1080, matcher, relax);
             cfg.transport = TransportConfig::Fabric(fc);
             cfg.restore_order = restore_order;

@@ -66,10 +66,8 @@ mod config;
 mod net;
 mod packet;
 mod stats;
-mod vtime;
 
 pub use config::{DeliveryOrder, FabricConfig, FaultConfig, LinkFaultConfig};
 pub use net::{Delivery, Fabric, LinkEvent};
 pub use packet::{crc32, DeadKind, DeadPacket};
 pub use stats::FabricStats;
-pub use vtime::WatermarkExchange;

@@ -316,9 +316,7 @@ pub struct Fabric {
     stats: FabricStats,
     /// Per-link trace recorders (BTreeMap: deterministic export order).
     recorders: BTreeMap<(u32, u32), SpanRecorder>,
-    /// Human-readable records of packets that exhausted retransmission.
-    dead: Vec<String>,
-    /// Typed counterparts of `dead`, in the same order.
+    /// Packets that exhausted retransmission, in the order they died.
     dead_packets: Vec<DeadPacket>,
     /// Retransmission exhaustions per directed link (BTreeMap:
     /// deterministic Prometheus sample order).
@@ -371,7 +369,6 @@ impl Fabric {
             rng: StdRng::seed_from_u64(cfg.seed),
             stats: FabricStats::default(),
             recorders: BTreeMap::new(),
-            dead: Vec::new(),
             dead_packets: Vec::new(),
             exhausted_by_link: BTreeMap::new(),
             link_events: Vec::new(),
@@ -406,16 +403,28 @@ impl Fabric {
     }
 
     /// Packets that exhausted their retransmission budget (empty on a
-    /// healthy run).
-    pub fn errors(&self) -> &[String] {
-        &self.dead
-    }
-
-    /// Typed records of the packets in [`Self::errors`], in the same
-    /// order — so supervisors can react to *which* transfer died
-    /// instead of parsing prose.
+    /// healthy run), in the order they died — so supervisors can react
+    /// to *which* transfer died instead of parsing prose.
     pub fn dead_packets(&self) -> &[DeadPacket] {
         &self.dead_packets
+    }
+
+    /// [`Self::dead_packets`] as `; `-separated prose for error reports.
+    /// A packet dies on the timeout after its last retransmission, so
+    /// each one spent exactly [`FabricConfig::max_retransmits`].
+    pub fn describe_dead_packets(&self) -> String {
+        let retries = self.cfg.max_retransmits;
+        let lines: Vec<String> = self
+            .dead_packets
+            .iter()
+            .map(|d| {
+                format!(
+                    "packet seq {} on link {}->{} dead after {retries} retransmits",
+                    d.seq, d.src, d.dst
+                )
+            })
+            .collect();
+        lines.join("; ")
     }
 
     /// Drain the structured link lifecycle notices accumulated so far:
@@ -992,10 +1001,6 @@ impl Fabric {
                 seq,
                 kind,
             });
-            self.dead.push(format!(
-                "packet seq {seq} on link {}->{} dead after {} retransmits",
-                key.0, key.1, out.retries
-            ));
             self.release_stalled(key);
             return;
         }
@@ -1257,13 +1262,13 @@ impl Fabric {
             };
             self.handle(at_ns, event);
         }
-        if self.dead.is_empty() {
+        if self.dead_packets.is_empty() {
             Ok(())
         } else {
             Err(format!(
                 "{} packet(s) exhausted retransmission: {}",
-                self.dead.len(),
-                self.dead.join("; ")
+                self.dead_packets.len(),
+                self.describe_dead_packets()
             ))
         }
     }
@@ -1832,10 +1837,20 @@ mod tests {
         for i in 0..10u32 {
             f.send(0, 1, env(0, i), payload(8, 0));
         }
-        let _ = f.run_until_quiescent(10_000_000_000);
+        let err = f.run_until_quiescent(10_000_000_000).unwrap_err();
         let dead = f.dead_packets();
-        assert_eq!(dead.len(), f.errors().len(), "typed list mirrors strings");
         assert!(!dead.is_empty());
+        let first = format!(
+            "{} packet(s) exhausted retransmission: packet seq {} on link 0->1 dead after 1 retransmits",
+            dead.len(),
+            dead[0].seq
+        );
+        assert!(err.starts_with(&first), "{err}");
+        assert_eq!(
+            err.matches("; packet seq ").count(),
+            dead.len() - 1,
+            "{err}"
+        );
         assert!(dead.iter().all(|d| d.src == 0 && d.dst == 1));
         assert_eq!(dead[0].kind, DeadKind::Data);
         let prom = f.to_prometheus();

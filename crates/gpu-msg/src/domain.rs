@@ -52,7 +52,10 @@ use crate::transport::{
     DirectTransport, FabricTransport, Transport, TransportConfig, TransportDelivery,
 };
 
-/// Which matching engine an endpoint's communication kernel runs.
+/// Which matching engine an endpoint's communication kernel (or a
+/// service shard) runs: the user-facing spelling of
+/// [`EngineChoice`], which states each engine's lattice row, strictness
+/// and labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatcherKind {
     /// Fully MPI-compliant matrix scan/reduce.
@@ -64,13 +67,12 @@ pub enum MatcherKind {
     Hash,
 }
 
-impl MatcherKind {
-    /// The least-relaxed configuration this matcher supports.
-    pub(crate) fn required_relaxation(self) -> RelaxationConfig {
-        match self {
-            MatcherKind::Matrix => RelaxationConfig::FULL_MPI,
-            MatcherKind::Partitioned(_) => RelaxationConfig::NO_WILDCARDS,
-            MatcherKind::Hash => RelaxationConfig::UNORDERED,
+impl From<MatcherKind> for EngineChoice {
+    fn from(kind: MatcherKind) -> Self {
+        match kind {
+            MatcherKind::Matrix => EngineChoice::Matrix,
+            MatcherKind::Partitioned(queues) => EngineChoice::Partitioned { queues },
+            MatcherKind::Hash => EngineChoice::Hash,
         }
     }
 }
@@ -108,7 +110,7 @@ struct EndpointInner {
 impl EndpointInner {
     fn run_comm_kernel(
         &mut self,
-        matcher: MatcherKind,
+        engine: EngineChoice,
         relax: RelaxationConfig,
         now_ns: u64,
     ) -> Result<usize, String> {
@@ -133,40 +135,24 @@ impl EndpointInner {
         // launch's buffers first, or a long-lived endpoint's device
         // arena grows by a dozen buffers per call.
         self.gpu.reset_memory();
-        let report: GpuMatchReport = match matcher {
-            MatcherKind::Matrix => {
-                // The SoA mirrors hold maintained packed-word columns:
-                // the launch uploads gathers of those, never re-packing.
-                let mut msg_words = Vec::new();
-                let mut req_words = Vec::new();
-                self.umq_soa
-                    .gather_words_into(&screen.msg_keep, &mut msg_words);
-                self.prq_soa
-                    .gather_words_into(&screen.req_keep, &mut req_words);
-                MatrixMatcher::default().match_iterative_words(
-                    &mut self.gpu,
-                    &msg_words,
-                    &req_words,
-                )
-            }
-            MatcherKind::Partitioned(k) => {
-                let mut sub_msgs = Vec::new();
-                self.umq_soa.gather_into(&screen.msg_keep, &mut sub_msgs);
-                let sub_reqs: Vec<RecvRequest> =
-                    screen.req_keep.iter().map(|&j| reqs[j as usize]).collect();
-                PartitionedMatcher::new(k)
-                    .match_batch(&mut self.gpu, &sub_msgs, &sub_reqs)
-                    .map_err(|e| format!("rank {}: {e}", self.rank))?
-            }
-            MatcherKind::Hash => {
-                let mut sub_msgs = Vec::new();
-                self.umq_soa.gather_into(&screen.msg_keep, &mut sub_msgs);
-                let sub_reqs: Vec<RecvRequest> =
-                    screen.req_keep.iter().map(|&j| reqs[j as usize]).collect();
-                HashMatcher::default()
-                    .match_batch(&mut self.gpu, &sub_msgs, &sub_reqs)
-                    .map_err(|e| format!("rank {}: {e}", self.rank))?
-            }
+        let report: GpuMatchReport = if engine == EngineChoice::Matrix {
+            // The SoA mirrors hold maintained packed-word columns: the
+            // launch uploads gathers of those, never re-packing.
+            let mut msg_words = Vec::new();
+            let mut req_words = Vec::new();
+            self.umq_soa
+                .gather_words_into(&screen.msg_keep, &mut msg_words);
+            self.prq_soa
+                .gather_words_into(&screen.req_keep, &mut req_words);
+            MatrixMatcher::default().match_iterative_words(&mut self.gpu, &msg_words, &req_words)
+        } else {
+            let mut sub_msgs = Vec::new();
+            self.umq_soa.gather_into(&screen.msg_keep, &mut sub_msgs);
+            let sub_reqs: Vec<RecvRequest> =
+                screen.req_keep.iter().map(|&j| reqs[j as usize]).collect();
+            MatchEngine::default()
+                .match_with(&mut self.gpu, engine, &sub_msgs, &sub_reqs)
+                .map_err(|e| format!("rank {}: {e}", self.rank))?
         };
 
         self.stats.kernel_cycles += report.cycles;
@@ -331,7 +317,7 @@ impl Liveness {
 /// A node of GPUs communicating over a simulated global address space.
 pub struct Domain {
     endpoints: Vec<Mutex<EndpointInner>>,
-    matcher: MatcherKind,
+    engine: EngineChoice,
     relax: RelaxationConfig,
     transport: Mutex<Box<dyn Transport>>,
     liveness: Mutex<Liveness>,
@@ -376,7 +362,7 @@ impl Domain {
     /// Panics on a matcher/relaxation mismatch (see [`Domain::new`]) or
     /// an invalid fabric configuration.
     pub fn with_config(cfg: DomainConfig) -> Self {
-        let need = cfg.matcher.required_relaxation();
+        let need = EngineChoice::from(cfg.matcher).relaxation();
         let relax = cfg.relax;
         assert!(
             (!need.partitionable() || relax.partitionable()) && (need.ordering || !relax.ordering),
@@ -419,7 +405,7 @@ impl Domain {
                     })
                 })
                 .collect(),
-            matcher: cfg.matcher,
+            engine: cfg.matcher.into(),
             relax,
             transport: Mutex::new(transport),
             liveness: Mutex::new(Liveness::default()),
@@ -611,7 +597,7 @@ impl Domain {
         }
         health?;
         let mut ep = self.endpoints[rank as usize].lock();
-        ep.run_comm_kernel(self.matcher, self.relax, now_ns)
+        ep.run_comm_kernel(self.engine, self.relax, now_ns)
     }
 
     /// Run every endpoint's communication kernel once; returns total new
@@ -1097,7 +1083,7 @@ mod tests {
                 2,
                 GpuGeneration::PascalGtx1080,
                 matcher,
-                matcher.required_relaxation(),
+                EngineChoice::from(matcher).relaxation(),
             );
             let mut after_first = 0;
             for i in 0..100u32 {

@@ -15,6 +15,11 @@
 //! * [`MatcherKind::Partitioned`] — no source wildcard;
 //! * [`MatcherKind::Hash`] — unordered, tags disambiguate.
 //!
+//! The same enum pins the engines of the [`ShardedMatchService`]
+//! ([`ShardEnginePolicy::Fixed`]); each converts into the
+//! [`msg_match::EngineChoice`] that states its lattice row, ordering
+//! strictness and labels.
+//!
 //! The wire between endpoints is pluggable ([`TransportConfig`]): the
 //! default [`TransportConfig::Direct`] is the ideal instantaneous GAS
 //! write, while [`TransportConfig::Fabric`] routes sends through a simulated
@@ -64,6 +69,9 @@ mod transport;
 
 pub use bsp::BspProgram;
 pub use collectives::{barrier, broadcast, ring_allgather_u64, ring_allreduce_sum};
+/// The service's name for [`MatcherKind`]; kept because the `bench/`
+/// workloads spell shard engines this way.
+pub use domain::MatcherKind as ServiceEngine;
 pub use domain::{Domain, DomainConfig, MatcherKind};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRates};
 pub use message::{Completion, EndpointStats, RecvHandle};
@@ -72,7 +80,7 @@ pub use recovery::RecoveryConfig;
 pub use reorder::ReorderBuffer;
 pub use sched::Scheduler;
 pub use service::{
-    FaultTolerance, ServiceEngine, ShardEnginePolicy, ShardedMatchService, ShardedServiceConfig,
+    FaultTolerance, ShardEnginePolicy, ShardedMatchService, ShardedServiceConfig,
     ShardedServiceReport,
 };
 pub use supervisor::SupervisorConfig;

@@ -8,9 +8,9 @@
 //! through its own local events. Epoch groups only interact at
 //! *barriers* — supervisor health-check times, where failover rewires
 //! placement — so between barriers they can run on separate OS threads.
-//! The conservative horizon for each epoch comes from a
-//! [`fabric::WatermarkExchange`]: no epoch group may run past the slowest
-//! epoch group's clock plus the supervisor's lookahead.
+//! Each epoch's horizon is the next barrier: every epoch group starts
+//! the epoch at the same instant and ends it exactly at the barrier, so
+//! no group ever lags another and no cross-group event can precede it.
 //!
 //! Determinism is the contract: both schedulers produce byte-identical
 //! artefacts because every side effect is keyed to *local* events
@@ -38,9 +38,7 @@ use simt_sim::Gpu;
 use crate::fault::{FaultEvent, FaultKind};
 use crate::metrics::ShardMetrics;
 use crate::recovery::{RecoveryConfig, StreamState};
-use crate::service::{
-    engine_label, strictness, FaultTolerance, ServiceShard, ServiceStream, ShardedServiceConfig,
-};
+use crate::service::{FaultTolerance, ServiceShard, ServiceStream, ShardedServiceConfig};
 use crate::supervisor::Supervisor;
 use crate::tenancy::{
     AdmitVerdict, ArrivalPattern, FillLimits, PlannedMigration, ReshardPlanner, ReshardPolicy,
@@ -1157,7 +1155,7 @@ fn supervisor_tick(
             // Inherited streams keep the ordering their home engine
             // promised: fall back to the stricter discipline while
             // serving them.
-            if strictness(home) > strictness(tc.active_choice) {
+            if home.strictness() > tc.active_choice.strictness() {
                 tc.active_choice = home;
                 tc.metrics.engine_fallbacks += 1;
             }
@@ -1416,9 +1414,8 @@ pub(crate) struct SchedOutcome {
 /// Drive a full service run under the configured [`Scheduler`].
 ///
 /// The coordinator owns every shard/stream cell between epochs. Each
-/// epoch it picks a conservative horizon (the next supervisor barrier,
-/// bounded by the [`fabric::WatermarkExchange`] over all epoch group
-/// clocks), partitions the cells into conflict groups, and advances
+/// epoch it picks a conservative horizon (the next supervisor or
+/// reshard barrier), partitions the cells into conflict groups, and advances
 /// each epoch group to the horizon — inline under
 /// [`Scheduler::GlobalClock`], on one scoped OS thread per group under
 /// [`Scheduler::ThreadPerShard`]. At the barrier it applies supervisor
@@ -1479,7 +1476,7 @@ pub(crate) fn run_scheduled(
             gpu: &mut sh.gpu,
             queue: VecDeque::new(),
             phase: Phase::Idle,
-            metrics: ShardMetrics::new(idx, engine_label(sh.choice)),
+            metrics: ShardMetrics::new(idx, sh.choice.label()),
             last_activity: 0.0,
             last_spill: f64::NEG_INFINITY,
             slow_until: f64::NEG_INFINITY,
@@ -1521,7 +1518,6 @@ pub(crate) fn run_scheduled(
         })
         .collect();
 
-    let mut wx = fabric::WatermarkExchange::new(n);
     let mut crash_seen = vec![0u64; n];
     let mut t_now = 0.0f64;
     let mut first = true;
@@ -1553,28 +1549,19 @@ pub(crate) fn run_scheduled(
             .fold(f64::INFINITY, f64::min);
 
         // ---- Epoch horizon: the next barrier (supervisor health tick
-        // or reshard planner tick) while work is live, bounded
-        // conservatively by the watermark exchange; the next fault when
-        // the supervisor is merely waiting for one; unbounded otherwise
-        // (the epoch runs to completion).
+        // or reshard planner tick) while work is live; the next fault
+        // when the supervisor is merely waiting for one; unbounded
+        // otherwise (the epoch runs to completion). Every epoch group
+        // starts at `t_now` and ends exactly at the horizon, so no group
+        // lags another and the barrier itself is the conservative
+        // bound: nothing crosses groups before it.
         let next_barrier = sup_tick
             .unwrap_or(f64::INFINITY)
             .min(planner.as_ref().map_or(f64::INFINITY, |p| p.next_tick));
-        // Conservative lookahead: the tightest barrier cadence still in
-        // play (an exhausted planner stops contributing barriers).
-        let lookahead = match (
-            supervisor
-                .as_ref()
-                .map(|s| s.config().health_check_interval),
-            planner.as_ref().map(|p| p.policy.tick),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let horizon = match (lookahead, work_live) {
-            (Some(la), true) => wx.safe_until(la).min(next_barrier),
-            (Some(_), false) if next_fault.is_finite() => next_fault,
-            _ => f64::INFINITY,
+        let horizon = match (supervisor.is_some() || planner.is_some(), work_live) {
+            (true, true) => next_barrier,
+            (true, false) => next_fault,
+            (false, _) => f64::INFINITY,
         };
 
         // ---- Partition into conflict groups and advance each epoch group.
@@ -1670,8 +1657,7 @@ pub(crate) fn run_scheduled(
         }
         first = false;
 
-        // ---- Reassemble in index order and report each epoch group's
-        // clock to the watermark exchange.
+        // ---- Reassemble in index order.
         let mut t_end = t_now;
         for EpochGroup {
             now,
@@ -1680,10 +1666,7 @@ pub(crate) fn run_scheduled(
         } in epoch_groups
         {
             t_end = t_end.max(now);
-            for c in shards {
-                wx.advance(c.idx, now);
-                shard_cells.push(c);
-            }
+            shard_cells.extend(shards);
             stream_cells.extend(streams);
         }
         shard_cells.sort_unstable_by_key(|c| c.idx);

@@ -40,54 +40,13 @@
 use msg_match::prelude::*;
 use simt_sim::{Gpu, GpuGeneration};
 
+use crate::domain::MatcherKind;
 use crate::fault::FaultPlan;
 use crate::metrics::{OverflowStats, SchedulerProfile, ServiceMetrics, ShardWallProfile};
 use crate::recovery::RecoveryConfig;
 use crate::sched::{self, Scheduler};
 use crate::supervisor::SupervisorConfig;
 use crate::tenancy::{ArrivalPattern, QosClass, StreamQos, TenancyConfig, TokenBucket};
-
-/// Which matching engine the service kernel runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceEngine {
-    /// Fully compliant matrix matching.
-    Matrix,
-    /// Rank-partitioned with this many queues.
-    Partitioned(usize),
-    /// Two-level hash (no ordering).
-    Hash,
-}
-
-impl ServiceEngine {
-    fn choice(self) -> EngineChoice {
-        match self {
-            ServiceEngine::Matrix => EngineChoice::Matrix,
-            ServiceEngine::Partitioned(queues) => EngineChoice::Partitioned { queues },
-            ServiceEngine::Hash => EngineChoice::Hash,
-        }
-    }
-}
-
-/// Display form of an engine choice, used in metrics snapshots.
-pub(crate) fn engine_label(choice: EngineChoice) -> String {
-    match choice {
-        EngineChoice::Matrix => "matrix".to_string(),
-        EngineChoice::Partitioned { queues } => format!("partitioned({queues})"),
-        EngineChoice::Hash => "hash".to_string(),
-    }
-}
-
-/// Ordering strictness of an engine (matrix preserves everything, hash
-/// nothing) — the supervisor falls a failover target back to the
-/// *stricter* of its own and the failed shard's engine, so inherited
-/// streams keep the ordering their relaxation level promised.
-pub(crate) fn strictness(choice: EngineChoice) -> u8 {
-    match choice {
-        EngineChoice::Matrix => 2,
-        EngineChoice::Partitioned { .. } => 1,
-        EngineChoice::Hash => 0,
-    }
-}
 
 /// Service-level view of a run, derived from its [`ServiceMetrics`].
 #[derive(Debug, Clone, Copy)]
@@ -122,7 +81,7 @@ impl ServiceReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardEnginePolicy {
     /// Pin the same engine on every shard.
-    Fixed(ServiceEngine),
+    Fixed(MatcherKind),
     /// Choose per shard, from the traffic sample the shard owns, under
     /// this relaxation level (via [`MatchEngine::choose`]).
     Auto(RelaxationConfig),
@@ -191,7 +150,7 @@ impl Default for ShardedServiceConfig {
             queue_capacity: 1 << 14,
             duration: 0.002,
             drain: false,
-            policy: ShardEnginePolicy::Fixed(ServiceEngine::Matrix),
+            policy: ShardEnginePolicy::Fixed(MatcherKind::Matrix),
             comms: 1,
             peers: 64,
             seed: 5,
@@ -334,19 +293,7 @@ impl ShardedMatchService {
             }
         }
 
-        let sample_reqs: Vec<RecvRequest> = sample
-            .iter()
-            .map(|m| RecvRequest::exact(m.src, m.tag, m.comm))
-            .collect();
-        let engine = MatchEngine::default();
-        let choices: Vec<EngineChoice> = match cfg.policy {
-            ShardEnginePolicy::Fixed(e) => vec![e.choice(); cfg.shards],
-            ShardEnginePolicy::Auto(relax) => {
-                placement.plan_engines(&engine, relax, &sample, &sample_reqs)
-            }
-        };
-
-        let parts = placement.split(&sample, &sample_reqs);
+        let parts = placement.split(&sample, &[]);
         let total = sample.len() as f64;
         // One unmetered guaranteed stream slot per shard, homed 1:1.
         let streams = parts
@@ -365,7 +312,7 @@ impl ShardedMatchService {
                 }
             })
             .collect();
-        Self::assemble(generation, cfg, placement, choices, streams, None)
+        Self::assemble(generation, cfg, placement, streams, None)
     }
 
     /// Build a multi-tenant service: tenant stream slots homed by
@@ -387,17 +334,16 @@ impl ShardedMatchService {
     ) -> Self {
         assert!(cfg.shards > 0, "a service needs at least one shard");
         tenancy.validate(cfg.shards);
-        let assignments = tenancy.assignments(cfg.shards);
-        let slot_tenants = tenancy.slot_tenants();
-        let placement = ShardPlacement::with_assignments(cfg.shards, assignments.clone());
+        let placement =
+            ShardPlacement::with_assignments(cfg.shards, tenancy.assignments(cfg.shards));
         let total_share = tenancy.total_share();
-        let slots = assignments.len();
+        let slots = placement.slots();
         let per_slot = (4 * cfg.max_batch / slots.max(1)).max(64);
 
         // Per-slot pools: tenant id as the communicator keys tenant
         // traffic apart all the way into the match kernels' tuples.
         let mut streams: Vec<ServiceStream> = Vec::with_capacity(slots);
-        for (slot, (&tenant, &_home)) in slot_tenants.iter().zip(assignments.iter()).enumerate() {
+        for (slot, tenant) in tenancy.slot_tenants().into_iter().enumerate() {
             let spec = &tenancy.tenants[tenant as usize];
             let msgs = WorkloadSpec {
                 len: per_slot,
@@ -429,53 +375,49 @@ impl ShardedMatchService {
             });
         }
 
-        // Engine per shard: under `Auto`, chosen from the combined
-        // traffic of the slots homed there (matrix when none are).
-        let engine = MatchEngine::default();
-        let choices: Vec<EngineChoice> = match cfg.policy {
-            ShardEnginePolicy::Fixed(e) => vec![e.choice(); cfg.shards],
-            ShardEnginePolicy::Auto(relax) => (0..cfg.shards)
-                .map(|x| {
-                    let msgs: Vec<Envelope> = streams
-                        .iter()
-                        .zip(assignments.iter())
-                        .filter(|(_, &h)| h == x)
-                        .flat_map(|(st, _)| st.msgs.iter().copied())
-                        .collect();
-                    if msgs.is_empty() {
-                        return EngineChoice::Matrix;
-                    }
-                    let reqs: Vec<RecvRequest> = msgs
-                        .iter()
-                        .map(|m| RecvRequest::exact(m.src, m.tag, m.comm))
-                        .collect();
-                    engine.choose(relax, &msgs, &reqs)
-                })
-                .collect(),
-        };
-        Self::assemble(generation, cfg, placement, choices, streams, Some(tenancy))
+        Self::assemble(generation, cfg, placement, streams, Some(tenancy))
     }
 
-    /// The tail both constructors share: one traced-or-not device per
-    /// engine pin, the slot assignments runs restore, and the
-    /// coordinator recorder.
+    /// The tail both constructors share: one engine pin per shard, one
+    /// traced-or-not device per pin, the slot assignments runs restore,
+    /// and the coordinator recorder.
+    ///
+    /// Under [`ShardEnginePolicy::Auto`] each shard's engine is chosen
+    /// from the messages of the stream slots homed there (matrix when
+    /// none are).
     fn assemble(
         generation: GpuGeneration,
         cfg: ShardedServiceConfig,
         placement: ShardPlacement,
-        choices: Vec<EngineChoice>,
         streams: Vec<ServiceStream>,
         tenancy: Option<TenancyConfig>,
     ) -> Self {
-        let shards = choices
-            .into_iter()
-            .enumerate()
-            .map(|(idx, choice)| {
+        let choice_of = |shard: usize| match cfg.policy {
+            ShardEnginePolicy::Fixed(kind) => kind.into(),
+            ShardEnginePolicy::Auto(relax) => {
+                let msgs: Vec<Envelope> = streams
+                    .iter()
+                    .enumerate()
+                    .filter(|&(slot, _)| placement.home_of_slot(slot) == shard)
+                    .flat_map(|(_, st)| st.msgs.iter().copied())
+                    .collect();
+                if msgs.is_empty() {
+                    EngineChoice::Matrix
+                } else {
+                    MatchEngine::default().choose(relax, &msgs)
+                }
+            }
+        };
+        let shards = (0..cfg.shards)
+            .map(|idx| {
                 let mut gpu = Gpu::new(generation);
                 if cfg.trace {
                     gpu.enable_tracing(obs::tracks::shard(idx), cfg.trace_capacity);
                 }
-                ServiceShard { gpu, choice }
+                ServiceShard {
+                    gpu,
+                    choice: choice_of(idx),
+                }
             })
             .collect();
         let initial_assignments = (0..placement.slots())
@@ -524,8 +466,8 @@ impl ShardedMatchService {
     /// Re-pin one shard's engine after construction (test/bench hook
     /// for heterogeneous shard fleets, e.g. to exercise the
     /// supervisor's engine fallback).
-    pub(crate) fn repin_engine(&mut self, shard: usize, engine: ServiceEngine) {
-        self.shards[shard].choice = engine.choice();
+    pub(crate) fn repin_engine(&mut self, shard: usize, engine: MatcherKind) {
+        self.shards[shard].choice = engine.into();
     }
 
     #[cfg(test)]
@@ -571,7 +513,7 @@ impl ShardedMatchService {
             .iter()
             .filter_map(|s| {
                 s.gpu.obs.as_ref().map(|rec| {
-                    let name = format!("shard {} ({})", rec.track(), engine_label(s.choice));
+                    let name = format!("shard {} ({})", rec.track(), s.choice.label());
                     (name, rec)
                 })
             })
@@ -782,6 +724,7 @@ impl ShardedMatchService {
 mod tests {
     use super::*;
     use crate::fault::{FaultEvent, FaultKind, FaultRates};
+    use crate::ServiceEngine;
 
     const GEN: GpuGeneration = GpuGeneration::PascalGtx1080;
 

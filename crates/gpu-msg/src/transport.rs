@@ -258,14 +258,13 @@ impl Transport for FabricTransport {
     }
 
     fn check(&self) -> Result<(), String> {
-        let dead = self.net.errors();
-        if dead.is_empty() {
+        let dead = self.net.dead_packets().len();
+        if dead == 0 {
             Ok(())
         } else {
             Err(format!(
-                "fabric lost {} transfer(s) permanently: {}",
-                dead.len(),
-                dead.join("; ")
+                "fabric lost {dead} transfer(s) permanently: {}",
+                self.net.describe_dead_packets()
             ))
         }
     }

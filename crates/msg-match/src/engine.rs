@@ -12,7 +12,7 @@ use crate::hash::HashMatcher;
 use crate::matrix::{MatrixMatcher, MAX_BATCH};
 use crate::partitioned::PartitionedMatcher;
 use crate::relax::{DataStructure, RelaxationConfig};
-use crate::workloads::{tuple_uniqueness_pct, tuple_uniqueness_pct_indexed};
+use crate::workloads::tuple_uniqueness_pct;
 
 /// Tuning inputs for automatic engine selection.
 #[derive(Debug, Clone, Copy)]
@@ -49,12 +49,42 @@ pub enum EngineChoice {
     Hash,
 }
 
-/// Static display name for an [`EngineChoice`] (span and metric label).
-pub(crate) fn engine_name(choice: EngineChoice) -> &'static str {
-    match choice {
-        EngineChoice::Matrix => "matrix",
-        EngineChoice::Partitioned { .. } => "partitioned",
-        EngineChoice::Hash => "hash",
+impl EngineChoice {
+    /// The least-relaxed configuration this engine serves: its row of
+    /// the Table II lattice. Wider guarantees need a stricter engine.
+    pub fn relaxation(self) -> RelaxationConfig {
+        match self {
+            EngineChoice::Matrix => RelaxationConfig::FULL_MPI,
+            EngineChoice::Partitioned { .. } => RelaxationConfig::NO_WILDCARDS,
+            EngineChoice::Hash => RelaxationConfig::UNORDERED,
+        }
+    }
+
+    /// Ordering strictness: how many of the wildcard and ordering
+    /// guarantees [`relaxation`](Self::relaxation) keeps (matrix 2,
+    /// partitioned 1, hash 0). A failover target falls back to the
+    /// stricter of its own and an inherited stream's engine.
+    pub fn strictness(self) -> u8 {
+        let r = self.relaxation();
+        u8::from(r.wildcards) + u8::from(r.ordering)
+    }
+
+    /// Span name of the engine, without parameters.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            EngineChoice::Matrix => "matrix",
+            EngineChoice::Partitioned { .. } => "partitioned",
+            EngineChoice::Hash => "hash",
+        }
+    }
+
+    /// Metric label: the span name with the queue count of a
+    /// partitioned engine, e.g. `partitioned(16)`.
+    pub fn label(self) -> String {
+        match self {
+            EngineChoice::Partitioned { queues } => format!("{}({queues})", self.name()),
+            _ => self.name().to_string(),
+        }
     }
 }
 
@@ -69,13 +99,10 @@ impl MatchEngine {
     /// Choose the deepest-relaxed engine a workload *permits* under
     /// `config`, following Table II: hash if ordering is relaxed and the
     /// tuples are hash-friendly, partitioned if wildcards are relaxed,
-    /// matrix otherwise.
-    pub fn choose(
-        &self,
-        config: RelaxationConfig,
-        msgs: &[Envelope],
-        reqs: &[RecvRequest],
-    ) -> EngineChoice {
+    /// matrix otherwise. The choice depends on the message multiset only
+    /// (its most common tuple's share and its distinct sources), never on
+    /// message order.
+    pub fn choose(&self, config: RelaxationConfig, msgs: &[Envelope]) -> EngineChoice {
         if config.data_structure() == DataStructure::HashTable
             && tuple_uniqueness_pct(msgs) <= self.policy.max_uniqueness_pct
         {
@@ -83,33 +110,6 @@ impl MatchEngine {
         }
         if config.partitionable() {
             let peers: std::collections::BTreeSet<u32> = msgs.iter().map(|m| m.src).collect();
-            let queues = peers.len().clamp(1, self.policy.max_queues);
-            if queues > 1 {
-                return EngineChoice::Partitioned { queues };
-            }
-        }
-        let _ = reqs;
-        EngineChoice::Matrix
-    }
-
-    /// [`MatchEngine::choose`] over an index view into `msgs`: scores the
-    /// sub-batch `ids` selects without gathering it into a fresh
-    /// `Vec<Envelope>` (what [`crate::comm_router::ShardPlacement::plan_engines`]
-    /// feeds it per shard).
-    pub(crate) fn choose_indexed(
-        &self,
-        config: RelaxationConfig,
-        msgs: &[Envelope],
-        ids: &[u32],
-    ) -> EngineChoice {
-        if config.data_structure() == DataStructure::HashTable
-            && tuple_uniqueness_pct_indexed(msgs, ids) <= self.policy.max_uniqueness_pct
-        {
-            return EngineChoice::Hash;
-        }
-        if config.partitionable() {
-            let peers: std::collections::BTreeSet<u32> =
-                ids.iter().map(|&i| msgs[i as usize].src).collect();
             let queues = peers.len().clamp(1, self.policy.max_queues);
             if queues > 1 {
                 return EngineChoice::Partitioned { queues };
@@ -131,7 +131,7 @@ impl MatchEngine {
         reqs: &[RecvRequest],
     ) -> Result<(EngineChoice, GpuMatchReport), String> {
         config.validate_workload(msgs, reqs)?;
-        let choice = self.choose(config, msgs, reqs);
+        let choice = self.choose(config, msgs);
         let report = self.match_with(gpu, choice, msgs, reqs)?;
         Ok((choice, report))
     }
@@ -172,7 +172,7 @@ impl MatchEngine {
             let dur = rec.now_ns().saturating_sub(t0);
             rec.record_complete(
                 obs::SpanCategory::Match,
-                engine_name(choice),
+                choice.name(),
                 t0,
                 dur,
                 vec![
@@ -199,7 +199,7 @@ mod tests {
         let w = WorkloadSpec::fully_matching(128, 1).generate();
         let e = MatchEngine::default();
         assert_eq!(
-            e.choose(RelaxationConfig::FULL_MPI, &w.msgs, &w.reqs),
+            e.choose(RelaxationConfig::FULL_MPI, &w.msgs),
             EngineChoice::Matrix
         );
     }
@@ -214,7 +214,7 @@ mod tests {
         }
         .generate();
         let e = MatchEngine::default();
-        match e.choose(RelaxationConfig::NO_WILDCARDS, &w.msgs, &w.reqs) {
+        match e.choose(RelaxationConfig::NO_WILDCARDS, &w.msgs) {
             EngineChoice::Partitioned { queues } => assert!(queues <= 6, "queues {queues}"),
             other => panic!("expected partitioned, got {other:?}"),
         }
@@ -225,7 +225,7 @@ mod tests {
         let e = MatchEngine::default();
         let unique = WorkloadSpec::unique_tuples(128, 1).generate();
         assert_eq!(
-            e.choose(RelaxationConfig::UNORDERED, &unique.msgs, &unique.reqs),
+            e.choose(RelaxationConfig::UNORDERED, &unique.msgs),
             EngineChoice::Hash
         );
         // Nekbone-like: one tag, few skewed peers → hash hostile, fall
@@ -238,7 +238,7 @@ mod tests {
             ..Default::default()
         }
         .generate();
-        match e.choose(RelaxationConfig::UNORDERED, &hostile.msgs, &hostile.reqs) {
+        match e.choose(RelaxationConfig::UNORDERED, &hostile.msgs) {
             EngineChoice::Partitioned { .. } => {}
             other => panic!("expected partitioned fallback, got {other:?}"),
         }
@@ -287,5 +287,47 @@ mod tests {
             assert_eq!(r.matches, 512, "{cfg:?}");
             r.verify_valid(&w.msgs, &w.reqs).unwrap();
         }
+    }
+
+    #[test]
+    fn each_engine_states_its_lattice_row_once() {
+        let w = WorkloadSpec::fully_matching(64, 7).generate();
+        let m0 = w.msgs[0];
+        let with = |wild: RecvRequest| {
+            let mut reqs = w.reqs.clone();
+            let j = reqs.iter().position(|r| r.matches(&m0)).unwrap();
+            reqs[j] = wild;
+            reqs
+        };
+        let src_wild = with(RecvRequest::any_source(m0.tag, m0.comm));
+        let tag_wild = with(RecvRequest::any_tag(m0.src, m0.comm));
+        let e = MatchEngine::default();
+        let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
+        let mut accepts = |choice: EngineChoice, reqs: &[RecvRequest]| {
+            let lattice = choice.relaxation().validate_workload(&w.msgs, reqs).is_ok();
+            let matcher = e.match_with(&mut gpu, choice, &w.msgs, reqs).is_ok();
+            (lattice, matcher)
+        };
+        let partitioned = EngineChoice::Partitioned { queues: 4 };
+        // (lattice row, matcher) on a source-wildcard batch: both agree.
+        assert_eq!(accepts(EngineChoice::Matrix, &src_wild), (true, true));
+        assert_eq!(accepts(partitioned, &src_wild), (false, false));
+        assert_eq!(accepts(EngineChoice::Hash, &src_wild), (false, false));
+        // On a tag-wildcard batch the matrix and hash rows agree with
+        // their matchers; Table II has one wildcard column, so the
+        // partitioned row also relaxes the tag wildcard its matcher
+        // would still serve — conservative, never unsound.
+        assert_eq!(accepts(EngineChoice::Matrix, &tag_wild), (true, true));
+        assert_eq!(accepts(partitioned, &tag_wild), (false, true));
+        assert_eq!(accepts(EngineChoice::Hash, &tag_wild), (false, false));
+
+        assert!(EngineChoice::Matrix.strictness() > partitioned.strictness());
+        assert!(partitioned.strictness() > EngineChoice::Hash.strictness());
+        let labels: Vec<String> = [EngineChoice::Matrix, partitioned, EngineChoice::Hash]
+            .iter()
+            .map(|c| c.label())
+            .collect();
+        assert_eq!(labels, ["matrix", "partitioned(4)", "hash"]);
+        assert_eq!(partitioned.name(), "partitioned");
     }
 }

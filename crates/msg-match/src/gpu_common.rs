@@ -35,9 +35,13 @@ pub struct GpuMatchReport {
     /// Instructions per op class (indexed by
     /// [`simt_sim::OpClass::index`]).
     pub class_instructions: [u64; 6],
-    /// Cycles the SM issue pipeline was occupied.
+    /// Cycles the SM issue pipeline was occupied. Read only through
+    /// `Debug`, whose form the launch goldens pin.
+    #[allow(dead_code)]
     pub(crate) issue_busy_cycles: u64,
-    /// Cycles the global-memory pipe was occupied.
+    /// Cycles the global-memory pipe was occupied (`Debug` only, as
+    /// above).
+    #[allow(dead_code)]
     pub(crate) mem_busy_cycles: u64,
     /// Critical-path cycles attributed per simt-sim stall class
     /// (summed over launches; sums to `cycles` exactly).

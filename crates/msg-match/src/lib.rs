@@ -30,6 +30,12 @@
 //!   word column uploads straight to the kernels.
 //! * [`RelaxationConfig`] — the Table II lattice tying guarantees to engines, with
 //!   workload validation.
+//! * [`EngineChoice`] — what an engine is, stated once: its lattice row,
+//!   ordering strictness, span name and metric label; [`MatchEngine`]
+//!   chooses one from a workload and runs it.
+//! * [`ShardPlacement`] — the communicator level of matching parallelism:
+//!   `(communicator, source rank)` keys mapped onto service shards, one
+//!   engine per shard.
 //! * [`WorkloadSpec`] — the micro-benchmark generators of Section V-B.
 //!
 //! ## Quick example
@@ -47,7 +53,6 @@
 
 #![warn(missing_docs, unreachable_pub)]
 
-pub mod comm_router;
 pub mod compaction;
 mod engine;
 pub mod envelope;
@@ -57,6 +62,7 @@ mod hashed_list;
 mod list;
 mod matrix;
 pub mod partitioned;
+mod placement;
 mod prefilter;
 pub mod reference;
 mod relax;
@@ -65,7 +71,6 @@ mod workloads;
 
 /// Convenience re-exports of the main API surface.
 pub mod prelude {
-    pub use crate::comm_router::{CommRouter, ShardPlacement};
     pub use crate::engine::{EngineChoice, MatchEngine};
     pub use crate::envelope::{CommId, Envelope, Rank, RecvRequest, SrcSpec, Tag, TagSpec};
     pub use crate::gpu_common::GpuMatchReport;
@@ -74,6 +79,7 @@ pub mod prelude {
     pub use crate::list::{ListMatcher, MatchPair};
     pub use crate::matrix::{MatrixMatcher, MAX_BATCH};
     pub use crate::partitioned::PartitionedMatcher;
+    pub use crate::placement::ShardPlacement;
     pub use crate::prefilter::{
         expand_assignment, screen_batch, screen_soa, EnvelopeFilter, RequestFilter, ScreenReport,
     };

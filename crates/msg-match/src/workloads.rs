@@ -160,22 +160,6 @@ pub(crate) fn tuple_uniqueness_pct(msgs: &[Envelope]) -> f64 {
     100.0 * max as f64 / msgs.len() as f64
 }
 
-/// [`tuple_uniqueness_pct`] over an index view into `msgs` — lets a
-/// router score a per-shard or per-communicator sub-batch without
-/// gathering it into a fresh `Vec<Envelope>`.
-pub(crate) fn tuple_uniqueness_pct_indexed(msgs: &[Envelope], ids: &[u32]) -> f64 {
-    if ids.is_empty() {
-        return 0.0;
-    }
-    let mut counts = std::collections::HashMap::new();
-    for &i in ids {
-        let m = &msgs[i as usize];
-        *counts.entry((m.src, m.tag, m.comm)).or_insert(0usize) += 1;
-    }
-    let max = counts.values().copied().max().unwrap_or(0);
-    100.0 * max as f64 / ids.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

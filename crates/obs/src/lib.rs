@@ -34,8 +34,6 @@ pub use flow::{FlowId, FlowPhase, FlowSampler};
 pub enum SpanCategory {
     /// Messages draining from a shard's bounded queue into a batch.
     BatchAdmission,
-    /// A communicator's sub-batch routed to its engine.
-    ShardDispatch,
     /// One simulated grid launch, spanning its device-time duration.
     KernelLaunch,
     /// Functional (lane-vector) execution of a launch.
@@ -115,7 +113,6 @@ impl SpanCategory {
     pub(crate) fn label(self) -> &'static str {
         match self {
             SpanCategory::BatchAdmission => "batch_admission",
-            SpanCategory::ShardDispatch => "shard_dispatch",
             SpanCategory::KernelLaunch => "kernel_launch",
             SpanCategory::FunctionalExec => "functional_exec",
             SpanCategory::TimingReplay => "timing_replay",

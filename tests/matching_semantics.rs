@@ -132,15 +132,14 @@ proptest! {
         prop_assert_eq!(a.assignment, b.assignment);
     }
 
-    /// The per-communicator router preserves MPI semantics on workloads
-    /// spanning several communicators.
+    /// Batches spanning several communicators keep MPI semantics: the
+    /// communicator is part of every tuple the engine matches on.
     #[test]
-    fn prop_comm_router_is_mpi(
+    fn prop_multi_communicator_batches_are_mpi(
         n in 1usize..200,
         comms in 1u16..5,
         seed in 0u64..500,
     ) {
-        use msg_match::comm_router::CommRouter;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -156,8 +155,10 @@ proptest! {
             reqs.swap(i, j);
         }
         let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
-        let router = CommRouter::new(RelaxationConfig::FULL_MPI);
-        let (_, r) = router.match_batch(&mut gpu, &msgs, &reqs).unwrap();
+        let (_, r) = MatchEngine::default()
+            .match_batch(&mut gpu, RelaxationConfig::FULL_MPI, &msgs, &reqs)
+            .unwrap();
+        prop_assert_eq!(r.matches as usize, n);
         prop_assert!(verify_mpi_matching(&msgs, &reqs, &as_usize(&r.assignment)).is_ok());
     }
 
