@@ -91,13 +91,7 @@ pub fn long_queues(totals: &[usize], seed: u64) -> Report {
             ..Default::default()
         }
         .generate();
-        let mut cells = vec![total.to_string()];
-        let mut rev_iters = 0u32;
-        for order in [
-            QueueOrder::Ordered,
-            QueueOrder::Reversed,
-            QueueOrder::Shuffled,
-        ] {
+        let run = |order| {
             let mut reqs: Vec<RecvRequest> = w
                 .msgs
                 .iter()
@@ -117,12 +111,21 @@ pub fn long_queues(totals: &[usize], seed: u64) -> Report {
             let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
             let r = MatrixMatcher::default().match_iterative(&mut gpu, &w.msgs, &reqs);
             assert_eq!(r.matches as usize, total, "{order:?} at {total}");
-            if order == QueueOrder::Reversed {
-                rev_iters = r.launches;
-            }
-            cells.push(fmt_mps(r.matches_per_sec));
-        }
-        cells.push(rev_iters.to_string());
+            r
+        };
+        // Each order is an independent device: run the three side by side.
+        let [ordered, reversed, shuffled] = std::thread::scope(|s| {
+            [
+                QueueOrder::Ordered,
+                QueueOrder::Reversed,
+                QueueOrder::Shuffled,
+            ]
+            .map(|order| s.spawn(move || run(order)))
+            .map(|h| h.join().expect("long-queue run"))
+        });
+        let mut cells = vec![total.to_string()];
+        cells.extend([&ordered, &reversed, &shuffled].map(|r| fmt_mps(r.matches_per_sec)));
+        cells.push(reversed.launches.to_string());
         rep.push(cells);
     }
     rep

@@ -31,21 +31,21 @@ use crate::table::Report;
 
 /// Everything one traced run produces.
 #[derive(Debug, Clone)]
-pub struct ObsArtifacts {
+pub(crate) struct ObsArtifacts {
     /// The service outcome (aggregate + per-shard metrics).
-    pub report: ShardedServiceReport,
+    report: ShardedServiceReport,
     /// Chrome `trace_event` JSON timeline (virtual clock only —
     /// byte-deterministic).
-    pub(crate) trace_json: String,
+    trace_json: String,
     /// Prometheus text exposition of the metrics snapshot (virtual
     /// clock only — byte-deterministic).
-    pub exposition: String,
+    exposition: String,
     /// Wall-clock scheduler tracks as a trace document of their own
     /// (empty when the run was untraced). Measured, NOT deterministic.
-    pub(crate) wall_trace_json: String,
+    wall_trace_json: String,
     /// Prometheus text exposition of the dual-clock scheduler profile.
     /// Measured, NOT deterministic.
-    pub wall_prom: String,
+    wall_prom: String,
 }
 
 /// Default configuration: a small mixed-communicator service under the
@@ -64,7 +64,7 @@ pub fn default_config() -> ShardedServiceConfig {
 }
 
 /// Run the traced service and collect all the artefacts.
-pub fn run(mut cfg: ShardedServiceConfig) -> ObsArtifacts {
+pub(crate) fn run(mut cfg: ShardedServiceConfig) -> ObsArtifacts {
     cfg.trace = true;
     let mut svc = ShardedMatchService::new(GpuGeneration::PascalGtx1080, cfg);
     let report = svc.run();
@@ -165,7 +165,7 @@ pub fn flow_demos(seed: u64) -> Vec<FlowDemo> {
 
 /// Splice the service trace, the wall-clock tracks and the flow demos
 /// into the single `OBS_trace.json` document.
-pub fn merged_trace(artefacts: &ObsArtifacts, demos: &[FlowDemo]) -> String {
+pub(crate) fn merged_trace(artefacts: &ObsArtifacts, demos: &[FlowDemo]) -> String {
     let mut docs: Vec<&str> = vec![&artefacts.trace_json, &artefacts.wall_trace_json];
     docs.extend(demos.iter().map(|d| d.trace_json.as_str()));
     obs::perfetto::merge(&docs)
@@ -174,7 +174,7 @@ pub fn merged_trace(artefacts: &ObsArtifacts, demos: &[FlowDemo]) -> String {
 /// Stall-attribution table: per shard, the percentage of device cycles
 /// attributed to each stall class (rows sum to 100 by construction —
 /// the classes partition the cycle count).
-pub fn stall_table(m: &ServiceMetrics) -> Report {
+pub(crate) fn stall_table(m: &ServiceMetrics) -> Report {
     let mut r = Report::new(
         "Stall attribution: where each shard's device cycles went",
         &[
@@ -207,11 +207,70 @@ pub fn stall_table(m: &ServiceMetrics) -> Report {
     r
 }
 
+/// Parses `repro obs_report`'s duration argument: a finite number of
+/// seconds above zero.
+pub fn parse_duration(arg: &str) -> Option<f64> {
+    arg.parse::<f64>()
+        .ok()
+        .filter(|d| d.is_finite() && *d > 0.0)
+}
+
+/// Runs the traced service at `cfg` and the flow demos, hands each
+/// artefact (`OBS_trace.json`, `OBS_metrics.prom`, `OBS_wall.prom`) to
+/// `save` as `(file name, body)`, and appends what `repro obs_report`
+/// prints to `stdout`.
+///
+/// # Errors
+/// The merged trace must parse and hold at least one event, and `save`
+/// must succeed.
+pub fn report(
+    cfg: ShardedServiceConfig,
+    stdout: &mut String,
+    mut save: impl FnMut(&str, &str) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let artefacts = run(cfg);
+    let demos = flow_demos(cfg.seed);
+    let merged = merged_trace(&artefacts, &demos);
+    let events = match trace_event_count(&merged) {
+        Ok(0) => return Err("exported trace holds no events".to_string()),
+        Ok(n) => n,
+        Err(e) => return Err(format!("exported trace failed validation: {e}")),
+    };
+
+    let m = &artefacts.report.metrics;
+    let prof = &artefacts.report.scheduler_profile;
+    stdout.push_str(&stall_table(m).to_text());
+    stdout.push_str(&format!(
+        "\nservice: {} matched, {} spilled, sustained {:.2} M msgs/s over {} shards\n\
+         wall clock ({}): {:.1} ms, barrier-wait fraction {:.2}\n",
+        m.total_matched,
+        m.total_spilled,
+        m.sustained_rate / 1e6,
+        m.shards.len(),
+        prof.scheduler,
+        prof.wall_seconds * 1e3,
+        prof.barrier_wait_fraction()
+    ));
+    for d in &demos {
+        stdout.push_str(&format!("flow demo: {}\n", d.label));
+    }
+    for (path, body) in [
+        ("OBS_trace.json", &merged),
+        ("OBS_metrics.prom", &artefacts.exposition),
+        ("OBS_wall.prom", &artefacts.wall_prom),
+    ] {
+        save(path, body).map_err(|e| format!("could not write {path}: {e}"))?;
+        stdout.push_str(&format!("wrote {path}\n"));
+    }
+    stdout.push_str(&format!("trace events: {events}\n"));
+    Ok(())
+}
+
 /// Count the `trace_event` entries in an exported trace document.
 ///
 /// # Errors
 /// The document must parse as JSON with a `traceEvents` array.
-pub fn trace_event_count(trace_json: &str) -> Result<usize, String> {
+pub(crate) fn trace_event_count(trace_json: &str) -> Result<usize, String> {
     let tree = serde::json::parse_value(trace_json).map_err(|e| format!("bad trace JSON: {e}"))?;
     let serde::Value::Object(fields) = &tree else {
         return Err("trace document must be a JSON object".to_string());
@@ -238,6 +297,14 @@ mod tests {
             duration: 0.001,
             ..default_config()
         })
+    }
+
+    #[test]
+    fn duration_must_be_finite_and_positive() {
+        for bad in ["inf", "NaN", "0", "-1", "abc"] {
+            assert_eq!(parse_duration(bad), None, "{bad}");
+        }
+        assert_eq!(parse_duration("0.0005"), Some(0.0005));
     }
 
     #[test]

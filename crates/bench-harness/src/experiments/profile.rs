@@ -53,8 +53,9 @@ impl EngineProfile {
     }
 }
 
-/// Profile the three engines at `len` entries on the GTX 1080.
-pub fn run(len: usize, seed: u64) -> Vec<EngineProfile> {
+/// The three engines, one after another on one GTX 1080, over a fully
+/// matching workload of `len` entries.
+fn engines(len: usize, seed: u64) -> [GpuMatchReport; 3] {
     let w = WorkloadSpec::fully_matching(len, seed).generate();
     let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
     let matrix = MatrixMatcher::default().match_batch(&mut gpu, &w.msgs, &w.reqs);
@@ -64,6 +65,12 @@ pub fn run(len: usize, seed: u64) -> Vec<EngineProfile> {
     let hash = HashMatcher::default()
         .match_batch(&mut gpu, &w.msgs, &w.reqs)
         .expect("no wildcards");
+    [matrix, part, hash]
+}
+
+/// Profile the three engines at `len` entries on the GTX 1080.
+pub fn run(len: usize, seed: u64) -> Vec<EngineProfile> {
+    let [matrix, part, hash] = engines(len, seed);
     vec![
         EngineProfile::of("matrix (full MPI)", &matrix),
         EngineProfile::of("partitioned x16", &part),
@@ -74,26 +81,9 @@ pub fn run(len: usize, seed: u64) -> Vec<EngineProfile> {
 /// Instruction-mix report: per-class instruction shares for each engine.
 pub fn instruction_mix(len: usize, seed: u64) -> Report {
     use simt_sim::OpClass;
-    let w = WorkloadSpec::fully_matching(len, seed).generate();
-    let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
-    let engines: Vec<(&str, GpuMatchReport)> = vec![
-        (
-            "matrix",
-            MatrixMatcher::default().match_batch(&mut gpu, &w.msgs, &w.reqs),
-        ),
-        (
-            "partitioned x16",
-            PartitionedMatcher::new(16)
-                .match_batch(&mut gpu, &w.msgs, &w.reqs)
-                .expect("no wildcards"),
-        ),
-        (
-            "hash",
-            HashMatcher::default()
-                .match_batch(&mut gpu, &w.msgs, &w.reqs)
-                .expect("no wildcards"),
-        ),
-    ];
+    let engines = ["matrix", "partitioned x16", "hash"]
+        .into_iter()
+        .zip(engines(len, seed));
     let mut rep = Report::new(
         "Instruction mix per engine [% of issued instructions] (GTX 1080)",
         &["engine", "alu", "warp", "gmem", "smem", "atomic", "bar"],

@@ -53,19 +53,19 @@ pub fn run(len: usize, seed: u64) -> Vec<Row> {
                 .validate_workload(&[], &w.reqs)
                 .expect("generated workload must satisfy its own lattice row");
 
-            let (matches, mut cycles, mut seconds) = if !config.ordering {
+            let (matches, mut seconds) = if !config.ordering {
                 let r = HashMatcher::default()
                     .match_batch(&mut gpu, &w.msgs, &w.reqs)
                     .expect("no wildcards");
-                (r.matches, r.cycles, r.seconds)
+                (r.matches, r.seconds)
             } else if !config.wildcards {
                 let r = PartitionedMatcher::new(16)
                     .match_batch(&mut gpu, &w.msgs, &w.reqs)
                     .expect("no wildcards");
-                (r.matches, r.cycles, r.seconds)
+                (r.matches, r.seconds)
             } else {
                 let r = MatrixMatcher::default().match_iterative(&mut gpu, &w.msgs, &w.reqs);
-                (r.matches, r.cycles, r.seconds)
+                (r.matches, r.seconds)
             };
 
             // Unexpected messages leave residue: charge the compaction
@@ -86,10 +86,8 @@ pub fn run(len: usize, seed: u64) -> Vec<Row> {
                 let (_, rep1) = compact_queue_regions(&mut gpu, &packed, &keep_msgs, regions);
                 let packed_r: Vec<u64> = w.reqs.iter().map(RecvRequest::pack).collect();
                 let (_, rep2) = compact_queue_regions(&mut gpu, &packed_r, &keep_msgs, regions);
-                cycles += rep1.cycles + rep2.cycles;
                 seconds += rep1.seconds + rep2.seconds;
             }
-            let _ = cycles;
 
             Row {
                 config,

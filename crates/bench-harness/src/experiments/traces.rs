@@ -68,43 +68,29 @@ pub fn table1(analyses: &[(AppModel, AppAnalysis)]) -> Report {
 
 /// Figure 2: UMQ maximum-depth distribution across ranks, per app.
 pub fn figure2(analyses: &[(AppModel, AppAnalysis)]) -> Report {
-    let mut r = Report::new(
-        "Figure 2: UMQ length distribution across ranks",
-        &["application", "min", "q1", "median", "mean", "q3", "max"],
-    );
-    for (model, a) in analyses {
-        let d = &a.umq_depth;
-        r.push(vec![
-            model.name.to_string(),
-            format!("{:.0}", d.min),
-            format!("{:.0}", d.q1),
-            format!("{:.0}", d.median),
-            format!("{:.0}", d.mean),
-            format!("{:.0}", d.q3),
-            format!("{:.0}", d.max),
-        ]);
-    }
-    r
+    let title = "Figure 2: UMQ length distribution across ranks";
+    depths(title, analyses, false)
 }
 
 /// The PRQ companion distribution (the paper omits the plot "due to
 /// their similarity" — we print it to show the similarity).
 pub fn figure2_prq(analyses: &[(AppModel, AppAnalysis)]) -> Report {
+    let title = "Figure 2 (companion): PRQ length distribution across ranks";
+    depths(title, analyses, true)
+}
+
+/// One queue's depth distribution across ranks, per app: the PRQ's when
+/// `prq`, else the UMQ's.
+fn depths(title: &str, analyses: &[(AppModel, AppAnalysis)], prq: bool) -> Report {
     let mut r = Report::new(
-        "Figure 2 (companion): PRQ length distribution across ranks",
+        title,
         &["application", "min", "q1", "median", "mean", "q3", "max"],
     );
     for (model, a) in analyses {
-        let d = &a.prq_depth;
-        r.push(vec![
-            model.name.to_string(),
-            format!("{:.0}", d.min),
-            format!("{:.0}", d.q1),
-            format!("{:.0}", d.median),
-            format!("{:.0}", d.mean),
-            format!("{:.0}", d.q3),
-            format!("{:.0}", d.max),
-        ]);
+        let d = if prq { &a.prq_depth } else { &a.umq_depth };
+        let mut row = vec![model.name.to_string()];
+        row.extend([d.min, d.q1, d.median, d.mean, d.q3, d.max].map(|v| format!("{v:.0}")));
+        r.push(row);
     }
     r
 }

@@ -432,3 +432,108 @@ fn doc_references_resolve() {
         broken.join("\n")
     );
 }
+
+/// The commands `repro` runs besides its outputs.
+const REPRO_COMMANDS: [&str; 2] = ["all", "obs_report"];
+
+/// Binaries the workspace builds: each `[[bin]]` name, each
+/// `src/bin/*.rs` stem, and a package's own name when its
+/// `src/main.rs` is not declared as a `[[bin]]`.
+fn binaries(root: &Path) -> HashSet<String> {
+    let mut packages = vec![
+        root.join("bench"),
+        root.join("examples"),
+        root.join("tests"),
+    ];
+    for group in ["crates", "shims"] {
+        for e in fs::read_dir(root.join(group)).expect("package directory") {
+            packages.push(e.expect("readable entry").path());
+        }
+    }
+    let mut bins = HashSet::new();
+    for dir in packages {
+        let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        let (mut section, mut package, mut main_declared) = ("", None, false);
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            }
+            let value = |key: &str| line.strip_prefix(key).map(|v| v.trim_matches('"'));
+            match (section, value("name = "), value("path = ")) {
+                ("[package]", Some(name), _) => package = Some(name.to_string()),
+                ("[[bin]]", Some(name), _) => {
+                    bins.insert(name.to_string());
+                }
+                ("[[bin]]", _, Some("src/main.rs")) => main_declared = true,
+                _ => {}
+            }
+        }
+        if dir.join("src/main.rs").exists() && !main_declared {
+            bins.extend(package);
+        }
+        if let Ok(entries) = fs::read_dir(dir.join("src/bin")) {
+            for e in entries {
+                let path = e.expect("readable entry").path();
+                bins.insert(path.file_stem().unwrap().to_string_lossy().into_owned());
+            }
+        }
+    }
+    bins
+}
+
+/// The word after each whole-word `keyword ` in `line`, past an
+/// optional `-- ` (`--bin repro -- table2`). Placeholders and quoted
+/// shell words (`<name>`, `"$example"`) yield nothing.
+fn words_after<'a>(line: &'a str, keyword: &str) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    for (at, _) in line.match_indices(keyword) {
+        let whole = !line[..at].ends_with(|c: char| is_ident_char(c) || c == '-');
+        let Some(rest) = line[at + keyword.len()..].strip_prefix(' ') else {
+            continue;
+        };
+        let rest = rest.trim_start();
+        let rest = rest.strip_prefix("-- ").unwrap_or(rest).trim_start();
+        let word = &rest[..rest.find(|c: char| !is_ident_char(c)).unwrap_or(rest.len())];
+        if whole && !word.is_empty() {
+            out.push(word);
+        }
+    }
+    out
+}
+
+#[test]
+fn documented_commands_exist() {
+    let root = root();
+    let bins = binaries(&root);
+    let outputs: Vec<&str> = bench_harness::experiments::OUTPUTS
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    let mut files = doc_files(&root);
+    files.push(root.join(".github/workflows/ci.yml"));
+    let mut broken = Vec::new();
+    for doc in files {
+        let text = fs::read_to_string(&doc).expect("readable doc");
+        let name = doc.strip_prefix(&root).unwrap().display().to_string();
+        for (n, line) in text.lines().enumerate() {
+            for bin in words_after(line, "--bin") {
+                if !bins.contains(bin) {
+                    broken.push(format!("{name}:{}: no binary `{bin}`", n + 1));
+                }
+            }
+            for cmd in words_after(line, "repro") {
+                if !outputs.contains(&cmd) && !REPRO_COMMANDS.contains(&cmd) {
+                    broken.push(format!("{name}:{}: `repro` has no `{cmd}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "{} commands that do not exist:\n{}",
+        broken.len(),
+        broken.join("\n")
+    );
+}
