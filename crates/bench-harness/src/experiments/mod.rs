@@ -137,9 +137,10 @@ fn cpu_baseline() -> Output {
 }
 
 fn profile() -> Output {
+    let engines = profile::engines(1024, 5);
     Output::of([
-        ("profile", profile::report(&profile::run(1024, 5))),
-        ("instruction_mix", profile::instruction_mix(1024, 5)),
+        ("profile", profile::report(&profile::run(&engines))),
+        ("instruction_mix", profile::instruction_mix(&engines)),
     ])
 }
 

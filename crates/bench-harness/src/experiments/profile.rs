@@ -54,8 +54,9 @@ impl EngineProfile {
 }
 
 /// The three engines, one after another on one GTX 1080, over a fully
-/// matching workload of `len` entries.
-fn engines(len: usize, seed: u64) -> [GpuMatchReport; 3] {
+/// matching workload of `len` entries: the launches both the profile and
+/// the instruction mix report.
+pub fn engines(len: usize, seed: u64) -> [GpuMatchReport; 3] {
     let w = WorkloadSpec::fully_matching(len, seed).generate();
     let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
     let matrix = MatrixMatcher::default().match_batch(&mut gpu, &w.msgs, &w.reqs);
@@ -68,22 +69,23 @@ fn engines(len: usize, seed: u64) -> [GpuMatchReport; 3] {
     [matrix, part, hash]
 }
 
-/// Profile the three engines at `len` entries on the GTX 1080.
-pub fn run(len: usize, seed: u64) -> Vec<EngineProfile> {
-    let [matrix, part, hash] = engines(len, seed);
+/// Profile the three [`engines`] reports.
+pub fn run(engines: &[GpuMatchReport; 3]) -> Vec<EngineProfile> {
+    let [matrix, part, hash] = engines;
     vec![
-        EngineProfile::of("matrix (full MPI)", &matrix),
-        EngineProfile::of("partitioned x16", &part),
-        EngineProfile::of("hash (unordered)", &hash),
+        EngineProfile::of("matrix (full MPI)", matrix),
+        EngineProfile::of("partitioned x16", part),
+        EngineProfile::of("hash (unordered)", hash),
     ]
 }
 
-/// Instruction-mix report: per-class instruction shares for each engine.
-pub fn instruction_mix(len: usize, seed: u64) -> Report {
+/// Instruction-mix report: per-class instruction shares of the three
+/// [`engines`] reports.
+pub fn instruction_mix(engines: &[GpuMatchReport; 3]) -> Report {
     use simt_sim::OpClass;
     let engines = ["matrix", "partitioned x16", "hash"]
         .into_iter()
-        .zip(engines(len, seed));
+        .zip(engines);
     let mut rep = Report::new(
         "Instruction mix per engine [% of issued instructions] (GTX 1080)",
         &["engine", "alu", "warp", "gmem", "smem", "atomic", "bar"],
@@ -138,7 +140,7 @@ mod tests {
 
     #[test]
     fn compliant_matcher_is_latency_bound() {
-        let profiles = run(1024, 5);
+        let profiles = run(&engines(1024, 5));
         assert_eq!(profiles.len(), 3);
         let matrix = &profiles[0];
         let part = &profiles[1];
@@ -163,13 +165,13 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let profiles = run(256, 1);
+        let profiles = run(&engines(256, 1));
         assert_eq!(report(&profiles).rows.len(), 3);
     }
 
     #[test]
     fn instruction_mix_differs_by_engine() {
-        let rep = instruction_mix(512, 3);
+        let rep = instruction_mix(&engines(512, 3));
         assert_eq!(rep.rows.len(), 3);
         // The hash engine must be atomic-heavy relative to the matrix.
         let atomic = |row: usize| rep.rows[row][5].parse::<f64>().unwrap();

@@ -114,7 +114,10 @@ pub(crate) struct StreamState {
     pub(crate) snapshots: VecDeque<Snapshot>,
     /// `(seq, arrival time)` for every seq the *oldest retained*
     /// snapshot could need to replay, in seq order — everything a crash
-    /// (plus checkpoint corruption) could force us to re-match.
+    /// (plus checkpoint corruption) could force us to re-match. Without
+    /// fault tolerance nothing is replayed, and the journal holds just
+    /// the uncommitted window `[committed, admitted)` that a migration
+    /// hands over.
     pub(crate) journal: VecDeque<(u64, f64)>,
 }
 
@@ -145,6 +148,11 @@ impl StreamState {
             .snapshots
             .front()
             .map_or(self.committed, |s| s.committed);
+        self.truncate_journal(floor);
+    }
+
+    /// Drop the journal entries below seq `floor`.
+    pub(crate) fn truncate_journal(&mut self, floor: u64) {
         while matches!(self.journal.front(), Some(&(seq, _)) if seq < floor) {
             self.journal.pop_front();
         }

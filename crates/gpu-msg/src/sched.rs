@@ -368,8 +368,14 @@ fn dominant_stall(report: &GpuMatchReport) -> &'static str {
 /// Deliver a completed batch: advance each stream's commit watermark,
 /// suppressing entries a concurrent path (failover transfer, journal
 /// replay) already delivered — the idempotent-commit half of
-/// exactly-once matching.
-fn commit_batch(inf: InFlight, cell: &mut ShardCell, streams: &mut [StreamCell]) {
+/// exactly-once matching. Without fault tolerance no snapshot will
+/// replay a committed entry, so its journal entry goes too.
+fn commit_batch(
+    inf: InFlight,
+    cell: &mut ShardCell,
+    streams: &mut [StreamCell],
+    recovery: Option<RecoveryConfig>,
+) {
     cell.metrics.busy_seconds += inf.service;
     cell.metrics.profile.absorb(&inf.report);
     cell.metrics.batches += 1;
@@ -398,6 +404,9 @@ fn commit_batch(inf: InFlight, cell: &mut ShardCell, streams: &mut [StreamCell])
             cell.idx, e.stream
         );
         sc.state.committed = e.seq + 1;
+        if recovery.is_none() {
+            sc.state.truncate_journal(sc.state.committed);
+        }
         sc.matched_n += 1;
         cell.metrics.matched += 1;
         cell.metrics.match_latency.record(inf.until - e.arrived);
@@ -684,7 +693,7 @@ impl<'a> EpochGroup<'a> {
                 let phase = std::mem::replace(&mut cell.phase, Phase::Idle);
                 match phase {
                     Phase::Busy(inf) => {
-                        commit_batch(*inf, cell, streams);
+                        commit_batch(*inf, cell, streams, env.recovery);
                     }
                     Phase::Hung { resume, .. } => {
                         cell.phase = match resume {
@@ -1898,5 +1907,87 @@ mod tests {
     #[test]
     fn scheduler_defaults_to_the_global_clock() {
         assert_eq!(Scheduler::default(), Scheduler::GlobalClock);
+    }
+
+    /// Run two streams over two matrix shards until every arrival has
+    /// committed; returns each stream's watermarks and journal.
+    fn drained_streams(recovery: Option<RecoveryConfig>) -> Vec<StreamState> {
+        let mut gpus: Vec<Gpu> = (0..2)
+            .map(|_| Gpu::new(simt_sim::GpuGeneration::PascalGtx1080))
+            .collect();
+        let mut shards = cell_fixture(&mut gpus);
+        for c in &mut shards {
+            c.next_ckpt = recovery.map_or(f64::INFINITY, |r| r.checkpoint_interval);
+        }
+        let cfg = ShardedServiceConfig {
+            shards: 2,
+            arrival_rate: 2.0e6,
+            duration: 1e-3,
+            drain: true,
+            ..Default::default()
+        };
+        let msgs: Vec<Envelope> = (0..64).map(|src| Envelope::new(src, 0, 0)).collect();
+        let streams = (0..2)
+            .map(|idx| StreamCell {
+                idx,
+                msgs: &msgs,
+                rate: cfg.arrival_rate / 2.0,
+                state: StreamState::default(),
+                seen: 0,
+                epoch: 0,
+                completions: None,
+                pattern: ArrivalPattern::Uniform,
+                tenant: 0,
+                qos: StreamQos {
+                    class: crate::tenancy::QosClass::Guaranteed,
+                    bucket: None,
+                },
+                spilled_n: 0,
+                shed_n: 0,
+                matched_n: 0,
+            })
+            .collect();
+        let placement = ShardPlacement::hashed(2);
+        let env = EpochEnv {
+            cfg,
+            capacity: cfg.queue_capacity.max(cfg.max_batch),
+            threshold: cfg.batch_threshold.clamp(1, cfg.max_batch),
+            recovery,
+            placement: &placement,
+            shedding: &[false; 2],
+            shed_deadline: f64::INFINITY,
+            fill: FillLimits::default(),
+        };
+        let mut group = EpochGroup {
+            now: 0.0,
+            shards,
+            streams,
+        };
+        group.boundary(&env);
+        group.advance(&env, f64::INFINITY);
+        group.streams.into_iter().map(|sc| sc.state).collect()
+    }
+
+    #[test]
+    fn a_journal_without_fault_tolerance_holds_only_the_uncommitted_window() {
+        for s in drained_streams(None) {
+            assert!(s.admitted > 500, "the run admits its arrivals");
+            assert!(
+                s.journal.iter().all(|&(seq, _)| seq >= s.committed),
+                "committed entries leave the journal"
+            );
+            assert!(s.journal.len() as u64 <= s.admitted - s.committed);
+        }
+        // With fault tolerance the journal still reaches back to the
+        // oldest retained snapshot (seq 0 before the first), committed
+        // entries included: a restore replays them.
+        let tolerant = drained_streams(Some(RecoveryConfig::default()));
+        for s in &tolerant {
+            let floor = s.snapshots.front().map_or(0, |snap| snap.committed);
+            let seqs: Vec<u64> = s.journal.iter().map(|&(seq, _)| seq).collect();
+            assert_eq!(seqs, (floor..s.admitted).collect::<Vec<_>>());
+            assert!(!s.snapshots.is_empty(), "the run checkpoints");
+            assert!(s.journal.len() as u64 > s.admitted - s.committed);
+        }
     }
 }

@@ -9,6 +9,7 @@
 //! kernels consume.
 
 use serde::{Deserialize, Serialize};
+use simt_sim::{Lanes, WARP_SIZE};
 
 /// Rank identifier (MPI rank within a communicator).
 pub type Rank = u32;
@@ -193,13 +194,14 @@ impl RecvRequest {
     }
 }
 
-/// The packed-word matching predicate the GPU kernels evaluate: exactly
-/// the comparison a CUDA lane performs on two 64-bit header words.
+/// The packed-word matching predicate: exactly the comparison a CUDA
+/// lane performs on two 64-bit header words, and the oracle of
+/// [`WarpWords::ballot`], which the GPU kernels evaluate for a whole warp.
 ///
 /// `msg_word` must come from [`Envelope::pack`] and `req_word` from
 /// [`RecvRequest::pack`]. One masked XOR: the words must agree on every
 /// bit `req_word` cares about (see [`match_care`]).
-#[inline]
+#[cfg(test)]
 pub(crate) fn packed_matches(msg_word: u64, req_word: u64) -> bool {
     (msg_word ^ req_word) & match_care(req_word) == 0
 }
@@ -220,6 +222,71 @@ fn match_care(req_word: u64) -> u64 {
         care &= !TAG;
     }
     care
+}
+
+/// One warp's message words, indexed for the ballot of every request the
+/// warp scans: lane `l` holds `words[l]`, and bit `l` of `live` says
+/// whether it holds a message at all. An open-addressed table maps each
+/// live word to the lanes holding it, so an exact request's ballot is one
+/// lookup and a wildcard request's one masked compare per lane.
+#[derive(Debug, Clone)]
+pub(crate) struct WarpWords {
+    words: [u64; WARP_SIZE],
+    live: u32,
+    /// Lanes holding the word of each slot; 0 marks an empty slot. A
+    /// slot's word is that of its lowest lane.
+    slots: [u32; WORD_SLOTS],
+}
+
+/// Slots of [`WarpWords`]' table: twice the most distinct words a warp
+/// holds, so a probe ends at an empty slot.
+const WORD_SLOTS: usize = 2 * WARP_SIZE;
+
+impl WarpWords {
+    /// Index `words`, lane `l` live when bit `l` of `live` is set.
+    pub(crate) fn new(words: &Lanes<u64>, live: u32) -> Self {
+        let mut index = WarpWords {
+            words: words.0,
+            live,
+            slots: [0; WORD_SLOTS],
+        };
+        let mut lanes = live;
+        while lanes != 0 {
+            let lane = lanes.trailing_zeros();
+            lanes &= lanes - 1;
+            let slot = index.slot_of(index.words[lane as usize]);
+            index.slots[slot] |= 1 << lane;
+        }
+        index
+    }
+
+    /// The slot holding `word`, or the empty slot where it belongs.
+    #[inline]
+    fn slot_of(&self, word: u64) -> usize {
+        let mut slot = (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        loop {
+            let lanes = self.slots[slot];
+            if lanes == 0 || self.words[lanes.trailing_zeros() as usize] == word {
+                return slot;
+            }
+            slot = (slot + 1) % WORD_SLOTS;
+        }
+    }
+
+    /// The live lanes whose message satisfies `req_word`: bit `l` is
+    /// `live[l] && packed_matches(words[l], req_word)`.
+    #[inline]
+    pub(crate) fn ballot(&self, req_word: u64) -> u32 {
+        let care = match_care(req_word);
+        if care == u64::MAX {
+            return self.slots[self.slot_of(req_word)];
+        }
+        let mut bits = 0u32;
+        for (lane, &word) in self.words.iter().enumerate() {
+            bits |= u32::from((word ^ req_word) & care == 0) << lane;
+        }
+        bits & self.live
+    }
 }
 
 #[cfg(test)]
@@ -380,6 +447,48 @@ mod tests {
                 if copied >> f & 1 == 1 { req & !bits | msg & bits } else { req }
             });
             prop_assert_eq!(packed_matches(msg, req), packed_matches_by_fields(msg, req));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        /// A warp's indexed ballot equals the lane predicate on every
+        /// lane: exact requests and all three wildcard classes, words
+        /// repeated across lanes, dead lanes, and tables full of 32
+        /// distinct words.
+        #[test]
+        fn warp_ballot_equals_the_lane_predicate(
+            pool in proptest::collection::vec(any_header_word(), WARP_SIZE),
+            picks in proptest::collection::vec(0usize..WARP_SIZE, WARP_SIZE),
+            distinct in prop_oneof![Just(WARP_SIZE), 1usize..=4, 1usize..=WARP_SIZE],
+            live in prop_oneof![Just(u32::MAX), Just(0u32), any::<u32>()],
+            from_lane in 0usize..WARP_SIZE,
+            wildcard in 0u64..4,
+            other in any_header_word(),
+        ) {
+            // `distinct` words over the 32 lanes: lane `l` holds its own
+            // word when all 32 are distinct, a pick among a few otherwise.
+            let words = Lanes::from_fn(|l| {
+                if distinct == WARP_SIZE { pool[l] } else { pool[picks[l] % distinct] }
+            });
+            let index = WarpWords::new(&words, live);
+            // A request built from one lane's word (live or dead), with
+            // the source (bit 0) and tag (bit 1) wildcarded; and one
+            // unrelated word.
+            let mut req = words.get(from_lane);
+            if wildcard & 1 == 1 {
+                req |= u64::from(ANY_SOURCE_BITS);
+            }
+            if wildcard & 2 == 2 {
+                req |= u64::from(ANY_TAG_BITS) << 32;
+            }
+            for req in [req, other] {
+                let by_lanes = (0..WARP_SIZE).fold(0u32, |bits, l| {
+                    let hit = live >> l & 1 == 1 && packed_matches(words.get(l), req);
+                    bits | u32::from(hit) << l
+                });
+                prop_assert_eq!(index.ballot(req), by_lanes);
+            }
         }
     }
 

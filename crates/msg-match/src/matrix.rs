@@ -39,7 +39,7 @@ use simt_sim::{
     WARP_SIZE,
 };
 
-use crate::envelope::{packed_matches, Envelope, RecvRequest};
+use crate::envelope::{Envelope, RecvRequest, WarpWords};
 use crate::gpu_common::{decode_assignment, GpuMatchReport, NO_MATCH};
 
 /// Default scan window: requests per matrix tile. 64 columns double
@@ -205,8 +205,7 @@ impl MatrixKernel {
         q: &QueueSlice,
         win: usize,
         buf: SharedId<u32>,
-        msg_words: &Lanes<u64>,
-        msg_live: &Lanes<bool>,
+        msgs: &WarpWords,
     ) {
         let win_base = win * self.window;
         let win_len = self.window.min(q.n_reqs as usize - win_base);
@@ -218,15 +217,11 @@ impl MatrixKernel {
         let mut chunk_start = 0usize;
         // (request word, ballot) of the previous column, for probe dedup.
         let mut prev: Option<(u64, u32)> = None;
-        let lane0 = w.lane_ids().map(|l| l == 0);
         while chunk_start < win_len {
             let chunk = WARP_SIZE.min(win_len - chunk_start);
-            let lid = w.lane_ids();
-            let live = lid.map(|l| (l as usize) < chunk);
             let base = q.req_off + (win_base + chunk_start) as u32;
-            let idx = lid.zip(&live, |l, lv| if lv { base + l } else { base });
             w.charge_alu(2);
-            let (req_lanes, tok) = w.ld_global(self.recvq, &idx);
+            let (req_lanes, tok) = w.ld_global_run(self.recvq, base, chunk as u32);
             let mut load_dep = Some(tok);
             for j in 0..chunk {
                 // Loop bookkeeping + envelope comparison overhead.
@@ -240,18 +235,11 @@ impl MatrixKernel {
                         w.charge_alu(1);
                         pv
                     }
-                    _ => {
-                        let preds =
-                            msg_words.zip(msg_live, |m, live| live & packed_matches(m, req_word));
-                        w.ballot_dep(load_dep.take(), &preds)
-                    }
+                    _ => w.ballot_bits_dep(load_dep.take(), msgs.ballot(req_word)),
                 };
                 prev = Some((req_word, vote));
-                let slot = Lanes::splat(((chunk_start + j) * rows + row) as u32);
-                let vv = Lanes::splat(vote);
-                w.if_lanes(&lane0, |w| {
-                    w.st_shared(buf, &slot, &vv);
-                });
+                let slot = ((chunk_start + j) * rows + row) as u32;
+                w.st_shared_leader(buf, slot, vote);
             }
             chunk_start += chunk;
         }
@@ -271,22 +259,24 @@ impl MatrixKernel {
             w.charge_alu(1 + self.costs.reduce_overhead);
             // Lane l reads row l's vote for column i; lanes past the rows
             // read the next column's words under an empty mask.
-            let idx = w.lane_ids().map(|l| (i * q.rows as usize) as u32 + l);
-            let (col, tok) = w.ld_shared(buf, &idx);
+            let (col, tok) = w.ld_shared_run(buf, (i * q.rows as usize) as u32, WARP_SIZE as u32);
             // The reduce completes each match record against the receive
             // descriptor in global memory (Algorithm 2's result handling);
             // this global access is the long pole of the per-column chain.
             let req = q.req_off + (win_base + i) as u32;
             let (_req_desc, gtok) = w.ld_global_bcast(self.recvq, req);
             let _ = tok;
-            let masked = col.zip(masks, |v, m| v & m);
-            let bidders = w.ballot_dep(Some(gtok), &masked.map(|x| x != 0));
+            let mut bids = 0u32;
+            for (lane, (&v, &m)) in col.0.iter().zip(&masks.0).enumerate() {
+                bids |= u32::from(v & m != 0) << lane;
+            }
+            let bidders = w.ballot_bits_dep(Some(gtok), bids);
             if bidders != 0 {
                 // ffs picks the lowest row = earliest messages (rows map
                 // to ascending message indices).
                 w.charge_alu(2); // ffs(bidders), thread-id compare
                 let winner = (lanes::ffs(bidders) - 1) as usize;
-                let bit = lanes::ffs(masked.get(winner)) - 1;
+                let bit = lanes::ffs(col.get(winner) & masks.get(winner)) - 1;
                 w.charge_alu(2); // ffs(vote & mask), mask erase
                 masks.set(winner, masks.get(winner) & !(1u32 << bit));
                 let msg_idx = q.msg_off + (winner * WARP_SIZE) as u32 + bit;
@@ -320,9 +310,8 @@ impl CtaKernel for MatrixKernel {
         let is_scan = |wid: usize, q: &QueueSlice| wid - (q.warp_base as usize) < q.rows as usize;
 
         // Each scan warp loads its 32 messages once (kept in registers by
-        // the CUDA original).
-        let mut msg_words: Vec<Lanes<u64>> = vec![Lanes::default(); owner.len()];
-        let mut msg_live: Vec<Lanes<bool>> = vec![Lanes::splat(false); owner.len()];
+        // the CUDA original), indexed for its ballots.
+        let mut msgs: Vec<Option<WarpWords>> = vec![None; owner.len()];
         cta.for_each_warp(|w| {
             let Some(q) = owner[w.warp_id()].map(|qi| &queues[qi]) else {
                 return;
@@ -331,14 +320,19 @@ impl CtaKernel for MatrixKernel {
                 return;
             }
             let base = (w.warp_id() as u32 - q.warp_base) * WARP_SIZE as u32;
-            let lid = w.lane_ids();
-            let live = lid.map(|l| base + l < q.n_msgs);
-            let idx = lid.zip(&live, |l, lv| if lv { q.msg_off + base + l } else { 0 });
+            let live = live_lanes(q.n_msgs - base);
+            let idx = w.lane_ids().map(|l| {
+                if live >> l & 1 == 1 {
+                    q.msg_off + base + l
+                } else {
+                    0
+                }
+            });
             w.charge_alu(2);
             let (words, _tok) = w.ld_global(k.msgq, &idx);
-            msg_words[w.warp_id()] = words;
-            msg_live[w.warp_id()] = live;
+            msgs[w.warp_id()] = Some(WarpWords::new(&words, live));
         });
+        let msgs = |wid: usize| msgs[wid].as_ref().expect("scan warps index their messages");
 
         // Row mask state lives in each reduce warp's registers; lanes past
         // the queue's rows never bid.
@@ -358,7 +352,7 @@ impl CtaKernel for MatrixKernel {
                     let q = &queues[qi];
                     if win < k.windows(q) && is_scan(wid, q) {
                         let buf = bufs[qi][win % 2];
-                        k.scan(w, q, win, buf, &msg_words[wid], &msg_live[wid]);
+                        k.scan(w, q, win, buf, msgs(wid));
                     }
                     if win > 0 && win - 1 < k.windows(q) && wid == q.reduce_warp() {
                         k.reduce(w, q, win - 1, bufs[qi][(win + 1) % 2], &mut masks[qi]);
@@ -374,7 +368,7 @@ impl CtaKernel for MatrixKernel {
                 cta.for_each_warp(|w| {
                     let wid = w.warp_id();
                     if is_scan(wid, q) {
-                        k.scan(w, q, win, buf, &msg_words[wid], &msg_live[wid]);
+                        k.scan(w, q, win, buf, msgs(wid));
                     }
                 });
                 cta.warp(q.reduce_warp(), |w| {
@@ -382,6 +376,15 @@ impl CtaKernel for MatrixKernel {
                 });
             }
         }
+    }
+}
+
+/// Lanes `0..n` of a warp, as ballot bits.
+fn live_lanes(n: u32) -> u32 {
+    if n >= WARP_SIZE as u32 {
+        u32::MAX
+    } else {
+        (1 << n) - 1
     }
 }
 
@@ -411,10 +414,10 @@ impl CtaKernel for SmallKernel {
         let dedup = self.dedup;
         cta.for_each_warp(|w| {
             let tid = w.thread_ids();
-            let live = tid.map(|t| (t as usize) < n_msgs);
             let idx = tid.map(|t| if (t as usize) < n_msgs { t } else { 0 });
             w.charge_alu(2);
             let (words, _tok) = w.ld_global(msgq, &idx);
+            let msgs = WarpWords::new(&words, live_lanes(n_msgs as u32));
             let mut mask: u32 = u32::MAX;
             let mut chunk_start = 0usize;
             // (request word, unmasked ballot) of the previous request:
@@ -424,12 +427,8 @@ impl CtaKernel for SmallKernel {
             let mut prev: Option<(u64, u32)> = None;
             while chunk_start < n_reqs {
                 let chunk = WARP_SIZE.min(n_reqs - chunk_start);
-                let lid = w.lane_ids();
-                let rlive = lid.map(|l| (l as usize) < chunk);
-                let base = chunk_start as u32;
-                let ridx = lid.zip(&rlive, |l, lv| if lv { base + l } else { base });
                 w.charge_alu(2);
-                let (req_lanes, tok) = w.ld_global(recvq, &ridx);
+                let (req_lanes, tok) = w.ld_global_run(recvq, chunk_start as u32, chunk as u32);
                 let mut load_dep = Some(tok);
                 for j in 0..chunk {
                     w.charge_alu(1 + costs.reduce_overhead);
@@ -446,8 +445,7 @@ impl CtaKernel for SmallKernel {
                             let (_req_desc, gtok) =
                                 w.ld_global_bcast(recvq, (chunk_start + j) as u32);
                             let _ = load_dep.take();
-                            let preds = words.zip(&live, |m, l| l & packed_matches(m, req_word));
-                            w.ballot_dep(Some(gtok), &preds)
+                            w.ballot_bits_dep(Some(gtok), msgs.ballot(req_word))
                         }
                     };
                     prev = Some((req_word, raw));

@@ -16,8 +16,8 @@
 use crate::config::{GpuConfig, GpuGeneration, WARP_SIZE};
 use crate::lanes::{self, LaneMask, Lanes};
 use crate::mem::{
-    bank_conflict_degree, coalesced_transactions, BufferId, DeviceMemory, DeviceScalar, SharedId,
-    SharedMemory,
+    bank_conflict_degree, coalesced_transactions, element_conflict_degree, run_conflict_degree,
+    run_index, run_transactions, BufferId, DeviceMemory, DeviceScalar, SharedId, SharedMemory,
 };
 use crate::sanitize::{self, Access, AccessKind, RaceReport, Space};
 use crate::timing::{self, TimingReport};
@@ -283,27 +283,38 @@ impl WarpCtx<'_> {
         self.cursor.record(self.trace, kind, dep)
     }
 
-    fn log_access(&mut self, kind: AccessKind, space: Space, buffer: usize, idx: &Lanes<u32>) {
-        let mask = self.active_mask();
-        let warp = self.warp_id as u32;
+    /// Record the memory op `op` and log each active lane's access to
+    /// element `index(lane)` of `buffer`: the recording every per-lane
+    /// memory op shares, whether it holds its indices as a vector or as
+    /// a run.
+    #[inline]
+    fn record_access(
+        &mut self,
+        op: OpKind,
+        dep: Option<DepToken>,
+        (kind, space, buffer): (AccessKind, Space, usize),
+        index: impl Fn(usize) -> u32,
+    ) -> DepToken {
+        let tok = self.record_dep(op, dep);
+        // With the sanitizer off this branch is all a launch pays.
         if let Some(log) = self.san_log.as_deref_mut() {
-            for lane in mask.iter() {
-                log.push(Access {
-                    warp,
-                    kind,
-                    space,
-                    buffer: buffer as u32,
-                    index: idx.get(lane),
-                });
-            }
+            let warp = self.warp_id as u32;
+            log.extend(self.mask.iter().map(|lane| Access {
+                warp,
+                kind,
+                space,
+                buffer: buffer as u32,
+                index: index(lane),
+            }));
         }
+        tok
     }
 
+    #[inline]
     fn log_access_one(&mut self, kind: AccessKind, space: Space, buffer: usize, index: u32) {
-        let warp = self.warp_id as u32;
         if let Some(log) = self.san_log.as_deref_mut() {
             log.push(Access {
-                warp,
+                warp: self.warp_id as u32,
                 kind,
                 space,
                 buffer: buffer as u32,
@@ -358,9 +369,16 @@ impl WarpCtx<'_> {
     /// [`WarpCtx::ballot`] whose predicate consumes the value produced by
     /// `dep` (typically the load that fetched the operands).
     pub fn ballot_dep(&mut self, dep: Option<DepToken>, preds: &Lanes<bool>) -> u32 {
+        self.ballot_bits_dep(dep, lanes::ballot(LaneMask::FULL, preds))
+    }
+
+    /// [`WarpCtx::ballot_dep`] of predicates the kernel already packed,
+    /// lane `l`'s at bit `l`: records the same predicate instruction and
+    /// vote, and returns `bits` under the active mask.
+    pub fn ballot_bits_dep(&mut self, dep: Option<DepToken>, bits: u32) -> u32 {
         self.record_dep(OpKind::IAlu { n: 1 }, dep);
         self.record(OpKind::Vote);
-        lanes::ballot(self.active_mask(), preds)
+        bits & self.active_mask().0
     }
 
     /// Warp-wide all-vote.
@@ -395,9 +413,16 @@ impl WarpCtx<'_> {
     /// Run `f` with the active mask narrowed to lanes whose predicate is
     /// true (branch divergence). Charges the predicate + branch.
     pub fn if_lanes(&mut self, preds: &Lanes<bool>, f: impl FnOnce(&mut Self)) {
+        self.if_bits(lanes::ballot(LaneMask::FULL, preds), f);
+    }
+
+    /// [`WarpCtx::if_lanes`] of predicates packed as bits, lane `l`'s at
+    /// bit `l`.
+    #[inline]
+    fn if_bits(&mut self, bits: u32, f: impl FnOnce(&mut Self)) {
         self.record(OpKind::IAlu { n: 1 });
         let outer = self.mask;
-        self.mask = LaneMask(lanes::ballot(outer, preds));
+        self.mask = LaneMask(outer.0 & bits);
         if self.mask != LaneMask::EMPTY {
             f(self);
         }
@@ -413,11 +438,27 @@ impl WarpCtx<'_> {
         buf: BufferId<T>,
         idx: &Lanes<u32>,
     ) -> (Lanes<T>, DepToken) {
+        self.ld_global_after(buf, idx, None)
+    }
+
+    /// [`WarpCtx::ld_global`] of the run `base, base + 1, …`: lane `l`
+    /// reads element `base + l` below `len` and `base` past it (the dead
+    /// lanes of a partial chunk). Records what `ld_global` records for
+    /// that index vector, with the transactions counted from the run's
+    /// bounds.
+    pub fn ld_global_run<T: DeviceScalar>(
+        &mut self,
+        buf: BufferId<T>,
+        base: u32,
+        len: u32,
+    ) -> (Lanes<T>, DepToken) {
         let mask = self.active_mask();
-        let tx = coalesced_transactions(mask, idx, T::BYTES);
-        let tok = self.record(OpKind::LdGlobal { transactions: tx });
-        self.log_access(AccessKind::Read, Space::Global, buf.index, idx);
-        (self.global.load_lanes(buf, mask, idx), tok)
+        let tx = run_transactions(mask, base, len, T::BYTES);
+        let access = (AccessKind::Read, Space::Global, buf.index);
+        let tok = self.record_access(OpKind::LdGlobal { transactions: tx }, None, access, |l| {
+            run_index(base, len, l)
+        });
+        (self.global.load_run(buf, mask, base, len), tok)
     }
 
     /// Warp-uniform load: every lane reads element `idx` (one transaction,
@@ -455,8 +496,10 @@ impl WarpCtx<'_> {
     ) -> DepToken {
         let mask = self.active_mask();
         let tx = coalesced_transactions(mask, idx, T::BYTES);
-        let tok = self.record_dep(OpKind::StGlobal { transactions: tx }, dep);
-        self.log_access(AccessKind::Write, Space::Global, buf.index, idx);
+        let access = (AccessKind::Write, Space::Global, buf.index);
+        let tok = self.record_access(OpKind::StGlobal { transactions: tx }, dep, access, |l| {
+            idx.get(l)
+        });
         self.global.store_lanes(buf, mask, idx, values);
         tok
     }
@@ -470,8 +513,10 @@ impl WarpCtx<'_> {
     ) -> (Lanes<T>, DepToken) {
         let mask = self.active_mask();
         let tx = coalesced_transactions(mask, idx, T::BYTES);
-        let tok = self.record_dep(OpKind::LdGlobal { transactions: tx }, dep);
-        self.log_access(AccessKind::Read, Space::Global, buf.index, idx);
+        let access = (AccessKind::Read, Space::Global, buf.index);
+        let tok = self.record_access(OpKind::LdGlobal { transactions: tx }, dep, access, |l| {
+            idx.get(l)
+        });
         (self.global.load_lanes(buf, mask, idx), tok)
     }
 
@@ -497,8 +542,10 @@ impl WarpCtx<'_> {
     ) -> (Lanes<T>, DepToken) {
         let mask = self.active_mask();
         let tx = mask.count().max(1);
-        let tok = self.record(OpKind::AtomGlobal { transactions: tx });
-        self.log_access(AccessKind::Atomic, Space::Global, buf.index, idx);
+        let access = (AccessKind::Atomic, Space::Global, buf.index);
+        let tok = self.record_access(OpKind::AtomGlobal { transactions: tx }, None, access, |l| {
+            idx.get(l)
+        });
         let mut old = Lanes::<T>::default();
         for lane in mask.iter() {
             let i = idx.get(lane) as usize;
@@ -520,8 +567,10 @@ impl WarpCtx<'_> {
     ) -> (Lanes<u32>, DepToken) {
         let mask = self.active_mask();
         let tx = mask.count().max(1);
-        let tok = self.record(OpKind::AtomGlobal { transactions: tx });
-        self.log_access(AccessKind::Atomic, Space::Global, buf.index, idx);
+        let access = (AccessKind::Atomic, Space::Global, buf.index);
+        let tok = self.record_access(OpKind::AtomGlobal { transactions: tx }, None, access, |l| {
+            idx.get(l)
+        });
         let mut old = Lanes::<u32>::default();
         for lane in mask.iter() {
             let i = idx.get(lane) as usize;
@@ -543,9 +592,26 @@ impl WarpCtx<'_> {
     ) -> (Lanes<T>, DepToken) {
         let mask = self.active_mask();
         let replays = bank_conflict_degree(mask, idx, T::BYTES, self.banks).max(1);
-        let tok = self.record(OpKind::LdShared { replays });
-        self.log_access(AccessKind::Read, Space::Shared, id.index, idx);
+        let access = (AccessKind::Read, Space::Shared, id.index);
+        let tok = self.record_access(OpKind::LdShared { replays }, None, access, |l| idx.get(l));
         (self.shared.load_lanes(id, mask, idx), tok)
+    }
+
+    /// [`WarpCtx::ld_shared`] of a run (see [`WarpCtx::ld_global_run`]),
+    /// with the bank-conflict replays counted from the run's bounds.
+    pub fn ld_shared_run<T: DeviceScalar>(
+        &mut self,
+        id: SharedId<T>,
+        base: u32,
+        len: u32,
+    ) -> (Lanes<T>, DepToken) {
+        let mask = self.active_mask();
+        let replays = run_conflict_degree(mask, base, len, T::BYTES, self.banks).max(1);
+        let access = (AccessKind::Read, Space::Shared, id.index);
+        let tok = self.record_access(OpKind::LdShared { replays }, None, access, |l| {
+            run_index(base, len, l)
+        });
+        (self.shared.load_run(id, mask, base, len), tok)
     }
 
     /// Per-lane scatter to shared memory.
@@ -557,9 +623,22 @@ impl WarpCtx<'_> {
     ) {
         let mask = self.active_mask();
         let replays = bank_conflict_degree(mask, idx, T::BYTES, self.banks).max(1);
-        self.record(OpKind::StShared { replays });
-        self.log_access(AccessKind::Write, Space::Shared, id.index, idx);
+        let access = (AccessKind::Write, Space::Shared, id.index);
+        self.record_access(OpKind::StShared { replays }, None, access, |l| idx.get(l));
         self.shared.store_lanes(id, mask, idx, values);
+    }
+
+    /// Lane 0 stores `value` to element `idx` (the `if (lane == 0)
+    /// buf[i] = v` idiom): records what [`WarpCtx::if_lanes`] on
+    /// `lane == 0` around [`WarpCtx::st_shared`] records, the branch and,
+    /// when lane 0 is active, a one-lane store.
+    pub fn st_shared_leader<T: DeviceScalar>(&mut self, id: SharedId<T>, idx: u32, value: T) {
+        self.if_bits(1, |w| {
+            let replays = element_conflict_degree(T::BYTES, w.banks);
+            w.record(OpKind::StShared { replays });
+            w.log_access_one(AccessKind::Write, Space::Shared, id.index, idx);
+            w.shared.write(id, idx as usize, value);
+        });
     }
 }
 
@@ -1188,6 +1267,216 @@ mod tests {
                     }
                 });
             }
+        }
+    }
+
+    /// A word-level op of [`WarpCtx`], to run against the lane-vector
+    /// form it stands for.
+    #[derive(Debug, Clone, Copy)]
+    enum WordOp {
+        /// `ballot_bits_dep` against `ballot_dep` of the same bits, with
+        /// or without a dependency.
+        Ballot { bits: u32, dep: bool },
+        /// `st_shared_leader` against `st_shared` under `if_lanes` on
+        /// `lane == 0`.
+        StoreLeader { idx: u32, value: u64 },
+        /// `ld_global_run` against `ld_global` of the run's lanes.
+        LoadGlobalRun { base: u32, len: u32 },
+        /// `ld_shared_run` against `ld_shared` of the run's lanes.
+        LoadSharedRun { base: u32, len: u32 },
+    }
+
+    /// Elements of each buffer and shared region [`Twin`] uses.
+    const TWIN_ELEMS: u32 = 1024;
+
+    /// Runs one [`WordOp`] under the lanes of `narrow`, in its word-level
+    /// form when `word` is set, on `u64` elements when `wide` is set.
+    /// Keeps what the op returned and the sanitizer log it left.
+    struct Twin {
+        op: WordOp,
+        word: bool,
+        wide: bool,
+        narrow: u32,
+        g32: BufferId<u32>,
+        g64: BufferId<u64>,
+        seen: Vec<String>,
+    }
+
+    fn twin_op<T: DeviceScalar + std::fmt::Debug>(
+        w: &mut WarpCtx<'_>,
+        op: WordOp,
+        word: bool,
+        global: BufferId<T>,
+        shared: SharedId<T>,
+    ) -> String {
+        // The index vector a run stands for, spelled out lane by lane.
+        let run = |base: u32, len: u32| {
+            Lanes::from_fn(|l| {
+                if (l as u32) < len {
+                    base + l as u32
+                } else {
+                    base
+                }
+            })
+        };
+        match op {
+            WordOp::Ballot { bits, dep } => {
+                let (_, tok) = w.ld_global_bcast(global, 0);
+                let dep = dep.then_some(tok);
+                let got = if word {
+                    w.ballot_bits_dep(dep, bits)
+                } else {
+                    w.ballot_dep(dep, &Lanes::from_fn(|l| bits >> l & 1 == 1))
+                };
+                format!("{got:#x}")
+            }
+            WordOp::StoreLeader { idx, value } => {
+                let value = T::from_word(value);
+                if word {
+                    w.st_shared_leader(shared, idx, value);
+                } else {
+                    let lane0 = w.lane_ids().map(|l| l == 0);
+                    w.if_lanes(&lane0, |w| {
+                        w.st_shared(shared, &Lanes::splat(idx), &Lanes::splat(value));
+                    });
+                }
+                String::new()
+            }
+            WordOp::LoadGlobalRun { base, len } => format!(
+                "{:?}",
+                if word {
+                    w.ld_global_run(global, base, len)
+                } else {
+                    w.ld_global(global, &run(base, len))
+                }
+            ),
+            WordOp::LoadSharedRun { base, len } => format!(
+                "{:?}",
+                if word {
+                    w.ld_shared_run(shared, base, len)
+                } else {
+                    w.ld_shared(shared, &run(base, len))
+                }
+            ),
+        }
+    }
+
+    impl CtaKernel for Twin {
+        fn execute(&mut self, cta: &mut CtaCtx<'_>) {
+            let s32 = cta.alloc_shared::<u32>(TWIN_ELEMS as usize);
+            let s64 = cta.alloc_shared::<u64>(TWIN_ELEMS as usize);
+            for i in 0..TWIN_ELEMS {
+                cta.shared.write(s32, i as usize, 0x1000 + i);
+                cta.shared
+                    .write(s64, i as usize, 0x2_0000_0000 + u64::from(i));
+            }
+            let t = &mut *self;
+            cta.for_each_warp(|w| {
+                let narrow = Lanes::from_fn(|l| t.narrow >> l & 1 == 1);
+                w.if_lanes(&narrow, |w| {
+                    let got = if t.wide {
+                        twin_op(w, t.op, t.word, t.g64, s64)
+                    } else {
+                        twin_op(w, t.op, t.word, t.g32, s32)
+                    };
+                    let log = w.san_log.as_deref().cloned();
+                    t.seen.push(format!("{got} {log:?}"));
+                });
+            });
+        }
+    }
+
+    /// Everything a launch of one [`Twin`] leaves behind: the op's
+    /// results and sanitizer log, the recorded trace, the launch report,
+    /// the race findings, device memory and shared memory.
+    fn twin_launch(
+        (op, word, wide): (WordOp, bool, bool),
+        narrow: u32,
+        threads: u32,
+        banks: u32,
+        sanitize: bool,
+    ) -> Vec<String> {
+        let mut config = GpuGeneration::PascalGtx1080.config();
+        config.sm.shared_banks = banks;
+        let mut gpu = Gpu::with_config(config);
+        let g32 = gpu
+            .mem
+            .alloc_from(&(0..TWIN_ELEMS).map(|i| 0x3000 + i).collect::<Vec<_>>());
+        let g64 = gpu.mem.alloc_from(
+            &(0..u64::from(TWIN_ELEMS))
+                .map(|i| 0x4_0000_0000 + i)
+                .collect::<Vec<_>>(),
+        );
+        let mut twin = Twin {
+            op,
+            word,
+            wide,
+            narrow,
+            g32,
+            g64,
+            seen: Vec::new(),
+        };
+        let launch = LaunchConfig::single_sm(1, threads);
+        let (report, races) = if sanitize {
+            gpu.launch_sanitized(&mut twin, launch)
+        } else {
+            (gpu.launch(&mut twin, launch), Vec::new())
+        };
+        vec![
+            format!("{:?}", twin.seen),
+            format!("{:?}", gpu.trace),
+            format!("{report:?}"),
+            format!("{races:?}"),
+            format!("{:?}", gpu.mem.read_vec(g32)),
+            format!("{:?}", gpu.mem.read_vec(g64)),
+            format!("{:?}", gpu.shared.snapshot()),
+        ]
+    }
+
+    fn any_word_op() -> impl proptest::strategy::Strategy<Value = WordOp> {
+        use proptest::prelude::*;
+        // Bases near the ends of the buffers and of 128-byte segments.
+        let base = || prop_oneof![0u32..64, 0u32..TWIN_ELEMS - 32, Just(TWIN_ELEMS - 32)];
+        let len = || prop_oneof![Just(32u32), 0u32..=32, 33u32..40];
+        prop_oneof![
+            (any::<u32>(), any::<bool>()).prop_map(|(bits, dep)| WordOp::Ballot { bits, dep }),
+            (0u32..TWIN_ELEMS, any::<u64>())
+                .prop_map(|(idx, value)| WordOp::StoreLeader { idx, value }),
+            (base(), len()).prop_map(|(base, len)| WordOp::LoadGlobalRun { base, len }),
+            (base(), len()).prop_map(|(base, len)| WordOp::LoadSharedRun { base, len }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+        /// Each word-level op records exactly what its lane-vector form
+        /// records: the same ops and dependency tokens, results, memory
+        /// effects and sanitizer accesses, on partial warps, under any
+        /// active mask and bank count.
+        #[test]
+        fn word_level_ops_equal_their_lane_vector_forms(
+            op in any_word_op(),
+            wide in proptest::prelude::any::<bool>(),
+            narrow in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(u32::MAX),
+                proptest::prelude::Just(u32::MAX - 1),
+                proptest::prelude::any::<u32>(),
+            ],
+            threads in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(32u32),
+                1u32..=32,
+                33u32..=64,
+            ],
+            banks in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(32u32),
+                proptest::prelude::Just(16u32),
+                1u32..=64,
+            ],
+            sanitize in proptest::prelude::any::<bool>(),
+        ) {
+            let lanes = twin_launch((op, false, wide), narrow, threads, banks, sanitize);
+            let words = twin_launch((op, true, wide), narrow, threads, banks, sanitize);
+            proptest::prop_assert_eq!(words, lanes);
         }
     }
 

@@ -180,6 +180,16 @@ impl DeviceMemory {
         })
     }
 
+    pub(crate) fn load_run<T: DeviceScalar>(
+        &self,
+        buf: BufferId<T>,
+        mask: LaneMask,
+        base: u32,
+        len: u32,
+    ) -> Lanes<T> {
+        load_run(&self.buffers[buf.index].words, mask, base, len)
+    }
+
     pub(crate) fn store_lanes<T: DeviceScalar>(
         &mut self,
         buf: BufferId<T>,
@@ -275,6 +285,16 @@ impl SharedMemory {
         })
     }
 
+    pub(crate) fn load_run<T: DeviceScalar>(
+        &self,
+        id: SharedId<T>,
+        mask: LaneMask,
+        base: u32,
+        len: u32,
+    ) -> Lanes<T> {
+        load_run(&self.regions[..self.used][id.index].words, mask, base, len)
+    }
+
     pub(crate) fn store_lanes<T: DeviceScalar>(
         &mut self,
         id: SharedId<T>,
@@ -287,6 +307,107 @@ impl SharedMemory {
             words[idx.get(lane) as usize] = values.get(lane).to_word();
         }
     }
+
+    /// One lane's store of `value` to element `idx`.
+    pub(crate) fn write<T: DeviceScalar>(&mut self, id: SharedId<T>, idx: usize, value: T) {
+        self.regions[..self.used][id.index].words[idx] = value.to_word();
+    }
+
+    /// Every region the current CTA allocated, as storage words.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Vec<Vec<u64>> {
+        self.regions[..self.used]
+            .iter()
+            .map(|r| r.words.clone())
+            .collect()
+    }
+}
+
+/// The element lane `lane` of a *run* access reads: `base + lane` for the
+/// first `len` lanes, `base` for the rest (the dead lanes of a partial
+/// chunk re-read its first element). A run is the index vector the
+/// `*_run` ops of [`crate::WarpCtx`] stand for.
+#[inline]
+pub(crate) fn run_index(base: u32, len: u32, lane: usize) -> u32 {
+    if (lane as u32) < len {
+        base + lane as u32
+    } else {
+        base
+    }
+}
+
+/// The elements a run touches under `mask`, as offsets from `base`: bit
+/// `o` stands for element `base + o`.
+#[inline]
+fn run_offsets(mask: LaneMask, len: u32) -> u32 {
+    let head = LaneMask::first(len as usize).0;
+    mask.0 & head | u32::from(mask.0 & !head != 0)
+}
+
+/// [`DeviceMemory::load_lanes`] of a run's index vector.
+#[inline]
+fn load_run<T: DeviceScalar>(words: &[u64], mask: LaneMask, base: u32, len: u32) -> Lanes<T> {
+    if mask == LaneMask::FULL && len as usize >= WARP_SIZE {
+        let run = &words[base as usize..base as usize + WARP_SIZE];
+        return Lanes::from_fn(|lane| T::from_word(run[lane]));
+    }
+    Lanes::from_fn(|lane| {
+        if mask.contains(lane) {
+            T::from_word(words[run_index(base, len, lane) as usize])
+        } else {
+            T::default()
+        }
+    })
+}
+
+/// [`coalesced_transactions`] of a run, counted from its bounds: each
+/// 128-byte segment between the first and the last element touched that
+/// holds a touched element (at most `⌈31 · elem_bytes / 128⌉ + 1` of
+/// them) is one transaction.
+pub(crate) fn run_transactions(mask: LaneMask, base: u32, len: u32, elem_bytes: u32) -> u32 {
+    let offsets = run_offsets(mask, len);
+    if offsets == 0 {
+        return 0;
+    }
+    let (base, bytes) = (u64::from(base), u64::from(elem_bytes));
+    let lo = base + u64::from(offsets.trailing_zeros());
+    let hi = base + u64::from(31 - offsets.leading_zeros());
+    (lo * bytes / 128..=hi * bytes / 128)
+        .filter(|&seg| {
+            // The segment's elements, clipped to the run, as offsets.
+            let first = (seg * 128).div_ceil(bytes).max(lo) - base;
+            let end = ((seg + 1) * 128).div_ceil(bytes).min(hi + 1) - base;
+            offsets as u64 & ((1u64 << end) - (1u64 << first)) != 0
+        })
+        .count() as u32
+}
+
+/// [`bank_conflict_degree`] of a run, counted from its bounds: a run
+/// spanning at most `banks` words is free; a longer one counts the words
+/// of its distinct elements per bank.
+///
+/// # Panics
+/// Panics unless `1 <= banks <= 64`.
+pub(crate) fn run_conflict_degree(
+    mask: LaneMask,
+    base: u32,
+    len: u32,
+    elem_bytes: u32,
+    banks: u32,
+) -> u32 {
+    check_banks(banks);
+    let offsets = run_offsets(mask, len);
+    if offsets == 0 {
+        return 0;
+    }
+    let words_per_elem = u64::from((elem_bytes / 4).max(1));
+    let lo = offsets.trailing_zeros();
+    let span = u64::from(32 - offsets.leading_zeros() - lo) * words_per_elem;
+    if span <= u64::from(banks) {
+        return 1;
+    }
+    let elems = LaneMask(offsets).iter().map(|o| u64::from(base) + o as u64);
+    per_bank_degree(elems, words_per_elem, u64::from(banks))
 }
 
 /// Number of 128-byte global-memory transactions needed to service a
@@ -351,20 +472,30 @@ pub(crate) fn bank_conflict_degree(
     elem_bytes: u32,
     banks: u32,
 ) -> u32 {
+    check_banks(banks);
+    if mask == LaneMask::EMPTY {
+        0
+    } else if !mask.at_most_one() {
+        let words_per_elem = (elem_bytes / 4).max(1);
+        lanes_conflict_degree(mask, idx, u64::from(words_per_elem), u64::from(banks))
+    } else {
+        element_conflict_degree(elem_bytes, banks)
+    }
+}
+
+/// [`bank_conflict_degree`] of one lane: its element covers `k`
+/// consecutive words, at most `⌈k / banks⌉` of them on one bank.
+#[inline]
+pub(crate) fn element_conflict_degree(elem_bytes: u32, banks: u32) -> u32 {
+    (elem_bytes / 4).max(1).div_ceil(banks)
+}
+
+#[inline]
+fn check_banks(banks: u32) {
     assert!(
         (1..=MAX_SHARED_BANKS).contains(&(banks as usize)),
         "{banks} shared banks; 1..={MAX_SHARED_BANKS} supported"
     );
-    let words_per_elem = (elem_bytes / 4).max(1);
-    if mask == LaneMask::EMPTY {
-        0
-    } else if !mask.at_most_one() {
-        lanes_conflict_degree(mask, idx, u64::from(words_per_elem), u64::from(banks))
-    } else if words_per_elem <= banks {
-        1
-    } else {
-        words_per_elem.div_ceil(banks)
-    }
 }
 
 /// [`bank_conflict_degree`] of two or more active lanes.
@@ -392,14 +523,21 @@ fn lanes_conflict_degree(mask: LaneMask, idx: &Lanes<u32>, words_per_elem: u64, 
     } else {
         elems.sort_unstable();
     }
+    let distinct = elems
+        .iter()
+        .enumerate()
+        .filter(|&(i, &e)| i == 0 || elems[i - 1] != e)
+        .map(|(_, &e)| u64::from(e));
+    per_bank_degree(distinct, words_per_elem, banks)
+}
+
+/// The most words of the distinct elements `elems` on one bank.
+fn per_bank_degree(elems: impl Iterator<Item = u64>, words_per_elem: u64, banks: u64) -> u32 {
     let mut per_bank = [0u32; MAX_SHARED_BANKS];
     let mut degree = 1;
-    for (i, &e) in elems.iter().enumerate() {
-        if i > 0 && elems[i - 1] == e {
-            continue;
-        }
+    for e in elems {
         for w in 0..words_per_elem {
-            let bank = ((u64::from(e) * words_per_elem + w) % banks) as usize;
+            let bank = ((e * words_per_elem + w) % banks) as usize;
             per_bank[bank] += 1;
             degree = degree.max(per_bank[bank]);
         }
