@@ -183,6 +183,7 @@ impl ShardPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::SrcSpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -258,20 +259,39 @@ mod tests {
 
     #[test]
     fn split_covers_every_tuple_exactly_once() {
-        let (msgs, reqs) = multi_comm_batch(200, 3, 11);
+        let (msgs, mut reqs) = multi_comm_batch(200, 3, 11);
+        reqs.extend((0..3).map(|comm| RecvRequest::any_source(7, comm)));
         let p = ShardPlacement::hashed(4);
         let parts = p.split(&msgs, &reqs);
-        let m_total: usize = parts.iter().map(|(m, _)| m.len()).sum();
-        let r_total: usize = parts.iter().map(|(_, r)| r.len()).sum();
-        assert_eq!(m_total, msgs.len());
-        assert_eq!(r_total, reqs.len());
-        // A message and its exactly-matching request land on one shard.
-        for (mi, ri) in &parts {
+        // Every message and request is in exactly one part: the shard of
+        // its `(comm, src)`, `(comm, 0)` for a source wildcard.
+        let mut msg_part = vec![None; msgs.len()];
+        let mut req_part = vec![None; reqs.len()];
+        for (s, (mi, ri)) in parts.iter().enumerate() {
             for &i in mi {
                 let m = msgs[i as usize];
-                assert_eq!(p.shard_of(m.comm, m.src), p.shard_of(m.comm, m.src));
+                assert_eq!(p.shard_of(m.comm, m.src), s, "message {i}");
+                assert_eq!(msg_part[i as usize].replace(s), None, "message {i} twice");
             }
-            let _ = ri;
+            for &j in ri {
+                let r = reqs[j as usize];
+                let src = match r.src {
+                    SrcSpec::Rank(src) => src,
+                    SrcSpec::Any => 0,
+                };
+                assert_eq!(p.shard_of(r.comm, src), s, "request {j}");
+                assert_eq!(req_part[j as usize].replace(s), None, "request {j} twice");
+            }
+        }
+        assert!(msg_part.iter().chain(&req_part).all(Option::is_some));
+        // A message and its exactly-matching request land on one shard.
+        for (i, m) in msgs.iter().enumerate() {
+            let exact = RecvRequest::exact(m.src, m.tag, m.comm);
+            let j = reqs
+                .iter()
+                .position(|r| *r == exact)
+                .expect("exact request");
+            assert_eq!(msg_part[i], req_part[j], "message {i} and request {j}");
         }
     }
 

@@ -140,7 +140,7 @@ impl KernelProfile {
 }
 
 /// Timing outcome of a grid launch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimingReport {
     /// Total simulated cycles (max over the SMs used).
     pub cycles: u64,
@@ -185,6 +185,9 @@ struct WarpState<'a> {
     ops: &'a [OpRecord],
     /// Next op index to issue.
     pc: usize,
+    /// `pc` at the SM's [`Mark`], if it holds one: the warp's segment
+    /// since then is `ops[mark_pc..pc]`.
+    mark_pc: usize,
     /// Where the warp's ring of op completion times starts in
     /// `SmSim::completions`.
     base: usize,
@@ -200,6 +203,40 @@ struct WarpState<'a> {
     /// heads (dependency gaps are classified from the producing op
     /// instead).
     wait_class: StallClass,
+}
+
+/// The SM state a barrier segment's timing starts from, relative to the
+/// release that starts it. Every op of the segment issues at or after
+/// the release, so a memory pipe free earlier is as good as free at the
+/// release, and the clamp loses nothing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    mem_free_mc: u64,
+    shared_free_mc: u64,
+    /// `acct_mc − release`, wrapping: the accounted frontier, which is
+    /// also when the issue server is free, may lie before the release.
+    acct_mc: u64,
+}
+
+/// The additive totals of an SM's replay: the report's counters, then
+/// the millicycles per stall class (see [`SmSim::totals_mut`]).
+const TOTALS: usize = 8 + OpClass::ALL.len() + STALL_CLASSES;
+
+/// What an SM looked like at a barrier release of a CTA alone on it,
+/// kept until the next release to tell whether the segment between them
+/// repeats (DESIGN.md §4 "Segment fast-forward"). Each warp's `pc` then
+/// is its [`WarpState::mark_pc`].
+#[derive(Clone, Copy)]
+struct Mark {
+    cta_slot: usize,
+    release_mc: u64,
+    entry: Entry,
+    /// `now_max_mc − release`. No issue decision reads `now_max_mc` or
+    /// `tail_class`: they track the latest completion. A segment whose
+    /// own release reaches the `now_max_mc` it started with therefore
+    /// leaves both as it would from any such start.
+    now_max_mc: u64,
+    totals: [u64; TOTALS],
 }
 
 struct CtaRun {
@@ -308,6 +345,31 @@ struct SmSim<'a> {
     /// between the final issue and the SM finish time.
     tail_class: StallClass,
     report: TimingReport,
+    /// Resident CTAs with a warp still executing.
+    live_ctas: usize,
+    /// The previous barrier release, if a CTA alone on the SM made it.
+    mark: Option<Mark>,
+    /// Ops fast-forwarded over instead of issued.
+    skipped_ops: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set while a test build replays a fast-forwarded launch again,
+    /// step by step (see [`Replayer::replay`]).
+    static STEP_BY_STEP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether `copy`, the ops from index `at`, repeats `seg`, the ops from
+/// index `from`: the same kinds, each dependency the same distance into
+/// its own run. `seg` must wait on nothing before `from`; a dependency
+/// of `copy` before `at` wraps around and so never matches.
+fn repeats_ops(seg: &[OpRecord], from: usize, copy: &[OpRecord], at: usize) -> bool {
+    seg.iter().zip(copy).all(|(a, b)| {
+        a.kind == b.kind
+            && a.waits_on().map(|d| d as usize - from)
+                == b.waits_on().map(|d| (d as usize).wrapping_sub(at))
+    })
 }
 
 impl<'a> SmSim<'a> {
@@ -367,6 +429,9 @@ impl<'a> SmSim<'a> {
             stall_mc: [0; STALL_CLASSES],
             tail_class: StallClass::PipeContention,
             report: TimingReport::default(),
+            live_ctas: 0,
+            mark: None,
+            skipped_ops: 0,
         };
         for _ in 0..max_resident {
             sim.activate_next(0);
@@ -402,6 +467,7 @@ impl<'a> SmSim<'a> {
                     cta_slot: slot,
                     ops: &wt.ops,
                     pc: 0,
+                    mark_pc: 0,
                     base,
                     ring_mask: ring - 1,
                     ready_mc: at_mc,
@@ -424,6 +490,7 @@ impl<'a> SmSim<'a> {
                 at_barrier: 0,
             });
             if live_warps > 0 {
+                self.live_ctas += 1;
                 return;
             }
         }
@@ -641,7 +708,10 @@ impl<'a> SmSim<'a> {
                 run.live_warps -= finished;
                 if run.live_warps == 0 {
                     // CTA finished: its slot frees; admit the next CTA.
+                    self.live_ctas -= 1;
                     self.activate_next(release);
+                } else {
+                    self.mark_release(cta_slot, release);
                 }
             } else {
                 self.set_key(wi, NOT_READY);
@@ -740,12 +810,168 @@ impl<'a> SmSim<'a> {
             let run = &mut self.resident[cta_slot];
             run.live_warps -= 1;
             if run.live_warps == 0 {
+                self.live_ctas -= 1;
                 let t = self.warps[wi].ready_mc;
                 self.activate_next(t);
             }
         } else {
             self.refresh(wi);
         }
+    }
+
+    /// Every additive total of the replay, in [`Mark::totals`] order.
+    fn totals_mut(&mut self) -> [&mut u64; TOTALS] {
+        let r = &mut self.report;
+        let [c0, c1, c2, c3, c4, c5] = &mut r.class_instructions;
+        let [s0, s1, s2, s3, s4] = &mut self.stall_mc;
+        [
+            &mut r.instructions,
+            &mut r.global_transactions,
+            &mut r.shared_replays,
+            &mut r.barrier_wait_cycles,
+            &mut r.dependency_stall_cycles,
+            &mut r.issue_busy_cycles,
+            &mut r.mem_busy_cycles,
+            &mut r.shared_busy_cycles,
+            c0,
+            c1,
+            c2,
+            c3,
+            c4,
+            c5,
+            s0,
+            s1,
+            s2,
+            s3,
+            s4,
+        ]
+    }
+
+    /// CTA `slot`'s barrier released at `release`, and the CTA runs on.
+    /// If it is alone on the SM, compare the segment it just replayed
+    /// with the ones that follow: when they repeat it from the same entry
+    /// state, fast-forward over them; otherwise remember this release for
+    /// the next one.
+    fn mark_release(&mut self, slot: usize, release: u64) {
+        if self.live_ctas > 1 {
+            self.mark = None;
+            return;
+        }
+        let mark = Mark {
+            cta_slot: slot,
+            release_mc: release,
+            entry: Entry {
+                mem_free_mc: self.mem_free_mc.max(release) - release,
+                shared_free_mc: self.shared_free_mc.max(release) - release,
+                acct_mc: self.acct_mc.wrapping_sub(release),
+            },
+            now_max_mc: self.now_max_mc - release,
+            totals: self.totals_mut().map(|t| *t),
+        };
+        let range = self.resident[slot].warps.clone();
+        let n = match self.mark {
+            Some(prev)
+                if prev.cta_slot == slot
+                    && prev.entry == mark.entry
+                    && prev.now_max_mc.max(mark.now_max_mc) <= release - prev.release_mc =>
+            {
+                self.repeats(range.clone())
+            }
+            _ => 0,
+        };
+        #[cfg(test)]
+        let n = if STEP_BY_STEP.get() { 0 } else { n };
+        if n == 0 {
+            for w in &mut self.warps[range] {
+                w.mark_pc = w.pc;
+            }
+            self.mark = Some(mark);
+            return;
+        }
+        let prev = self.mark.take().expect("a repeat follows a mark");
+        self.fast_forward(&prev, &mark, n, range);
+    }
+
+    /// How many copies of the segment CTA `range`'s warps just replayed
+    /// (`ops[mark_pc..pc]` of each) follow it back to back, each ending
+    /// with ops left in every warp, and none of them needed by an op
+    /// after the last one.
+    fn repeats(&self, range: Range<usize>) -> usize {
+        let warps = &self.warps[range];
+        // The segment must read no completion from before itself.
+        let closed = warps.iter().all(|w| {
+            w.ops[w.mark_pc..w.pc]
+                .iter()
+                .all(|op| op.waits_on().is_none_or(|d| d as usize >= w.mark_pc))
+        });
+        if !closed {
+            return 0;
+        }
+        let mut n = 0;
+        'copies: loop {
+            for w in warps {
+                let len = w.pc - w.mark_pc;
+                let at = w.pc + n * len;
+                // Ops left after the copy: no warp finishes inside the
+                // run, and a warp that finished at or before this
+                // release stops it.
+                if at + len >= w.ops.len()
+                    || !repeats_ops(&w.ops[w.mark_pc..w.pc], w.mark_pc, &w.ops[at..at + len], at)
+                {
+                    break 'copies;
+                }
+            }
+            n += 1;
+        }
+        if n == 0 {
+            return 0;
+        }
+        // A skipped op's completion is never written to its warp's ring,
+        // so no op after the run may wait on one. Ops at least a ring
+        // past the run wait on nothing inside it; the ones before may cut
+        // the run short.
+        for w in warps {
+            let len = w.pc - w.mark_pc;
+            let end = w.pc + n * len;
+            let window = end..(end + w.ring_mask + 1).min(w.ops.len());
+            for op in &w.ops[window] {
+                if let Some(d) = op.waits_on().map(|d| d as usize) {
+                    if (w.pc..end).contains(&d) {
+                        n = n.min((d - w.pc) / len);
+                    }
+                }
+            }
+        }
+        n
+    }
+
+    /// Advance CTA `range` over `n` more copies of the segment replayed
+    /// between `prev` and `cur`: each one takes as long as it did and
+    /// adds what it added, from the same entry state.
+    fn fast_forward(&mut self, prev: &Mark, cur: &Mark, n: usize, range: Range<usize>) {
+        let times = n as u64;
+        let release = cur.release_mc + times * (cur.release_mc - prev.release_mc);
+        let entry = cur.entry;
+        self.mem_free_mc = release + entry.mem_free_mc;
+        self.shared_free_mc = release + entry.shared_free_mc;
+        self.acct_mc = release.wrapping_add(entry.acct_mc);
+        self.issue_free_mc = self.acct_mc;
+        self.now_max_mc = release + cur.now_max_mc;
+        for ((total, from), to) in self
+            .totals_mut()
+            .into_iter()
+            .zip(prev.totals)
+            .zip(cur.totals)
+        {
+            *total += times * (to - from);
+        }
+        for w in &mut self.warps[range.clone()] {
+            let len = w.pc - w.mark_pc;
+            w.pc += n * len;
+            w.ready_mc = release;
+            self.skipped_ops += (n * len) as u64;
+        }
+        self.refresh_range(range);
     }
 }
 
@@ -789,6 +1015,28 @@ impl Replayer {
         sms_used: u32,
         report: &mut TimingReport,
     ) {
+        let skipped_ops = self.replay_counting(grid, cfg, sms_used, report);
+        // Test builds replay every launch that fast-forwarded again, step
+        // by step: the fast-forward's oracle.
+        #[cfg(test)]
+        if skipped_ops > 0 {
+            STEP_BY_STEP.set(true);
+            let step_by_step = simulate(grid, cfg, sms_used);
+            STEP_BY_STEP.set(false);
+            assert_eq!(*report, step_by_step, "fast-forward changed the replay");
+        }
+        #[cfg(not(test))]
+        let _ = skipped_ops;
+    }
+
+    /// [`Replayer::replay`]; returns the ops it fast-forwarded over.
+    fn replay_counting(
+        &mut self,
+        grid: &GridTrace,
+        cfg: &GpuConfig,
+        sms_used: u32,
+        report: &mut TimingReport,
+    ) -> u64 {
         let max_shared = grid.ctas.iter().map(|c| c.shared_bytes).max().unwrap_or(0);
         let occ: Occupancy = occupancy(
             &cfg.sm,
@@ -808,6 +1056,7 @@ impl Replayer {
         // holds CTAs `s`, `s + sms`, …
         let sms = sms_used.min(cfg.sm_count).max(1) as usize;
         let mut set = std::mem::take(&mut self.set).recycle();
+        let mut skipped_ops = 0;
         for sm in 0..sms.min(grid.ctas.len()) {
             let mut sim = SmSim::new(grid, cfg, (sm, sms), occ.resident_ctas, set);
             let end_mc = sim.run();
@@ -832,9 +1081,11 @@ impl Replayer {
             report.issue_busy_cycles += r.issue_busy_cycles;
             report.mem_busy_cycles += r.mem_busy_cycles;
             report.shared_busy_cycles += r.shared_busy_cycles;
+            skipped_ops += sim.skipped_ops;
             set = sim.into_working_set();
         }
         self.set = set.recycle();
+        skipped_ops
     }
 }
 
@@ -850,7 +1101,10 @@ pub fn simulate(grid: &GridTrace, cfg: &GpuConfig, sms_used: u32) -> TimingRepor
 mod tests {
     use super::*;
     use crate::config::GpuGeneration;
-    use crate::trace::{CtaTrace, WarpTrace};
+    use crate::trace::{CtaTrace, DepToken, WarpTrace};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn one_warp_trace(ops: Vec<OpKind>) -> GridTrace {
         let mut wt = WarpTrace::default();
@@ -1161,6 +1415,210 @@ mod tests {
         assert!(pick_key(last - 1, 7, shift) < pick_key(last, 0, shift));
         assert!(pick_key(last, 7, shift) < NOT_READY);
         pick_key(last + 1, 0, shift);
+    }
+
+    /// `grid` replayed with fast-forward and step by step, and the ops the
+    /// first skipped.
+    fn both_ways(grid: &GridTrace, cfg: &GpuConfig, sms: u32) -> (TimingReport, TimingReport, u64) {
+        let mut fast = TimingReport::default();
+        let skipped = Replayer::default().replay_counting(grid, cfg, sms, &mut fast);
+        STEP_BY_STEP.set(true);
+        let step_by_step = simulate(grid, cfg, sms);
+        STEP_BY_STEP.set(false);
+        (fast, step_by_step, skipped)
+    }
+
+    #[test]
+    fn repeated_segments_fast_forward_exactly() {
+        // Three warps, twelve copies of a load–consume–store segment.
+        let mut warps = vec![WarpTrace::default(); 3];
+        for (i, wt) in warps.iter_mut().enumerate() {
+            for _ in 0..12 {
+                let ld = wt.push(OpKind::LdGlobal {
+                    transactions: 1 + i as u32,
+                });
+                wt.push(OpKind::IAlu { n: 3 });
+                wt.push_dep(OpKind::StShared { replays: 2 }, Some(ld));
+                wt.push(OpKind::Bar);
+            }
+            wt.push(OpKind::IAlu { n: 1 });
+        }
+        let grid = GridTrace {
+            ctas: vec![CtaTrace {
+                warps,
+                shared_bytes: 0,
+            }],
+            threads_per_cta: 96,
+            registers_per_thread: 32,
+        };
+        for gen in GpuGeneration::ALL {
+            let (fast, step_by_step, skipped) = both_ways(&grid, &gen.config(), 1);
+            assert_eq!(fast, step_by_step, "{gen:?}");
+            assert!(
+                skipped >= 3 * 4 * 8,
+                "{gen:?}: only {skipped} of 147 ops skipped"
+            );
+        }
+    }
+
+    /// A segment body of 1 to `max_len` ops: each op a random kind,
+    /// waiting with some chance on an op `back` ops before it, up to
+    /// `reach` past the body's start.
+    fn random_body(rng: &mut StdRng, max_len: usize, reach: usize) -> Vec<(OpKind, Option<usize>)> {
+        (0..rng.gen_range(1..=max_len))
+            .map(|j| {
+                let kind = match rng.gen_range(0..9) {
+                    0 => OpKind::IAlu {
+                        n: rng.gen_range(1..6),
+                    },
+                    1 => OpKind::Vote,
+                    2 => OpKind::Shfl,
+                    3 => OpKind::LdGlobal {
+                        transactions: rng.gen_range(1..5),
+                    },
+                    4 => OpKind::StGlobal {
+                        transactions: rng.gen_range(1..5),
+                    },
+                    5 => OpKind::LdShared {
+                        replays: rng.gen_range(1..4),
+                    },
+                    6 => OpKind::StShared {
+                        replays: rng.gen_range(1..4),
+                    },
+                    7 => OpKind::AtomGlobal {
+                        transactions: rng.gen_range(1..3),
+                    },
+                    _ => OpKind::AtomShared {
+                        replays: rng.gen_range(1..3),
+                    },
+                };
+                let back =
+                    (j + reach > 0 && rng.gen_bool(0.5)).then(|| rng.gen_range(1..=j + reach));
+                (kind, back)
+            })
+            .collect()
+    }
+
+    /// Append `body`'s ops to `wt`; a dependency before the first op is
+    /// dropped.
+    fn push_body(wt: &mut WarpTrace, body: &[(OpKind, Option<usize>)]) {
+        for &(kind, back) in body {
+            let at = wt.ops.len();
+            let dep = back.filter(|&b| b <= at).map(|b| DepToken((at - b) as u32));
+            wt.push_dep(kind, dep);
+        }
+    }
+
+    /// A random grid of repeated and almost-repeated barrier segments:
+    /// per CTA, warm-up segments, copies of one segment per warp, then
+    /// other segments. Some copy may differ from its predecessor in one
+    /// op's kind, in one dependency's distance, or in a dependency on the
+    /// very op its predecessor's waits on; ops after the copies may wait
+    /// on ops inside them; some warps finish at an earlier barrier than
+    /// their CTA's others, and the others may run on past the last one.
+    fn random_grid(seed: u64) -> (GridTrace, u32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let warps_per_cta = rng.gen_range(1..=4);
+        let ctas = (0..rng.gen_range(1..=3))
+            .map(|_| {
+                let prefix = rng.gen_range(0..=2);
+                let copies = rng.gen_range(2..=9);
+                let suffix = rng.gen_range(0..=2);
+                let warps = (0..warps_per_cta)
+                    .map(|w| {
+                        // Mostly closed segments, sometimes one that
+                        // reads across its barrier.
+                        let reach = if rng.gen_bool(0.1) { 3 } else { 0 };
+                        let template = random_body(&mut rng, 5, reach);
+                        let len = template.len();
+                        let mut segments: Vec<_> =
+                            (0..prefix).map(|_| random_body(&mut rng, 5, 3)).collect();
+                        segments.extend(std::iter::repeat_n(template, copies));
+                        segments.extend((0..suffix).map(|_| random_body(&mut rng, 5, 3)));
+                        if rng.gen_bool(0.5) {
+                            let k = prefix + rng.gen_range(1..copies);
+                            let j = rng.gen_range(0..len);
+                            let op = &mut segments[k][j];
+                            match rng.gen_range(0..3) {
+                                0 => op.0 = OpKind::IAlu { n: 7 },
+                                1 => op.1 = Some(op.1.map_or(1, |b| b + 1)),
+                                // The op its predecessor's op waits on:
+                                // the same absolute index, one segment
+                                // (body and barrier) further back.
+                                _ => op.1 = op.1.map(|b| b + len + 1),
+                            }
+                        }
+                        let mut wt = WarpTrace::default();
+                        let mut keep = segments.len();
+                        if w > 0 && rng.gen_bool(0.25) {
+                            keep = rng.gen_range(1..=keep);
+                        }
+                        for body in &segments[..keep] {
+                            push_body(&mut wt, body);
+                            wt.push(OpKind::Bar);
+                        }
+                        if keep == segments.len() && rng.gen_bool(0.5) {
+                            push_body(&mut wt, &random_body(&mut rng, 3, 3));
+                        }
+                        wt
+                    })
+                    .collect();
+                CtaTrace {
+                    warps,
+                    shared_bytes: [0, 16 * 1024, 40 * 1024][rng.gen_range(0..3)],
+                }
+            })
+            .collect();
+        let grid = GridTrace {
+            ctas,
+            threads_per_cta: 32 * warps_per_cta as u32,
+            registers_per_thread: 32,
+        };
+        (grid, rng.gen_range(1..=2))
+    }
+
+    /// Replays [`random_grid`]s both ways on every generation.
+    fn check_random_grid(seed: u64) -> Result<u64, TestCaseError> {
+        let (grid, sms) = random_grid(seed);
+        let mut skipped = 0;
+        for gen in GpuGeneration::ALL {
+            let (fast, step_by_step, n) = both_ways(&grid, &gen.config(), sms);
+            prop_assert_eq!(fast, step_by_step, "seed {seed}, {gen:?}");
+            skipped += n;
+        }
+        Ok(skipped)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Fast-forward changes no field of any report.
+        #[test]
+        fn fast_forward_equals_step_by_step(seed in any::<u64>()) {
+            check_random_grid(seed)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// [`fast_forward_equals_step_by_step`] over many more grids.
+        #[test]
+        #[cfg_attr(
+            debug_assertions,
+            ignore = "heavy fast-forward sweep; run with `cargo test --release`"
+        )]
+        fn fast_forward_equals_step_by_step_at_scale(seed in any::<u64>()) {
+            check_random_grid(seed)?;
+        }
+    }
+
+    #[test]
+    fn random_grids_fast_forward() {
+        let forwarded = (0..64)
+            .filter(|&seed| check_random_grid(seed).expect("exact") > 0)
+            .count();
+        assert!(forwarded >= 16, "only {forwarded} of 64 grids fast-forward");
     }
 
     #[test]

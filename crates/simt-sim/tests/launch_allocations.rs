@@ -142,6 +142,63 @@ fn a_wider_launch_after_a_narrower_one_allocates_only_its_report() {
     assert!(n <= 1, "a wider launch made {n} heap allocations");
 }
 
+/// A staging segment whose loads take `stride`-spaced words, then
+/// `rounds` identical barrier segments over what it staged: another
+/// stride records another trace, and the replay fast-forwards over the
+/// repeated rounds (DESIGN.md §4 "Segment fast-forward").
+struct Rounds {
+    table: BufferId<u32>,
+    stride: u32,
+    rounds: usize,
+}
+
+impl CtaKernel for Rounds {
+    fn name(&self) -> &'static str {
+        "rounds"
+    }
+
+    fn execute(&mut self, cta: &mut CtaCtx<'_>) {
+        let staged = cta.alloc_shared::<u32>(cta.warp_count() * 32);
+        let (table, stride) = (self.table, self.stride);
+        cta.for_each_warp(|w| {
+            let tid = w.thread_ids();
+            let (v, _) = w.ld_global(table, &tid.map(|t| t * stride % 4096));
+            w.st_shared(staged, &tid, &v);
+        });
+        for _ in 0..self.rounds {
+            cta.for_each_warp(|w| {
+                let tid = w.thread_ids();
+                let (v, tok) = w.ld_shared(staged, &tid);
+                w.ballot_dep(Some(tok), &v.map(|x| x % 2 == 0));
+                w.charge_alu(3);
+            });
+        }
+    }
+}
+
+#[test]
+fn a_fast_forwarded_launch_allocates_only_its_report() {
+    let mut gpu = Gpu::new(GpuGeneration::PascalGtx1080);
+    let table = gpu.mem.alloc_from(&(0..4096u32).collect::<Vec<_>>());
+    let launch = LaunchConfig::single_sm(1, 256);
+    let mut kernel = Rounds {
+        table,
+        stride: 1,
+        rounds: 16,
+    };
+    let first = gpu.launch(&mut kernel, launch);
+
+    // Staging loads of two segments per warp: a memo miss, replayed
+    // with fast-forward.
+    kernel.stride = 2;
+    let (second, n) = allocations(|| gpu.launch(&mut kernel, launch));
+    assert!(
+        second.timing.global_transactions > first.timing.global_transactions,
+        "the second launch must record a different trace (a memo miss)"
+    );
+    assert!(n <= 1, "a fast-forwarded launch made {n} heap allocations");
+}
+
 #[test]
 fn the_counter_sees_allocations() {
     let (v, n) = allocations(|| vec![0u8; 16]);
