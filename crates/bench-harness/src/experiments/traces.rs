@@ -1,9 +1,7 @@
 //! Shared trace-analysis driver for Table I, Figure 2 and Figure 6(a):
-//! generates every proxy application's synthetic trace (through the SDTF
-//! serialisation round trip, so the full pipeline is exercised) and
-//! analyses it.
+//! generates every proxy application's synthetic trace and analyses it.
 
-use proxy_traces::{analyze, generate, read_trace, write_trace, AppAnalysis, AppModel, GenOptions};
+use proxy_traces::{analyze, generate, AppAnalysis, AppModel, GenOptions};
 
 use crate::table::Report;
 
@@ -22,12 +20,7 @@ pub fn analyze_all(depth_scale: f64, seed: u64) -> Vec<(AppModel, AppAnalysis)> 
                     rank0_funnel: 0,
                 },
             );
-            // Round-trip through the on-disk format, as a dumpi-based
-            // pipeline would.
-            let bytes = write_trace(&trace);
-            let trace = read_trace(bytes).expect("self-written trace must parse");
-            let a = analyze(&trace);
-            (model, a)
+            (model, analyze(&trace))
         })
         .collect()
 }

@@ -56,9 +56,10 @@ impl Default for FaultConfig {
 ///
 /// While a link is down, traversals that would depart or land inside
 /// the window are lost; retransmit exhaustion on a down link *parks*
-/// the packet (a structured [`crate::net::LinkEvent::Down`] notice is
-/// emitted instead of a dead-packet error) and the heal resumes
-/// selective-repeat from the surviving unacked window.
+/// the packet (a down episode is counted in
+/// [`crate::FabricStats::link_down_events`] instead of a dead-packet
+/// error) and the heal resumes selective-repeat from the surviving
+/// unacked window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaultConfig {
     /// Cycle length of the per-link flap schedule grid, in nanoseconds.

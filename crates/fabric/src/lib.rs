@@ -30,9 +30,9 @@
 //!   link-down flap windows and whole-topology partitions as a pure
 //!   function of `(seed, link, time)`; traversals inside a window are
 //!   lost, retransmit exhaustion against a downed path *parks* the
-//!   packet and raises a structured [`LinkEvent`] instead of an error,
-//!   and heals resume selective repeat from the surviving unacked
-//!   window.
+//!   packet and counts a down episode
+//!   ([`FabricStats::link_down_events`]) instead of an error, and heals
+//!   resume selective repeat from the surviving unacked window.
 //! * **Selective-repeat reliability** — every sequenced packet is acked
 //!   individually and retransmitted on timeout with exponential
 //!   backoff; the receiver suppresses duplicates, so a lossy fabric
@@ -68,6 +68,6 @@ mod packet;
 mod stats;
 
 pub use config::{DeliveryOrder, FabricConfig, FaultConfig, LinkFaultConfig};
-pub use net::{Delivery, Fabric, LinkEvent};
+pub use net::{Delivery, Fabric};
 pub use packet::{crc32, DeadKind, DeadPacket};
 pub use stats::FabricStats;

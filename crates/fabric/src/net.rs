@@ -19,8 +19,8 @@
 //! the packet is declared dead and surfaces as an error — unless the
 //! link was *down* (a flap or partition window from
 //! [`crate::config::LinkFaultConfig`]), in which case the packet parks,
-//! a structured [`LinkEvent::Down`] notice is emitted, and the heal
-//! resumes selective repeat from the surviving unacked window.
+//! the link's down episode is counted, and the heal resumes selective
+//! repeat from the surviving unacked window.
 //!
 //! Credits model slots in the destination's landing queue: consumed at
 //! first transmission, returned when the first acknowledgement arrives
@@ -59,33 +59,6 @@ pub struct Delivery {
     /// Causal flow id the sender attached via [`Fabric::send_flow`],
     /// echoed back so the layer above can chain its trace points.
     pub flow: Option<u64>,
-}
-
-/// A structured link lifecycle notice, surfaced through
-/// [`Fabric::take_link_events`] instead of a hard error. Retransmit exhaustion against a down link
-/// parks the packet and emits `Down` once per episode; the first
-/// timeout processed after the window closes emits `Healed` and
-/// selective repeat resumes from the surviving unacked window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkEvent {
-    /// `src → dst` is down and has stranded at least one packet.
-    Down {
-        /// Sending endpoint of the dead link.
-        src: u32,
-        /// Receiving endpoint of the dead link.
-        dst: u32,
-        /// Simulated time the notice was raised.
-        at_ns: u64,
-    },
-    /// `src → dst` recovered; parked packets are retransmitting again.
-    Healed {
-        /// Sending endpoint of the healed link.
-        src: u32,
-        /// Receiving endpoint of the healed link.
-        dst: u32,
-        /// Simulated time the heal was observed.
-        at_ns: u64,
-    },
 }
 
 /// SplitMix64 finalizer: the cheap stateless mixer behind the link
@@ -321,9 +294,7 @@ pub struct Fabric {
     /// Retransmission exhaustions per directed link (BTreeMap:
     /// deterministic Prometheus sample order).
     exhausted_by_link: BTreeMap<(u32, u32), u64>,
-    /// Structured link lifecycle notices awaiting collection.
-    link_events: Vec<LinkEvent>,
-    /// Links with an emitted `Down` notice whose heal has not fired yet.
+    /// Links with a counted down episode whose heal has not fired yet.
     down_notified: BTreeSet<(u32, u32)>,
     /// Recorder holding the one `fabric_config` instant (tracing only).
     cfg_rec: Option<SpanRecorder>,
@@ -371,7 +342,6 @@ impl Fabric {
             recorders: BTreeMap::new(),
             dead_packets: Vec::new(),
             exhausted_by_link: BTreeMap::new(),
-            link_events: Vec::new(),
             down_notified: BTreeSet::new(),
             cfg_rec,
         }
@@ -425,13 +395,6 @@ impl Fabric {
             })
             .collect();
         lines.join("; ")
-    }
-
-    /// Drain the structured link lifecycle notices accumulated so far:
-    /// down episodes that stranded traffic, and the heals that resumed
-    /// them.
-    pub fn take_link_events(&mut self) -> Vec<LinkEvent> {
-        std::mem::take(&mut self.link_events)
     }
 
     /// The flap down-window of `key` inside the flap cycle containing
@@ -911,16 +874,9 @@ impl Fabric {
         let lf_quiet = self.cfg.link_fault.is_quiet();
         let down_now = !lf_quiet && self.link_down_at(key.0, key.1, self.now_ns);
         // A timeout processed while the link is back up closes any open
-        // down episode on this link: the heal notice tells the layer
-        // above that parked traffic is moving again.
+        // down episode on this link: parked traffic is moving again.
         if !lf_quiet && !down_now && self.down_notified.remove(&key) {
             self.stats.link_heal_events += 1;
-            let now = self.now_ns;
-            self.link_events.push(LinkEvent::Healed {
-                src: key.0,
-                dst: key.1,
-                at_ns: now,
-            });
             if let Some(rec) = self.rec(key) {
                 rec.record_instant(SpanCategory::LinkDown, "link_heal", vec![]);
             }
@@ -945,8 +901,8 @@ impl Fabric {
             if spared {
                 // Park, don't kill: keep the packet in the unacked
                 // window with a fresh budget and re-arm its timer for
-                // the heal. A structured notice (one per link per down
-                // episode) replaces the dead-packet error.
+                // the heal. A counted down episode (one per link per
+                // window) replaces the dead-packet error.
                 let out = self.senders[link].unacked.get_mut(&seq).expect("present");
                 out.retries = 0;
                 out.rto_ns = self.cfg.retransmit_timeout_ns;
@@ -961,12 +917,6 @@ impl Fabric {
                 self.events.push(at, Event::Timeout(Timer { key, seq }));
                 if down_now && self.down_notified.insert(key) {
                     self.stats.link_down_events += 1;
-                    let now = self.now_ns;
-                    self.link_events.push(LinkEvent::Down {
-                        src: key.0,
-                        dst: key.1,
-                        at_ns: now,
-                    });
                     if let Some(rec) = self.rec(key) {
                         rec.record_instant(
                             SpanCategory::LinkDown,
@@ -1352,13 +1302,13 @@ impl Fabric {
             ),
             Family::scalar(
                 "fabric_link_down_events_total",
-                "Structured link-down notices emitted",
+                "Link-down episodes that stranded traffic",
                 FamilyKind::Counter,
                 unlabelled(s.link_down_events),
             ),
             Family::scalar(
                 "fabric_link_heal_events_total",
-                "Structured link-heal notices emitted",
+                "Heals of counted link-down episodes",
                 FamilyKind::Counter,
                 unlabelled(s.link_heal_events),
             ),
@@ -1743,8 +1693,8 @@ mod tests {
     #[test]
     fn down_link_parks_exhausted_packets_and_notifies() {
         // A long deterministic down window with a tiny retransmission
-        // budget: exhaustion must park (structured notice), not kill,
-        // and the heal must resume delivery.
+        // budget: exhaustion must park (a counted down episode), not
+        // kill, and the heal must resume delivery.
         let lf = crate::config::LinkFaultConfig {
             flap_prob: 1.0,
             flap_period_ns: 1_000_000,
@@ -1773,15 +1723,6 @@ mod tests {
         assert_eq!(s.exhausted_retries, 0, "parked packets are not dead");
         assert!(s.link_down_events >= 1);
         assert_eq!(s.link_heal_events, s.link_down_events);
-        let events = f.take_link_events();
-        assert!(
-            matches!(events[0], LinkEvent::Down { src: 0, dst: 1, .. }),
-            "{events:?}"
-        );
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, LinkEvent::Healed { src: 0, dst: 1, .. })));
-        assert!(f.take_link_events().is_empty(), "take drains");
     }
 
     #[test]

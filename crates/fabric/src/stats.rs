@@ -51,11 +51,11 @@ pub struct FabricStats {
     /// Retransmit exhaustions that *parked* instead of dying because
     /// the link was down — each resumes when the link heals.
     pub parked_packets: u64,
-    /// Structured link-down notices emitted (one per link per down
-    /// episode that stranded traffic).
+    /// Link-down episodes that stranded traffic (one per link per down
+    /// window).
     pub link_down_events: u64,
-    /// Structured link-heal notices emitted (one per emitted down
-    /// notice, once the link recovered and traffic resumed).
+    /// Heals of those episodes (one per counted down episode, once the
+    /// link recovered and traffic resumed).
     pub link_heal_events: u64,
     /// Bytes serialized onto links, headers and retransmissions
     /// included.

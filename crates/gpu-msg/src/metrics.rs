@@ -14,7 +14,7 @@
 //! are both rendered from them.
 
 use obs::prom::{Family, FamilyKind, HistogramSample, Sample};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of power-of-two buckets: bucket `k` holds values `v` with
 /// `floor(log2(v)) == k - 1` (bucket 0 holds `v == 0`), covering the
@@ -28,7 +28,7 @@ pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 /// nanoseconds). Quantiles interpolate linearly inside a bucket, so they
 /// are estimates with at most a 2× bucket-width error — adequate for
 /// p50/p99 dashboards, not for timing claims.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Histogram {
     /// Caller-unit → bucketed-integer-unit multiplier.
     pub(crate) scale: f64,
@@ -209,7 +209,7 @@ impl Default for Histogram {
 /// over its tenant's quota. Conflating them hides whether a deployment
 /// is under-provisioned (spill) or failing its latency SLO under faults
 /// (shed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct OverflowStats {
     /// Arrivals rejected because the pending queue was at capacity.
     pub spilled: u64,
@@ -237,7 +237,7 @@ impl OverflowStats {
 /// Fields are flat named `u64`s (rather than the `[u64; N]` arrays the
 /// simulator reports) so the struct serializes with the workspace's
 /// minimal serde derive.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct EngineProfile {
     /// Kernel launches performed.
     pub launches: u64,
@@ -330,7 +330,7 @@ impl EngineProfile {
 }
 
 /// Counters and distributions for one service shard.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ShardMetrics {
     /// Shard index within the service.
     pub shard: usize,
@@ -455,7 +455,7 @@ impl ShardMetrics {
 /// (its quota was never breached) and `spilled == 0` (headroom was
 /// reserved for it), while the best-effort aggressor absorbs all the
 /// loss in its own row.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TenantMetrics {
     /// Tenant id (index into the run's `TenancyConfig` tenant list).
     pub(crate) tenant: u32,
@@ -477,7 +477,7 @@ pub struct TenantMetrics {
 }
 
 /// Whole-service snapshot: per-shard metrics plus run-level aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceMetrics {
     /// Configured simulated duration (seconds); arrivals stop here.
     pub(crate) duration: f64,
@@ -552,14 +552,6 @@ impl ServiceMetrics {
         serde::json::to_string_pretty(self)
     }
 
-    /// Parse a snapshot back from JSON.
-    ///
-    /// # Errors
-    /// Malformed JSON or a shape mismatch.
-    pub fn from_json(s: &str) -> Result<Self, serde::Error> {
-        serde::json::from_str(s)
-    }
-
     /// Render the snapshot in the Prometheus text exposition format: the
     /// service families unlabelled, the shard families once per shard
     /// (`shard` and `engine` labels; stall cycles and the instruction mix
@@ -580,7 +572,7 @@ impl ServiceMetrics {
 /// nanoseconds — nondeterministic by nature, which is why this struct
 /// lives in [`crate::ShardedServiceReport`] and never inside
 /// [`ServiceMetrics`] (whose JSON the differential tests byte-compare).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ShardWallProfile {
     /// Shard index.
     pub shard: usize,
@@ -623,7 +615,7 @@ impl ShardWallProfile {
 /// decompositions plus run totals. Exported to its own Prometheus
 /// document (`OBS_wall.prom`) — never merged into the deterministic
 /// exposition.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SchedulerProfile {
     /// Scheduler the run used (`"global_clock"` / `"thread_per_shard"`).
     pub scheduler: String,
@@ -1198,8 +1190,6 @@ mod tests {
         assert!(text
             .contains("scheduler_shard_bucket_ns_total{shard=\"1\",bucket=\"barrier_wait\"} 40"));
         assert!(text.contains("scheduler_barrier_wait_fraction 0.3"));
-        let back: SchedulerProfile = serde::json::from_str(&p.to_json()).unwrap();
-        assert_eq!(back, p);
     }
 
     #[test]
@@ -1247,8 +1237,18 @@ mod tests {
                 },
             }],
         };
-        let back = ServiceMetrics::from_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
+        // The JSON export is well formed and carries every section.
+        use serde::Value;
+        let tree = serde::json::parse_value(&m.to_json()).unwrap();
+        let shard = tree.field("shards").unwrap().index(0).unwrap();
+        assert_eq!(shard.field("journal_replayed").unwrap(), &Value::U64(120));
+        let busy = shard.field("busy_seconds").unwrap();
+        assert_eq!(busy, &Value::F64(0.25));
+        let tenant = tree.field("tenants").unwrap().index(0).unwrap();
+        assert_eq!(
+            tenant.field("name").unwrap(),
+            &Value::Str("burst-co".to_string())
+        );
     }
 
     /// One `docs/SERVICE.md` row per family of `table`.

@@ -8,7 +8,7 @@
 //! fit into a single 64-bit word" — the packed representation the GPU
 //! kernels consume.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simt_sim::{Lanes, WARP_SIZE};
 
 /// Rank identifier (MPI rank within a communicator).
@@ -26,7 +26,7 @@ pub const MAX_TAG: u32 = 0xFFFE;
 pub const MAX_COMM: u16 = 0x7FFE;
 
 /// The source specifier of a receive request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SrcSpec {
     /// Match only messages from this rank.
     Rank(Rank),
@@ -35,7 +35,7 @@ pub enum SrcSpec {
 }
 
 /// The tag specifier of a receive request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TagSpec {
     /// Match only messages carrying this tag.
     Tag(Tag),
@@ -44,7 +44,7 @@ pub enum TagSpec {
 }
 
 /// An incoming message's matching header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Envelope {
     /// Sending rank.
     pub src: Rank,
@@ -88,7 +88,7 @@ impl Envelope {
 }
 
 /// A posted receive request's matching criteria.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RecvRequest {
     /// Source specifier (rank or wildcard).
     pub src: SrcSpec,

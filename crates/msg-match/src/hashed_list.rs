@@ -58,9 +58,6 @@ pub struct HashedListMatcher {
     pub entries_inspected: u64,
     /// Matches completed.
     pub matches: u64,
-    /// Optional flight recorder: when present, every completed match is
-    /// recorded as a `Match` instant (the caller owns the clock).
-    pub(crate) obs: Option<obs::SpanRecorder>,
 }
 
 fn bucket_of(src: u32, tag: u32, comm: u16, buckets: usize) -> usize {
@@ -80,20 +77,6 @@ impl HashedListMatcher {
             next_recv_seq: 0,
             entries_inspected: 0,
             matches: 0,
-            obs: None,
-        }
-    }
-
-    fn record_match(&mut self) {
-        if let Some(rec) = self.obs.as_mut() {
-            rec.record_instant(
-                obs::SpanCategory::Match,
-                "hashed_list_match",
-                vec![(
-                    "inspected_total",
-                    obs::ArgValue::U64(self.entries_inspected),
-                )],
-            );
         }
     }
 
@@ -153,7 +136,6 @@ impl HashedListMatcher {
             Some(recv_seq) => {
                 self.matches += 1;
                 self.gc();
-                self.record_match();
                 Some(MatchPair { msg_seq, recv_seq })
             }
             None => {
@@ -227,7 +209,6 @@ impl HashedListMatcher {
             Some(msg_seq) => {
                 self.matches += 1;
                 self.gc();
-                self.record_match();
                 Some(MatchPair { msg_seq, recv_seq })
             }
             None => {

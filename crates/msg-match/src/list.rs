@@ -10,7 +10,6 @@
 //! (the property the paper cites for why MPI libraries use lists).
 
 use crate::envelope::{Envelope, RecvRequest};
-use crate::prefilter::{EnvelopeFilter, RequestFilter};
 use crate::reference::AttemptStats;
 
 /// A slab-backed singly linked queue with O(1) removal at a cursor, the
@@ -131,17 +130,6 @@ pub struct MatchPair {
     pub recv_seq: u64,
 }
 
-/// Counting-digest summaries over both list queues (see
-/// [`crate::prefilter`]): a probe whose tuple cannot be present skips
-/// the linear walk entirely. Opt-in — the unfiltered matcher *is* the
-/// baseline the paper measures, so [`ListMatcher::new`] leaves it off.
-struct ListPrefilter {
-    /// Summarises UMQ envelopes; posts probe it before walking.
-    umq: EnvelopeFilter,
-    /// Summarises PRQ requests; arrivals probe it before walking.
-    prq: RequestFilter,
-}
-
 /// List-based CPU matcher: the baseline the paper compares against.
 pub struct ListMatcher {
     umq: LinkedQueue<UmqEntry>,
@@ -153,15 +141,6 @@ pub struct ListMatcher {
     /// Statistics of every PRQ search (performed on arrivals).
     pub prq_attempts: Vec<AttemptStats>,
     record_stats: bool,
-    prefilter: Option<ListPrefilter>,
-    /// Queue walks skipped because a pre-filter proved the probe could
-    /// not match (0 unless built via [`ListMatcher::with_prefilter`]).
-    pub prefilter_rejections: u64,
-    /// Optional flight recorder: when present, every completed match is
-    /// recorded as a `Match` instant. The caller owns the clock
-    /// ([`obs::SpanRecorder::set_now_ns`]); the matcher itself has no
-    /// notion of time.
-    pub(crate) obs: Option<obs::SpanRecorder>,
 }
 
 impl Default for ListMatcher {
@@ -187,26 +166,6 @@ impl ListMatcher {
             umq_attempts: Vec::new(),
             prq_attempts: Vec::new(),
             record_stats,
-            prefilter: None,
-            prefilter_rejections: 0,
-            obs: None,
-        }
-    }
-
-    /// Matcher with counting-digest pre-filters over both queues: probes
-    /// that cannot match skip the walk (recorded as `search_len == 0`
-    /// attempts and counted in
-    /// [`prefilter_rejections`](ListMatcher::prefilter_rejections)).
-    /// Match results are identical to the unfiltered matcher — the
-    /// filters are conservative, so wildcard probes and any possibly
-    /// present tuple fall through to the normal walk.
-    pub fn with_prefilter(record_stats: bool) -> Self {
-        ListMatcher {
-            prefilter: Some(ListPrefilter {
-                umq: EnvelopeFilter::new(),
-                prq: RequestFilter::new(),
-            }),
-            ..Self::with_stats(record_stats)
         }
     }
 
@@ -226,21 +185,7 @@ impl ListMatcher {
         let msg_seq = self.next_msg_seq;
         self.next_msg_seq += 1;
         let qlen = self.prq.len();
-        // Only screen non-empty queues: skipping an empty walk saves
-        // nothing and would make the rejection counter meaningless.
-        let screened_out = match &self.prefilter {
-            Some(f) => qlen > 0 && !f.prq.may_match(&envelope),
-            None => false,
-        };
-        let (hit, inspected) = if screened_out {
-            self.prefilter_rejections += 1;
-            (None, 0)
-        } else {
-            self.prq.remove_first(|e| e.request.matches(&envelope))
-        };
-        if let (Some(f), Some(e)) = (self.prefilter.as_mut(), hit.as_ref()) {
-            f.prq.remove(&e.request);
-        }
+        let (hit, inspected) = self.prq.remove_first(|e| e.request.matches(&envelope));
         if self.record_stats {
             self.prq_attempts.push(AttemptStats {
                 queue_len: qlen,
@@ -249,23 +194,11 @@ impl ListMatcher {
             });
         }
         match hit {
-            Some(entry) => {
-                if let Some(rec) = self.obs.as_mut() {
-                    rec.record_instant(
-                        obs::SpanCategory::Match,
-                        "list_match",
-                        vec![("inspected", obs::ArgValue::U64(inspected as u64))],
-                    );
-                }
-                Some(MatchPair {
-                    msg_seq,
-                    recv_seq: entry.seq,
-                })
-            }
+            Some(entry) => Some(MatchPair {
+                msg_seq,
+                recv_seq: entry.seq,
+            }),
             None => {
-                if let Some(f) = self.prefilter.as_mut() {
-                    f.umq.insert(&envelope);
-                }
                 self.umq.push_back(UmqEntry {
                     envelope,
                     seq: msg_seq,
@@ -281,19 +214,7 @@ impl ListMatcher {
         let recv_seq = self.next_recv_seq;
         self.next_recv_seq += 1;
         let qlen = self.umq.len();
-        let screened_out = match &self.prefilter {
-            Some(f) => qlen > 0 && !f.umq.may_match(&request),
-            None => false,
-        };
-        let (hit, inspected) = if screened_out {
-            self.prefilter_rejections += 1;
-            (None, 0)
-        } else {
-            self.umq.remove_first(|e| request.matches(&e.envelope))
-        };
-        if let (Some(f), Some(e)) = (self.prefilter.as_mut(), hit.as_ref()) {
-            f.umq.remove(&e.envelope);
-        }
+        let (hit, inspected) = self.umq.remove_first(|e| request.matches(&e.envelope));
         if self.record_stats {
             self.umq_attempts.push(AttemptStats {
                 queue_len: qlen,
@@ -302,23 +223,11 @@ impl ListMatcher {
             });
         }
         match hit {
-            Some(entry) => {
-                if let Some(rec) = self.obs.as_mut() {
-                    rec.record_instant(
-                        obs::SpanCategory::Match,
-                        "list_match",
-                        vec![("inspected", obs::ArgValue::U64(inspected as u64))],
-                    );
-                }
-                Some(MatchPair {
-                    msg_seq: entry.seq,
-                    recv_seq,
-                })
-            }
+            Some(entry) => Some(MatchPair {
+                msg_seq: entry.seq,
+                recv_seq,
+            }),
             None => {
-                if let Some(f) = self.prefilter.as_mut() {
-                    f.prq.insert(&request);
-                }
                 self.prq.push_back(PrqEntry {
                     request,
                     seq: recv_seq,
@@ -332,12 +241,6 @@ impl ListMatcher {
     /// Snapshot of UMQ envelopes in arrival order (diagnostics/tests).
     pub(crate) fn umq_snapshot(&self) -> Vec<Envelope> {
         self.umq.iter().map(|e| e.envelope).collect()
-    }
-
-    #[cfg(test)]
-    /// Snapshot of PRQ requests in posted order.
-    pub(crate) fn prq_snapshot(&self) -> Vec<RecvRequest> {
-        self.prq.iter().map(|e| e.request).collect()
     }
 }
 
@@ -431,58 +334,7 @@ mod tests {
         assert_eq!(miss.search_len, 98, "miss walks the whole remaining queue");
     }
 
-    #[test]
-    fn prefilter_skips_fruitless_walks_and_counts_them() {
-        let mut m = ListMatcher::with_prefilter(true);
-        for i in 0..100 {
-            m.arrive(e(i, 0));
-        }
-        // A tuple that was never deposited: the walk is skipped.
-        assert!(m.post(RecvRequest::exact(12345, 7, 0)).is_none());
-        assert_eq!(m.prefilter_rejections, 1);
-        let miss = m.umq_attempts.last().unwrap();
-        assert!(!miss.matched);
-        assert_eq!(miss.search_len, 0, "pre-filter must skip the walk");
-        // A present tuple still matches normally.
-        assert!(m.post(RecvRequest::exact(42, 0, 0)).is_some());
-        // Wildcards fall through to the walk.
-        assert!(m.post(RecvRequest::any_source(0, 0)).is_some());
-        assert_eq!(m.prefilter_rejections, 1);
-    }
-
     proptest! {
-        /// The pre-filtered list matcher must produce exactly the same
-        /// match pairs and final queues as the baseline on any stream —
-        /// the filter may only skip walks, never change results.
-        #[test]
-        fn prefilter_is_result_transparent(
-            events in proptest::collection::vec(
-                (any::<bool>(), 0u32..6, 0u32..4, 0u8..4), 0..200)
-        ) {
-            let mut plain = ListMatcher::new();
-            let mut filtered = ListMatcher::with_prefilter(true);
-            for (is_post, src, tag, wild) in events {
-                if is_post {
-                    let req = match wild {
-                        0 => RecvRequest::exact(src, tag, 0),
-                        1 => RecvRequest::any_source(tag, 0),
-                        2 => RecvRequest::any_tag(src, 0),
-                        _ => RecvRequest {
-                            src: crate::envelope::SrcSpec::Any,
-                            tag: crate::envelope::TagSpec::Any,
-                            comm: 0,
-                        },
-                    };
-                    prop_assert_eq!(plain.post(req), filtered.post(req));
-                } else {
-                    let msg = e(src, tag);
-                    prop_assert_eq!(plain.arrive(msg), filtered.arrive(msg));
-                }
-            }
-            prop_assert_eq!(plain.umq_snapshot(), filtered.umq_snapshot());
-            prop_assert_eq!(plain.prq_snapshot(), filtered.prq_snapshot());
-        }
-
         /// The list matcher must agree with the reference engine on any
         /// interleaved event stream, including wildcards.
         #[test]

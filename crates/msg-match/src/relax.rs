@@ -10,14 +10,14 @@
 //! | no        | no       | yes        | yes          | hash table | very high |
 //! | no        | no       | no         | yes          | hash table | very high |
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::envelope::{Envelope, RecvRequest};
 use crate::reference::{MatchEvent, ReferenceEngine};
 
 /// Which guarantees a deployment keeps. `true` always means "the MPI
 /// guarantee is kept"; relaxations turn fields off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RelaxationConfig {
     /// Source/tag wildcards allowed in receive requests.
     pub wildcards: bool,
@@ -156,7 +156,7 @@ impl RelaxationConfig {
 }
 
 /// Primary matching data structure (Table II column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DataStructure {
     /// Vote-matrix scan/reduce (ordering preserved).
     Matrix,
@@ -165,7 +165,7 @@ pub enum DataStructure {
 }
 
 /// Qualitative performance class (Table II column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum PerformanceClass {
     /// ≲ 6 M matches/s on Pascal.
     Low,
@@ -176,7 +176,7 @@ pub enum PerformanceClass {
 }
 
 /// Qualitative user-impact class (Table II column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum UserImplication {
     /// Unmodified MPI applications work.
     None,

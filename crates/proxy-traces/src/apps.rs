@@ -21,10 +21,10 @@
 //! * Nekbone and AMR Boxlib have irregular peer usage, the rest are
 //!   regular/uniform.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which benchmark suite an application belongs to (Table I column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Suite {
     /// DOE Design Forward.
     DesignForward,
@@ -49,7 +49,7 @@ impl Suite {
 }
 
 /// How a rank spreads traffic over its peers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub(crate) enum PeerPattern {
     /// Uniform nearest-neighbour exchange (stencil-like).
     Regular,
@@ -59,7 +59,7 @@ pub(crate) enum PeerPattern {
 }
 
 /// Communication model of one proxy application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AppModel {
     /// Application name as in Table I.
     pub name: &'static str,

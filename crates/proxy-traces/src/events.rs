@@ -5,14 +5,14 @@
 //! with their matching envelope, receive posts with their (possibly
 //! wildcarded) criteria — in a form the queue reconstructor can replay.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use msg_match::{Envelope, RecvRequest, SrcSpec, TagSpec};
 
 /// One traced communication event. Timestamps are logical and strictly
 /// ordered within a trace; the analyzer replays events in `ts` order,
 /// which is exactly how queue reconstruction from dumpi traces works.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TraceEvent {
     /// A point-to-point send (the receiver sees it as an arrival).
     Send {
@@ -81,7 +81,7 @@ impl TraceEvent {
 }
 
 /// A complete application trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Trace {
     /// Application name (as in Table I).
     pub(crate) app: String,

@@ -11,9 +11,9 @@
 //!
 //! [`analyze()`] reconstructs per-rank UMQ/PRQ state from any trace —
 //! synthetic or hand-built — exactly the way a dumpi-based analysis
-//! restores queues at every matching attempt, and [`write_trace`] /
-//! [`read_trace`] provide a compact binary serialisation so the full pipeline
-//! (generate → write → read → analyze) is exercised end to end.
+//! restores queues at every matching attempt. The paper consumes only
+//! these aggregate statistics, so traces live in memory and are never
+//! serialised.
 //!
 //! ```
 //! use proxy_traces::{analyze, generate, AppModel, GenOptions};
@@ -30,11 +30,9 @@
 mod analyze;
 mod apps;
 mod events;
-mod format;
 mod generator;
 
 pub use analyze::{analyze, AppAnalysis};
 pub use apps::AppModel;
 pub use events::{Trace, TraceEvent};
-pub use format::{read_trace, read_trace_file, write_trace, write_trace_file};
 pub use generator::{generate, GenOptions};

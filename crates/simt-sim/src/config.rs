@@ -6,7 +6,7 @@
 //! timing model consumes. Clock rates use the boost clocks, which is what
 //! sustained micro-benchmarks observe on these parts.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of lanes in a warp. Fixed at 32 on all NVIDIA generations the
 /// paper studies; the matching algorithms bake this into their bit-vector
@@ -19,7 +19,7 @@ pub const WARP_SIZE: usize = 32;
 pub(crate) const MAX_WARPS_PER_CTA: usize = 32;
 
 /// The three GPU generations evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum GpuGeneration {
     /// Tesla K80 (single GK210 GPU of the board), CUDA 7.0 era.
     KeplerK80,
@@ -69,7 +69,7 @@ impl GpuGeneration {
 ///
 /// All throughputs are expressed in the timing model's quarter-cycle
 /// fixed-point units via [`GpuConfig`] accessors; latencies are in cycles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SmConfig {
     /// Warp schedulers per SM. Each can issue one instruction per cycle.
     pub(crate) schedulers: u32,
@@ -114,7 +114,7 @@ pub struct SmConfig {
 }
 
 /// Full GPU configuration: clock, SM count and SM parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuConfig {
     /// Generation this config describes (used for reports only).
     pub(crate) generation: GpuGeneration,

@@ -400,16 +400,6 @@ impl WarpCtx<'_> {
         lanes::shfl_up(self.active_mask(), values, delta)
     }
 
-    /// Shuffle-down by `delta`.
-    pub(crate) fn shfl_down<T: DeviceScalar>(
-        &mut self,
-        values: &Lanes<T>,
-        delta: usize,
-    ) -> Lanes<T> {
-        self.record(OpKind::Shfl);
-        lanes::shfl_down(self.active_mask(), values, delta)
-    }
-
     /// Run `f` with the active mask narrowed to lanes whose predicate is
     /// true (branch divergence). Charges the predicate + branch.
     pub fn if_lanes(&mut self, preds: &Lanes<bool>, f: impl FnOnce(&mut Self)) {

@@ -52,7 +52,6 @@
 
 #![warn(missing_docs, unreachable_pub)]
 
-pub mod algorithms;
 mod config;
 mod exec;
 pub mod lanes;

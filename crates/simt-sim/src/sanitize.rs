@@ -14,10 +14,10 @@
 //! as [`RaceReport`]s identifying the segment, the memory space, the
 //! location and the warps involved.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Memory space of a detected race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Space {
     /// Device global memory (buffer index + element index).
     Global,
@@ -26,7 +26,7 @@ pub enum Space {
 }
 
 /// Access flavour, as logged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub(crate) enum AccessKind {
     /// Plain load.
     Read,
@@ -48,7 +48,7 @@ pub(crate) struct Access {
 }
 
 /// A detected same-segment cross-warp conflict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RaceReport {
     /// CTA in which the race occurred.
     pub(crate) cta: u32,

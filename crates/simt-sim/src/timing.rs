@@ -213,9 +213,10 @@ struct WarpState<'a> {
 struct Entry {
     mem_free_mc: u64,
     shared_free_mc: u64,
-    /// `acct_mc − release`, wrapping: the accounted frontier, which is
-    /// also when the issue server is free, may lie before the release.
-    acct_mc: u64,
+    /// `issue_free_mc − release`, wrapping: when the issue server is
+    /// free, which is also the accounted frontier, may lie before the
+    /// release.
+    issue_free_mc: u64,
 }
 
 /// The additive totals of an SM's replay: the report's counters, then
@@ -325,7 +326,9 @@ struct SmSim<'a> {
     leaves: usize,
     /// `log2(leaves)`: the index bits of a key.
     shift: u32,
-    /// Shared-resource availability (mc).
+    /// Shared-resource availability (mc). `issue_free_mc` is also the
+    /// accounted-time frontier: the gap before each issue is attributed
+    /// to a stall class, keeping the attribution an exact partition.
     issue_free_mc: u64,
     mem_free_mc: u64,
     shared_free_mc: u64,
@@ -335,10 +338,6 @@ struct SmSim<'a> {
     shared_atom_cost_mc: u64,
     /// Finish time of the SM so far.
     now_max_mc: u64,
-    /// Accounted-time frontier on the issue timeline (== `issue_free_mc`
-    /// after every issue); the gap before each issue is attributed to a
-    /// stall class, keeping the attribution an exact partition.
-    acct_mc: u64,
     /// Millicycles per stall class.
     stall_mc: [u64; STALL_CLASSES],
     /// Class of whatever last extended `now_max_mc` — owns the tail
@@ -425,7 +424,6 @@ impl<'a> SmSim<'a> {
             mem_tx_cost_mc: (16 * MC / params.global_tx_per_16_cycles as u64).max(1),
             shared_atom_cost_mc: (16 * MC / params.shared_atomic_per_16_cycles as u64).max(1),
             now_max_mc: 0,
-            acct_mc: 0,
             stall_mc: [0; STALL_CLASSES],
             tail_class: StallClass::PipeContention,
             report: TimingReport::default(),
@@ -622,13 +620,13 @@ impl<'a> SmSim<'a> {
     /// the SM's cycle count.
     fn finalize_attribution(&mut self) {
         let end_mc = self.now_max_mc;
-        if end_mc >= self.acct_mc {
-            self.stall_mc[self.tail_class.index()] += end_mc - self.acct_mc;
+        if end_mc >= self.issue_free_mc {
+            self.stall_mc[self.tail_class.index()] += end_mc - self.issue_free_mc;
         } else {
             // Sub-1-IPC issue configurations can leave the issue
             // timeline past the last completion; trim the excess so the
             // partition still covers exactly [0, end_mc].
-            let excess = self.acct_mc - end_mc;
+            let excess = self.issue_free_mc - end_mc;
             let issue = &mut self.stall_mc[StallClass::Issue.index()];
             *issue = issue.saturating_sub(excess);
         }
@@ -728,7 +726,7 @@ impl<'a> SmSim<'a> {
         // Attribute the idle gap on the issue timeline before this
         // issue: a dependency gap is classified by the producing op, any
         // other gap by whatever set the issuing warp's ready time.
-        let gap = start - self.acct_mc;
+        let gap = start - self.issue_free_mc;
         if gap > 0 {
             let cls = if dep_mc > self.warps[wi].ready_mc {
                 let dep = op
@@ -743,7 +741,6 @@ impl<'a> SmSim<'a> {
         }
         self.issue_free_mc = start + n_instr * self.issue_cost_mc;
         self.stall_mc[StallClass::Issue.index()] += n_instr * self.issue_cost_mc;
-        self.acct_mc = self.issue_free_mc;
         self.report.issue_busy_cycles += n_instr * self.issue_cost_mc / MC;
         self.report.class_instructions[op.kind.class().index()] += n_instr;
         // A single warp issues at most one instruction per cycle.
@@ -863,7 +860,7 @@ impl<'a> SmSim<'a> {
             entry: Entry {
                 mem_free_mc: self.mem_free_mc.max(release) - release,
                 shared_free_mc: self.shared_free_mc.max(release) - release,
-                acct_mc: self.acct_mc.wrapping_sub(release),
+                issue_free_mc: self.issue_free_mc.wrapping_sub(release),
             },
             now_max_mc: self.now_max_mc - release,
             totals: self.totals_mut().map(|t| *t),
@@ -954,8 +951,7 @@ impl<'a> SmSim<'a> {
         let entry = cur.entry;
         self.mem_free_mc = release + entry.mem_free_mc;
         self.shared_free_mc = release + entry.shared_free_mc;
-        self.acct_mc = release.wrapping_add(entry.acct_mc);
-        self.issue_free_mc = self.acct_mc;
+        self.issue_free_mc = release.wrapping_add(entry.issue_free_mc);
         self.now_max_mc = release + cur.now_max_mc;
         for ((total, from), to) in self
             .totals_mut()

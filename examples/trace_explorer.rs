@@ -1,25 +1,20 @@
-//! Trace explorer: generate, serialise, re-read and analyse any of the
-//! twelve modelled DOE proxy applications.
+//! Trace explorer: generate and analyse any of the twelve modelled DOE
+//! proxy applications.
 //!
 //! ```text
 //! cargo run --release -p examples --bin trace_explorer -- Nekbone
 //! cargo run --release -p examples --bin trace_explorer -- LULESH 0.5
 //! ```
 //!
-//! Arguments: application name (default: LULESH), an optional queue
-//! depth scale (default 1.0), and an optional path to save the generated
-//! trace as an SDTF file (re-read before analysis to prove the format).
+//! Arguments: application name (default: LULESH) and an optional queue
+//! depth scale (default 1.0).
 
-use proxy_traces::{
-    analyze, generate, read_trace, read_trace_file, write_trace, write_trace_file, AppModel,
-    GenOptions,
-};
+use proxy_traces::{analyze, generate, AppModel, GenOptions};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "LULESH".to_string());
     let scale: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let save: Option<std::path::PathBuf> = args.next().map(Into::into);
 
     let Some(model) = AppModel::by_name(&name) else {
         eprintln!("unknown application '{name}'. Known:");
@@ -41,20 +36,11 @@ fn main() {
     );
     trace.validate().expect("generated trace is well formed");
 
-    let bytes = write_trace(&trace);
     println!(
-        "trace: {} events, {} sends, {} bytes serialised (SDTF)",
+        "trace: {} events, {} sends",
         trace.events.len(),
-        trace.send_count(),
-        bytes.len()
+        trace.send_count()
     );
-    let trace = if let Some(path) = save {
-        write_trace_file(&trace, &path).expect("save trace");
-        println!("saved to {}", path.display());
-        read_trace_file(&path).expect("re-read saved trace")
-    } else {
-        read_trace(bytes).expect("round trip")
-    };
 
     let a = analyze(&trace);
     println!("— analysis —");

@@ -1,9 +1,9 @@
 //! JSON text rendering and parsing for [`Value`] trees.
 //!
 //! Floats are printed with Rust's shortest-round-trip formatting, so a
-//! serialize → parse → deserialize cycle reproduces every `f64` exactly.
+//! render → parse cycle reproduces every `f64` exactly.
 
-use crate::{Deserialize, Error, Serialize, Value};
+use crate::{Error, Serialize, Value};
 
 /// Serialize to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
@@ -17,14 +17,6 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> String {
     let mut out = String::new();
     render(&value.to_value(), &mut out, Some(2), 0);
     out
-}
-
-/// Parse a JSON string into a `T`.
-///
-/// # Errors
-/// Malformed JSON, or a tree whose shape does not match `T`.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    T::from_value(&parse_value(s)?)
 }
 
 /// Parse a JSON string into a raw [`Value`] tree.

@@ -1,13 +1,13 @@
 //! Offline stand-in for `serde` (API subset).
 //!
 //! The real serde routes through a visitor-based data model; this shim
-//! renders straight into a JSON-ish [`Value`] tree. The derive macros
-//! (from the sibling `serde_derive` shim) target the same two traits, so
-//! `#[derive(Serialize, Deserialize)]` plus [`json::to_string`] /
-//! [`json::from_str`] round-trip any non-generic struct/enum in the
-//! workspace.
+//! renders straight into a JSON-ish [`Value`] tree. The derive macro
+//! (from the sibling `serde_derive` shim) targets [`Serialize`], so
+//! `#[derive(Serialize)]` plus [`json::to_string`] render any
+//! non-generic struct/enum in the workspace. Reading goes the untyped
+//! way: [`json::parse_value`] into a [`Value`] tree.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 pub mod json;
 
@@ -64,7 +64,7 @@ impl Value {
     }
 }
 
-/// Serialization/deserialization error.
+/// Serialization or parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     message: String,
@@ -93,32 +93,11 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Rebuild `Self` from a [`Value`] tree.
-pub trait Deserialize: Sized {
-    /// Parse from the value tree.
-    ///
-    /// # Errors
-    /// Shape or range mismatch.
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
 macro_rules! impl_serde_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::U64(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let wide = match v {
-                    Value::U64(x) => *x,
-                    Value::I64(x) if *x >= 0 => *x as u64,
-                    other => return Err(Error::custom(format!(
-                        "expected unsigned integer, found {other:?}"))),
-                };
-                <$t>::try_from(wide).map_err(|_| Error::custom(format!(
-                    "{wide} out of range for {}", stringify!($t))))
             }
         }
     )*};
@@ -133,20 +112,6 @@ macro_rules! impl_serde_int {
                 if wide >= 0 { Value::U64(wide as u64) } else { Value::I64(wide) }
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let wide: i64 = match v {
-                    Value::I64(x) => *x,
-                    Value::U64(x) => i64::try_from(*x).map_err(|_| {
-                        Error::custom(format!("{x} out of i64 range"))
-                    })?,
-                    other => return Err(Error::custom(format!(
-                        "expected integer, found {other:?}"))),
-                };
-                <$t>::try_from(wide).map_err(|_| Error::custom(format!(
-                    "{wide} out of range for {}", stringify!($t))))
-            }
-        }
     )*};
 }
 impl_serde_int!(i8, i16, i32, i64, isize);
@@ -156,17 +121,6 @@ macro_rules! impl_serde_float {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::F64(*self as f64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::F64(x) => Ok(*x as $t),
-                    Value::U64(x) => Ok(*x as $t),
-                    Value::I64(x) => Ok(*x as $t),
-                    other => Err(Error::custom(format!(
-                        "expected number, found {other:?}"))),
-                }
             }
         }
     )*};
@@ -179,45 +133,15 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!("expected bool, found {other:?}"))),
-        }
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
 }
 
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!("expected string, found {other:?}"))),
-        }
-    }
-}
-
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for &'static str {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        // Real serde borrows from the input; this shim owns its `Value`
-        // tree, so promote to 'static by leaking. Only static app-table
-        // names deserialize through this path, so the leak is bounded.
-        match v {
-            Value::Str(s) => Ok(Box::leak(s.clone().into_boxed_str())),
-            other => Err(Error::custom(format!("expected string, found {other:?}"))),
-        }
     }
 }
 
@@ -230,50 +154,15 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!("expected array, found {other:?}"))),
-        }
-    }
-}
-
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + Default + Copy, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) if items.len() == N => {
-                let mut out = [T::default(); N];
-                for (slot, item) in out.iter_mut().zip(items) {
-                    *slot = T::from_value(item)?;
-                }
-                Ok(out)
-            }
-            other => Err(Error::custom(format!(
-                "expected array of length {N}, found {other:?}"
-            ))),
-        }
     }
 }
 
@@ -290,11 +179,6 @@ macro_rules! impl_serde_tuple {
                 Value::Array(vec![$(self.$n.to_value()),+])
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                Ok(($($t::from_value(v.index($n)?)?,)+))
-            }
-        }
     )+};
 }
 impl_serde_tuple!((0 A), (0 A, 1 B), (0 A, 1 B, 2 C), (0 A, 1 B, 2 C, 3 D));
@@ -305,14 +189,18 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
+        let text_round_trip = |v: &dyn Serialize| {
+            let parsed = json::parse_value(&json::to_string(v)).unwrap();
+            assert_eq!(parsed, v.to_value());
+        };
         for v in [0u64, 1, u64::MAX] {
-            assert_eq!(u64::from_value(&v.to_value()).unwrap(), v);
+            text_round_trip(&v);
         }
-        assert_eq!(i32::from_value(&(-5i32).to_value()).unwrap(), -5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        let v = vec![1u32, 2, 3];
-        assert_eq!(Vec::<u32>::from_value(&v.to_value()).unwrap(), v);
-        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
+        text_round_trip(&-5i32);
+        text_round_trip(&true);
+        text_round_trip(&vec![1u32, 2, 3]);
+        text_round_trip(&None::<u32>);
+        text_round_trip(&(7u8, "seven", 0.5f64));
     }
 
     #[test]

@@ -291,107 +291,3 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     src.parse()
         .expect("serde shim: generated Serialize impl must parse")
 }
-
-/// Derive `serde::Deserialize` (shim).
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let src = match &item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(names) => {
-                    let inits: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            format!("{f}: ::serde::Deserialize::from_value(v.field(\"{f}\")?)?")
-                        })
-                        .collect();
-                    format!(
-                        "::std::result::Result::Ok({name} {{ {} }})",
-                        inits.join(", ")
-                    )
-                }
-                Fields::Tuple(1) => format!(
-                    "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"
-                ),
-                Fields::Tuple(n) => {
-                    let inits: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::from_value(v.index({i})?)?"))
-                        .collect();
-                    format!("::std::result::Result::Ok({name}({}))", inits.join(", "))
-                }
-                Fields::Unit => format!("::std::result::Result::Ok({name})"),
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                         {body}\n\
-                     }}\n\
-                 }}"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let mut unit_arms = Vec::new();
-            let mut payload_arms = Vec::new();
-            for v in variants {
-                let vn = &v.name;
-                match &v.fields {
-                    Fields::Unit => unit_arms.push(format!(
-                        "\"{vn}\" => return ::std::result::Result::Ok({name}::{vn}),"
-                    )),
-                    Fields::Tuple(1) => payload_arms.push(format!(
-                        "\"{vn}\" => return ::std::result::Result::Ok(\
-                         {name}::{vn}(::serde::Deserialize::from_value(payload)?)),"
-                    )),
-                    Fields::Tuple(n) => {
-                        let inits: Vec<String> = (0..*n)
-                            .map(|i| {
-                                format!("::serde::Deserialize::from_value(payload.index({i})?)?")
-                            })
-                            .collect();
-                        payload_arms.push(format!(
-                            "\"{vn}\" => return ::std::result::Result::Ok({name}::{vn}({})),",
-                            inits.join(", ")
-                        ));
-                    }
-                    Fields::Named(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(payload.field(\"{f}\")?)?"
-                                )
-                            })
-                            .collect();
-                        payload_arms.push(format!(
-                            "\"{vn}\" => return ::std::result::Result::Ok({name}::{vn} {{ {} }}),",
-                            inits.join(", ")
-                        ));
-                    }
-                }
-            }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                         if let ::serde::Value::Str(s) = v {{\n\
-                             match s.as_str() {{ {unit} _ => {{}} }}\n\
-                         }}\n\
-                         if let ::serde::Value::Object(pairs) = v {{\n\
-                             if pairs.len() == 1 {{\n\
-                                 let payload = &pairs[0].1;\n\
-                                 let _ = payload;\n\
-                                 match pairs[0].0.as_str() {{ {payload_arms} _ => {{}} }}\n\
-                             }}\n\
-                         }}\n\
-                         ::std::result::Result::Err(::serde::Error::custom(\
-                             ::std::format!(\"no variant of {name} matches {{:?}}\", v)))\n\
-                     }}\n\
-                 }}",
-                unit = unit_arms.join("\n"),
-                payload_arms = payload_arms.join("\n")
-            )
-        }
-    };
-    src.parse()
-        .expect("serde shim: generated Deserialize impl must parse")
-}

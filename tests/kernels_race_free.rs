@@ -1,11 +1,10 @@
 //! The production kernels under the race sanitizer: every matching
-//! engine, the compaction kernel and the device algorithms must be free
-//! of same-segment cross-warp conflicts — the correctness contract that
-//! makes the warp-synchronous execution model valid on real hardware.
+//! engine and the compaction kernel must be free of same-segment
+//! cross-warp conflicts — the correctness contract that makes the
+//! warp-synchronous execution model valid on real hardware.
 
 use msg_match::compaction::compact_queue_regions;
 use msg_match::prelude::*;
-use simt_sim::algorithms::{exclusive_scan, histogram, reduce_sum};
 use simt_sim::{Gpu, GpuGeneration};
 
 fn sanitized_gpu() -> Gpu {
@@ -94,17 +93,6 @@ fn compaction_kernel_is_race_free() {
         compact_queue_regions(&mut gpu, &q, &keep, regions);
         assert_clean(&gpu, "compaction kernel");
     }
-}
-
-#[test]
-fn device_algorithms_are_race_free() {
-    let data: Vec<u32> = (0..3000).map(|i| i % 97).collect();
-    let mut gpu = sanitized_gpu();
-    let (total, _) = reduce_sum(&mut gpu, &data);
-    assert_eq!(total, data.iter().sum::<u32>());
-    let (_scan, _) = exclusive_scan(&mut gpu, &data);
-    let (_hist, _) = histogram(&mut gpu, &data, 13);
-    assert_clean(&gpu, "device algorithms");
 }
 
 /// The full sharded service with the sanitizer armed on every shard

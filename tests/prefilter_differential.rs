@@ -386,8 +386,7 @@ fn domain_prefilter_toggle_preserves_completions() {
 /// the screened views cost fewer device cycles and fewer
 /// memory-dependency stall cycles (stall class 1) and reject on both
 /// sides; on fully-matching traffic the screen keeps everything and the
-/// cycle count is untouched. The CPU list baseline walks fewer entries
-/// behind the same filters.
+/// cycle count is untouched.
 #[test]
 fn screening_cuts_cycles_and_mem_stalls_only_where_traffic_is_unexpected() {
     let matcher = MatrixMatcher::default();
@@ -422,26 +421,4 @@ fn screening_cuts_cycles_and_mem_stalls_only_where_traffic_is_unexpected() {
     );
     let (full, screened, _) = run(100);
     assert_eq!(screened.cycles, full.cycles, "nothing to reject, no cost");
-
-    let w = WorkloadSpec {
-        len: 512,
-        match_pct: 10,
-        seed: 5,
-        ..Default::default()
-    }
-    .generate();
-    let mut plain = ListMatcher::with_stats(true);
-    let mut filtered = ListMatcher::with_prefilter(true);
-    for &m in &w.msgs {
-        assert_eq!(plain.arrive(m), filtered.arrive(m));
-    }
-    for &r in &w.reqs {
-        assert_eq!(plain.post(r), filtered.post(r));
-    }
-    let inspected = |m: &ListMatcher| -> usize {
-        let walks = m.umq_attempts.iter().chain(&m.prq_attempts);
-        walks.map(|a| a.search_len).sum()
-    };
-    assert!(inspected(&filtered) < inspected(&plain), "fewer list walks");
-    assert!(filtered.prefilter_rejections > 0);
 }
