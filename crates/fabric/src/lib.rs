@@ -68,6 +68,6 @@ mod packet;
 mod stats;
 
 pub use config::{DeliveryOrder, FabricConfig, FaultConfig, LinkFaultConfig};
-pub use net::{Delivery, Fabric};
+pub use net::{Delivery, Fabric, FabricError};
 pub use packet::{crc32, DeadKind, DeadPacket};
 pub use stats::FabricStats;

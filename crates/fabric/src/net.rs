@@ -28,6 +28,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::fmt;
 
 use bytes::Bytes;
 use msg_match::Envelope;
@@ -59,6 +60,56 @@ pub struct Delivery {
     /// Causal flow id the sender attached via [`Fabric::send_flow`],
     /// echoed back so the layer above can chain its trace points.
     pub flow: Option<u64>,
+}
+
+/// Why [`Fabric::run_until_quiescent`] stopped without reaching a
+/// healthy quiescence. `Display` gives the report as prose.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FabricError {
+    /// Transfers are outstanding but no event is scheduled: a protocol
+    /// bug.
+    Stuck,
+    /// Quiescence needs more simulated time than the budget allowed.
+    OverBudget {
+        /// The budget the call was given.
+        budget_ns: u64,
+        /// When the first event past the deadline is due.
+        next_at_ns: u64,
+    },
+    /// The wire quiesced, but these packets exhausted their
+    /// retransmission budget, in the order they died.
+    Exhausted(Vec<DeadPacket>),
+}
+
+impl fmt::Display for FabricError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FabricError::Stuck => {
+                f.write_str("fabric stuck: transfers outstanding but no events scheduled")
+            }
+            FabricError::OverBudget {
+                budget_ns,
+                next_at_ns,
+            } => write!(
+                f,
+                "fabric did not quiesce within {budget_ns} ns (next event at {next_at_ns} ns)"
+            ),
+            FabricError::Exhausted(dead) => write!(
+                f,
+                "{} packet(s) exhausted retransmission: {}",
+                dead.len(),
+                describe(dead)
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FabricError {}
+
+/// `dead` as `; `-separated prose.
+fn describe(dead: &[DeadPacket]) -> String {
+    let lines: Vec<String> = dead.iter().map(DeadPacket::to_string).collect();
+    lines.join("; ")
 }
 
 /// SplitMix64 finalizer: the cheap stateless mixer behind the link
@@ -187,16 +238,194 @@ struct Outstanding {
     credited: bool,
 }
 
+/// A map keyed by a dense per-link counter (`seq` or `msg_seq`, see
+/// `crate::packet`): slot `i` holds key `base + i`. Keys enter and
+/// leave roughly in counter order, so the live span stays short and a
+/// lookup is an index. Vacant slots are trimmed off both ends on
+/// removal, so a key that never comes (an eager message in the
+/// rendezvous window, a message that died) holds nothing once the keys
+/// around it are gone. A key that stays (the reassembly of a message
+/// one of whose fragments died) keeps one slot per later key open
+/// behind it.
+#[derive(Debug)]
+struct SeqWindow<T> {
+    base: u64,
+    slots: VecDeque<Option<T>>,
+    live: usize,
+}
+
+impl<T> Default for SeqWindow<T> {
+    fn default() -> Self {
+        SeqWindow {
+            base: 0,
+            slots: VecDeque::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> SeqWindow<T> {
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    fn index(&self, key: u64) -> Option<usize> {
+        let i = usize::try_from(key.checked_sub(self.base)?).ok()?;
+        (i < self.slots.len()).then_some(i)
+    }
+
+    fn get(&self, key: u64) -> Option<&T> {
+        self.slots[self.index(key)?].as_ref()
+    }
+
+    fn get_mut(&mut self, key: u64) -> Option<&mut T> {
+        let i = self.index(key)?;
+        self.slots[i].as_mut()
+    }
+
+    /// The slot of `key`, growing the window at either end to reach it.
+    fn slot(&mut self, key: u64) -> &mut Option<T> {
+        if self.slots.is_empty() {
+            self.base = key;
+        }
+        while key < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let i = (key - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        &mut self.slots[i]
+    }
+
+    fn insert(&mut self, key: u64, value: T) {
+        let slot = self.slot(key);
+        let fresh = slot.is_none();
+        *slot = Some(value);
+        self.live += usize::from(fresh);
+    }
+
+    fn get_or_insert_with(&mut self, key: u64, value: impl FnOnce() -> T) -> &mut T {
+        let slot = self.slot(key);
+        if slot.is_none() {
+            *slot = Some(value());
+            self.live += 1;
+        }
+        // Re-borrow: `slot` ended with the insert above.
+        let i = (key - self.base) as usize;
+        self.slots[i].as_mut().expect("just filled")
+    }
+
+    fn remove(&mut self, key: u64) -> Option<T> {
+        let i = self.index(key)?;
+        let value = self.slots[i].take()?;
+        self.live -= 1;
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while matches!(self.slots.back(), Some(None)) {
+            self.slots.pop_back();
+        }
+        Some(value)
+    }
+}
+
+/// The reliability sequences a receiver has seen: all of them below
+/// `floor`, and bit `seq % 64` of word `seq / 64 - floor / 64` for the
+/// ones at or above it. Every bit of the first word below `floor % 64`
+/// is set.
+#[derive(Debug, Default)]
+struct SeenWindow {
+    floor: u64,
+    words: VecDeque<u64>,
+}
+
+impl SeenWindow {
+    /// Record `seq`; false when it was seen before.
+    fn mark(&mut self, seq: u64) -> bool {
+        if seq < self.floor {
+            return false;
+        }
+        let w = (seq / 64 - self.floor / 64) as usize;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let bit = 1u64 << (seq % 64);
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        while let Some(&first) = self.words.front() {
+            let ones = u64::from(first.trailing_ones());
+            self.floor = self.floor / 64 * 64 + ones;
+            if ones < 64 {
+                break;
+            }
+            self.words.pop_front();
+        }
+        true
+    }
+}
+
+/// A message's data fragments, cut on demand: fragment `f` is bytes
+/// `f * mtu ..` of the payload with reliability sequence `base_seq + f`.
+#[derive(Debug)]
+struct OutMessage {
+    msg_seq: u64,
+    base_seq: u64,
+    frags: u32,
+    envelope: Envelope,
+    payload: Bytes,
+    flow: Option<u64>,
+}
+
+impl OutMessage {
+    /// Cut and checksum fragment `frag` on the `key.0 → key.1` channel.
+    fn fragment(&self, key: (u32, u32), frag: u32, mtu: usize) -> Packet {
+        // Fragments are views into the message's buffer, not copies.
+        let lo = frag as usize * mtu;
+        let hi = (lo + mtu).min(self.payload.len());
+        let chunk = self.payload.slice(lo..hi);
+        Packet {
+            src: key.0,
+            dst: key.1,
+            seq: self.base_seq + u64::from(frag),
+            flow: self.flow,
+            body: PacketBody::Data {
+                msg_seq: self.msg_seq,
+                frag,
+                frags: self.frags,
+                total_len: self.payload.len(),
+                envelope: self.envelope,
+                crc: crc32(&chunk),
+                chunk,
+            },
+        }
+    }
+}
+
+/// A message whose fragments from `next_frag` on wait for credits.
+#[derive(Debug)]
+struct StalledMessage {
+    /// When the message was queued: every fragment's stall starts here.
+    since_ns: u64,
+    next_frag: u32,
+    msg: OutMessage,
+}
+
 #[derive(Debug)]
 struct SenderChannel {
     next_seq: u64,
     next_msg_seq: u64,
     credits: u32,
-    unacked: BTreeMap<u64, Outstanding>,
-    /// Data packets waiting for a credit, with their enqueue time.
-    stalled: VecDeque<(u64, Packet)>,
-    /// Rendezvous payloads awaiting CTS, keyed by message index.
-    pending_rendezvous: BTreeMap<u64, (Envelope, Bytes, Option<u64>)>,
+    /// Sequenced packets awaiting their ack, by `seq`.
+    unacked: SeqWindow<Outstanding>,
+    /// Messages whose data packets wait for a credit, in queue order.
+    stalled: VecDeque<StalledMessage>,
+    /// Rendezvous payloads awaiting CTS, by `msg_seq`.
+    pending_rendezvous: SeqWindow<(Envelope, Bytes, Option<u64>)>,
 }
 
 impl SenderChannel {
@@ -205,9 +434,9 @@ impl SenderChannel {
             next_seq: 0,
             next_msg_seq: 0,
             credits,
-            unacked: BTreeMap::new(),
+            unacked: SeqWindow::default(),
             stalled: VecDeque::new(),
-            pending_rendezvous: BTreeMap::new(),
+            pending_rendezvous: SeqWindow::default(),
         }
     }
 
@@ -240,31 +469,17 @@ impl Reassembly {
 
 #[derive(Debug, Default)]
 struct ReceiverChannel {
-    /// Every reliability sequence below this has been received.
-    seen_floor: u64,
-    /// Received sequences at or above the floor.
-    seen: BTreeSet<u64>,
-    /// Partially reassembled messages, keyed by message index.
-    reassembly: BTreeMap<u64, Reassembly>,
+    /// Reliability sequences received so far.
+    seen: SeenWindow,
+    /// Partially reassembled messages, by `msg_seq`.
+    reassembly: SeqWindow<Reassembly>,
     /// FIFO mode: next message index to release.
     next_deliver: u64,
-    /// FIFO mode: completed messages held for order.
-    stash: BTreeMap<u64, (Envelope, Bytes, Option<u64>)>,
+    /// FIFO mode: completed messages held for order, by `msg_seq`.
+    stash: SeqWindow<(Envelope, Bytes, Option<u64>)>,
 }
 
 impl ReceiverChannel {
-    /// Record a sequenced packet; false when it is a duplicate.
-    fn mark_seen(&mut self, seq: u64) -> bool {
-        if seq < self.seen_floor || self.seen.contains(&seq) {
-            return false;
-        }
-        self.seen.insert(seq);
-        while self.seen.remove(&self.seen_floor) {
-            self.seen_floor += 1;
-        }
-        true
-    }
-
     fn idle(&self) -> bool {
         self.reassembly.is_empty() && self.stash.is_empty()
     }
@@ -304,7 +519,7 @@ impl Fabric {
     /// A fabric connecting `ranks` endpoints pairwise.
     ///
     /// The per-link tables are dense and built here, `ranks`² entries
-    /// of about 200 bytes whether or not a link ever carries traffic
+    /// of about 300 bytes whether or not a link ever carries traffic
     /// (unused self-links included), and `Self::in_flight_idle` walks
     /// them. That suits the node-sized meshes this models (the repo's
     /// callers stay at or below 8 ranks); it is not meant for thousands.
@@ -383,18 +598,7 @@ impl Fabric {
     /// A packet dies on the timeout after its last retransmission, so
     /// each one spent exactly [`FabricConfig::max_retransmits`].
     pub fn describe_dead_packets(&self) -> String {
-        let retries = self.cfg.max_retransmits;
-        let lines: Vec<String> = self
-            .dead_packets
-            .iter()
-            .map(|d| {
-                format!(
-                    "packet seq {} on link {}->{} dead after {retries} retransmits",
-                    d.seq, d.src, d.dst
-                )
-            })
-            .collect();
-        lines.join("; ")
+        describe(&self.dead_packets)
     }
 
     /// The flap down-window of `key` inside the flap cycle containing
@@ -578,7 +782,8 @@ impl Fabric {
     }
 
     /// Fragment `payload` and enqueue its data packets (credits gate
-    /// each packet's transmission).
+    /// each packet's transmission). Every fragment takes its `seq` now;
+    /// those that find no credit wait as one stalled message.
     fn queue_message_data(
         &mut self,
         key: (u32, u32),
@@ -590,53 +795,54 @@ impl Fabric {
         let frags = payload.len().div_ceil(self.cfg.mtu).max(1) as u32;
         let link = self.link(key);
         let ch = &mut self.senders[link];
-        let base_seq = ch.next_seq;
-        ch.next_seq += frags as u64;
+        let msg = OutMessage {
+            msg_seq,
+            base_seq: ch.next_seq,
+            frags,
+            envelope,
+            payload,
+            flow,
+        };
+        ch.next_seq += u64::from(frags);
         for frag in 0..frags {
-            // Fragments are views into the message's buffer, not copies.
-            let lo = frag as usize * self.cfg.mtu;
-            let hi = (lo + self.cfg.mtu).min(payload.len());
-            let chunk = payload.slice(lo..hi);
-            let crc = crc32(&chunk);
-            let pkt = Packet {
-                src: key.0,
-                dst: key.1,
-                seq: base_seq + frag as u64,
-                flow,
-                body: PacketBody::Data {
-                    msg_seq,
-                    frag,
-                    frags,
-                    total_len: payload.len(),
-                    envelope,
-                    crc,
-                    chunk,
-                },
-            };
             let ch = &mut self.senders[link];
             if ch.credits == 0 || !ch.stalled.is_empty() {
-                self.stats.credit_stalls += 1;
-                let now = self.now_ns;
-                ch.stalled.push_back((now, pkt));
-                continue;
+                self.stats.credit_stalls += u64::from(frags - frag);
+                ch.stalled.push_back(StalledMessage {
+                    since_ns: self.now_ns,
+                    next_frag: frag,
+                    msg,
+                });
+                return;
             }
             ch.credits -= 1;
+            let pkt = msg.fragment(key, frag, self.cfg.mtu);
             self.track_unacked(key, pkt.clone(), true);
             self.transmit(pkt, false);
         }
     }
 
-    /// Release stalled data packets while credits allow.
+    /// Release stalled data packets while credits allow, cutting each
+    /// from its message as it goes.
     fn release_stalled(&mut self, key: (u32, u32)) {
         let link = self.link(key);
         loop {
             let (waited_since, pkt) = {
                 let ch = &mut self.senders[link];
-                if ch.credits == 0 || ch.stalled.is_empty() {
+                if ch.credits == 0 {
                     return;
                 }
+                let Some(front) = ch.stalled.front_mut() else {
+                    return;
+                };
                 ch.credits -= 1;
-                ch.stalled.pop_front().expect("non-empty")
+                let pkt = front.msg.fragment(key, front.next_frag, self.cfg.mtu);
+                let waited_since = front.since_ns;
+                front.next_frag += 1;
+                if front.next_frag == front.msg.frags {
+                    ch.stalled.pop_front();
+                }
+                (waited_since, pkt)
             };
             let stall_ns = self.now_ns - waited_since;
             self.stats.credit_stall_ns += stall_ns;
@@ -884,7 +1090,7 @@ impl Fabric {
         let link = self.link(key);
         let Some((retries, burn_start)) = self.senders[link]
             .unacked
-            .get(&seq)
+            .get(seq)
             .map(|o| (o.retries, o.burn_start_ns))
         else {
             return; // acknowledged in the meantime — stale timer
@@ -903,7 +1109,7 @@ impl Fabric {
                 // window with a fresh budget and re-arm its timer for
                 // the heal. A counted down episode (one per link per
                 // window) replaces the dead-packet error.
-                let out = self.senders[link].unacked.get_mut(&seq).expect("present");
+                let out = self.senders[link].unacked.get_mut(seq).expect("present");
                 out.retries = 0;
                 out.rto_ns = self.cfg.retransmit_timeout_ns;
                 out.burn_start_ns = self.now_ns;
@@ -931,13 +1137,13 @@ impl Fabric {
                 return;
             }
             let ch = &mut self.senders[link];
-            let out = ch.unacked.remove(&seq).expect("present");
+            let out = ch.unacked.remove(seq).expect("present");
             if out.credited {
                 ch.credits += 1;
             }
             // The rendezvous payload (if any) will never be granted.
             if let PacketBody::Rts { msg_seq, .. } = out.packet.body {
-                ch.pending_rendezvous.remove(&msg_seq);
+                ch.pending_rendezvous.remove(msg_seq);
             }
             self.stats.exhausted_retries += 1;
             *self.exhausted_by_link.entry(key).or_insert(0) += 1;
@@ -950,12 +1156,13 @@ impl Fabric {
                 dst: key.1,
                 seq,
                 kind,
+                retransmits: out.retries,
             });
             self.release_stalled(key);
             return;
         }
         let backoff = self.cfg.backoff as u64;
-        let out = self.senders[link].unacked.get_mut(&seq).expect("present");
+        let out = self.senders[link].unacked.get_mut(seq).expect("present");
         out.retries += 1;
         out.rto_ns = out.rto_ns.saturating_mul(backoff);
         let pkt = out.packet.clone();
@@ -978,7 +1185,7 @@ impl Fabric {
                 let key = (dst, src);
                 let link = self.link(key);
                 let ch = &mut self.senders[link];
-                if let Some(out) = ch.unacked.remove(&data_seq) {
+                if let Some(out) = ch.unacked.remove(data_seq) {
                     if out.credited {
                         ch.credits += 1;
                         self.release_stalled(key);
@@ -989,14 +1196,14 @@ impl Fabric {
                 let key = (dst, src);
                 let link = self.link(key);
                 let ch = &mut self.senders[link];
-                ch.unacked.remove(&rts_seq);
-                if let Some((envelope, payload, flow)) = ch.pending_rendezvous.remove(&msg_seq) {
+                ch.unacked.remove(rts_seq);
+                if let Some((envelope, payload, flow)) = ch.pending_rendezvous.remove(msg_seq) {
                     self.queue_message_data(key, msg_seq, envelope, payload, flow);
                 }
             }
             PacketBody::Rts { msg_seq, .. } => {
                 let link = self.link((src, dst));
-                if !self.receivers[link].mark_seen(seq) {
+                if !self.receivers[link].seen.mark(seq) {
                     self.stats.duplicate_packets_dropped += 1;
                 }
                 // Grant (or re-grant) unconditionally: CTS is the RTS
@@ -1054,7 +1261,7 @@ impl Fabric {
 
                 let link = self.link(key);
                 let rch = &mut self.receivers[link];
-                if !rch.mark_seen(seq) {
+                if !rch.seen.mark(seq) {
                     self.stats.duplicate_packets_dropped += 1;
                     if !self.cfg.dedup && frags == 1 {
                         // At-least-once modelling: hand the duplicate up
@@ -1074,7 +1281,7 @@ impl Fabric {
                     }
                     return;
                 }
-                let entry = rch.reassembly.entry(msg_seq).or_insert_with(|| Reassembly {
+                let entry = rch.reassembly.get_or_insert_with(msg_seq, || Reassembly {
                     envelope,
                     frags: vec![None; frags as usize],
                     received: 0,
@@ -1088,7 +1295,7 @@ impl Fabric {
                     entry.received += 1;
                 }
                 if entry.received == frags {
-                    let done = rch.reassembly.remove(&msg_seq).expect("present");
+                    let done = rch.reassembly.remove(msg_seq).expect("present");
                     let env = done.envelope;
                     let flow = done.flow;
                     let payload = done.concat();
@@ -1122,7 +1329,7 @@ impl Fabric {
                 loop {
                     let rch = &mut self.receivers[link];
                     let next = rch.next_deliver;
-                    let Some((env, pay, fl)) = rch.stash.remove(&next) else {
+                    let Some((env, pay, fl)) = rch.stash.remove(next) else {
                         return;
                     };
                     rch.next_deliver += 1;
@@ -1196,18 +1403,21 @@ impl Fabric {
     /// Drive the event loop until no transfer work is outstanding.
     ///
     /// # Errors
-    /// Fails if quiescence needs more than `budget_ns` of simulated
-    /// time, if work is outstanding with no event scheduled (a protocol
-    /// bug), or if any packet exhausted its retransmission budget.
-    pub fn run_until_quiescent(&mut self, budget_ns: u64) -> Result<(), String> {
+    /// [`FabricError::OverBudget`] if quiescence needs more than
+    /// `budget_ns` of simulated time, [`FabricError::Stuck`] if work is
+    /// outstanding with no event scheduled (a protocol bug), and
+    /// [`FabricError::Exhausted`] if any packet exhausted its
+    /// retransmission budget.
+    pub fn run_until_quiescent(&mut self, budget_ns: u64) -> Result<(), FabricError> {
         let deadline = self.now_ns.saturating_add(budget_ns);
         while !self.in_flight_idle() {
             let Some((at_ns, event)) = self.events.pop_due(deadline) else {
                 return Err(match self.events.next_at() {
-                    None => "fabric stuck: transfers outstanding but no events scheduled".into(),
-                    Some(at_ns) => format!(
-                        "fabric did not quiesce within {budget_ns} ns (next event at {at_ns} ns)"
-                    ),
+                    None => FabricError::Stuck,
+                    Some(next_at_ns) => FabricError::OverBudget {
+                        budget_ns,
+                        next_at_ns,
+                    },
                 });
             };
             self.handle(at_ns, event);
@@ -1215,11 +1425,7 @@ impl Fabric {
         if self.dead_packets.is_empty() {
             Ok(())
         } else {
-            Err(format!(
-                "{} packet(s) exhausted retransmission: {}",
-                self.dead_packets.len(),
-                self.describe_dead_packets()
-            ))
+            Err(FabricError::Exhausted(self.dead_packets.clone()))
         }
     }
 
@@ -1332,6 +1538,8 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::config::FaultConfig;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn env(src: u32, tag: u32) -> Envelope {
         Envelope::new(src, tag, 0)
@@ -1627,8 +1835,33 @@ mod tests {
             f.send(0, 1, env(0, i), payload(8, 0));
         }
         let err = f.run_until_quiescent(10_000_000_000).unwrap_err();
-        assert!(err.contains("exhausted retransmission"), "{err}");
+        assert!(
+            matches!(&err, FabricError::Exhausted(dead) if dead == f.dead_packets()),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string().contains("exhausted retransmission"),
+            "{err}"
+        );
         assert!(f.stats().exhausted_retries > 0);
+    }
+
+    #[test]
+    fn a_spent_budget_is_typed() {
+        let mut f = Fabric::new(2, FabricConfig::default());
+        f.send(0, 1, env(0, 0), payload(8, 1));
+        let err = f.run_until_quiescent(1).unwrap_err();
+        let FabricError::OverBudget {
+            budget_ns: 1,
+            next_at_ns,
+        } = err
+        else {
+            panic!("{err:?}");
+        };
+        assert_eq!(
+            err.to_string(),
+            format!("fabric did not quiesce within 1 ns (next event at {next_at_ns} ns)")
+        );
     }
 
     #[test]
@@ -1778,7 +2011,10 @@ mod tests {
         for i in 0..10u32 {
             f.send(0, 1, env(0, i), payload(8, 0));
         }
-        let err = f.run_until_quiescent(10_000_000_000).unwrap_err();
+        let err = f
+            .run_until_quiescent(10_000_000_000)
+            .unwrap_err()
+            .to_string();
         let dead = f.dead_packets();
         assert!(!dead.is_empty());
         let first = format!(
@@ -1863,6 +2099,112 @@ mod tests {
         assert!(json.contains("fabric_config"), "{json}");
         assert!(json.contains("flap_prob"), "{json}");
         assert!(json.contains("corrupt_prob"), "{json}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `SeqWindow` is a `BTreeMap` over dense keys: after every
+        /// random insert / get / remove (keys drawn from a small range,
+        /// so some repeat and some never come) both hold the same
+        /// entries, and the window spans exactly its smallest to its
+        /// largest live key.
+        #[test]
+        fn seq_window_equals_a_btree_map(
+            ops in collection::vec((0u8..4, 0u64..48), 0..300),
+            offset in 0u64..1_000,
+        ) {
+            let mut window = SeqWindow::default();
+            let mut model = BTreeMap::new();
+            for (i, (op, key)) in ops.into_iter().enumerate() {
+                let key = key + offset;
+                match op {
+                    0 => {
+                        window.insert(key, i);
+                        model.insert(key, i);
+                    }
+                    1 => {
+                        let got = *window.get_or_insert_with(key, || i);
+                        prop_assert_eq!(got, *model.entry(key).or_insert(i));
+                    }
+                    2 => prop_assert_eq!(window.remove(key), model.remove(&key)),
+                    _ => {
+                        if let Some(v) = window.get_mut(key) {
+                            *v += 1;
+                        }
+                        if let Some(v) = model.get_mut(&key) {
+                            *v += 1;
+                        }
+                    }
+                }
+                for k in offset..offset + 48 {
+                    prop_assert_eq!(window.get(k), model.get(&k));
+                }
+                prop_assert_eq!(window.live, model.len());
+                prop_assert_eq!(window.is_empty(), model.is_empty());
+                match (model.keys().next(), model.keys().next_back()) {
+                    (Some(&lo), Some(&hi)) => {
+                        prop_assert_eq!(window.base, lo);
+                        prop_assert_eq!(window.slots.len() as u64, hi - lo + 1);
+                    }
+                    _ => prop_assert!(window.slots.is_empty()),
+                }
+            }
+        }
+
+        /// `SeenWindow` answers every `mark` as a `BTreeSet` above a
+        /// floor does, and keeps the same floor.
+        #[test]
+        fn seen_window_equals_a_btree_set_above_a_floor(
+            seqs in collection::vec(0u64..256, 0..600),
+        ) {
+            let mut window = SeenWindow::default();
+            let (mut floor, mut set) = (0u64, BTreeSet::new());
+            for seq in seqs {
+                let fresh = seq >= floor && set.insert(seq);
+                while set.remove(&floor) {
+                    floor += 1;
+                }
+                prop_assert_eq!(window.mark(seq), fresh);
+                prop_assert_eq!(window.floor, floor);
+                prop_assert!(window.words.len() as u64 <= (256 - floor / 64 * 64).div_ceil(64));
+            }
+        }
+    }
+
+    #[test]
+    fn stalled_rendezvous_releases_its_fragments_in_seq_order() {
+        let cfg = FabricConfig {
+            mtu: 64,
+            eager_threshold: 128,
+            credits: 8,
+            trace: true,
+            ..Default::default()
+        };
+        let latency = cfg.link_latency_ns;
+        let mut f = Fabric::new(2, cfg);
+        // RTS takes seq 0; the CTS frees 20 fragments (seqs 1..=20), 8
+        // of which find a credit.
+        f.send(0, 1, env(0, 1), payload(20 * 64, 0x5A));
+        f.advance(3 * latency);
+        assert_eq!(f.stats().credit_stalls, 12);
+        // Queued behind the stalled message: seqs 21 and 22.
+        f.send(0, 1, env(0, 2), payload(128, 0xA5));
+        f.run_until_quiescent(1_000_000_000).unwrap();
+        assert_eq!(f.take_deliveries(1).len(), 2);
+        let s = f.stats();
+        assert_eq!(s.credit_stalls, 14);
+        let released: Vec<u64> = f.recorders[&(0, 1)]
+            .events()
+            .filter(|e| e.category == SpanCategory::CreditStall)
+            .map(|e| match e.args[..] {
+                [("seq", ArgValue::U64(seq))] => seq,
+                _ => panic!("a credit stall names its seq"),
+            })
+            .collect();
+        assert_eq!(released, (9..=22).collect::<Vec<u64>>());
+        // What the per-packet stall queue gave: each packet's stall runs
+        // from its message's enqueue time to its release.
+        assert_eq!(s.credit_stall_ns, 19_426);
     }
 
     #[test]

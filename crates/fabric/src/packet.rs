@@ -10,6 +10,8 @@
 //!   fragment of one payload. Reassembly and FIFO release key on it,
 //!   and it is the sequence a user-level reorder buffer consumes.
 
+use std::fmt;
+
 use bytes::Bytes;
 use msg_match::Envelope;
 
@@ -107,6 +109,18 @@ pub struct DeadPacket {
     pub(crate) seq: u64,
     /// Body class of the dead packet.
     pub(crate) kind: DeadKind,
+    /// Retransmissions it spent before the timeout that killed it.
+    pub(crate) retransmits: u32,
+}
+
+impl fmt::Display for DeadPacket {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "packet seq {} on link {}->{} dead after {} retransmits",
+            self.seq, self.src, self.dst, self.retransmits
+        )
+    }
 }
 
 /// What a packet carries.

@@ -336,7 +336,13 @@ mod tests {
 
     proptest! {
         /// The list matcher must agree with the reference engine on any
-        /// interleaved event stream, including wildcards.
+        /// interleaved event stream, including wildcards: same outcome,
+        /// same partner, same queue contents.
+        ///
+        /// Shadow queues hold the sequence number of every entry the
+        /// reference keeps, in its order, so the queue index the
+        /// reference reports names the exact arrival (or post) the
+        /// list matcher must have paired.
         #[test]
         fn agrees_with_reference_engine(
             events in proptest::collection::vec(
@@ -344,6 +350,9 @@ mod tests {
         ) {
             let mut list = ListMatcher::new();
             let mut reference = ReferenceEngine::new();
+            let mut umq: Vec<(u64, Envelope)> = Vec::new();
+            let mut prq: Vec<u64> = Vec::new();
+            let (mut next_msg_seq, mut next_recv_seq) = (0u64, 0u64);
             for (is_post, src, tag, wild) in events {
                 if is_post {
                     let req = match wild {
@@ -356,27 +365,42 @@ mod tests {
                             comm: 0,
                         },
                     };
+                    let recv_seq = next_recv_seq;
+                    next_recv_seq += 1;
                     let got = list.post(req);
-                    let want = reference.step(MatchEvent::Post(req));
-                    match want {
-                        EventOutcome::PostMatchedUnexpected(_) => prop_assert!(got.is_some()),
-                        _ => prop_assert!(got.is_none()),
-                    }
+                    let want = match reference.step(MatchEvent::Post(req)) {
+                        EventOutcome::PostMatchedUnexpected(i) => Some(MatchPair {
+                            msg_seq: umq.remove(i).0,
+                            recv_seq,
+                        }),
+                        _ => {
+                            prq.push(recv_seq);
+                            None
+                        }
+                    };
+                    prop_assert_eq!(got, want);
                 } else {
                     let msg = e(src, tag);
+                    let msg_seq = next_msg_seq;
+                    next_msg_seq += 1;
                     let got = list.arrive(msg);
-                    let want = reference.step(MatchEvent::Arrive(msg));
-                    match want {
-                        EventOutcome::ArriveMatchedPosted(_) => prop_assert!(got.is_some()),
-                        _ => prop_assert!(got.is_none()),
-                    }
+                    let want = match reference.step(MatchEvent::Arrive(msg)) {
+                        EventOutcome::ArriveMatchedPosted(i) => Some(MatchPair {
+                            msg_seq,
+                            recv_seq: prq.remove(i),
+                        }),
+                        _ => {
+                            umq.push((msg_seq, msg));
+                            None
+                        }
+                    };
+                    prop_assert_eq!(got, want);
                 }
                 prop_assert_eq!(list.umq_len(), reference.umq_len());
                 prop_assert_eq!(list.prq_len(), reference.prq_len());
             }
-            // Final queue contents must agree element-wise.
-            let ref_final = ReferenceEngine::new();
-            let _ = ref_final; // (content check below via snapshots)
+            let shadow: Vec<Envelope> = umq.iter().map(|&(_, env)| env).collect();
+            prop_assert_eq!(list.umq_snapshot(), shadow);
         }
     }
 }
