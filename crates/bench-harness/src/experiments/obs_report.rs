@@ -129,7 +129,6 @@ pub fn flow_demos(seed: u64) -> Vec<FlowDemo> {
             cfg.transport = TransportConfig::Fabric(fc);
             cfg.restore_order = restore_order;
             cfg.trace = true;
-            cfg.flow_sample_every = 1;
             cfg.trace_track_base = base;
             let node = Domain::with_config(cfg);
             // Each rank sends a ring neighbourly burst: three eager

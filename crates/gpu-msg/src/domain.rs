@@ -35,7 +35,6 @@
 //! park and never report deadlock, so a single thread driving several
 //! ranks polls with them.
 
-use std::collections::HashMap;
 use std::sync::Condvar;
 
 use bytes::Bytes;
@@ -46,6 +45,7 @@ use fabric::{DeliveryOrder, FabricStats};
 use msg_match::prelude::*;
 use simt_sim::{Gpu, GpuGeneration};
 
+use crate::endpoint::Endpoint;
 use crate::message::{Completion, EndpointStats, Message, RecvHandle};
 use crate::reorder::ReorderBuffer;
 use crate::transport::{
@@ -77,154 +77,6 @@ impl From<MatcherKind> for EngineChoice {
     }
 }
 
-struct EndpointInner {
-    rank: u32,
-    /// Arrived-but-unmatched messages (the device-resident UMQ).
-    inbox: Vec<Message>,
-    /// Posted-but-unmatched receives (the device-resident PRQ).
-    posted: Vec<(RecvHandle, RecvRequest)>,
-    /// SoA mirror of `inbox` envelopes: the maintained packed-word
-    /// column is what matrix launches upload, so the kernel path never
-    /// re-packs the queue.
-    umq_soa: EnvelopeSoa,
-    /// SoA mirror of `posted` requests (packed-word column for matrix
-    /// launches; handles stay in `posted`).
-    prq_soa: RequestSoa,
-    /// Counting-digest summary of `inbox`, probed by posted requests.
-    umq_filter: EnvelopeFilter,
-    /// Counting-digest summary of `posted`, probed by arrivals.
-    prq_filter: RequestFilter,
-    /// Matched receives awaiting collection by the application.
-    completed: Vec<Completion>,
-    gpu: Gpu,
-    stats: EndpointStats,
-    next_handle: u64,
-    /// User-level order restoration over an unordered wire (the paper's
-    /// "tags can restore ordering at the user level", mechanized).
-    reorder: Option<ReorderBuffer>,
-    /// Flow trace points of this endpoint (send / deposit / matched),
-    /// present when the domain traces.
-    obs: Option<SpanRecorder>,
-}
-
-impl EndpointInner {
-    fn run_comm_kernel(
-        &mut self,
-        engine: EngineChoice,
-        relax: RelaxationConfig,
-        now_ns: u64,
-    ) -> Result<usize, String> {
-        if self.inbox.is_empty() || self.posted.is_empty() {
-            return Ok(0);
-        }
-        let reqs: Vec<RecvRequest> = self.posted.iter().map(|(_, r)| *r).collect();
-        relax.validate_workload(&[], &reqs)?; // wildcard legality
-
-        // Screen through the incrementally-maintained digests: entries
-        // whose tuple can match nothing stay out of the launch, and a
-        // launch whose batch empties on either side is skipped outright.
-        let screen = screen_soa(&self.umq_filter, &self.prq_filter, &self.umq_soa, &reqs);
-        self.stats.prefilter_probes += (self.inbox.len() + reqs.len()) as u64;
-        self.stats.prefilter_rejections += screen.rejected_msgs + screen.rejected_reqs;
-        if screen.skip_launch() {
-            self.stats.prefilter_skipped_launches += 1;
-            return Ok(0);
-        }
-
-        // Every launch uploads fresh queue images: return the previous
-        // launch's buffers first, or a long-lived endpoint's device
-        // arena grows by a dozen buffers per call.
-        self.gpu.reset_memory();
-        let report: GpuMatchReport = if engine == EngineChoice::Matrix {
-            // The SoA mirrors hold maintained packed-word columns: the
-            // launch uploads gathers of those, never re-packing.
-            let mut msg_words = Vec::new();
-            let mut req_words = Vec::new();
-            self.umq_soa
-                .gather_words_into(&screen.msg_keep, &mut msg_words);
-            self.prq_soa
-                .gather_words_into(&screen.req_keep, &mut req_words);
-            MatrixMatcher::default().match_iterative_words(&mut self.gpu, &msg_words, &req_words)
-        } else {
-            let mut sub_msgs = Vec::new();
-            self.umq_soa.gather_into(&screen.msg_keep, &mut sub_msgs);
-            let sub_reqs: Vec<RecvRequest> =
-                screen.req_keep.iter().map(|&j| reqs[j as usize]).collect();
-            MatchEngine::default()
-                .match_with(&mut self.gpu, engine, &sub_msgs, &sub_reqs)
-                .map_err(|e| format!("rank {}: {e}", self.rank))?
-        };
-
-        self.stats.kernel_cycles += report.cycles;
-        self.stats.kernel_seconds += report.seconds;
-        self.stats.launches += report.launches as u64;
-        self.stats.matches += report.matches;
-        self.stats.probe_dedups += report.probe_dedups;
-
-        // Fan the screened assignment back out to full-queue indices,
-        // then deliver completions and retain unmatched state.
-        let assignment = expand_assignment(reqs.len(), &screen, &report.assignment);
-        let mut matched_msgs: Vec<usize> = Vec::new();
-        let mut matched_posts: Vec<usize> = Vec::new();
-        for (j, a) in assignment.iter().enumerate() {
-            if let Some(i) = a {
-                matched_msgs.push(*i as usize);
-                matched_posts.push(j);
-            }
-        }
-        let n = matched_posts.len();
-        // Collect in post order for deterministic completion order.
-        for (&j, &i) in matched_posts.iter().zip(&matched_msgs) {
-            let message = self.inbox[i].clone();
-            if let (Some(fid), Some(rec)) = (message.flow, self.obs.as_mut()) {
-                rec.record_flow(
-                    "matched",
-                    obs::FlowId(fid),
-                    obs::FlowPhase::End,
-                    now_ns,
-                    vec![],
-                );
-            }
-            self.completed.push(Completion {
-                handle: self.posted[j].0,
-                message,
-            });
-        }
-        // Matched entries leave the digests before queue compaction.
-        for &i in &matched_msgs {
-            self.umq_filter.remove(&self.inbox[i].envelope);
-        }
-        for &j in &matched_posts {
-            self.prq_filter.remove(&self.posted[j].1);
-        }
-        let mut drop_msgs = vec![false; self.inbox.len()];
-        for &i in &matched_msgs {
-            drop_msgs[i] = true;
-        }
-        let keep_msgs: Vec<bool> = drop_msgs.iter().map(|&d| !d).collect();
-        self.umq_soa.compact(&keep_msgs);
-        let mut keep_i = 0usize;
-        self.inbox.retain(|_| {
-            let k = !drop_msgs[keep_i];
-            keep_i += 1;
-            k
-        });
-        let mut drop_posts = vec![false; self.posted.len()];
-        for &j in &matched_posts {
-            drop_posts[j] = true;
-        }
-        let keep_posts: Vec<bool> = drop_posts.iter().map(|&d| !d).collect();
-        self.prq_soa.compact(&keep_posts);
-        let mut keep_j = 0usize;
-        self.posted.retain(|_| {
-            let k = !drop_posts[keep_j];
-            keep_j += 1;
-            k
-        });
-        Ok(n)
-    }
-}
-
 /// Full construction recipe for a [`Domain`]: who talks, how they match,
 /// what semantics the application gets, and what wire carries the bytes.
 #[derive(Debug, Clone, Copy)]
@@ -245,14 +97,8 @@ pub struct DomainConfig {
     /// real wire disorder exercising the user-level machinery.
     pub restore_order: bool,
     /// Record per-endpoint causal flow trace points
-    /// (send → deposit → matched) for Perfetto export.
+    /// (send → deposit → matched) of every send for Perfetto export.
     pub trace: bool,
-    /// Per-endpoint recorder capacity when tracing.
-    pub trace_capacity: usize,
-    /// Sample 1-in-this-many sends for flow tracing (0 and 1 both mean
-    /// every send). The choice is a pure hash of the flow id, so it is
-    /// independent of thread interleaving.
-    pub flow_sample_every: u32,
     /// Track-id window for this domain's endpoint tracks inside a merged
     /// trace (pass `obs::tracks::instance_base(i)` when merging several
     /// domains; also set [`fabric::FabricConfig::trace_track_base`] to
@@ -276,12 +122,13 @@ impl DomainConfig {
             transport: TransportConfig::Direct,
             restore_order: false,
             trace: false,
-            trace_capacity: 4096,
-            flow_sample_every: 1,
             trace_track_base: 0,
         }
     }
 }
+
+/// Per-endpoint flow recorder capacity when the domain traces.
+const TRACE_CAPACITY: usize = 4096;
 
 /// Why a parked receive fails.
 const DEADLOCK: &str =
@@ -316,7 +163,7 @@ impl Liveness {
 
 /// A node of GPUs communicating over a simulated global address space.
 pub struct Domain {
-    endpoints: Vec<Mutex<EndpointInner>>,
+    endpoints: Vec<Mutex<Endpoint>>,
     engine: EngineChoice,
     relax: RelaxationConfig,
     transport: Mutex<Box<dyn Transport>>,
@@ -324,11 +171,8 @@ pub struct Domain {
     /// Signalled, with `liveness` held, by every epoch bump that finds
     /// ranks parked.
     wake: Condvar,
-    /// Flow sampling, present when the domain traces.
-    sampler: Option<obs::FlowSampler>,
-    /// Per-`(src, dst)` send counters feeding flow-id construction
-    /// (mirrors the transport's message sequencing).
-    flow_seqs: Mutex<HashMap<(u32, u32), u64>>,
+    /// Every send is a traced flow ([`DomainConfig::trace`]).
+    trace: bool,
 }
 
 impl Domain {
@@ -383,26 +227,14 @@ impl Domain {
         Domain {
             endpoints: (0..cfg.ranks)
                 .map(|rank| {
-                    Mutex::new(EndpointInner {
-                        rank,
-                        inbox: Vec::new(),
-                        posted: Vec::new(),
-                        umq_soa: EnvelopeSoa::new(),
-                        prq_soa: RequestSoa::new(),
-                        umq_filter: EnvelopeFilter::new(),
-                        prq_filter: RequestFilter::new(),
-                        completed: Vec::new(),
-                        gpu: Gpu::new(cfg.generation),
-                        stats: EndpointStats::default(),
-                        next_handle: 0,
-                        reorder: cfg.restore_order.then(ReorderBuffer::new),
-                        obs: cfg.trace.then(|| {
-                            SpanRecorder::new(
-                                obs::tracks::endpoint(cfg.trace_track_base, rank),
-                                cfg.trace_capacity,
-                            )
+                    Mutex::new(Endpoint::new(
+                        Gpu::new(cfg.generation),
+                        cfg.restore_order.then(ReorderBuffer::new),
+                        cfg.trace.then(|| {
+                            let track = obs::tracks::endpoint(cfg.trace_track_base, rank);
+                            SpanRecorder::new(track, TRACE_CAPACITY)
                         }),
-                    })
+                    ))
                 })
                 .collect(),
             engine: cfg.matcher.into(),
@@ -410,10 +242,7 @@ impl Domain {
             transport: Mutex::new(transport),
             liveness: Mutex::new(Liveness::default()),
             wake: Condvar::new(),
-            sampler: cfg
-                .trace
-                .then(|| obs::FlowSampler::new(cfg.flow_sample_every, 0)),
-            flow_seqs: Mutex::new(HashMap::new()),
+            trace: cfg.trace,
         }
     }
 
@@ -448,55 +277,20 @@ impl Domain {
     /// [`obs::perfetto::merge`] for the full admission→wire→match chain.
     pub fn endpoint_trace_json(&self) -> Option<String> {
         let guards: Vec<_> = self.endpoints.iter().map(|e| e.lock()).collect();
-        if guards.iter().all(|g| g.obs.is_none()) {
-            return None;
-        }
         let tracks: Vec<(String, &SpanRecorder)> = guards
             .iter()
-            .filter_map(|g| {
-                g.obs
-                    .as_ref()
-                    .map(|rec| (format!("endpoint {}", g.rank), rec))
-            })
+            .enumerate()
+            .filter_map(|(rank, g)| g.obs.as_ref().map(|rec| (format!("endpoint {rank}"), rec)))
             .collect();
-        Some(obs::perfetto::export(&tracks))
+        (!tracks.is_empty()).then(|| obs::perfetto::export(&tracks))
     }
 
-    /// Land transported messages in their destination queues, through
-    /// the user-level reorder stage when this domain restores order.
+    /// Land transported messages in their destination queues.
     fn deposit(&self, deliveries: Vec<TransportDelivery>, now_ns: u64) {
         for d in deliveries {
-            let mut ep = self.endpoints[d.dst as usize].lock();
-            ep.stats.bytes_received += d.message.payload.len() as u64;
-            if let Some(fid) = d.flow {
-                if let Some(rec) = ep.obs.as_mut() {
-                    rec.record_flow(
-                        "deposit",
-                        obs::FlowId(fid),
-                        obs::FlowPhase::Step,
-                        now_ns,
-                        vec![("msg_seq", obs::ArgValue::U64(d.msg_seq))],
-                    );
-                }
-            }
-            let ready = match ep.reorder.as_mut() {
-                Some(rb) => {
-                    let ready = rb.push(d.msg_seq, d.message);
-                    let dups = rb.duplicates;
-                    let hw = rb.max_buffered;
-                    ep.stats.reorder_duplicates = dups;
-                    ep.stats.reorder_high_water = hw;
-                    ready
-                }
-                None => vec![d.message],
-            };
-            for m in ready {
-                ep.umq_soa.push(&m.envelope);
-                ep.umq_filter.insert(&m.envelope);
-                ep.inbox.push(m);
-            }
-            let hw = ep.inbox.len();
-            ep.stats.umq_high_water = ep.stats.umq_high_water.max(hw);
+            self.endpoints[d.dst as usize]
+                .lock()
+                .arrive(d.msg_seq, d.message, now_ns);
         }
     }
 
@@ -510,35 +304,14 @@ impl Domain {
             src < self.ranks() && dst < self.ranks(),
             "rank out of range"
         );
-        let flow_id = self.sampler.and_then(|sampler| {
-            let mut seqs = self.flow_seqs.lock();
-            let ctr = seqs.entry((src, dst)).or_insert(0);
-            let seq = *ctr;
-            *ctr += 1;
-            let id = obs::FlowId::fabric(src, dst, seq);
-            sampler.admits(id).then_some(id)
-        });
-        let now_ns = if flow_id.is_some() {
+        let now_ns = if self.trace {
             self.transport.lock().now_ns()
         } else {
             0
         };
-        {
-            let mut me = self.endpoints[src as usize].lock();
-            me.stats.sent += 1;
-            me.stats.bytes_sent += payload.len() as u64;
-            if let Some(fid) = flow_id {
-                if let Some(rec) = me.obs.as_mut() {
-                    rec.record_flow(
-                        "send",
-                        fid,
-                        obs::FlowPhase::Start,
-                        now_ns,
-                        vec![("dst", obs::ArgValue::U64(dst as u64))],
-                    );
-                }
-            }
-        }
+        let flow_id = self.endpoints[src as usize]
+            .lock()
+            .send(src, dst, payload.len(), now_ns);
         let (deliveries, now_ns) = {
             let mut wire = self.transport.lock();
             wire.submit_flow(
@@ -566,15 +339,7 @@ impl Domain {
     /// (e.g. `MPI_ANY_SOURCE` in a no-wildcard domain).
     pub fn post_recv(&self, rank: u32, request: RecvRequest) -> Result<RecvHandle, String> {
         self.relax.validate_workload(&[], &[request])?;
-        let mut ep = self.endpoints[rank as usize].lock();
-        let handle = RecvHandle(ep.next_handle);
-        ep.next_handle += 1;
-        ep.posted.push((handle, request));
-        ep.prq_soa.push(&request);
-        ep.prq_filter.insert(&request);
-        let hw = ep.posted.len();
-        ep.stats.prq_high_water = ep.stats.prq_high_water.max(hw);
-        Ok(handle)
+        Ok(self.endpoints[rank as usize].lock().post(request))
     }
 
     /// Run `rank`'s communication kernel once: pump the transport (which
@@ -597,7 +362,8 @@ impl Domain {
         }
         health?;
         let mut ep = self.endpoints[rank as usize].lock();
-        ep.run_comm_kernel(self.engine, self.relax, now_ns)
+        ep.progress(self.engine, now_ns)
+            .map_err(|e| format!("rank {rank}: {e}"))
     }
 
     /// Run every endpoint's communication kernel once; returns total new
@@ -615,7 +381,7 @@ impl Domain {
 
     /// Drain completions queued on `rank`.
     pub fn take_completions(&self, rank: u32) -> Vec<Completion> {
-        std::mem::take(&mut self.endpoints[rank as usize].lock().completed)
+        self.endpoints[rank as usize].lock().take_completions()
     }
 
     /// Post, then make progress until the receive completes (see the
@@ -630,7 +396,6 @@ impl Domain {
     /// and the request, and leave the receive posted.
     pub fn recv_blocking(&self, rank: u32, request: RecvRequest) -> Result<Message, String> {
         let handle = self.post_recv(rank, request)?;
-        let mut collected: Vec<Completion> = Vec::new();
         let outcome = loop {
             // Read the epoch before looking, so that `park` can tell
             // whether anything was sent or landed after the look.
@@ -638,20 +403,14 @@ impl Domain {
             if let Err(e) = self.progress(rank) {
                 break Err(e);
             }
-            collected.extend(self.take_completions(rank));
-            if let Some(pos) = collected.iter().position(|c| c.handle == handle) {
-                break Ok(collected.swap_remove(pos).message);
+            if let Some(c) = self.endpoints[rank as usize].lock().take_completion(handle) {
+                break Ok(c.message);
             }
             // Work in flight lands after finitely many more pumps.
             if self.transport.lock().quiescent() && !self.park(seen) {
                 break Err(DEADLOCK.to_string());
             }
         };
-        // Put the others back for later collectors.
-        self.endpoints[rank as usize]
-            .lock()
-            .completed
-            .extend(collected);
         outcome.map_err(|e| format!("rank {rank}: receive {handle:?} ({request:?}) failed: {e}"))
     }
 
@@ -731,13 +490,7 @@ impl Domain {
     /// wire, and no arrivals held back for reordering (BSP phase
     /// boundary)?
     pub fn quiescent(&self) -> bool {
-        self.endpoints.iter().all(|e| {
-            let e = e.lock();
-            e.inbox.is_empty()
-                && e.posted.is_empty()
-                && e.completed.is_empty()
-                && e.reorder.as_ref().is_none_or(ReorderBuffer::is_drained)
-        }) && self.transport.lock().quiescent()
+        self.endpoints.iter().all(|e| e.lock().is_drained()) && self.transport.lock().quiescent()
     }
 }
 

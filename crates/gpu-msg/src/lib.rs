@@ -56,6 +56,7 @@
 mod bsp;
 pub mod collectives;
 mod domain;
+mod endpoint;
 mod fault;
 mod message;
 mod metrics;

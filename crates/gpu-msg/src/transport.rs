@@ -43,13 +43,8 @@ pub(crate) struct TransportDelivery {
     /// Dense per-`(src, dst)` message index (the source is in the
     /// envelope).
     pub(crate) msg_seq: u64,
-    /// True when an at-least-once wire re-delivered an already-delivered
-    /// message.
-    pub(crate) duplicate: bool,
-    /// Causal flow id echoed back from [`Transport::submit_flow`], when
-    /// the sender sampled this message for flow tracing.
-    pub(crate) flow: Option<u64>,
-    /// The message itself.
+    /// The message itself, with the causal flow id the sender passed to
+    /// [`Transport::submit_flow`].
     pub(crate) message: Message,
 }
 
@@ -143,8 +138,6 @@ impl Transport for DirectTransport {
         self.ready.push(TransportDelivery {
             dst,
             msg_seq,
-            duplicate: false,
-            flow,
             message: Message {
                 envelope,
                 payload,
@@ -217,8 +210,6 @@ impl Transport for FabricTransport {
             self.local_ready.push(TransportDelivery {
                 dst,
                 msg_seq,
-                duplicate: false,
-                flow,
                 message: Message {
                     envelope,
                     payload,
@@ -240,8 +231,6 @@ impl Transport for FabricTransport {
                 out.push(TransportDelivery {
                     dst,
                     msg_seq: d.msg_seq,
-                    duplicate: d.duplicate,
-                    flow: d.flow,
                     message: Message {
                         envelope: d.envelope,
                         payload: d.payload,

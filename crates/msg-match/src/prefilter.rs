@@ -171,7 +171,7 @@ impl EnvelopeFilter {
 
     /// Build from a queue snapshot — by construction identical to
     /// inserting every entry incrementally.
-    pub(crate) fn build<'a>(msgs: impl IntoIterator<Item = &'a Envelope>) -> Self {
+    pub fn build<'a>(msgs: impl IntoIterator<Item = &'a Envelope>) -> Self {
         let mut f = Self::new();
         for m in msgs {
             f.insert(m);
@@ -232,7 +232,7 @@ impl RequestFilter {
 
     /// Build from a queue snapshot — by construction identical to
     /// inserting every entry incrementally.
-    pub(crate) fn build<'a>(reqs: impl IntoIterator<Item = &'a RecvRequest>) -> Self {
+    pub fn build<'a>(reqs: impl IntoIterator<Item = &'a RecvRequest>) -> Self {
         let mut f = Self::new();
         for r in reqs {
             f.insert(r);

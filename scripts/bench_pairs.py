@@ -11,8 +11,10 @@ alternating which side goes first. For every end-to-end metric of
 pairs the change won and a verdict: a gain needs at least ten pairs, nine
 tenths of them won, medians further apart than the parent's own
 interquartile range, and a change that fails no larger share of its
-operations than the parent and none of its runs' checks; a regression is
-a median worse than the parent's by more than the metric's bound; `sim_*`
+operations than the parent and none of its runs' checks; where the
+parent's own runs spread wider than the metric's bound, the metric is
+unresolved (unless every change run beats every parent run); otherwise a
+regression is a median worse than the parent's by more than the bound; `sim_*`
 values must be bit-identical. Peak RSS gets a verdict line of its own, the
 ROADMAP's rule for every performance change: the change's median at most
 the parent's median + 2 %, whatever the metric's bound (unresolved, as a
@@ -109,10 +111,12 @@ def summarize(metric, parent, change, fails_more=False):
             out["verdict"] = f"better, but a claim needs {MIN_PAIRS} pairs"
         else:
             out["verdict"] = "gain"
+    elif pm and iqr / abs(pm) > metric["bound"] and not every_run_better:
+        # The parent alone spreads wider than the bound: a host that slows
+        # down mid-series moves the medians by more than any code could.
+        out["verdict"] = "unresolved (spread wider than bound)"
     elif worse_by > metric["bound"]:
         out["verdict"] = "REGRESSION"
-    elif pm and iqr / abs(pm) > metric["bound"] and not every_run_better:
-        out["verdict"] = "unresolved (spread wider than bound)"
     else:
         out["verdict"] = "within bound"
     return out
@@ -281,6 +285,15 @@ def self_test():
     # then it is no regression, and still no gain inside that spread.
     s = summarize(down, noisy, [9.0] * 10)
     assert s["verdict"] == "within bound" and s["won"] == 10, s
+    # A host that slows down mid-series: pairs 1-2 fast on both sides, the
+    # change's half of pair 3 and all of pairs 4-5 slow. The medians differ
+    # by more than the bound (0.74), but so does the parent's own spread
+    # (IQR 44 % of its median): unresolved, not a regression.
+    stepped = [318.0, 320.0, 300.0, 186.0, 180.0]
+    ratios = [0.985, 0.969, 0.74, 1.01, 0.957]
+    assert abs((quantile(stepped, 0.75) - quantile(stepped, 0.25)) / quantile(stepped, 0.5) - 0.44) < 1e-9
+    s = summarize(up, stepped, [p * r for p, r in zip(stepped, ratios)])
+    assert abs(s["ratio"] - 0.74) < 1e-9 and s["verdict"].startswith("unresolved"), s
     s = summarize(up, parent[:5], [p * 2.2 for p in parent[:5]])
     assert s["verdict"] == "better, but a claim needs 10 pairs", s
     # Faster while failing more is no gain; it is no regression either.

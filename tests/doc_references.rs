@@ -537,3 +537,55 @@ fn documented_commands_exist() {
         broken.join("\n")
     );
 }
+
+/// `repro` outputs whose fenced blocks in EXPERIMENTS.md are checked
+/// against what `repro` prints.
+const RENDERED_IN_EXPERIMENTS: [&str; 2] = ["table1", "figure2"];
+
+/// The fenced blocks of each `## ` section of `text` that names
+/// `` `repro <name>` ``, each as its lines joined with newlines.
+fn fenced_blocks_under(text: &str, name: &str) -> Vec<String> {
+    let marker = format!("`repro {name}`");
+    let mut blocks = Vec::new();
+    for section in text.split("\n## ").filter(|s| s.contains(&marker)) {
+        let mut block: Option<Vec<&str>> = None;
+        for line in section.lines() {
+            if line.trim_start().starts_with("```") {
+                match block.take() {
+                    Some(lines) => blocks.push(lines.join("\n") + "\n"),
+                    None => block = Some(Vec::new()),
+                }
+            } else if let Some(lines) = block.as_mut() {
+                lines.push(line);
+            }
+        }
+    }
+    blocks
+}
+
+#[test]
+fn experiments_blocks_are_slices_of_repro_output() {
+    let text = fs::read_to_string(root().join("EXPERIMENTS.md")).expect("readable EXPERIMENTS.md");
+    let mut broken = Vec::new();
+    for name in RENDERED_IN_EXPERIMENTS {
+        let (_, render) = bench_harness::experiments::OUTPUTS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("a repro output");
+        let printed = render().text;
+        let blocks = fenced_blocks_under(&text, name);
+        if blocks.is_empty() {
+            broken.push(format!("no fenced block under `repro {name}`"));
+        }
+        for block in blocks {
+            if !printed.contains(&block) {
+                broken.push(format!("`repro {name}` does not print:\n{block}"));
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "EXPERIMENTS.md disagrees with repro:\n{}",
+        broken.join("\n")
+    );
+}
